@@ -49,9 +49,9 @@ deterministic Section-4.3 corner — one row per model over the same two
 machines.  Cell outcomes must be byte-identical between the engines,
 the two pinned anomaly cells (train11/hostile seed 2, lion9/loop-safe
 seed 0) must be present and dirty, every ring cell must report a fast
-kernel path (``ring``/``ticks``/``calendar``; ``heap`` only via the
-documented quantum-overflow fallback, which these horizons never
-reach), and each row's speedup must clear
+kernel path (``ring``/``ticks``; ``heap`` only via an off-grid vector
+or the documented quantum-overflow fallback, which these models and
+horizons never reach), and each row's speedup must clear
 ``MIN_CAMPAIGN_TIER_SPEEDUP``x at generation /
 ``CHECK_CAMPAIGN_TIER_FLOOR``x in the reduced CI gate.
 """
@@ -133,9 +133,9 @@ MIN_CAMPAIGN_TIER_SPEEDUP = 3.0
 #: to detect fast-path collapse (a heap demotion reads ~1.0x).
 CHECK_CAMPAIGN_TIER_FLOOR = 1.5
 #: Kernel paths a sweep cell may legitimately report; ``heap`` appears
-#: only through the documented quantum-overflow fallback, which the
-#: built-in models never trigger at campaign horizons.
-FAST_PATHS = {"ring", "ticks", "calendar"}
+#: only through an off-grid vector or the documented quantum-overflow
+#: fallback, which the built-in models never trigger at campaign horizons.
+FAST_PATHS = {"ring", "ticks"}
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,14 @@ Quickstart
 """
 
 from . import api
-from .api import PipelineSpec, Session, load
+from .api import (
+    PipelineSpec,
+    Session,
+    SynthesisOptions,
+    SynthesisResult,
+    load,
+    synthesize,
+)
 from .bench import (
     PAPER_TABLE1,
     TABLE1_BENCHMARKS,
@@ -49,15 +56,6 @@ from .bench import (
     kiss_source,
     synthesize_suite,
 )
-from .core import (
-    Seance,
-    SynthesisOptions,
-    SynthesisResult,
-)
-
-# The package-level one-shot keeps the historical `table` parameter
-# name (keyword callers exist); it routes through repro.api internally.
-from .core.seance import synthesize
 from .errors import (
     CoveringError,
     FlowTableError,
@@ -114,7 +112,6 @@ __all__ = [
     "PassManager",
     "PipelineSpec",
     "ReproError",
-    "Seance",
     "Session",
     "StageCache",
     "SimulationError",

@@ -24,8 +24,8 @@ synthesis lives here, under names rather than live objects:
   or campaign cell grid across machines by the same content hashes
   (``seance shard run``/``merge``).
 
-The older entry points (``repro.core.seance``, direct
-``PassManager(...)`` construction) remain as shims over this module.
+Direct ``PassManager(...)`` construction remains available underneath
+this module.
 """
 
 from ..core.result import SynthesisResult

@@ -232,8 +232,7 @@ def synthesize(
     ``api.synthesize(table, SynthesisOptions(minimize=False))``).
 
     A one-shot run has nothing to reuse, so no stage cache is built
-    unless the caller passes one (or configures one in ``spec``) —
-    exactly the old ``core.seance.synthesize`` behaviour.
+    unless the caller passes one (or configures one in ``spec``).
     """
     if cache is None and spec is not None:
         cache = spec.cache.build()

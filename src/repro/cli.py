@@ -785,8 +785,7 @@ def _add_matrix_arguments(
         "--engine",
         choices=_engine_choices(),
         default=None,
-        help="[campaign] simulation kernel (default ring, or "
-        "$REPRO_SIM_ENGINE)",
+        help="[campaign] simulation kernel (default ring)",
     )
 
 
@@ -1153,10 +1152,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_engine_choices(),
         default=None,
         help="simulation kernel (ring = the fast event kernel: exact "
-        "fixed-point ticks for fractional delays, calendar-queue "
-        "fallback, batched fronts and segment replay; compiled = the "
-        "heap kernel; reference = the retained seed interpreter, for "
-        "benchmarking; default ring, or $REPRO_SIM_ENGINE)",
+        "fixed-point ticks for fractional delays, heap fallback for "
+        "off-grid ones, batched fronts and segment replay; compiled = "
+        "the heap kernel; reference = the retained seed interpreter, "
+        "for benchmarking; default ring)",
     )
     val.add_argument(
         "--skewed",

@@ -21,19 +21,13 @@ from .result import SynthesisResult
 from .spec import SpecifiedMachine
 from .ssd import SsdEquation, synthesize_ssd
 
-# Imported last: the facade pulls in repro.pipeline, whose passes import
-# the core submodules above while this package is mid-initialisation.
-from .seance import Seance, SynthesisOptions, synthesize
-
 __all__ = [
     "FSV_NAME",
     "FactoredEquation",
     "HazardAnalysis",
     "OutputEquation",
-    "Seance",
     "SpecifiedMachine",
     "SsdEquation",
-    "SynthesisOptions",
     "SynthesisResult",
     "doubled_names",
     "factor_fsv",
@@ -43,7 +37,6 @@ __all__ = [
     "next_state_function",
     "next_state_functions",
     "state_space_growth",
-    "synthesize",
     "synthesize_outputs",
     "synthesize_ssd",
 ]

@@ -2,8 +2,8 @@
 
 The library keeps three deliberately redundant implementations of its
 hot paths — the packed-bitset logic engine vs ``logic/_reference``, the
-compiled simulation kernel vs the event-ring kernel (tick *and*
-calendar regimes), and the FANTOM synthesis vs the SIC Huffman baseline
+compiled simulation kernel vs the event-ring kernel (tick *and* heap
+regimes), and the FANTOM synthesis vs the SIC Huffman baseline
 — plus a flow-table interpreter as the behavioural oracle.  This module
 drives generated corpus machines (:mod:`repro.corpus.families`) through
 all of them and treats *any* disagreement as a finding:
@@ -69,7 +69,7 @@ SELFTEST_ENV = "REPRO_FUZZ_SELFTEST"
 
 #: Delay models every machine is walked under: ``unit`` and
 #: ``loop-safe`` exercise the ring kernel's tick path, the off-grid
-#: ``loop-safe-offgrid`` variant forces its calendar-queue path.
+#: ``loop-safe-offgrid`` variant forces the heap path.
 DEFAULT_MODELS = ("unit", "loop-safe", "loop-safe-offgrid")
 
 #: Corpus machines with pinned, characterised anomalies — the

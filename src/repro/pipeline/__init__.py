@@ -1,6 +1,6 @@
 """The synthesis pass pipeline: manager, passes, stage cache, batch runner.
 
-This package is the engine under :func:`repro.core.seance.synthesize`.
+This package is the engine under :func:`repro.api.synthesize`.
 The paper's seven Figure-3 steps are :class:`Pass` objects
 (:mod:`repro.pipeline.passes`); :class:`PassManager` runs a declarative
 pass list over a :class:`PipelineContext` artifact store with per-pass

@@ -1,6 +1,6 @@
 """The pass manager: runs a declarative pass list over a flow table.
 
-`PassManager.run` is the engine behind :func:`repro.core.seance.synthesize`
+`PassManager.run` is the engine behind :func:`repro.api.synthesize`
 (and everything built on it — the CLI, the bench suite, the batch
 runner).  For every pass it
 
@@ -8,8 +8,8 @@ runner).  For every pass it
   ``provides`` present after);
 * consults the content-hash :class:`~repro.pipeline.cache.StageCache`
   and, on a hit, restores the stage's artifacts instead of executing;
-* times the stage (``stage_seconds``, same keys the monolithic
-  ``Seance.run`` used, so result serialisation is unchanged);
+* times the stage (``stage_seconds``, one key per stage, so result
+  serialisation is unchanged);
 * wraps unexpected exceptions in :class:`PassError` naming the failing
   pass (domain :class:`~repro.errors.ReproError`\\ s — validation
   failures, USTT violations — propagate untouched, preserving the

@@ -1,11 +1,8 @@
 """Synthesis options: the knobs of the pass pipeline (paper defaults).
 
-Historically this dataclass lived in :mod:`repro.core.seance`; it moved
-here when the monolithic ``Seance.run`` became a pass pipeline, because
-every pass (and the stage cache, which fingerprints options) needs it
-while :mod:`repro.core.seance` is now a thin facade *over* the pipeline.
-``repro.core.seance.SynthesisOptions`` remains a re-export, so existing
-imports keep working.
+It lives in the pipeline package because every pass (and the stage
+cache, which fingerprints options) needs it; :mod:`repro.api` re-exports
+it as ``api.SynthesisOptions``.
 """
 
 from __future__ import annotations

@@ -81,7 +81,10 @@ class QueueWorker:
             "failed": 0,
             "stolen": 0,
         }
-        deadline = time.time() + timeout if timeout is not None else None
+        # A local deadline: monotonic, unlike the cross-process leases.
+        deadline = (
+            time.monotonic() + timeout if timeout is not None else None
+        )
         while True:
             pending = self.queue.pending()
             if not pending and drain:
@@ -110,7 +113,7 @@ class QueueWorker:
             if max_units is not None and stats["units"] >= max_units:
                 return stats
             if not progressed:
-                if deadline is not None and time.time() >= deadline:
+                if deadline is not None and time.monotonic() >= deadline:
                     return stats
                 time.sleep(self.poll)
 

@@ -101,22 +101,11 @@ def _reference_engine():
 
 
 def default_engine() -> str:
-    """The kernel used when no ``engine`` is given explicitly.
+    """The kernel used when no ``engine`` is given explicitly: ``"ring"``.
 
-    ``$REPRO_SIM_ENGINE`` overrides (validated; ``compiled`` selects
-    the heap kernel, useful for benchmarking baselines or to avoid the
-    ring kernel's optional numpy import — the ring degrades to scalar
-    front evaluation without numpy, so either works anywhere).
-    Defaults to ``"ring"``: with the fractional-time tick grid and the
-    calendar fallback, every built-in delay model now runs on the fast
-    kernel, so the campaign bulk takes it by default.
+    With the fractional-time tick grid every built-in delay model runs
+    on the fast kernel, so the campaign bulk takes it by default.
     """
-    import os
-
-    name = os.environ.get("REPRO_SIM_ENGINE")
-    if name:
-        _resolve_engine(name)
-        return name
     return "ring"
 
 
@@ -187,7 +176,7 @@ class CampaignCell:
 
     @property
     def engine_path(self) -> str | None:
-        """Kernel-path provenance (``ring``/``ticks``/``calendar``/``heap``).
+        """Kernel-path provenance (``ring``/``ticks``/``heap``).
 
         Derived from the summary's kernel telemetry so cells
         reconstructed from a result store report exactly what the
@@ -353,14 +342,13 @@ class ValidationCampaign:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
         phase (pass variants, options, stage cache).
     engine:
-        ``"ring"`` (the default, via :func:`default_engine` /
-        ``$REPRO_SIM_ENGINE``) — the event-ring kernel of
-        :mod:`repro.sim.ring`: fractional delays run on an exact
-        fixed-point tick grid (or the calendar-queue fallback), with
-        batched fronts and run-segment replay, so every built-in delay
-        model stays on the fast path; ``"compiled"`` — the heap
-        kernel; or ``"reference"`` — the retained seed kernel, for
-        benchmarking and distrust.  All three are pinned
+        ``"ring"`` (the default, via :func:`default_engine`) — the
+        event-ring kernel of :mod:`repro.sim.ring`: fractional delays
+        run on an exact fixed-point tick grid (off-grid ones on the
+        heap), with batched fronts and run-segment replay, so every
+        built-in delay model stays on the fast path; ``"compiled"`` —
+        the heap kernel; or ``"reference"`` — the retained seed kernel,
+        for benchmarking and distrust.  All three are pinned
         trace-equivalent.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or a

@@ -29,7 +29,7 @@ is *exact* IEEE arithmetic as long as times stay below
 float kernels bit for bit.  :func:`negotiate_time_quantum` is that
 negotiation: given a resolved delay vector it returns the shared shift,
 or ``None`` when no practical quantum exists (hand-annotated off-grid
-delays), in which case the kernel falls back to its calendar queue.
+delays), in which case the kernel falls back to its event heap.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class DelayModel:
     Built-in models keep their delays on the dyadic time grid
     (:data:`TIME_GRID_BITS`) so the fixed-point tick kernel applies;
     models are free to return off-grid values, at the cost of the
-    calendar-queue path.
+    heap path.
     """
 
     def gate_delay(self, gate: Gate) -> float:
@@ -128,7 +128,7 @@ class RandomDelay(DelayModel):
     inside the stated range, whose ends may themselves be off-grid), so
     the tick kernel's quantum negotiation always succeeds on built-in
     silicon.  Pass ``grid_bits=None`` for raw uniform draws — the
-    calendar-queue regime.
+    heap regime.
     """
 
     def __init__(

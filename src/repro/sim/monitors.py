@@ -107,7 +107,7 @@ class ValidationSummary:
 
     ``kernel`` aggregates the per-walk kernel telemetry the simulators
     expose (``sim.kernel_stats``): which engine paths the walks ended on
-    (``ring``/``ticks``/``calendar``/``heap``), any fast-path demotions
+    (``ring``/``ticks``/``heap``), any fast-path demotions
     (``migrations``), and the batching counters.  ``None`` means no walk
     contributed telemetry (e.g. the reference kernel).
     """

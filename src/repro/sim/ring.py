@@ -33,10 +33,7 @@ virtual calls) with a flat integer program, the ring kernel replaces the
   sequence order, then each *touched* gate is evaluated **once** against
   its final ones-count (``tt >> count & 1``) instead of once per fanout
   edge, and the surviving pushes are emitted in exactly the order the
-  serial kernel's supersession chain would leave behind.  Wide fronts
-  hand the truth-table evaluation to numpy (a structured gather over the
-  touched set); narrow fronts stay scalar — the crossover is
-  :data:`FRONT_VECTOR_MIN`;
+  serial kernel's supersession chain would leave behind;
 * **run-segment replay** — a FANTOM hand-shake revisits a small set of
   ``(net values, queued events, wait)`` situations over and over (the
   walk graph has few distinct edges).  In integer-time mode every
@@ -46,27 +43,23 @@ virtual calls) with a flat integer program, the ring kernel replaces the
   values, counts, trace, queue and the clock advance in O(changes) with
   no event processing at all.
 
-Vectors with no practical quantum (hand-annotated off-grid delays, or a
-:class:`~repro.sim.delays.RandomDelay` built with ``grid_bits=None``)
-run on a **calendar-queue bucket ring** (``path: calendar``) — Brown's
-calendar queue: a wrapping slot wheel over exact float times with O(1)
-amortised schedule and pop, replacing the binary heap in that regime
-while reproducing its exact ``(time, sequence)`` total order.  An
-off-grid external ``schedule()`` mid-session migrates a tick ring onto
-the calendar the same way.  The only remaining use of the inherited
-compiled heap loop is the documented quantum-overflow fallback
-(``path: heap``): event times approaching the tick horizon migrate the
-buckets into the heap and continue there, so the kernel is a drop-in
-for arbitrary stimuli.
+Outside the tick regime the kernel runs the inherited compiled heap
+loop (``path: heap``), so it is a drop-in for arbitrary stimuli:
 
-Every path transition is counted in :attr:`RingSimulator.kernel_stats`
-(fronts, replays, migrations, current path) — the telemetry surfaced
-through :class:`~repro.sim.monitors.ValidationSummary` and
+* vectors with no practical quantum (hand-annotated off-grid delays, or
+  a :class:`~repro.sim.delays.RandomDelay` built with
+  ``grid_bits=None``) keep the heap ``run``/``schedule`` from the start;
+* an off-grid external ``schedule()`` mid-session migrates the tick
+  buckets into the heap (``off-grid-stimulus``);
+* event times approaching the tick horizon do the same (``overflow``).
+
+A migration preserves sequence numbers and pending entries, so the
+heap's ``(time, sequence)`` order is exactly the bucket order it
+replaces.  Every path transition is counted in
+:attr:`RingSimulator.kernel_stats` (fronts, replays, migrations, current
+path) — the telemetry surfaced through
+:class:`~repro.sim.monitors.ValidationSummary` and
 ``seance validate --json`` so a silent fast-path loss is visible.
-
-numpy is optional: without it the front path evaluates scalar-wise and
-everything else is pure python (see the ``REPRO_SIM_ENGINE`` fallback in
-:mod:`repro.sim.campaign`).
 """
 
 from __future__ import annotations
@@ -83,95 +76,10 @@ from .simulator import (
     plan_cache_put,
 )
 
-try:  # numpy is a declared dependency, but the kernel degrades gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 #: Buckets at least this large take the batched front path.
 FRONT_MIN = 6
-#: Touched-gate sets at least this large are evaluated with numpy.
-FRONT_VECTOR_MIN = 32
 
 _INF = float("inf")
-
-
-class _CalendarIndex:
-    """Ascending multiplexer over distinct event times (floats).
-
-    Brown's calendar queue, reduced to what the bucket loop needs: the
-    bucket *dict* groups same-time entries, this index yields the
-    distinct times in ascending order.  A time belongs to absolute slot
-    ``int(t / width)`` (its physical slot is that modulo ``nslots``);
-    float division is monotone, so smaller absolute slots hold strictly
-    smaller times and the minimum always lives in the lowest non-empty
-    absolute slot — placement and lookup use the same computation, so
-    sub-ULP boundary rounding cannot reorder anything.  ``add`` is an
-    insort into a short slot list, ``peek`` resumes the cursor scan, and
-    a fruitless full wrap jumps the cursor straight to the next
-    occupied year (far-future events cost one O(nslots) scan, not one
-    lap per empty year).
-    """
-
-    __slots__ = ("width", "nslots", "wheel", "count", "pos")
-
-    def __init__(self, width: float = 1.0, nslots: int = 64):
-        self.width = width
-        self.nslots = nslots
-        self.wheel: list[list[float]] = [[] for _ in range(nslots)]
-        self.count = 0
-        #: absolute slot number of the search cursor; invariant: no
-        #: stored time has a smaller absolute slot.
-        self.pos = 0
-
-    def add(self, t: float) -> None:
-        a = int(t / self.width)
-        insort(self.wheel[a % self.nslots], t)
-        self.count += 1
-        if a < self.pos:
-            self.pos = a
-        if self.count > 4 * self.nslots:
-            self._grow()
-
-    def _grow(self) -> None:
-        times = [t for slot in self.wheel for t in slot]
-        pos = self.pos
-        self.nslots *= 2
-        self.wheel = [[] for _ in range(self.nslots)]
-        self.count = 0
-        for t in times:
-            self.add(t)
-        self.pos = pos
-
-    def peek(self) -> float:
-        """The smallest stored time (cursor advances, nothing removed)."""
-        wheel = self.wheel
-        nslots = self.nslots
-        width = self.width
-        pos = self.pos
-        scanned = 0
-        while True:
-            slot = wheel[pos % nslots]
-            if slot and int(slot[0] / width) == pos:
-                self.pos = pos
-                return slot[0]
-            pos += 1
-            scanned += 1
-            if scanned >= nslots:
-                # A whole year is empty: jump to the next occupied one.
-                pos = min(
-                    int(slot[0] / width) for slot in wheel if slot
-                )
-                scanned = 0
-
-    def remove(self, t: float) -> None:
-        slot = self.wheel[int(t / self.width) % self.nslots]
-        slot.remove(t)
-        self.count -= 1
-
-    def times(self) -> list[float]:
-        """All stored times, ascending (inspection paths only)."""
-        return sorted(t for slot in self.wheel for t in slot)
 
 
 class _Segment:
@@ -217,7 +125,8 @@ class RingSimulator(Simulator):
 
     Construction, driving surface and observable behaviour are identical
     to :class:`~repro.sim.simulator.Simulator`; only the execution
-    strategy differs (and only when every resolved delay is integral).
+    strategy differs (and only when the resolved delays share a
+    practical tick quantum).
     """
 
     def __init__(
@@ -240,7 +149,6 @@ class RingSimulator(Simulator):
         self._heap_run = self.run
         self._heap_schedule = self.schedule
         self._running = False
-        self._calendar = False
 
         gate_delays = self._gate_delays
         dff_delays = self._dff_delays
@@ -261,9 +169,8 @@ class RingSimulator(Simulator):
             "migrations": {},
         }
         if shift is None:
-            # No practical common quantum: the calendar-queue regime.
+            # No practical common quantum: the inherited heap kernel.
             self._ring = False
-            self._init_calendar()
             return
 
         self._ring = True
@@ -419,14 +326,14 @@ class RingSimulator(Simulator):
             return
         if not scaled.is_integer():
             # An off-grid stimulus ends tick time: migrate the buckets
-            # onto the calendar queue and continue there.
+            # into the heap and continue there.
             if self._running:
                 raise SimulationError(
                     "cannot schedule an off-grid event from a "
                     "stop_when callback while the ring loop is running"
                 )
-            self._migrate_to_calendar("off-grid-stimulus")
-            self.schedule(net, value, at)
+            self._migrate_to_heap("off-grid-stimulus")
+            self._heap_schedule(net, value, at)
             return
         t = int(scaled)
         v = 1 if value else 0
@@ -470,47 +377,10 @@ class RingSimulator(Simulator):
         self.run = self._heap_run
         self.schedule = self._heap_schedule
 
-    def _migrate_to_calendar(self, reason: str) -> None:
-        """Move the tick buckets onto the calendar queue, order intact.
-
-        Sequence numbers and pending entries survive untouched — only
-        the time representation changes (exact tick -> float), so the
-        pop order, supersession decisions and traces are unaffected.
-        """
-        self._materialise_queue()
-        down = self._down
-        times, buckets = self._times, self._buckets
-        self._times = []
-        self._buckets = {}
-        self._ring = False
-        self._last_segment = None
-        self._init_calendar()
-        cal_buckets = self._cal_buckets
-        index = self._cal_index
-        for t in times:
-            ft = t * down
-            cal_buckets[ft] = list(buckets[t])
-            index.add(ft)
-        stats = self.kernel_stats
-        stats["path"] = "calendar"
-        migrations = stats["migrations"]
-        migrations[reason] = migrations.get(reason, 0) + 1
-
     # ------------------------------------------------------------------
     # Queue inspection (the base class reads self._queue directly)
     # ------------------------------------------------------------------
     def has_live_events(self) -> bool:
-        if self._calendar:
-            pending = self._pending
-            inertial = self.inertial
-            for bucket in self._cal_buckets.values():
-                for seq, nid, _value in bucket:
-                    if inertial:
-                        live = pending[nid]
-                        if live and live != seq:
-                            continue
-                    return True
-            return False
         if not self._ring:
             return super().has_live_events()
         self._materialise_queue()
@@ -526,8 +396,6 @@ class RingSimulator(Simulator):
         return False
 
     def pending_events(self) -> int:
-        if self._calendar:
-            return sum(len(b) for b in self._cal_buckets.values())
         if not self._ring:
             return super().pending_events()
         self._materialise_queue()
@@ -535,9 +403,7 @@ class RingSimulator(Simulator):
 
     def run_until_quiet(self, timeout: float) -> float:
         deadline = self.now + timeout
-        if self._calendar:
-            empty = not self._cal_index.count
-        elif self._ring:
+        if self._ring:
             # A replay stub is only stored for a non-empty end queue.
             empty = not self._times and self._queue_stub is None
         else:
@@ -563,8 +429,6 @@ class RingSimulator(Simulator):
         stop_net=None,
         stop_value=1,
     ) -> float:
-        if self._calendar:
-            return self._calendar_run(until, stop_when, stop_net, stop_value)
         if not self._ring:
             return self._heap_run(until, stop_when, stop_net, stop_value)
         now = self.now
@@ -1064,13 +928,16 @@ class RingSimulator(Simulator):
         # than once replay their count sequence — an intermediate
         # deviation arms the push chain, after which every later touch
         # pushes (superseding), so only the final value survives.
-        single_gates: list[int] = []
         for g, counts_seen in touch_counts.items():
-            if len(counts_seen) == 1:
-                single_gates.append(g)
-                continue
             out_nid = gate_output[g]
             table = tts[g]
+            if len(counts_seen) == 1:
+                out = table >> counts_seen[0] & 1
+                if pending[out_nid] or out != values[out_nid]:
+                    push_log.append(
+                        (touch_order[g], out_nid, out, gate_delays[g])
+                    )
+                continue
             current = values[out_nid]
             armed = pending[out_nid] != 0
             out = current
@@ -1083,43 +950,6 @@ class RingSimulator(Simulator):
                     (touch_order[g], out_nid, out, gate_delays[g])
                 )
 
-        if _np is not None and len(single_gates) >= FRONT_VECTOR_MIN:
-            n = len(single_gates)
-            tt_arr = _np.fromiter(
-                (tts[g] for g in single_gates), dtype=_np.int64, count=n
-            )
-            cnt_arr = _np.fromiter(
-                (touch_counts[g][0] for g in single_gates),
-                dtype=_np.int64, count=n,
-            )
-            out_nids = _np.fromiter(
-                (gate_output[g] for g in single_gates),
-                dtype=_np.int64, count=n,
-            )
-            outs = (tt_arr >> cnt_arr) & 1
-            cur = _np.fromiter(
-                (values[nid] for nid in out_nids), dtype=_np.int64, count=n
-            )
-            pend = _np.fromiter(
-                (pending[nid] for nid in out_nids), dtype=_np.int64, count=n
-            )
-            for k in _np.nonzero((pend != 0) | (outs != cur))[0]:
-                g = single_gates[k]
-                push_log.append(
-                    (
-                        touch_order[g], int(out_nids[k]), int(outs[k]),
-                        gate_delays[g],
-                    )
-                )
-        else:
-            for g in single_gates:
-                out_nid = gate_output[g]
-                out = tts[g] >> touch_counts[g][0] & 1
-                if pending[out_nid] or out != values[out_nid]:
-                    push_log.append(
-                        (touch_order[g], out_nid, out, gate_delays[g])
-                    )
-
         # Emit surviving pushes in serial supersession order.
         push_log.sort(key=lambda item: item[0])
         for _order, out_nid, out, delay in push_log:
@@ -1131,191 +961,3 @@ class RingSimulator(Simulator):
                 self._buckets[t] = rest
                 insort(self._times, t)
         return events, stopped, error
-
-    # ------------------------------------------------------------------
-    # Calendar-queue mode (vectors with no practical tick quantum)
-    # ------------------------------------------------------------------
-    def _init_calendar(self) -> None:
-        """Switch the driving surface onto the calendar-queue loop.
-
-        Same bucket semantics as the tick ring — a dict groups same-time
-        entries in push order, the index yields distinct times ascending
-        — but keyed on exact float times, so any delay vector runs here.
-        Segments and fronts stay off: without a shared quantum the
-        relative-time rebasing they rely on is not exact, and measured
-        same-timestamp fronts are of size 1–2 anyway.
-        """
-        self._calendar = True
-        self.kernel_stats["path"] = "calendar"
-        #: time -> [(seq, nid, value), ...] in push (= pop) order.
-        self._cal_buckets: dict[float, list[tuple[int, int, int]]] = {}
-        self._cal_index = _CalendarIndex()
-        self.run = self._calendar_run
-        self.schedule = self._calendar_schedule
-
-    def _calendar_schedule(self, net: str, value: int, at: float) -> None:
-        if at < self.now:
-            raise SimulationError(
-                f"cannot schedule {net} at {at} before now ({self.now})"
-            )
-        nid = self._ids.get(net)
-        if nid is None:
-            raise SimulationError(f"unknown net {net!r}")
-        self._cal_push(float(at), nid, 1 if value else 0, tracked=False)
-
-    def _cal_push(
-        self, t: float, nid: int, value: int, tracked: bool
-    ) -> None:
-        self._sequence = seq = self._sequence + 1
-        if tracked:
-            self._pending[nid] = seq
-        bucket = self._cal_buckets.get(t)
-        if bucket is None:
-            self._cal_buckets[t] = [(seq, nid, value)]
-            self._cal_index.add(t)
-        else:
-            bucket.append((seq, nid, value))
-
-    def _calendar_run(
-        self,
-        until=None,
-        stop_when=None,
-        stop_net=None,
-        stop_value=1,
-    ) -> float:
-        """The serial bucket loop over the calendar index.
-
-        Event application is the compiled heap loop verbatim (same
-        supersession, push filtering and plan walks, on the same float
-        delays), so the two orderings coincide exactly: the calendar
-        yields times ascending and buckets preserve sequence order —
-        the heap's ``(time, seq)`` total order.
-        """
-        values = self._values
-        stop_nid = -1
-        if stop_net is not None:
-            stop_nid = self._ids.get(stop_net, -1)
-            if stop_nid < 0:
-                raise SimulationError(f"unknown net {stop_net!r}")
-            if values[stop_nid] == stop_value:
-                return self.now
-        index_q = self._cal_index
-        buckets = self._cal_buckets
-        pending = self._pending
-        counts = self._counts
-        watched = self._watched_flags
-        trace = self.trace
-        plans = self._plans
-        dff_plans = self._dff_plans
-        fan_counts = self._prog.fan_counts
-        fan_gates = self._prog.fan_gates
-        gate_output = self._prog.gate_output
-        tts = self._prog.gate_tt
-        gate_delays = self._gate_delays
-        net_names = self._prog.net_names
-        inertial = self.inertial
-        max_events = self.max_events
-        cal_push = self._cal_push
-        deadline = _INF if until is None else until
-        events = self._events_processed
-        now = self.now
-        self._running = True
-        try:
-            while index_q.count:
-                t = index_q.peek()
-                if t > deadline:
-                    now = until
-                    return now
-                batch = buckets[t]
-                index = 0
-                stop_here = False
-                # Index loop: a stop_when callback may schedule into the
-                # current instant, growing this bucket (heap order puts
-                # such events after the existing ones, as append does).
-                while index < len(batch):
-                    eseq, nid, value = batch[index]
-                    index += 1
-                    events += 1
-                    if events > max_events:
-                        now = t
-                        rest = batch[index:]
-                        if rest:
-                            buckets[t] = rest
-                        else:
-                            del buckets[t]
-                            index_q.remove(t)
-                        raise SimulationError(
-                            f"event budget exceeded ({max_events}); "
-                            f"oscillating feedback loop in "
-                            f"{self.netlist.name!r}?"
-                        )
-                    now = t
-                    live = pending[nid]
-                    if live:
-                        if inertial and live != eseq:
-                            continue  # superseded by a re-evaluation
-                        if live == eseq:
-                            pending[nid] = 0
-                    if values[nid] == value:
-                        continue
-                    values[nid] = value
-                    if watched[nid]:
-                        trace.append(NetChange(t, net_names[nid], value))
-                    plan = plans[nid]
-                    if plan is None:
-                        if value:
-                            for g, mult in fan_counts[nid]:
-                                counts[g] += mult
-                        else:
-                            for g, mult in fan_counts[nid]:
-                                counts[g] -= mult
-                        for g in fan_gates[nid]:
-                            out_nid = gate_output[g]
-                            out = tts[g] >> counts[g] & 1
-                            if pending[out_nid] or out != values[out_nid]:
-                                cal_push(
-                                    t + gate_delays[g], out_nid, out, True
-                                )
-                    elif value:
-                        for g, out_nid, delay, table in plan:
-                            ones = counts[g] + 1
-                            counts[g] = ones
-                            out = table >> ones & 1
-                            if pending[out_nid] or out != values[out_nid]:
-                                cal_push(t + delay, out_nid, out, True)
-                    else:
-                        for g, out_nid, delay, table in plan:
-                            ones = counts[g] - 1
-                            counts[g] = ones
-                            out = table >> ones & 1
-                            if pending[out_nid] or out != values[out_nid]:
-                                cal_push(t + delay, out_nid, out, True)
-                    if value == 1:
-                        for d_nid, q_nid, delay in dff_plans[nid]:
-                            sampled = values[d_nid]
-                            if pending[q_nid] or sampled != values[q_nid]:
-                                cal_push(t + delay, q_nid, sampled, True)
-                    if stop_nid >= 0 and values[stop_nid] == stop_value:
-                        stop_here = True
-                        break
-                    if stop_when is not None:
-                        self.now = now
-                        self._events_processed = events
-                        if stop_when(self):
-                            stop_here = True
-                            break
-                rest = batch[index:]
-                if rest:
-                    buckets[t] = rest
-                else:
-                    del buckets[t]
-                    index_q.remove(t)
-                if stop_here:
-                    return now
-            if until is not None and until > now:
-                now = until
-            return now
-        finally:
-            self._running = False
-            self.now = now
-            self._events_processed = events

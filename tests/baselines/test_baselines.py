@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.baselines.huffman import sic_walk_is_legal, synthesize_huffman
 from repro.baselines.stg_expansion import (
     comparison_row,
@@ -10,7 +11,6 @@ from repro.baselines.stg_expansion import (
     stg_expansion_cost_from_stg,
 )
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 from repro.flowtable.stg import Stg
 from repro.hazards.logic_hazards import is_sic_hazard_free
 from repro.logic.expr import expr_truth

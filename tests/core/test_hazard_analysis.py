@@ -92,7 +92,7 @@ class TestInvariantLogic:
 
 class TestBenchmarks:
     def test_lion_has_guaranteed_hazards(self):
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
 
         result = synthesize(benchmark("lion"))
         # mid_in resting under two beam patterns with the 00 column
@@ -102,14 +102,14 @@ class TestBenchmarks:
 
     def test_all_table1_machines_have_hazards(self):
         from repro.bench import TABLE1_BENCHMARKS
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
 
         for name in TABLE1_BENCHMARKS:
             result = synthesize(benchmark(name))
             assert result.analysis.has_hazards, f"{name} lost its hazards"
 
     def test_hazard_points_are_unstable_entries(self):
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
 
         for name in ("lion", "traffic", "lion9"):
             result = synthesize(benchmark(name))

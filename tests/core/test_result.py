@@ -2,8 +2,8 @@
 
 import json
 
+from repro.api import synthesize
 from repro.bench import benchmark
-from repro.core.seance import synthesize
 
 
 class TestToDict:

@@ -4,7 +4,7 @@ Fifty generated machines — ten fixed seeds from each family — go
 through every redundant engine pair on every run of the suite: the
 bitset logic engine vs the reference engine (byte-identical primes and
 covers), the compiled simulation kernel vs the event-ring kernel on
-both its tick and calendar paths (trace-equivalent walks), and the
+both its tick and heap paths (trace-equivalent walks), and the
 Huffman baseline's consensus covers.  Zero hard findings is the gate;
 ``burst-mode`` is the one family allowed *known* dirty cells (the
 characterised MIC dynamic-hazard synthesis gap it deliberately keeps

@@ -134,7 +134,7 @@ class TestConveniences:
             synthesize_suite(names=("no_such_machine",))
 
     def test_synthesize_suite_matches_direct_synthesis(self):
-        from repro.core.seance import synthesize
+        from repro.api import synthesize
 
         results = synthesize_suite(names=("lion",))
         assert stripped(results["lion"]) == stripped(

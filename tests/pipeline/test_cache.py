@@ -180,12 +180,11 @@ class TestDiskTier:
 
 class TestFacadeCache:
     def test_seance_threads_a_cache_through(self):
-        from repro.core.seance import Seance
+        from repro import api
 
-        tool = Seance(cache=StageCache())
-        table = benchmark("lion")
-        tool.run(table)
-        result = tool.run(table)
+        session = api.load(benchmark("lion")).with_cache(StageCache())
+        session.run()
+        result = session.run()
         # warm run: every stage restored, so the total is tiny but the
         # stage keys are all still present
         assert tuple(result.stage_seconds) == ALL_STAGES

@@ -3,10 +3,10 @@
 ``golden_seed.json`` was captured from the seed's monolithic
 ``Seance.run`` (one ``to_dict()`` per built-in benchmark, with the
 non-deterministic ``stage_seconds`` dropped) *before* the pass-manager
-refactor.  These tests pin today's pipeline — facade, PassManager,
-cached, and batch paths — to those bytes, so any behavioural drift in
-the refactored engine is caught against the original implementation,
-not against itself.
+refactor.  These tests pin today's pipeline — the ``repro.api``
+one-shot, PassManager, cached, and batch paths — to those bytes, so any
+behavioural drift in the refactored engine is caught against the
+original implementation, not against itself.
 
 When ``to_dict`` grew its full ``artifacts`` section (the JSON
 round-trip wire format), the file was regenerated *additively*: the
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark, benchmark_names
-from repro.core.seance import synthesize
 from repro.pipeline import BatchRunner, PassManager, StageCache
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seed.json")

@@ -10,9 +10,9 @@ import copy
 
 import pytest
 
+from repro.api import synthesize
 from repro.bench import benchmark
 from repro.core.factoring import FactoredEquation
-from repro.core.seance import synthesize
 from repro.core.ssd import SsdEquation
 from repro.errors import NetlistError
 from repro.logic.expr import Const, Nor
@@ -139,7 +139,7 @@ class TestRunTimeDetection:
     def test_missing_hazard_hold_caught_under_skew(self):
         """The canonical ablation, as a failure-injection assertion:
         dropping the fsv correction must be *detected*, not survived."""
-        from repro.core.seance import SynthesisOptions
+        from repro.api import SynthesisOptions
         from repro.sim.delays import hostile_random
 
         result = synthesize(

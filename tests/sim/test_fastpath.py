@@ -4,10 +4,10 @@ The ring kernel no longer needs integral delays: a resolved delay
 vector negotiates an exact dyadic tick quantum
 (:func:`~repro.sim.delays.negotiate_time_quantum`) and the integer
 bucket ring runs on scaled ticks, while vectors with no practical
-quantum run on the calendar-queue ring.  These tests pin both paths
+quantum keep the inherited heap.  These tests pin both paths
 trace-for-trace to the compiled heap kernel across every built-in
 delay model, exercise the documented migrations (off-grid stimulus
-mid-run → calendar, tick-horizon overflow → heap), and check the
+mid-run → heap, tick-horizon overflow → heap), and check the
 per-cell engine-path provenance that :class:`CampaignResult` and
 ``seance validate --json`` surface.
 """
@@ -32,8 +32,9 @@ from .test_equivalence import netlists, run_one, stimuli
 SETTINGS = settings(max_examples=40, deadline=None)
 
 #: Engine paths a built-in-model workload may legitimately end on; the
-#: heap appears only through the documented tick-horizon overflow.
-FAST_PATHS = {"ring", "ticks", "calendar"}
+#: heap appears only through an off-grid stimulus or the documented
+#: tick-horizon overflow.
+FAST_PATHS = {"ring", "ticks"}
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +119,18 @@ def _run_ring(nl, schedule, delays_factory, inertial):
     return (sim.trace, values, end), sim.kernel_stats
 
 
+def _assert_path(stats, schedule):
+    """On-tick stimuli keep a fast path; the first off-tick one demotes
+    the ring to the heap, exactly once."""
+    scale = 2 ** stats["shift"]
+    if all((at * scale).is_integer() for at, _net, _value in schedule):
+        assert stats["path"] in FAST_PATHS
+        assert not stats["migrations"]
+    else:
+        assert stats["path"] == "heap"
+        assert stats["migrations"] == {"off-grid-stimulus": 1}
+
+
 class TestFastPathEquivalence:
     @given(
         data=st.data(),
@@ -138,14 +151,14 @@ class TestFastPathEquivalence:
         assert ring[0] == compiled[0]  # NetChange streams
         assert ring[1] == compiled[1]  # final values
         assert ring[2] == compiled[2]  # simulation time
-        assert stats["path"] in FAST_PATHS
+        _assert_path(stats, schedule)
 
     @given(data=st.data(), seed=st.integers(0, 5), inertial=st.booleans())
     @SETTINGS
-    def test_ungridded_silicon_runs_on_the_calendar(
+    def test_ungridded_silicon_runs_on_the_heap(
         self, data, seed, inertial
     ):
-        """No practical quantum → calendar-queue path, still pinned."""
+        """No practical quantum → the inherited heap, still pinned."""
         nl = data.draw(netlists())
         schedule = data.draw(stimuli(nl))
         factory = lambda: RandomDelay(seed=seed, grid_bits=None)
@@ -154,7 +167,7 @@ class TestFastPathEquivalence:
         assert ring[0] == compiled[0]
         assert ring[1] == compiled[1]
         assert ring[2] == compiled[2]
-        assert stats["path"] == "calendar"
+        assert stats["path"] == "heap"
         assert stats["shift"] == 0
 
     @given(data=st.data(), seed=st.integers(0, 5), inertial=st.booleans())
@@ -162,7 +175,7 @@ class TestFastPathEquivalence:
     def test_off_grid_stimulus_migrates_losslessly(
         self, data, seed, inertial
     ):
-        """An off-tick external event mid-run demotes ticks → calendar
+        """An off-tick external event mid-run demotes ticks → heap
         without disturbing the stream (the :func:`stimuli` times are
         millisecond-rounded, far off the dyadic grid)."""
         nl = data.draw(netlists())
@@ -173,7 +186,7 @@ class TestFastPathEquivalence:
         assert ring[0] == compiled[0]
         assert ring[1] == compiled[1]
         assert ring[2] == compiled[2]
-        assert stats["path"] in FAST_PATHS
+        _assert_path(stats, schedule)
 
 
 class TestOverflowFallback:
@@ -276,12 +289,12 @@ class TestCampaignProvenance:
              "front_events": 9}
         )
         summary.merge_kernel(
-            {"paths": {"calendar": 1}, "migrations": {"overflow": 1},
+            {"paths": {"heap": 1}, "migrations": {"overflow": 1},
              "fronts": 2, "front_events": 4}
         )
         summary.merge_kernel(None)  # reference walks contribute nothing
         assert summary.kernel == {
-            "paths": {"calendar": 1, "ticks": 1},
+            "paths": {"heap": 1, "ticks": 1},
             "migrations": {"overflow": 1},
             "fronts": 5,
             "front_events": 13,

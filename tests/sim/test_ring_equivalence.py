@@ -205,12 +205,3 @@ class TestRingFastPaths:
         assert summary.total > 0
         assert hits["front"] > 0
         assert hits["replay"] > 0
-
-    def test_pure_python_front_matches_numpy(self, monkeypatch):
-        """The numpy vectorised front is optional; results are pinned."""
-        import repro.sim.ring as ring_mod
-
-        with_numpy = self._walk()
-        monkeypatch.setattr(ring_mod, "_np", None)
-        without_numpy = self._walk()
-        assert with_numpy.cycles == without_numpy.cycles
