@@ -429,34 +429,16 @@ def cmd_shard_run(args: argparse.Namespace) -> int:
         raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     shard, shards = _parse_shard(args.shard)
     store = _open_store(args)
-    model = _shard_model(args)
-    if args.campaign:
-        stats = model.run_shard(shard, shards, store, jobs=args.jobs)
-        print(
-            f"shard {shard}/{shards}: {stats['planned']} cell(s) planned, "
-            f"{stats['executed']} simulated, {stats['store_hits']} already "
-            f"stored, {stats['skipped']} skipped (synthesis failed)"
-        )
-        for name, error in stats["synthesis_failures"]:
-            print(f"  {name}: synthesis FAILED: {error}")
-        failed = bool(stats["synthesis_failures"])
-    else:
-        items = model.run_shard(shard, shards, store, jobs=args.jobs)
-        hits = sum(1 for item in items if item.store_hit)
-        failures = [item for item in items if not item.ok]
-        print(
-            f"shard {shard}/{shards}: {len(items)} unit(s), "
-            f"{hits} already stored, {len(failures)} failed"
-        )
-        for item in failures:
-            print(f"  {item.name}: FAILED: {item.error}")
-        failed = bool(failures)
+    stats = _shard_model(args).run_shard(
+        shard, shards, store, jobs=args.jobs
+    )
+    print(f"shard {shard}/{shards}: {stats.describe()}")
     print(store.describe())
     # Mirror `seance batch`: a worker with failed units exits non-zero
     # so distributed drivers see the failure at the shard, not only at
     # the eventual merge.  (The failures are still archived; the merge
     # reproduces them in-stream either way.)
-    return 1 if failed else 0
+    return 1 if stats.failed else 0
 
 
 def cmd_shard_merge(args: argparse.Namespace) -> int:
@@ -536,26 +518,15 @@ def cmd_work(args: argparse.Namespace) -> int:
         )
     except KeyboardInterrupt:
         return 130
-    print(
-        f"worker {stats['worker']}: {stats['units']} unit(s) — "
-        f"{stats['synthesized']} synthesised, "
-        f"{stats['validated']} validated, "
-        f"{stats['store_hits']} already stored, "
-        f"{stats['stolen']} stolen, {stats['skipped']} skipped, "
-        f"{stats['failed']} failed"
-    )
-    return 1 if stats["failed"] else 0
+    print(f"worker {worker.worker_id}: {stats.describe()}")
+    return 1 if stats.failed else 0
 
 
 def cmd_queue_publish(args: argparse.Namespace) -> int:
     from .service import WorkQueue
 
-    model = _shard_model(args)
     queue = WorkQueue(_open_store(args), args.queue)
-    if args.campaign:
-        published = queue.publish_campaign(model.tables, model.campaign)
-    else:
-        published = queue.publish_batch(model.tables, spec=model.spec)
+    published = queue.publish(_shard_model(args).units)
     stats = queue.stats()
     print(
         f"queue {args.queue!r}: published {published} new unit(s); "
@@ -576,7 +547,7 @@ def _print_queue_status(queue, queue_id: str) -> bool:
             f"age={row['age']:.1f}s  beats={row['beats']}  "
             f"steals={row['steals']}  [{state}]"
         )
-    return stats.units > 0 and stats.remaining == 0
+    return stats.done > 0 and stats.remaining == 0
 
 
 def cmd_queue_status(args: argparse.Namespace) -> int:

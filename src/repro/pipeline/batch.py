@@ -61,6 +61,19 @@ class BatchItem:
     def ok(self) -> bool:
         return self.error is None
 
+    @classmethod
+    def from_stored(cls, index: int, name: str, stored) -> BatchItem:
+        """The item of a result served whole from a result store."""
+        return cls(
+            index=index,
+            name=name,
+            result=stored.result,
+            error=stored.error,
+            seconds=0.0,
+            store_hit=True,
+            error_type=stored.error_type,
+        )
+
 
 def _error_message(error: ReproError) -> str:
     return str(error.args[0]) if error.args else repr(error)
@@ -202,20 +215,17 @@ class BatchRunner:
         ``options_list[0]`` first).  One pool amortises process start-up
         over the whole sweep instead of paying it per option set.
         """
-        return list(
-            self._iter_pairs(
-                [(t, o) for o in options_list for t in tables]
-            )
-        )
+        return self.run_pairs([(t, o) for o in options_list for t in tables])
 
     def run_pairs(
         self, pairs: Sequence[tuple[FlowTable, SynthesisOptions]]
     ) -> list[BatchItem]:
         """Run explicit ``(table, options)`` pairs, in order.
 
-        The shard worker's entry point: a
-        :class:`~repro.store.ShardedBatch` hands each shard its own
-        slice of the matrix and the shared store does the rest.
+        The unit executor's synthesis leg
+        (:func:`~repro.store.sharding.execute_units`): each shard or
+        queued unit hands over its own pairs and the shared store does
+        the rest.
         """
         return list(self._iter_pairs(pairs))
 
@@ -245,15 +255,7 @@ class BatchRunner:
             if stored is None:
                 miss_pairs.append((table, options))
             else:
-                hits[index] = BatchItem(
-                    index=index,
-                    name=table.name,
-                    result=stored.result,
-                    error=stored.error,
-                    seconds=0.0,
-                    store_hit=True,
-                    error_type=stored.error_type,
-                )
+                hits[index] = BatchItem.from_stored(index, table.name, stored)
         computed = self._iter_computed(miss_pairs)
         for index, (table, options) in enumerate(pairs):
             if index in hits:

@@ -6,12 +6,16 @@ partitions with blobs in the same store the results land in — no second
 service, and the queue inherits the backend's durability:
 
 ``queue/<qid>/unit/<digest>.json``
-    One self-describing work unit: the :class:`~repro.store.StoreKey`
-    it computes, the serialised flow table and pipeline spec needed to
-    compute it anywhere, the campaign cell parameters (validation
-    units), and an LPT *weight* — archived seconds from the telemetry
-    blobs workers leave behind, so heavy tables are claimed first and
-    the fleet finishes together.
+    One planned :class:`~repro.store.sharding.WorkUnit` in its payload
+    form (:meth:`~repro.store.sharding.WorkUnit.to_payload`): the
+    :class:`~repro.store.StoreKey` it computes, the serialised flow
+    table and pipeline spec needed to compute it anywhere, the campaign
+    cell parameters (validation units) — plus an LPT *weight*: archived
+    seconds from the telemetry blobs workers leave behind, so heavy
+    tables are claimed first and the fleet finishes together.  The
+    queue publishes the same unit plan ``seance shard run`` partitions,
+    and workers run it through the same executor
+    (:func:`~repro.store.sharding.execute_units`).
 
 ``queue/<qid>/lease/<digest>.json``
     The claim: worker id + expiry, created with the backend's
@@ -71,10 +75,9 @@ class QueueStats:
     done: int
     leased: int
     expired: int
-
-    @property
-    def remaining(self) -> int:
-        return self.units - self.done
+    #: Published units without a done marker.  ``done`` also counts
+    #: units published as already stored, which have no unit blob.
+    remaining: int
 
     def describe(self) -> str:
         return (
@@ -117,9 +120,6 @@ class WorkQueue:
     # -- blob names ----------------------------------------------------
     def _unit_name(self, digest: str) -> str:
         return f"queue/{self.queue_id}/unit/{digest}.json"
-
-    def _lease_name(self, digest: str) -> str:
-        return f"queue/{self.queue_id}/lease/{digest}.json"
 
     def _done_name(self, digest: str) -> str:
         return f"queue/{self.queue_id}/done/{digest}.json"
@@ -174,151 +174,71 @@ class WorkQueue:
             record["cell_seconds"] = round(cell_seconds, 6)
         self.backend.write(name, _encode(record))
 
-    def publish(self, units: list[dict]) -> int:
-        """Publish self-describing unit payloads; returns how many were
-        new.  Publication is conditional on the digest, so republishing
-        a plan (a restarted server, overlapping campaigns) is free, and
-        units whose result already sits in the store are skipped and
-        marked done outright."""
+    def publish(self, units) -> int:
+        """Publish planned work units (a plan's ``units``); returns how
+        many were new.
+
+        Publication is conditional on the digest, so republishing a plan
+        (a restarted server, overlapping campaigns) is free, and units
+        whose result already sits in the store — by the executor's
+        verified read, so a corrupt blob does not count — are marked
+        done outright.  A queue drain and a shard run of the same plan
+        are interchangeable ways of filling the store.
+        """
         published = 0
         for unit in units:
-            digest = unit["digest"]
-            if self.backend.read(self._done_name(digest)) is not None:
+            digest = unit.key.digest
+            if self.is_done(digest):
                 continue
-            if self._result_present(unit):
+            if unit.stored(self.store):
                 self.mark_done(digest, worker="publisher")
                 continue
+            payload = unit.to_payload()
+            payload["weight"] = self.telemetry_weight(
+                unit.key.table, unit.key.kind
+            )
             if self.backend.write_if_absent(
-                self._unit_name(digest), _encode(unit)
+                self._unit_name(digest), _encode(payload)
             ):
                 published += 1
         return published
 
-    def publish_batch(
-        self, tables, spec=None, options_list=None
-    ) -> int:
-        """Publish one synthesis unit per (table, options) pair.
-
-        Mirrors :class:`~repro.store.ShardedBatch`'s unit enumeration —
-        same keys, same labels — so a queue drain and a shard run are
-        interchangeable ways of filling the store, and ``merge`` works
-        on either.
-        """
-        from ..core.serialize import table_to_dict
-        from ..store.keys import table_digest
-        from ..store.sharding import ShardedBatch
-
-        sharded = ShardedBatch(tables, spec=spec, options_list=options_list)
-        units = []
-        for unit in sharded.plan(1).units:
-            table, options = sharded.pairs[unit.index]
-            unit_spec = sharded._unit_spec(options)
-            units.append(
-                {
-                    "digest": unit.key.digest,
-                    "kind": "synthesis",
-                    "label": unit.label,
-                    "key": unit.key.to_dict(),
-                    "table": table_to_dict(table),
-                    "spec": unit_spec.to_dict(),
-                    "weight": self.telemetry_weight(
-                        table_digest(table), "synthesis"
-                    ),
-                }
-            )
-        return self.publish(units)
-
-    def publish_campaign(self, tables, campaign) -> int:
-        """Publish one validation unit per campaign cell (plus the
-        synthesis each table needs, resolved worker-side through the
-        store)."""
-        from ..core.serialize import table_to_dict
-        from ..pipeline.spec import PipelineSpec
-        from ..store.keys import table_digest
-        from ..store.sharding import ShardedCampaign
-
-        sharded = ShardedCampaign(tables, campaign)
-        spec = (
-            campaign.spec if campaign.spec is not None else PipelineSpec()
-        )
-        units = []
-        for unit in sharded.plan(1).units:
-            table = tables[unit.table_index]
-            model, seed = unit.cell
-            units.append(
-                {
-                    "digest": unit.key.digest,
-                    "kind": "validation",
-                    "label": unit.label,
-                    "key": unit.key.to_dict(),
-                    "table": table_to_dict(table),
-                    "spec": spec.to_dict(),
-                    "cell": {
-                        "model": model,
-                        "seed": seed,
-                        "steps": campaign.steps,
-                        "engine": campaign.engine,
-                        "use_fsv": campaign.use_fsv,
-                    },
-                    "weight": self.telemetry_weight(
-                        table_digest(table), "validation"
-                    ),
-                }
-            )
-        return self.publish(units)
-
-    def _result_present(self, unit: dict) -> bool:
-        key = unit.get("key", {})
-        kind, digest = key.get("kind"), unit.get("digest")
-        if not kind or not digest:
-            return False
-        return self.backend.read(f"{kind}/{digest}.json") is not None
-
     # -- scanning ------------------------------------------------------
+    def _digests(self, kind: str) -> set[str]:
+        """Digests with a ``unit`` (or ``done``) blob."""
+        return {
+            name.rsplit("/", 1)[-1].removesuffix(".json")
+            for name in self.backend.names(f"queue/{self.queue_id}/{kind}/")
+        }
+
     def pending(self) -> list[tuple[str, dict]]:
         """Undone units, heaviest first (LPT), digest as tie-break —
         every worker scans the same deterministic claim order."""
-        done = {
-            self._digest_of(name)
-            for name in self.backend.names(f"queue/{self.queue_id}/done/")
-        }
         units = []
-        for name in self.backend.names(f"queue/{self.queue_id}/unit/"):
-            digest = self._digest_of(name)
-            if digest in done:
-                continue
-            payload = _decode(self.backend.read(name))
-            if payload is None:
-                continue
-            units.append((digest, payload))
+        for digest in self._digests("unit") - self._digests("done"):
+            payload = _decode(self.backend.read(self._unit_name(digest)))
+            if payload is not None:
+                units.append((digest, payload))
         units.sort(
             key=lambda pair: (-float(pair[1].get("weight", 1.0)), pair[0])
         )
         return units
 
-    @staticmethod
-    def _digest_of(name: str) -> str:
-        stem = name.rsplit("/", 1)[-1]
-        return stem[:-len(".json")] if stem.endswith(".json") else stem
-
     def stats(self) -> QueueStats:
-        prefix = f"queue/{self.queue_id}/"
-        units = done = leased = expired = 0
+        units, done = self._digests("unit"), self._digests("done")
+        leased = expired = 0
         now = time.time()
-        for name in self.backend.names(prefix):
-            rest = name[len(prefix):]
-            if rest.startswith("unit/"):
-                units += 1
-            elif rest.startswith("done/"):
-                done += 1
-            elif rest.startswith("lease/"):
-                lease = _decode(self.backend.read(name))
-                if lease is None or now >= float(lease.get("expires", 0)):
-                    expired += 1
-                else:
-                    leased += 1
+        for _digest, lease in self.leases.scan():
+            if lease is None or now >= float(lease.get("expires", 0)):
+                expired += 1
+            else:
+                leased += 1
         return QueueStats(
-            units=units, done=done, leased=leased, expired=expired
+            units=len(units),
+            done=len(done),
+            leased=leased,
+            expired=expired,
+            remaining=len(units - done),
         )
 
     # -- leases (delegated to the shared LeaseTable) -------------------

@@ -71,6 +71,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..errors import ReproError, StoreError
+from ..store.sharding import ShardedBatch
 from ..store.store import open_store
 from .leases import LeaseHeartbeat, LeaseTable
 from .resilience import transport_snapshot
@@ -569,7 +570,7 @@ class SynthesisServer:
         )
 
     def _resolve_queued(self, table, spec) -> dict:
-        self.queue.publish_batch([table], spec=spec)
+        self.queue.publish(ShardedBatch([table], spec=spec).units)
         self.stats.queued += 1
         deadline = time.monotonic() + self.submit_timeout
         while time.monotonic() < deadline:

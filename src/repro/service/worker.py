@@ -6,11 +6,11 @@ shared store.  The loop is deliberately boring:
 1. scan the queue's undone units (heaviest first — LPT);
 2. try to claim each in turn (fresh conditional put, or a *steal* when
    the holder's lease has lapsed);
-3. execute the unit **through the store** — a synthesis unit routes
-   through a store-backed :class:`~repro.pipeline.batch.BatchRunner`
-   (so a unit another worker already finished is a verified hit, zero
-   passes), a validation unit synthesises-or-reads its machine and
-   simulates its cell, archiving the VCD when the cell is dirty;
+3. rebuild the claimed :class:`~repro.store.sharding.WorkUnit` from its
+   payload and run it through the one executor
+   (:func:`~repro.store.sharding.execute_units`) — the same code path
+   as ``seance shard run``, so a unit another worker already finished
+   is a verified hit, and a failed synthesis counts as ``failed``;
 4. mark done, release the lease, archive observed seconds as the
    telemetry the next publisher weighs units by.
 
@@ -30,6 +30,7 @@ import socket
 import time
 
 from ..errors import ReproError
+from ..store.sharding import UnitStats, WorkUnit, execute_units
 from .leases import LeaseHeartbeat
 from .queue import WorkQueue
 
@@ -63,24 +64,15 @@ class QueueWorker:
         max_units: int | None = None,
         drain: bool = True,
         timeout: float | None = None,
-    ) -> dict:
-        """Work the queue; returns counters for the run.
+    ) -> UnitStats:
+        """Work the queue; returns the run's executor counters.
 
         ``drain=True`` exits when every published unit is done (the
         batch-job shape: fleet finishes, everyone goes home);
         ``drain=False`` keeps polling for new units until ``timeout``
         (the service shape, behind ``seance serve``).
         """
-        stats = {
-            "worker": self.worker_id,
-            "units": 0,
-            "synthesized": 0,
-            "validated": 0,
-            "store_hits": 0,
-            "skipped": 0,
-            "failed": 0,
-            "stolen": 0,
-        }
+        stats = UnitStats()
         # A local deadline: monotonic, unlike the cross-process leases.
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -91,7 +83,7 @@ class QueueWorker:
                 return stats
             progressed = False
             for digest, payload in pending:
-                if max_units is not None and stats["units"] >= max_units:
+                if max_units is not None and stats.units >= max_units:
                     return stats
                 if self.queue.is_done(digest):
                     continue
@@ -99,18 +91,16 @@ class QueueWorker:
                 if not self.queue.claim(digest, self.worker_id):
                     continue
                 if had_lease:
-                    stats["stolen"] += 1
+                    stats.stolen += 1
                 interval = self.queue.lease_ttl / 3.0
                 with LeaseHeartbeat(
                     self.queue.leases, digest, self.worker_id, interval
                 ):
-                    outcome = self._execute(payload)
+                    stats.add(self._execute(digest, payload))
                 self.queue.mark_done(digest, self.worker_id)
                 self.queue.release(digest, self.worker_id)
-                stats["units"] += 1
-                stats[outcome] += 1
                 progressed = True
-            if max_units is not None and stats["units"] >= max_units:
+            if max_units is not None and stats.units >= max_units:
                 return stats
             if not progressed:
                 if deadline is not None and time.monotonic() >= deadline:
@@ -118,8 +108,8 @@ class QueueWorker:
                 time.sleep(self.poll)
 
     # ------------------------------------------------------------------
-    def _execute(self, payload: dict) -> str:
-        """Run one unit; the outcome names the stats counter to bump.
+    def _execute(self, digest: str, payload: dict) -> UnitStats:
+        """Run one unit through the executor and archive its telemetry.
 
         A malformed or poisoned unit counts as ``failed`` but is still
         marked done by the caller — retrying it forever would wedge the
@@ -127,80 +117,18 @@ class QueueWorker:
         republish recomputes cleanly.
         """
         try:
-            if payload.get("kind") == "validation":
-                return self._execute_validation(payload)
-            return self._execute_synthesis(payload)
-        except (ReproError, KeyError, TypeError, ValueError):
-            return "failed"
-
-    def _execute_synthesis(self, payload: dict) -> str:
-        from ..core.serialize import table_from_dict
-        from ..pipeline.batch import BatchRunner
-        from ..pipeline.spec import PipelineSpec
-
-        table = table_from_dict(payload["table"])
-        spec = PipelineSpec.from_dict(payload["spec"])
-        runner = BatchRunner(spec=spec, jobs=1, store=self.store)
-        item = runner.run([table])[0]
-        if item.store_hit:
-            return "store_hits"
-        if item.events:
+            unit = WorkUnit.from_payload(payload)
+            stats = execute_units([unit], self.store)
+        except (ReproError, KeyError, TypeError, ValueError) as error:
+            label = str(payload.get("label", digest))
+            return UnitStats(
+                units=1, failed=1, failures={label: f"bad unit: {error}"}
+            )
+        if stats.passes or stats.validated:
             self.queue.record_telemetry(
-                payload["key"]["table"],
-                synthesis_seconds=item.seconds,
-                passes={
-                    event.name: event.seconds for event in item.events
-                },
+                unit.key.table,
+                synthesis_seconds=stats.synthesis_seconds or None,
+                passes=stats.passes or None,
+                cell_seconds=stats.cell_seconds or None,
             )
-        return "synthesized"
-
-    def _execute_validation(self, payload: dict) -> str:
-        from ..core.serialize import table_from_dict
-        from ..netlist.fantom import build_fantom
-        from ..pipeline.batch import BatchRunner
-        from ..pipeline.spec import PipelineSpec
-        from ..sim.campaign import (
-            _resolve_engine,
-            archive_failure_vcd,
-            delay_model,
-        )
-        from ..sim.harness import random_legal_walk, validate_walk
-        from ..store.keys import StoreKey
-
-        table = table_from_dict(payload["table"])
-        spec = PipelineSpec.from_dict(payload["spec"])
-        cell = payload["cell"]
-        stored = self.store.get_synthesis(table, spec)
-        if stored is None:
-            BatchRunner(spec=spec, jobs=1, store=self.store).run([table])
-            stored = self.store.get_synthesis(table, spec)
-        if stored is None or not stored.ok:
-            # Synthesis failed (deterministically, and the store
-            # recorded it): the cell is unrunnable, the merger reads
-            # the recorded error instead.
-            return "skipped"
-        machine = build_fantom(stored.result, use_fsv=cell["use_fsv"])
-        key = StoreKey(**payload["key"])
-        if self.store.get_validation(key) is not None:
-            return "store_hits"
-        model, seed = cell["model"], cell["seed"]
-        walk = random_legal_walk(
-            machine.result.table, cell["steps"], seed=seed
-        )
-        start = time.perf_counter()
-        summary = validate_walk(
-            machine,
-            walk,
-            delays=delay_model(model, seed, machine),
-            simulator_factory=_resolve_engine(cell["engine"]),
-        )
-        seconds = time.perf_counter() - start
-        self.store.put_validation(key, summary)
-        if not summary.all_clean:
-            archive_failure_vcd(
-                self.store, key, machine, walk, model, seed, cell["engine"]
-            )
-        self.queue.record_telemetry(
-            payload["key"]["table"], cell_seconds=seconds
-        )
-        return "validated"
+        return stats

@@ -121,19 +121,22 @@ def delay_model(name: str, seed: int, machine: FantomMachine):
     return factory(seed, machine)
 
 
-def archive_failure_vcd(
-    store, key, machine, walk, model: str, seed: int, engine: str
+def write_cell(
+    store, key, summary, machine, walk, model: str, seed: int, engine: str
 ) -> None:
-    """Archive a dirty cell's replayed waveform next to its envelope.
+    """Write one computed cell back: its summary, and when it is dirty
+    the replayed waveform next to the envelope.
 
-    Store-lifecycle satellite of the fleet story: a failing cell's
-    evidence is a downloadable ``<kind>/<digest>.vcd`` blob, not a
-    rerun on someone's laptop.  The replay is deterministic (same walk,
-    same seed-derived silicon), so the archived waveform shows exactly
-    the failing events the scoring run judged.
+    A failing cell's evidence is a downloadable ``<kind>/<digest>.vcd``
+    blob, not a rerun on someone's laptop.  The replay is deterministic
+    (same walk, same seed-derived silicon), so the archived waveform
+    shows exactly the failing events the scoring run judged.
     """
     from .harness import export_walk_vcd
 
+    store.put_validation(key, summary)
+    if summary.all_clean:
+        return
     vcd = export_walk_vcd(
         machine,
         walk,
@@ -501,17 +504,19 @@ class ValidationCampaign:
                     replayed[i] = summary
         pending = [i for i in range(len(cells)) if i not in replayed]
 
+        computed: dict[int, tuple[ValidationSummary, float]] = {}
         if self.jobs > 1 and len(pending) > 1:
             outcomes = self._sweep_parallel(
                 machines, [cells[i] for i in pending]
             )
+            for i, (_j, summary, seconds) in zip(pending, outcomes):
+                computed[i] = (summary, seconds)
         else:
             # One delay model instance per (model, seed) for the whole
             # sweep: the built-in models draw by instance *name*, so a
             # shared instance assigns exactly the delays a fresh one
             # would, without re-deriving them per machine.
             models: dict[tuple[str, int], object] = {}
-            outcomes = []
             for i in pending:
                 mi, model, seed, walk, expected = cells[i]
                 key = (model, seed)
@@ -528,16 +533,8 @@ class ValidationCampaign:
                     simulator_factory=_resolve_engine(self.engine),
                     expected=expected,
                 )
-                outcomes.append(
-                    (i, summary, time.perf_counter() - start)
-                )
-        computed = {
-            cell_index: (summary, seconds)
-            for cell_index, (_i, summary, seconds) in zip(
-                pending, outcomes
-            )
-        }
-        for i, (machine_index, model, seed, _walk, _expected) in enumerate(
+                computed[i] = (summary, time.perf_counter() - start)
+        for i, (machine_index, model, seed, walk, _expected) in enumerate(
             cells
         ):
             if i in replayed:
@@ -546,17 +543,11 @@ class ValidationCampaign:
                 summary, seconds = computed[i]
                 hit = False
                 if self.store is not None:
-                    self.store.put_validation(keys[i], summary)
-                    if not summary.all_clean:
-                        archive_failure_vcd(
-                            self.store,
-                            keys[i],
-                            machines[machine_index],
-                            _walk,
-                            model,
-                            seed,
-                            self.engine,
-                        )
+                    write_cell(
+                        self.store, keys[i], summary,
+                        machines[machine_index], walk, model, seed,
+                        self.engine,
+                    )
             result.cells.append(
                 CampaignCell(
                     table=machines[machine_index].result.table.name,

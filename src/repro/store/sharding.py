@@ -2,10 +2,12 @@
 
 The distributed pattern of the roadmap's DAC/DALC related work:
 partition independent work units by **content key**, execute each
-partition anywhere, merge the deterministic streams.  A work unit is
-one synthesis run (batch mode) or one validation-campaign cell
-(campaign mode); its :class:`~repro.store.keys.StoreKey` digest decides
-its shard —
+partition anywhere, merge the deterministic streams.  A
+:class:`WorkUnit` is one synthesis run (batch mode) or one
+validation-campaign cell (campaign mode).  It is self-describing — it
+carries its table, pipeline spec and cell parameters, and round-trips
+through the work queue's JSON payload — and its
+:class:`~repro.store.keys.StoreKey` digest decides its shard —
 
     shard(unit) = int(digest, 16) % shards
 
@@ -15,13 +17,18 @@ the same partition.  Shards overlap nothing, cover everything, and any
 ``shards`` >= 1 is legal (``shards=1`` degenerates to a single-process
 run; ``shards`` > units leaves some shards empty).
 
-:class:`ShardedBatch` and :class:`ShardedCampaign` bind a planned unit
-list to execution (``run_shard`` — compute the units of one shard into
-a store, skipping verified hits) and reassembly (``merge`` — read every
-unit back and rebuild the stream **byte-identically** to the
-single-process :class:`~repro.pipeline.batch.BatchRunner` /
+:class:`ShardedBatch` and :class:`ShardedCampaign` plan their unit list
+once (``units``).  :func:`execute_units` is the one executor: it runs
+any unit list through a store, skipping verified hits, and returns one
+:class:`UnitStats` counter set.  ``run_shard`` is that executor over
+one shard's units, and a :class:`~repro.service.QueueWorker` is the
+same executor over one claimed unit at a time, so a shard run and a
+queue drain are interchangeable ways of filling the store.  ``merge``
+— the only sharding-specific code — reads every unit back and rebuilds
+the stream **byte-identically** to the single-process
+:class:`~repro.pipeline.batch.BatchRunner` /
 :class:`~repro.sim.campaign.ValidationCampaign` output, up to the
-canonical projection of :mod:`repro.store.canonical`).  A merge over an
+canonical projection of :mod:`repro.store.canonical`.  A merge over an
 incomplete store raises :class:`~repro.errors.StoreError` naming each
 missing unit and the shard that owns it.
 
@@ -31,7 +38,11 @@ CLI: ``seance shard plan | run --shard i/N | merge`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import time
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import StoreError
 from ..flowtable.table import FlowTable
@@ -48,18 +59,79 @@ def shard_of(key: StoreKey, shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class WorkUnit:
-    """One shardable unit: its stream position, key, and a label.
+class Cell:
+    """A campaign cell's parameters: the validation key's workload."""
 
-    ``cell`` carries a campaign unit's ``(model, seed)``; batch units
-    leave it None.
+    model: str
+    seed: int
+    steps: int
+    engine: str
+    use_fsv: bool
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One shardable unit: its stream position, a label, and everything
+    needed to compute it anywhere.
+
+    ``cell`` carries a campaign unit's parameters; batch units leave it
+    None.  ``table_index`` is the unit's table in the planner's input.
     """
 
     index: int
-    key: StoreKey
     label: str
     table_index: int
-    cell: tuple[str, int] | None = None
+    table: FlowTable
+    spec: PipelineSpec
+    cell: Cell | None = None
+
+    @cached_property
+    def key(self) -> StoreKey:
+        if self.cell is None:
+            return synthesis_key(self.table, self.spec)
+        return validation_key(
+            self.table, self.spec, **dataclasses.asdict(self.cell)
+        )
+
+    def stored(self, store: ResultStore) -> bool:
+        """True when ``store`` holds this unit's result (a verified
+        read: a corrupt blob is not a result)."""
+        if self.cell is None:
+            return store.get_synthesis(self.table, self.spec) is not None
+        return store.get_validation(self.key) is not None
+
+    def to_payload(self) -> dict:
+        """The work queue's JSON form (:meth:`from_payload` inverts it)."""
+        from ..core.serialize import table_to_dict
+
+        payload = {
+            "digest": self.key.digest,
+            "kind": self.key.kind,
+            "label": self.label,
+            "index": self.index,
+            "table_index": self.table_index,
+            "key": self.key.to_dict(),
+            "table": table_to_dict(self.table),
+            "spec": self.spec.to_dict(),
+        }
+        if self.cell is not None:
+            payload["cell"] = dataclasses.asdict(self.cell)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> WorkUnit:
+        """Rebuild a unit; the key is re-derived from its content."""
+        from ..core.serialize import table_from_dict
+
+        cell = payload.get("cell")
+        return cls(
+            index=int(payload.get("index", 0)),
+            label=str(payload["label"]),
+            table_index=int(payload.get("table_index", 0)),
+            table=table_from_dict(payload["table"]),
+            spec=PipelineSpec.from_dict(payload["spec"]),
+            cell=Cell(**cell) if cell is not None else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -68,6 +140,10 @@ class ShardPlan:
 
     shards: int
     units: tuple[WorkUnit, ...]
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise StoreError(f"shard count must be >= 1, got {self.shards}")
 
     def shard_units(self, shard: int) -> tuple[WorkUnit, ...]:
         if not 0 <= shard < self.shards:
@@ -95,6 +171,133 @@ class ShardPlan:
         return "\n".join(lines)
 
 
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+@dataclass
+class UnitStats:
+    """Counters of one execution (see :func:`execute_units`).
+
+    Every unit lands in exactly one of ``synthesized``, ``validated``,
+    ``store_hits`` or ``failed``; ``failures`` names each failed table
+    (or unexecutable unit) with its error.  ``stolen`` counts lapsed
+    leases a queue worker took over.  The seconds fields time fresh
+    computation only — the queue's LPT telemetry.
+    """
+
+    units: int = 0
+    synthesized: int = 0
+    validated: int = 0
+    store_hits: int = 0
+    failed: int = 0
+    stolen: int = 0
+    failures: dict[str, str] = field(default_factory=dict)
+    synthesis_seconds: float = 0.0
+    passes: Counter = field(default_factory=Counter)
+    cell_seconds: float = 0.0
+
+    def __getitem__(self, name: str):
+        return getattr(self, name)
+
+    def add(self, other: UnitStats) -> None:
+        for name, value in vars(other).items():
+            if isinstance(value, dict):  # failures replace, passes sum
+                self[name].update(value)
+            else:
+                setattr(self, name, self[name] + value)
+
+    def describe(self) -> str:
+        lines = [
+            f"{self.units} unit(s): {self.synthesized} synthesised, "
+            f"{self.validated} validated, {self.store_hits} already "
+            f"stored, {self.failed} failed"
+            + (f", {self.stolen} stolen" if self.stolen else "")
+        ]
+        for name, error in self.failures.items():
+            lines.append(f"  {name}: FAILED: {error}")
+        return "\n".join(lines)
+
+
+def execute_units(units, store: ResultStore, jobs: int = 1) -> UnitStats:
+    """Compute ``units`` into ``store``, skipping verified hits.
+
+    The units share one pass list (true of any plan's units and of a
+    single unit).  The synthesis leg runs every distinct (table, spec)
+    they need through one store-backed
+    :class:`~repro.pipeline.batch.BatchRunner` (``jobs`` worker
+    processes): a stored result is a verified hit, a fresh one —
+    failures included — is written back, and a corrupt blob is
+    recomputed.  The validation leg checks each cell's key before
+    building a machine; machines and walks are built once per table and
+    (table, seed).  A cell whose table failed synthesis counts as failed
+    and stays absent from the store (the merger reads the recorded
+    synthesis error instead).
+    """
+    from ..netlist.fantom import build_fantom
+    from ..pipeline.batch import BatchRunner
+    from ..sim.campaign import _resolve_engine, delay_model, write_cell
+    from ..sim.harness import random_legal_walk, validate_walk
+
+    units = list(units)
+    needs: dict[tuple[str, str], WorkUnit] = {}
+    for unit in units:
+        needs.setdefault((unit.key.table, unit.key.spec), unit)
+    runner = BatchRunner(
+        spec=units[0].spec if units else None, jobs=jobs, store=store
+    )
+    pairs = [(unit.table, unit.spec.options) for unit in needs.values()]
+    stats = UnitStats()
+    items = {}
+    for need, item in zip(needs, runner.run_pairs(pairs)):
+        items[need] = item
+        if not item.store_hit:
+            stats.synthesis_seconds += item.seconds
+            stats.passes.update({e.name: e.seconds for e in item.events})
+
+    machines, walks = {}, {}
+    for unit in units:
+        stats.units += 1
+        item = items[(unit.key.table, unit.key.spec)]
+        cell = unit.cell
+        if not item.ok:
+            stats.failed += 1
+            stats.failures[item.name] = item.error
+        elif cell is None:
+            if item.store_hit:
+                stats.store_hits += 1
+            else:
+                stats.synthesized += 1
+        elif unit.stored(store):
+            stats.store_hits += 1
+        else:
+            fantom = (unit.key.table, unit.key.spec, cell.use_fsv)
+            if fantom not in machines:
+                machines[fantom] = build_fantom(
+                    item.result, use_fsv=cell.use_fsv
+                )
+            machine = machines[fantom]
+            walk_key = (fantom, cell.steps, cell.seed)
+            if walk_key not in walks:
+                walks[walk_key] = random_legal_walk(
+                    machine.result.table, cell.steps, seed=cell.seed
+                )
+            walk = walks[walk_key]
+            start = time.perf_counter()
+            summary = validate_walk(
+                machine,
+                walk,
+                delays=delay_model(cell.model, cell.seed, machine),
+                simulator_factory=_resolve_engine(cell.engine),
+            )
+            stats.cell_seconds += time.perf_counter() - start
+            write_cell(
+                store, unit.key, summary, machine, walk,
+                cell.model, cell.seed, cell.engine,
+            )
+            stats.validated += 1
+    return stats
+
+
 def _missing_error(
     what: str, missing: list[WorkUnit], shards: int
 ) -> StoreError:
@@ -115,10 +318,31 @@ def _missing_error(
     return StoreError("\n".join(lines))
 
 
+class _Sharded:
+    """The shared shard surface over a planned ``units`` tuple."""
+
+    units: tuple[WorkUnit, ...]
+
+    def plan(self, shards: int) -> ShardPlan:
+        return ShardPlan(shards=shards, units=self.units)
+
+    def run_shard(
+        self,
+        shard: int,
+        shards: int,
+        store: ResultStore,
+        jobs: int = 1,
+    ) -> UnitStats:
+        """Execute (or verify) this shard's units into ``store``."""
+        return execute_units(
+            self.plan(shards).shard_units(shard), store, jobs=jobs
+        )
+
+
 # ----------------------------------------------------------------------
 # Batch matrices
 # ----------------------------------------------------------------------
-class ShardedBatch:
+class ShardedBatch(_Sharded):
     """A batch matrix (tables × option sets) split by content hash.
 
     The unit stream is exactly
@@ -135,68 +359,19 @@ class ShardedBatch:
     ):
         self.tables = list(tables)
         self.spec = spec if spec is not None else PipelineSpec()
-        self.options_list = (
-            list(options_list)
-            if options_list is not None
-            else [self.spec.options]
-        )
-        self.pairs = [
-            (table, options)
-            for options in self.options_list
-            for table in self.tables
-        ]
-
-    # ------------------------------------------------------------------
-    def _unit_spec(self, options) -> PipelineSpec:
-        if options == self.spec.options:
-            return self.spec
-        return self.spec.with_options(options)
-
-    def plan(self, shards: int) -> ShardPlan:
+        if options_list is None:
+            options_list = [self.spec.options]
         units = []
-        many = len(self.options_list) > 1
-        for index, (table, options) in enumerate(self.pairs):
-            label = table.name
-            if many:
-                label = (
-                    f"{table.name}"
-                    f"[options {index // len(self.tables)}]"
+        for option_index, options in enumerate(options_list):
+            spec = self.spec.with_options(options)
+            for table_index, table in enumerate(self.tables):
+                label = table.name
+                if len(options_list) > 1:
+                    label = f"{table.name}[options {option_index}]"
+                units.append(
+                    WorkUnit(len(units), label, table_index, table, spec)
                 )
-            units.append(
-                WorkUnit(
-                    index=index,
-                    key=synthesis_key(table, self._unit_spec(options)),
-                    label=label,
-                    table_index=index % len(self.tables),
-                )
-            )
-        if shards < 1:
-            raise StoreError(f"shard count must be >= 1, got {shards}")
-        return ShardPlan(shards=shards, units=tuple(units))
-
-    # ------------------------------------------------------------------
-    def run_shard(
-        self,
-        shard: int,
-        shards: int,
-        store: ResultStore,
-        jobs: int = 1,
-    ) -> list:
-        """Execute (or verify) this shard's units; returns its items.
-
-        Routes through a store-backed
-        :class:`~repro.pipeline.batch.BatchRunner`, so units already in
-        the store are verified hits (``item.store_hit``), fresh units
-        are synthesised and written, and a corrupt blob is silently
-        recomputed.
-        """
-        from ..pipeline.batch import BatchRunner
-
-        plan = self.plan(shards)
-        mine = plan.shard_units(shard)
-        pairs = [self.pairs[unit.index] for unit in mine]
-        runner = BatchRunner(spec=self.spec, jobs=jobs, store=store)
-        return runner.run_pairs(pairs)
+        self.units = tuple(units)
 
     def merge(self, store: ResultStore, shards: int = 1) -> list:
         """Reassemble the full ordered :class:`BatchItem` stream.
@@ -210,21 +385,12 @@ class ShardedBatch:
         missing = []
         plan = self.plan(shards)
         for unit in plan.units:
-            table, options = self.pairs[unit.index]
-            stored = store.get_synthesis(table, self._unit_spec(options))
+            stored = store.get_synthesis(unit.table, unit.spec)
             if stored is None:
                 missing.append(unit)
                 continue
             items.append(
-                BatchItem(
-                    index=unit.index,
-                    name=table.name,
-                    result=stored.result,
-                    error=stored.error,
-                    seconds=0.0,
-                    store_hit=True,
-                    error_type=stored.error_type,
-                )
+                BatchItem.from_stored(unit.index, unit.table.name, stored)
             )
         if missing:
             raise _missing_error("batch", missing, plan.shards)
@@ -234,17 +400,16 @@ class ShardedBatch:
 # ----------------------------------------------------------------------
 # Validation campaigns
 # ----------------------------------------------------------------------
-class ShardedCampaign:
+class ShardedCampaign(_Sharded):
     """A campaign cell grid split by content hash.
 
     Cells are planned on the *source* tables (their keys need no
     synthesis), in the campaign's deterministic table-major / model /
-    seed order.  Each shard synthesises just the tables its cells need
-    — through the store, so a table whose cells span shards is computed
-    once and verified everywhere else — and a synthesis failure is
-    recorded in the store like any other deterministic outcome, so the
-    merger can rebuild the campaign's ``errors`` list without
-    re-running anything.
+    seed order.  Executing a cell synthesises its table through the
+    store, so a table whose cells span shards is computed once and
+    verified everywhere else — and a synthesis failure is recorded in
+    the store like any other deterministic outcome, so the merger can
+    rebuild the campaign's ``errors`` list without re-running anything.
     """
 
     def __init__(self, tables: list[FlowTable], campaign):
@@ -253,127 +418,27 @@ class ShardedCampaign:
         self.spec = (
             campaign.spec if campaign.spec is not None else PipelineSpec()
         )
-
-    # ------------------------------------------------------------------
-    def _cell_key(self, table: FlowTable, model: str, seed: int) -> StoreKey:
-        campaign = self.campaign
-        return validation_key(
-            table,
-            self.spec,
-            model=model,
-            seed=seed,
-            steps=campaign.steps,
-            engine=campaign.engine,
-            use_fsv=campaign.use_fsv,
-        )
-
-    def plan(self, shards: int) -> ShardPlan:
-        if shards < 1:
-            raise StoreError(f"shard count must be >= 1, got {shards}")
-        campaign = self.campaign
         units = []
-        index = 0
         for table_index, table in enumerate(self.tables):
             for model in campaign.delay_models:
                 for seed in campaign.seeds:
                     units.append(
                         WorkUnit(
-                            index=index,
-                            key=self._cell_key(table, model, seed),
+                            index=len(units),
                             label=f"{table.name}/{model}/seed{seed}",
                             table_index=table_index,
-                            cell=(model, seed),
+                            table=table,
+                            spec=self.spec,
+                            cell=Cell(
+                                model=model,
+                                seed=seed,
+                                steps=campaign.steps,
+                                engine=campaign.engine,
+                                use_fsv=campaign.use_fsv,
+                            ),
                         )
                     )
-                    index += 1
-        return ShardPlan(shards=shards, units=tuple(units))
-
-    # ------------------------------------------------------------------
-    def run_shard(
-        self,
-        shard: int,
-        shards: int,
-        store: ResultStore,
-        jobs: int = 1,
-    ) -> dict:
-        """Synthesise and simulate this shard's cells into the store.
-
-        Returns run statistics: planned/executed/hit cell counts and
-        the tables whose synthesis failed (their cells are unrunnable
-        and intentionally absent from the store — the merger reads the
-        recorded synthesis error instead).
-        """
-        from ..netlist.fantom import build_fantom
-        from ..pipeline.batch import BatchRunner
-        from ..sim.campaign import (
-            _resolve_engine,
-            archive_failure_vcd,
-            delay_model,
-        )
-        from ..sim.harness import random_legal_walk, validate_walk
-
-        campaign = self.campaign
-        plan = self.plan(shards)
-        mine = plan.shard_units(shard)
-        needed = sorted({unit.table_index for unit in mine})
-
-        runner = BatchRunner(spec=self.spec, jobs=jobs, store=store)
-        machines: dict[int, object] = {}
-        failed: list[tuple[str, str]] = []
-        for table_index, item in zip(
-            needed, runner.run([self.tables[i] for i in needed])
-        ):
-            if item.ok:
-                machines[table_index] = build_fantom(
-                    item.result, use_fsv=campaign.use_fsv
-                )
-            else:
-                failed.append((item.name, item.error))
-
-        engine_cls = _resolve_engine(campaign.engine)
-        walks: dict[tuple[int, int], list[int]] = {}
-        executed = hits = skipped = 0
-        for unit in mine:
-            if unit.table_index not in machines:
-                skipped += 1
-                continue
-            if store.get_validation(unit.key) is not None:
-                hits += 1
-                continue
-            machine = machines[unit.table_index]
-            model, seed = unit.cell
-            walk_key = (unit.table_index, seed)
-            if walk_key not in walks:
-                walks[walk_key] = random_legal_walk(
-                    machine.result.table, campaign.steps, seed=seed
-                )
-            summary = validate_walk(
-                machine,
-                walks[walk_key],
-                delays=delay_model(model, seed, machine),
-                simulator_factory=engine_cls,
-            )
-            store.put_validation(unit.key, summary)
-            if not summary.all_clean:
-                archive_failure_vcd(
-                    store,
-                    unit.key,
-                    machine,
-                    walks[walk_key],
-                    model,
-                    seed,
-                    campaign.engine,
-                )
-            executed += 1
-        return {
-            "shard": shard,
-            "shards": shards,
-            "planned": len(mine),
-            "executed": executed,
-            "store_hits": hits,
-            "skipped": skipped,
-            "synthesis_failures": failed,
-        }
+        self.units = tuple(units)
 
     def merge(self, store: ResultStore, shards: int = 1):
         """Reassemble the full deterministic :class:`CampaignResult`.
@@ -391,34 +456,32 @@ class ShardedCampaign:
         )
         missing: list[WorkUnit] = []
         plan = self.plan(shards)
-        by_table: dict[int, list[WorkUnit]] = {}
+        synthesized = {}
         for unit in plan.units:
-            by_table.setdefault(unit.table_index, []).append(unit)
-        for table_index, table in enumerate(self.tables):
-            stored = store.get_synthesis(table, self.spec)
-            if stored is None:
-                missing.extend(by_table[table_index])
+            if unit.table_index not in synthesized:
+                stored = store.get_synthesis(unit.table, unit.spec)
+                synthesized[unit.table_index] = stored
+                if stored is not None and not stored.ok:
+                    result.errors.append((unit.table.name, stored.error))
+            stored = synthesized[unit.table_index]
+            if stored is not None and not stored.ok:
                 continue
-            if not stored.ok:
-                result.errors.append((table.name, stored.error))
+            summary = None if stored is None else store.get_validation(
+                unit.key
+            )
+            if summary is None:
+                missing.append(unit)
                 continue
-            name = stored.result.table.name
-            for unit in by_table[table_index]:
-                summary = store.get_validation(unit.key)
-                if summary is None:
-                    missing.append(unit)
-                    continue
-                model, seed = unit.cell
-                result.cells.append(
-                    CampaignCell(
-                        table=name,
-                        model=model,
-                        seed=seed,
-                        summary=summary,
-                        seconds=0.0,
-                        store_hit=True,
-                    )
+            result.cells.append(
+                CampaignCell(
+                    table=stored.result.table.name,
+                    model=unit.cell.model,
+                    seed=unit.cell.seed,
+                    summary=summary,
+                    seconds=0.0,
+                    store_hit=True,
                 )
+            )
         if missing:
             raise _missing_error("campaign", missing, plan.shards)
         return result

@@ -174,9 +174,6 @@ class ResultStore:
         self.backend.write(key.blob_name, _encode(envelope))
         self.stores += 1
 
-    def __contains__(self, key: StoreKey) -> bool:
-        return self.backend.read(key.blob_name) is not None
-
     # ------------------------------------------------------------------
     # Synthesis results
     # ------------------------------------------------------------------

@@ -75,6 +75,56 @@ class TestQueueCli:
         out = capsys.readouterr().out
         assert "queue drained" in out
 
+    def test_status_counts_warm_units_apart_from_pending(
+        self, tmp_path, capsys
+    ):
+        """Regression: with lion already stored, publishing lion and
+        traffic leaves one unit pending, not a "drained" queue."""
+        store = str(tmp_path / "store")
+        assert main(["batch", "lion", "--store", store]) == 0
+        main(["queue", "publish", "lion", "traffic", "--store", store])
+        capsys.readouterr()
+        assert main(["queue", "status", "--store", store]) == 0
+        assert "1 done, 1 remaining" in capsys.readouterr().out
+
+    def test_corrupt_result_is_recomputed_by_the_queue(
+        self, tmp_path, capsys
+    ):
+        """Regression: a corrupt stored result used to publish as done,
+        so nothing recomputed it and the merge failed."""
+        store = tmp_path / "store"
+        assert main(["batch", "lion", "--store", str(store)]) == 0
+        [blob] = (store / "synthesis").glob("*.json")
+        blob.write_bytes(b"corrupt")
+        main(["queue", "publish", "lion", "--store", str(store)])
+        assert main(["work", "--store", str(store), "--timeout", "60"]) == 0
+        capsys.readouterr()
+        assert main([
+            "shard", "merge", "--store", str(store), "--json", "lion",
+        ]) == 0
+        merged = capsys.readouterr().out
+        assert main(["batch", "lion", "--json", "--canonical"]) == 0
+        assert merged == capsys.readouterr().out
+
+    def test_work_exits_nonzero_on_failed_units(self, tmp_path, capsys):
+        """`seance work` reports a failed synthesis like `seance shard
+        run`: counted, named, exit 1."""
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "inputs": ["x"], "outputs": ["z"], "states": ["a", "b"],
+            "reset": "a", "name": "broken",
+            "entries": [["a", 0, "a", [0]], ["b", 1, "b", [1]]],
+        }))
+        store = str(tmp_path / "store")
+        main(["queue", "publish", "lion", str(bad), "--store", store])
+        capsys.readouterr()
+        assert main(["work", "--store", store, "--timeout", "60"]) == 1
+        out = capsys.readouterr().out
+        assert "1 synthesised" in out and "1 failed" in out
+        assert "broken: FAILED" in out
+
     def test_publish_campaign_units(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main([

@@ -17,9 +17,9 @@ import pytest
 from repro.bench import benchmark
 from repro.pipeline.spec import PipelineSpec
 from repro.service import QueueWorker, WorkQueue
-from repro.store import ResultStore
+from repro.store import ResultStore, ShardedBatch
 from repro.store.backend import MemoryBackend
-from repro.store.keys import table_digest
+from repro.store.keys import synthesis_key, table_digest
 from tests.strategies import cached_synthesize
 
 TABLES = ("lion", "traffic", "hazard_demo")
@@ -36,8 +36,10 @@ def queue(store):
 
 
 def publish(queue, names=TABLES):
-    return queue.publish_batch(
-        [benchmark(name) for name in names], spec=PipelineSpec()
+    return queue.publish(
+        ShardedBatch(
+            [benchmark(name) for name in names], spec=PipelineSpec()
+        ).units
     )
 
 
@@ -55,12 +57,41 @@ class TestPublish:
         table = benchmark("lion")
         spec = PipelineSpec()
         store.put_synthesis(table, spec, cached_synthesize(table))
-        queue.publish_batch([table], spec=spec)
+        queue.publish(ShardedBatch([table], spec=spec).units)
         stats = queue.stats()
         # No unit scaffolding is written for warm work — just the done
         # marker, so the queue reads as drained immediately.
         assert stats.units == 0 and stats.done == 1
         assert queue.pending() == []
+
+    def test_warm_done_markers_do_not_count_against_pending_units(
+        self, store, queue
+    ):
+        """Regression: a unit published as already stored leaves a done
+        marker with no unit blob; it must not make a still-pending
+        unit read as finished (``--watch`` declaring "drained")."""
+        lion, traffic = benchmark("lion"), benchmark("traffic")
+        spec = PipelineSpec()
+        store.put_synthesis(lion, spec, cached_synthesize(lion))
+        queue.publish(ShardedBatch([lion, traffic], spec=spec).units)
+        stats = queue.stats()
+        assert (stats.units, stats.done, stats.remaining) == (1, 1, 1)
+        assert "1 remaining" in stats.describe()
+        [(digest, _)] = queue.pending()
+        queue.mark_done(digest, "w1")
+        assert queue.stats().remaining == 0
+
+    def test_corrupt_result_is_published_not_marked_done(
+        self, store, queue
+    ):
+        """A result blob that fails verification is not a result: the
+        unit is queued, and the status never goes negative."""
+        lion = benchmark("lion")
+        spec = PipelineSpec()
+        store.backend.write(synthesis_key(lion, spec).blob_name, b"corrupt")
+        assert queue.publish(ShardedBatch([lion], spec=spec).units) == 1
+        stats = queue.stats()
+        assert (stats.units, stats.done, stats.remaining) == (1, 0, 1)
 
     def test_units_are_self_describing(self, queue):
         publish(queue, ("lion",))
@@ -176,7 +207,9 @@ class TestSigkillSteal:
         queue = WorkQueue(
             ResultStore(store_path), "q", lease_ttl=1.0
         )
-        queue.publish_batch([benchmark("lion")], spec=PipelineSpec())
+        queue.publish(
+            ShardedBatch([benchmark("lion")], spec=PipelineSpec()).units
+        )
         [(digest, _)] = queue.pending()
 
         victim = multiprocessing.get_context("fork").Process(

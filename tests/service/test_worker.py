@@ -25,6 +25,7 @@ from repro.store import (
     canonical_json,
 )
 from repro.store.backend import MemoryBackend
+from tests.store.test_sharding import broken_table
 
 TABLES = ("lion", "traffic", "hazard_demo")
 
@@ -40,7 +41,9 @@ def tables():
 
 class TestDrain:
     def test_worker_drains_batch_into_the_store(self, store):
-        WorkQueue(store, "q").publish_batch(tables(), spec=PipelineSpec())
+        WorkQueue(store, "q").publish(
+            ShardedBatch(tables(), spec=PipelineSpec()).units
+        )
         stats = QueueWorker(store, "q", worker_id="w1").run()
         assert stats["units"] == len(TABLES)
         assert stats["synthesized"] == len(TABLES)
@@ -51,7 +54,9 @@ class TestDrain:
     def test_drained_store_merges_byte_identical(self, store):
         """Queue drain and single-process batch: same bytes."""
         spec = PipelineSpec()
-        WorkQueue(store, "q").publish_batch(tables(), spec=spec)
+        WorkQueue(store, "q").publish(
+            ShardedBatch(tables(), spec=spec).units
+        )
         QueueWorker(store, "q", worker_id="w1").run()
         merged = ShardedBatch(tables(), spec=spec).merge(store)
         direct = BatchRunner(spec=spec, jobs=1).run(tables())
@@ -60,14 +65,16 @@ class TestDrain:
         ) == canonical_json(canonical_batch_payload(direct))
 
     def test_second_worker_finds_nothing_to_recompute(self, store):
-        WorkQueue(store, "q").publish_batch(tables(), spec=PipelineSpec())
+        WorkQueue(store, "q").publish(
+            ShardedBatch(tables(), spec=PipelineSpec()).units
+        )
         QueueWorker(store, "q", worker_id="w1").run()
         stats = QueueWorker(store, "q", worker_id="w2").run()
         assert stats["units"] == 0 and stats["synthesized"] == 0
 
     def test_telemetry_archived_for_future_lpt_ordering(self, store):
         queue = WorkQueue(store, "q")
-        queue.publish_batch(tables(), spec=PipelineSpec())
+        queue.publish(ShardedBatch(tables(), spec=PipelineSpec()).units)
         QueueWorker(store, "q", worker_id="w1").run()
         weights = [
             json.loads(store.backend.read(name))
@@ -88,7 +95,7 @@ class TestSteal:
         worker B must steal it and complete the whole queue."""
         spec = PipelineSpec()
         queue = WorkQueue(store, "q", lease_ttl=0.2)
-        queue.publish_batch(tables(), spec=spec)
+        queue.publish(ShardedBatch(tables(), spec=spec).units)
 
         # Worker A: claim the heaviest pending unit, then die silently.
         (victim_digest, _), *_ = queue.pending()
@@ -111,7 +118,9 @@ class TestSteal:
     def test_live_lease_is_not_stolen(self, store):
         """A unit whose lease is still beating is skipped, not raced."""
         queue = WorkQueue(store, "q", lease_ttl=60.0)
-        queue.publish_batch([benchmark("lion")], spec=PipelineSpec())
+        queue.publish(
+            ShardedBatch([benchmark("lion")], spec=PipelineSpec()).units
+        )
         [(digest, _)] = queue.pending()
         queue.claim(digest, "alive", ttl=60.0)
         stats = QueueWorker(
@@ -126,7 +135,7 @@ class TestPoison:
         """A unit blob that decodes but can't execute is counted failed
         and marked done — the rest of the queue still drains."""
         queue = WorkQueue(store, "q")
-        queue.publish_batch(tables(), spec=PipelineSpec())
+        queue.publish(ShardedBatch(tables(), spec=PipelineSpec()).units)
         (digest, unit), *_ = queue.pending()
         unit.pop("table")  # now unexecutable
         store.backend.write(
@@ -139,6 +148,35 @@ class TestPoison:
         assert WorkQueue(store, "q").stats().remaining == 0
 
 
+class TestFailedSynthesis:
+    """A unit whose table fails synthesis counts and names the failure
+    exactly as ``seance shard run`` does (the same executor)."""
+
+    def test_batch_unit_counts_failed(self, store):
+        sharded = ShardedBatch([benchmark("lion"), broken_table()])
+        WorkQueue(store, "q").publish(sharded.units)
+        stats = QueueWorker(store, "q", worker_id="w1").run()
+        assert stats["units"] == 2
+        assert (stats["synthesized"], stats["failed"]) == (1, 1)
+        assert list(stats.failures) == ["broken"]
+        shard = sharded.run_shard(0, 1, ResultStore(MemoryBackend()))
+        assert shard.failures == stats.failures
+        assert (shard.synthesized, shard.failed) == (1, 1)
+
+    def test_campaign_cell_counts_failed(self, store):
+        campaign = ValidationCampaign(
+            sweep=1, steps=5, delay_models=("unit",)
+        )
+        sharded = ShardedCampaign(
+            [benchmark("hazard_demo"), broken_table()], campaign
+        )
+        WorkQueue(store, "q").publish(sharded.units)
+        stats = QueueWorker(store, "q", worker_id="w1").run()
+        assert (stats["validated"], stats["failed"]) == (1, 1)
+        assert list(stats.failures) == ["broken"]
+        assert "broken: FAILED" in stats.describe()
+
+
 class TestCampaignUnits:
     def test_worker_executes_validation_cells(self, store):
         campaign = ValidationCampaign(
@@ -146,7 +184,9 @@ class TestCampaignUnits:
         )
         machines = [benchmark("lion")]
         queue = WorkQueue(store, "q")
-        published = queue.publish_campaign(machines, campaign)
+        published = queue.publish(
+            ShardedCampaign(machines, campaign).units
+        )
         # One unit per cell; the synthesis it needs is resolved
         # worker-side through the store.
         assert published == 1

@@ -15,6 +15,7 @@ from repro.pipeline.spec import PipelineSpec
 from repro.service import WorkQueue
 from repro.store import (
     ResultStore,
+    ShardedBatch,
     gc_store,
     synthesis_key,
     verify_store,
@@ -131,7 +132,9 @@ class TestGc:
 
     def test_drained_queue_scaffolding_is_removed(self, store):
         queue = WorkQueue(store, "old")
-        queue.publish_batch([benchmark("lion")], spec=PipelineSpec())
+        queue.publish(
+            ShardedBatch([benchmark("lion")], spec=PipelineSpec()).units
+        )
         [(digest, _)] = queue.pending()
         queue.mark_done(digest, "w1")
         report = gc_store(store)
@@ -140,8 +143,11 @@ class TestGc:
 
     def test_undrained_queue_is_left_alone(self, store):
         queue = WorkQueue(store, "live")
-        queue.publish_batch(
-            [benchmark("lion"), benchmark("traffic")], spec=PipelineSpec()
+        queue.publish(
+            ShardedBatch(
+                [benchmark("lion"), benchmark("traffic")],
+                spec=PipelineSpec(),
+            ).units
         )
         (digest, _), *_ = queue.pending()
         queue.mark_done(digest, "w1")

@@ -7,7 +7,10 @@ merging reproduces the single-process
 :class:`~repro.pipeline.batch.BatchRunner` /
 :class:`~repro.sim.campaign.ValidationCampaign` stream **byte for
 byte** (canonical projection: the deterministic stream minus wall-clock
-telemetry).  Hypothesis drives the shard count and workload choice; the
+telemetry).  The same plan drained through a work queue by two queue
+workers — the executor's other filler — must merge to the same bytes
+and report the same unit counters.  Hypothesis drives the shard count,
+the split between the two workers and the workload choice; the
 single-process baselines are computed once per workload and reused
 across examples.
 """
@@ -24,6 +27,7 @@ from repro.flowtable.table import Entry, FlowTable
 from repro.pipeline.batch import BatchRunner
 from repro.pipeline.options import SynthesisOptions
 from repro.pipeline.spec import PipelineSpec
+from repro.service import QueueWorker, WorkQueue
 from repro.sim.campaign import ValidationCampaign
 from repro.store import (
     ResultStore,
@@ -34,6 +38,7 @@ from repro.store import (
     canonical_json,
     shard_of,
 )
+from repro.store.sharding import UnitStats, WorkUnit
 
 #: Batch workloads: (name, table names, option sets or None).
 BATCH_WORKLOADS = {
@@ -43,12 +48,14 @@ BATCH_WORKLOADS = {
         (SynthesisOptions(), SynthesisOptions(hazard_correction=False)),
     ),
     "single": (("hazard_demo",), None),
+    "broken": (("lion", "broken", "traffic"), None),
 }
 
 #: Campaign workloads: (table names, models, sweep, steps).
 CAMPAIGN_WORKLOADS = {
     "two-model": (("lion", "hazard_demo"), ("unit", "loop-safe"), 2, 5),
     "corner": (("traffic",), ("corner",), 3, 5),
+    "broken": (("hazard_demo", "broken"), ("unit",), 2, 5),
 }
 
 _SETTINGS = settings(
@@ -73,12 +80,36 @@ def broken_table():
     )
 
 
+def _table(name):
+    return broken_table() if name == "broken" else benchmark(name)
+
+
+def _drain_through_queue(units, first_worker_units):
+    """Fill a fresh store from a published plan with two queue workers
+    (the first stops after ``first_worker_units``); returns the store
+    and the workers' summed counters."""
+    store = ResultStore()
+    WorkQueue(store, "q").publish(units)
+    stats = QueueWorker(store, "q", worker_id="w1").run(
+        max_units=first_worker_units
+    )
+    stats.add(QueueWorker(store, "q", worker_id="w2").run())
+    return store, stats
+
+
+def _counters(stats):
+    return (
+        stats.units, stats.synthesized, stats.validated, stats.store_hits,
+        stats.failed, stats.failures,
+    )
+
+
 @pytest.fixture(scope="module")
 def batch_baselines():
     """Single-process canonical streams, one per workload."""
     baselines = {}
     for key, (names, options_list) in BATCH_WORKLOADS.items():
-        tables = [benchmark(name) for name in names]
+        tables = [_table(name) for name in names]
         runner = BatchRunner()
         items = (
             runner.run_matrix(tables, options_list)
@@ -96,7 +127,7 @@ def campaign_baselines():
         campaign = ValidationCampaign(
             sweep=sweep, steps=steps, delay_models=models
         )
-        report = campaign.run([benchmark(name) for name in names])
+        report = campaign.run([_table(name) for name in names])
         baselines[key] = canonical_json(canonical_campaign_payload(report))
     return baselines
 
@@ -104,7 +135,7 @@ def campaign_baselines():
 def _sharded_batch(workload):
     names, options_list = BATCH_WORKLOADS[workload]
     return ShardedBatch(
-        [benchmark(name) for name in names], options_list=options_list
+        [_table(name) for name in names], options_list=options_list
     )
 
 
@@ -113,7 +144,7 @@ def _sharded_campaign(workload):
     campaign = ValidationCampaign(
         sweep=sweep, steps=steps, delay_models=models
     )
-    return ShardedCampaign([benchmark(name) for name in names], campaign)
+    return ShardedCampaign([_table(name) for name in names], campaign)
 
 
 # ----------------------------------------------------------------------
@@ -124,18 +155,29 @@ class TestBatchDifferential:
     @given(
         shards=st.integers(min_value=1, max_value=40),
         workload=st.sampled_from(sorted(BATCH_WORKLOADS)),
+        first_worker_units=st.integers(min_value=0, max_value=6),
     )
     def test_any_split_merges_byte_identically(
-        self, shards, workload, batch_baselines
+        self, shards, workload, first_worker_units, batch_baselines
     ):
         sharded = _sharded_batch(workload)
         store = ResultStore()
+        shard_stats = UnitStats()
         for shard in range(shards):
-            sharded.run_shard(shard, shards, store)
+            shard_stats.add(sharded.run_shard(shard, shards, store))
         merged = canonical_json(
             canonical_batch_payload(sharded.merge(store, shards))
         )
         assert merged == batch_baselines[workload]
+
+        queued, queue_stats = _drain_through_queue(
+            sharded.units, first_worker_units
+        )
+        drained = canonical_json(
+            canonical_batch_payload(sharded.merge(queued))
+        )
+        assert drained == batch_baselines[workload]
+        assert _counters(queue_stats) == _counters(shard_stats)
 
     def test_degenerate_single_shard(self, batch_baselines):
         sharded = _sharded_batch("plain")
@@ -177,18 +219,29 @@ class TestCampaignDifferential:
     @given(
         shards=st.integers(min_value=1, max_value=40),
         workload=st.sampled_from(sorted(CAMPAIGN_WORKLOADS)),
+        first_worker_units=st.integers(min_value=0, max_value=6),
     )
     def test_any_split_merges_byte_identically(
-        self, shards, workload, campaign_baselines
+        self, shards, workload, first_worker_units, campaign_baselines
     ):
         sharded = _sharded_campaign(workload)
         store = ResultStore()
+        shard_stats = UnitStats()
         for shard in range(shards):
-            sharded.run_shard(shard, shards, store)
+            shard_stats.add(sharded.run_shard(shard, shards, store))
         merged = canonical_json(
             canonical_campaign_payload(sharded.merge(store, shards))
         )
         assert merged == campaign_baselines[workload]
+
+        queued, queue_stats = _drain_through_queue(
+            sharded.units, first_worker_units
+        )
+        drained = canonical_json(
+            canonical_campaign_payload(sharded.merge(queued))
+        )
+        assert drained == campaign_baselines[workload]
+        assert _counters(queue_stats) == _counters(shard_stats)
 
     def test_more_shards_than_cells(self, campaign_baselines):
         sharded = _sharded_campaign("corner")  # 3 cells
@@ -253,6 +306,15 @@ class TestPlan:
         # 2 tables x 2 models x 2 seeds
         assert len(plan.units) == 8
         assert len({unit.key.digest for unit in plan.units}) == 8
+
+    def test_units_round_trip_through_the_queue_payload(self):
+        planners = (_sharded_batch("matrix"), _sharded_campaign("corner"))
+        for sharded in planners:
+            for unit in sharded.units:
+                payload = json.loads(json.dumps(unit.to_payload()))
+                rebuilt = WorkUnit.from_payload(payload)
+                assert rebuilt.key == unit.key
+                assert rebuilt.to_payload() == payload
 
     def test_bad_shard_arguments_rejected(self):
         sharded = _sharded_batch("single")
