@@ -38,7 +38,7 @@ reproducible from a spec file alone.
     against a shared store; the merge fails loudly, naming the owning
     shard of every missing unit.
 
-``--store DIR`` (on ``synth``, ``batch``, ``validate``)
+``--store LOC`` (on ``synth``, ``batch``, ``validate``)
     Content-addressed result archive: repeat invocations with the same
     (table, spec, workload) short-circuit synthesis and simulation
     entirely — ``"store_hit"`` in the JSON telemetry, zero pipeline
@@ -61,11 +61,12 @@ reproducible from a spec file alone.
 
 ``seance store verify|gc|serve-fake``
     Store lifecycle: offline envelope re-verification, age/orphan/
-    rejected-blob eviction (honouring backend TTLs), and the
-    in-process fake object-store / cache servers for smokes and CI.
+    rejected-blob eviction, and the in-process fake object store for
+    smokes and CI.
 
-``--store LOC`` everywhere accepts a directory path, an ``http(s)://``
-object-store URL, or a ``cache://host:port[?ttl=N]`` cache URL.
+``--store LOC`` and ``--cache-dir LOC`` everywhere accept a directory
+path or an ``http(s)://`` object-store URL; any other ``scheme://``
+location is an error (exit 2).
 
 ``seance passes``
     List the registered pass names a spec or ``--pass`` can use.
@@ -122,8 +123,8 @@ def _open_store(args: argparse.Namespace):
     """The ResultStore of a ``--store LOC`` flag (None when absent).
 
     ``LOC`` is anything :func:`~repro.store.backend.resolve_backend`
-    accepts: a directory path, an ``http(s)://`` object store, or a
-    ``cache://`` cache.  Networked locations run under the transport
+    accepts: a directory path or an ``http(s)://`` object store.
+    Networked locations run under the transport
     policy of ``--retry``/``--timeout`` when given.
     """
     from .store import ResultStore
@@ -663,14 +664,9 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 
 
 def cmd_store_serve_fake(args: argparse.Namespace) -> int:
-    from .service import FakeCacheServer, FakeObjectStoreServer
+    from .service import FakeObjectStoreServer
 
-    if args.cache:
-        server = FakeCacheServer(
-            host=args.host, port=args.port, max_entries=args.max_entries
-        )
-    else:
-        server = FakeObjectStoreServer(host=args.host, port=args.port)
+    server = FakeObjectStoreServer(host=args.host, port=args.port)
     print(f"serving fake store at {server.url}", flush=True)
     try:
         server.serve_forever()
@@ -701,14 +697,9 @@ def _add_matrix_arguments(
         help="KISS2 files or benchmark names (default: the whole "
         "built-in suite)",
     )
-    p.add_argument(
-        "--store",
-        metavar="LOC",
-        required=store_required,
-        help="shared result store (directory, http(s):// object "
-        "store, or cache:// cache)",
+    _add_store_arguments(
+        p, required=store_required, help="shared result store"
     )
-    _add_store_policy_arguments(p)
     p.add_argument(
         "--campaign",
         action="store_true",
@@ -760,12 +751,22 @@ def _add_matrix_arguments(
     )
 
 
-def _add_store_policy_arguments(
-    p: argparse.ArgumentParser, timeout_flag: str = "--timeout"
+def _add_store_arguments(
+    p: argparse.ArgumentParser,
+    required: bool = False,
+    help: str = "content-addressed result store",
+    timeout_flag: str = "--timeout",
 ) -> None:
-    """Transport knobs for networked ``--store``/``--cache-dir``
-    locations (``seance work`` spells the second ``--store-timeout``
-    because its ``--timeout`` is the run's wall-clock bound)."""
+    """``--store LOC`` plus the transport knobs for networked
+    ``--store``/``--cache-dir`` locations (``seance work`` spells the
+    timeout ``--store-timeout`` because its ``--timeout`` is the run's
+    wall-clock bound)."""
+    p.add_argument(
+        "--store",
+        metavar="LOC",
+        required=required,
+        help=f"{help} (a directory or an http(s):// object-store URL)",
+    )
     p.add_argument(
         "--retry",
         dest="store_retry",
@@ -1057,13 +1058,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the synthesis report as JSON",
     )
-    synth.add_argument(
-        "--store",
-        metavar="DIR",
+    _add_store_arguments(
+        synth,
         help="content-addressed result store: a warm (table, spec) key "
         "is served without executing a single pass",
     )
-    _add_store_policy_arguments(synth)
     _add_spec_arguments(synth)
     synth.add_argument(
         "--emit-spec",
@@ -1139,13 +1138,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ablate fsv (demonstrates the hazards)",
     )
-    val.add_argument(
-        "--store",
-        metavar="DIR",
+    _add_store_arguments(
+        val,
         help="content-addressed result store: warm (table, spec, cell) "
         "keys short-circuit synthesis and simulation entirely",
     )
-    _add_store_policy_arguments(val)
     val.add_argument(
         "--json",
         action="store_true",
@@ -1182,8 +1179,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--cache-dir",
-        help="persistent stage-cache directory (shared across runs "
-        "and worker processes)",
+        metavar="LOC",
+        help="persistent stage cache, shared across runs and worker "
+        "processes (a directory or an http(s):// object-store URL)",
     )
     batch.add_argument(
         "--no-minimize", action="store_true", help="skip Step 2"
@@ -1211,13 +1209,11 @@ def build_parser() -> argparse.ArgumentParser:
         "timing or cache telemetry, byte-comparable across runs and "
         "against `seance shard merge --json`",
     )
-    batch.add_argument(
-        "--store",
-        metavar="DIR",
+    _add_store_arguments(
+        batch,
         help="content-addressed result store: warm (table, spec) keys "
         "are served without executing a single pass",
     )
-    _add_store_policy_arguments(batch)
     _add_spec_arguments(batch)
     batch.set_defaults(func=cmd_batch)
 
@@ -1283,12 +1279,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the HTTP job front door (dedup against the store, "
         "against in-flight work, then synthesise or enqueue)",
     )
-    serve.add_argument(
-        "--store",
-        metavar="LOC",
+    _add_store_arguments(
+        serve,
         required=True,
-        help="result store every submission resolves through "
-        "(directory, http(s):// object store, or cache:// cache)",
+        help="result store every submission resolves through",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address"
@@ -1338,7 +1332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound the in-flight table: submissions that would start "
         "new work past N answer 429 busy (joins always admitted)",
     )
-    _add_store_policy_arguments(serve)
     serve.set_defaults(func=cmd_serve)
 
     work = sub.add_parser(
@@ -1346,11 +1339,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one work-queue worker (claim, heartbeat, steal "
         "lapsed leases, execute through the store)",
     )
-    work.add_argument(
-        "--store",
-        metavar="LOC",
+    _add_store_arguments(
+        work,
         required=True,
         help="shared result store holding the queue",
+        timeout_flag="--store-timeout",
     )
     work.add_argument(
         "--queue", metavar="ID", default="default", help="queue to drain"
@@ -1383,7 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service mode: keep polling for new units until "
         "--timeout instead of exiting once the queue drains",
     )
-    _add_store_policy_arguments(work, timeout_flag="--store-timeout")
     work.set_defaults(func=cmd_work)
 
     queue = sub.add_parser(
@@ -1405,9 +1397,8 @@ def build_parser() -> argparse.ArgumentParser:
     qstat = queue_sub.add_parser(
         "status", help="show queue occupancy and lease health"
     )
-    qstat.add_argument(
-        "--store", metavar="LOC", required=True,
-        help="shared result store holding the queue",
+    _add_store_arguments(
+        qstat, required=True, help="shared result store holding the queue"
     )
     qstat.add_argument(
         "--queue", metavar="ID", default="default", help="queue to inspect"
@@ -1422,7 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=2.0, metavar="SECONDS",
         help="[--watch] refresh interval",
     )
-    _add_store_policy_arguments(qstat)
     qstat.set_defaults(func=cmd_queue_status)
 
     submit = sub.add_parser(
@@ -1493,26 +1483,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-check every result envelope offline (exit 1 if any "
         "would be rejected)",
     )
-    sverify.add_argument(
-        "--store", metavar="LOC", required=True, help="store to sweep"
-    )
-    _add_store_policy_arguments(sverify)
+    _add_store_arguments(sverify, required=True, help="store to sweep")
     sverify.set_defaults(func=cmd_store_verify)
     sgc = store_sub.add_parser(
         "gc",
         help="evict store debris: aged-out results, orphaned "
         "artifacts, drained-queue scaffolding, rejected blobs",
     )
-    sgc.add_argument(
-        "--store", metavar="LOC", required=True, help="store to sweep"
-    )
+    _add_store_arguments(sgc, required=True, help="store to sweep")
     sgc.add_argument(
         "--max-age-hours",
         type=float,
         default=None,
         metavar="HOURS",
-        help="age out results (and their artifacts) older than this "
-        "(TTL backends purge server-side instead)",
+        help="age out results (and their artifacts) older than this",
     )
     sgc.add_argument(
         "--drop-rejected",
@@ -1524,12 +1508,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="leave drained-queue unit/lease/done scaffolding in place",
     )
-    _add_store_policy_arguments(sgc)
     sgc.set_defaults(func=cmd_store_gc)
     sfake = store_sub.add_parser(
         "serve-fake",
-        help="run an in-process fake object-store (or, with --cache, "
-        "cache) server — the CI smoke's network substrate",
+        help="run an in-process fake object-store server — the CI "
+        "smoke's network substrate",
     )
     sfake.add_argument(
         "--host", default="127.0.0.1", help="bind address"
@@ -1537,18 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
     sfake.add_argument(
         "--port", type=int, default=0,
         help="bind port (default 0 = ephemeral, printed on startup)",
-    )
-    sfake.add_argument(
-        "--cache",
-        action="store_true",
-        help="serve the cache-line protocol (cache://) instead of the "
-        "HTTP object store",
-    )
-    sfake.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        help="[--cache] LRU capacity bound",
     )
     sfake.set_defaults(func=cmd_store_serve_fake)
     schaos = store_sub.add_parser(
@@ -1558,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     schaos.add_argument(
         "upstream",
-        help="server to front (http://host:port or cache://host:port)",
+        help="server to front (http://host:port)",
     )
     schaos.add_argument(
         "--seed", type=int, default=0, help="fault-schedule seed"
@@ -1682,17 +1653,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="i/N",
         help="fuzz only the machines whose digest lands on shard i of N",
     )
-    fuzz.add_argument(
-        "--store",
+    _add_store_arguments(
+        fuzz,
         help="archive per-machine reports here and skip warm machines",
-    )
-    fuzz.add_argument(
-        "--retry", type=int, dest="store_retry", default=None,
-        help="store transport retries",
-    )
-    fuzz.add_argument(
-        "--timeout", type=float, dest="store_timeout", default=None,
-        help="store transport timeout (seconds)",
     )
     fuzz.add_argument(
         "--fixtures",

@@ -84,7 +84,8 @@ class StoreError(ReproError):
 
     Raised by the shard merger when work units are missing from the
     store (the message names each missing unit and the shard that owns
-    it, so the operator knows which worker to re-run).  Never raised
+    it, so the operator knows which worker to re-run), and when a store
+    location names a URL scheme no backend speaks.  Never raised
     for corrupt or wrong-key blobs — those are verified away as misses
     and recomputed.
     """

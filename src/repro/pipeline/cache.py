@@ -19,9 +19,9 @@ Two tiers:
 * an in-memory dictionary (always on), and
 * an optional persistent tier over a
   :class:`~repro.store.backend.StoreBackend` (``path=...`` — a local
-  directory, an ``http(s)://`` object store, or a ``cache://`` TTL
-  cache), so separate processes/invocations — ``seance batch
-  --cache-dir`` — and whole fleets share warm stages.  Each persistent
+  directory or an ``http(s)://`` object store), so separate
+  processes/invocations — ``seance batch --cache-dir`` — and whole
+  fleets share warm stages.  Each persistent
   entry is a self-describing envelope (a ``repro-stage <version>
   <key>`` header ahead of the pickled artifacts) verified on read:
   corrupt, truncated, cross-wired, or incompatibly-versioned blobs are
@@ -113,8 +113,8 @@ class StageCache:
 
     ``path`` names the persistent tier: a local directory (the classic
     ``--cache-dir``), or any :func:`~repro.store.backend.resolve_backend`
-    location — an ``http(s)://`` object store or ``cache://`` TTL
-    cache, so ablation sweeps across a fleet share warm pass prefixes.
+    location — an ``http(s)://`` object store, so ablation sweeps
+    across a fleet share warm pass prefixes.
     An explicit ``backend`` wins over ``path``.  ``max_entries`` bounds
     the in-memory tier (FIFO eviction — synthesis artifacts are small,
     the bound is a safety valve for unbounded batch loops, not a tuned

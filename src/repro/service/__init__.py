@@ -1,15 +1,15 @@
 """``repro.service`` — the synthesis service fabric.
 
 The layer that turns the content-addressed store + shard stack into a
-fleet: in-process fake servers for the networked backends
+fleet: an in-process fake object-store server for the networked backend
 (:mod:`~repro.service.fakes`), a durable work-stealing queue of unit
 digests (:mod:`~repro.service.queue`), the worker loop that drains it
 (:mod:`~repro.service.worker`), the asyncio job front door behind
 ``seance serve`` (:mod:`~repro.service.server`), and the submitting
 client (:mod:`~repro.service.client`).
 
-Hardening lives alongside: the transport policy the networked backends
-run under (:mod:`~repro.service.resilience` — bounded retries,
+Hardening lives alongside: the transport policy the networked backend
+runs under (:mod:`~repro.service.resilience` — bounded retries,
 deterministic-jitter backoff, per-backend circuit breaker, telemetry),
 the shared lease tables coordinating queue claims and multi-server
 in-flight dedup (:mod:`~repro.service.leases`), and the fault-injecting
@@ -23,7 +23,7 @@ worker, a racing steal, or an injected network fault costs duplicated
 
 from .chaos import ChaosProxy, ChaosSchedule
 from .client import ServiceClient
-from .fakes import FakeCacheServer, FakeObjectStoreServer
+from .fakes import FakeObjectStoreServer
 from .leases import LeaseHeartbeat, LeaseTable
 from .queue import QueueStats, WorkQueue
 from .resilience import (
@@ -39,7 +39,6 @@ __all__ = [
     "ChaosProxy",
     "ChaosSchedule",
     "CircuitBreaker",
-    "FakeCacheServer",
     "FakeObjectStoreServer",
     "LeaseHeartbeat",
     "LeaseTable",

@@ -1,27 +1,26 @@
 """Fault-injecting chaos harness for the service fabric.
 
 The store's founding invariant — corrupt or racing states degrade to
-recomputation, never wrong results — was proven for *content* faults in
-PR 5 (poisoned blobs) and for *process* faults in PR 7 (killed workers,
-stolen leases).  This module injects **network** faults so the tests
-and the CI chaos smoke can prove it for the transport too:
+recomputation, never wrong results — is tested for *content* faults
+(poisoned blobs) and for *process* faults (killed workers, stolen
+leases).  This module injects **network** faults so the tests and the
+CI chaos smoke can prove it for the transport too:
 
 :class:`ChaosSchedule`
     A seeded fault plan: each consultation rolls a
     ``random.Random(seed)`` against ``rate`` and yields either None
     (pass) or a fault mode, round-robining over ``modes`` weightlessly.
     One schedule can drive a :class:`ChaosProxy` and the richer
-    ``fail_next``-style modes on the fake servers simultaneously; the
-    sequence of decisions is reproducible from the seed (what arrives
-    at each decision point still depends on thread timing — the
+    ``fail_next``-style modes on the fake object store simultaneously;
+    the sequence of decisions is reproducible from the seed (what
+    arrives at each decision point still depends on thread timing — the
     assertions are about *outcomes*, which must be byte-identical to a
     clean run, not about which request got hurt).
 
 :class:`ChaosProxy`
-    A real TCP relay in front of any ``http://`` or ``cache://``
-    server: clients connect to :attr:`url`, the proxy pipes bytes to
-    the upstream, and on each upstream **response chunk** consults the
-    schedule —
+    A real TCP relay in front of any ``http://`` server: clients
+    connect to :attr:`url`, the proxy pipes bytes to the upstream, and
+    on each upstream **response chunk** consults the schedule —
 
     * ``drop``     — close both sides mid-response (clean FIN);
     * ``reset``    — close with ``SO_LINGER 0`` (RST, a genuinely
@@ -31,12 +30,11 @@ and the CI chaos smoke can prove it for the transport too:
       pressure).
 
     Being a dumb byte pipe, the proxy cannot speak HTTP — protocol
-    level faults (500s, stale reads) live on the fakes themselves
+    level faults (500s, stale reads) live on the fake itself
     (``FakeObjectStoreServer.fail_next(n, mode=...)`` /
-    ``set_chaos(schedule)``).  Between the two layers every injected
-    fault the ISSUE names (drop, delay, truncate, 500, reset,
-    stale-read) is covered, and the transport policy in
-    :mod:`repro.store.net` must absorb all of them.
+    ``set_chaos(schedule)``).  Between the two layers every fault mode
+    (drop, delay, truncate, 500, reset, stale-read) is covered, and the
+    transport policy in :mod:`repro.store.net` must absorb all of them.
 """
 
 from __future__ import annotations
@@ -148,11 +146,11 @@ def _reset_hard(sock: socket.socket) -> None:
 class ChaosProxy:
     """A fault-injecting TCP relay in front of one upstream server.
 
-    ``upstream`` is the server's URL (``http://host:port`` or
-    ``cache://host:port``); :attr:`url` is the same URL re-pointed at
-    the proxy (query string preserved, so ``?retry=&timeout=`` knobs
-    ride through).  ``delay_seconds`` is the latency of one ``delay``
-    fault.  Use as a context manager, like the fakes.
+    ``upstream`` is the server's URL (``http://host:port``);
+    :attr:`url` is the same URL re-pointed at the proxy (query string
+    preserved, so ``?retry=&timeout=`` knobs ride through).
+    ``delay_seconds`` is the latency of one ``delay`` fault.  Use as a
+    context manager, like the fake object store.
     """
 
     def __init__(

@@ -1,25 +1,21 @@
-"""In-process fake servers for the networked store backends.
+"""In-process fake object-store server for the networked store backend.
 
-These are *real servers on real sockets* — threads accepting TCP
-connections — so the client backends in :mod:`repro.store.net` exercise
-genuine framing, reconnects, and partial-failure paths in tests and the
-CI service smoke, without any external dependency:
+:class:`FakeObjectStoreServer` is a *real server on a real socket* — a
+``http.server.ThreadingHTTPServer`` accepting TCP connections — so the
+client in :mod:`repro.store.net` exercises genuine framing, reconnects,
+and partial-failure paths in tests and the CI service smoke, without
+any external dependency.  It speaks the S3/GCS shape: GET/PUT/DELETE/
+HEAD on ``/b/<name>``, ``If-None-Match: *`` conditional put (412 when
+present — the queue's lease primitive), and ``/list?prefix=`` returning
+a JSON name array.  ``seance store serve-fake`` boots one as a
+foreground process for multi-process smokes.
 
-:class:`FakeObjectStoreServer`
-    The S3/GCS shape over HTTP (``http.server.ThreadingHTTPServer``):
-    GET/PUT/DELETE/HEAD on ``/b/<name>``, ``If-None-Match: *``
-    conditional put (412 when present — the queue's lease primitive),
-    and ``/list?prefix=`` returning a JSON name array.  ``seance store
-    serve-fake`` boots one as a foreground process for multi-process
-    smokes.
+Replies go out with ``TCP_NODELAY``: a reply with a body is written as
+a header block and then the body, and with Nagle on the second write
+waits for the client's delayed ACK (~40 ms per request on loopback).
 
-:class:`FakeCacheServer`
-    The memcache/Redis shape: a line protocol with per-entry TTLs and
-    LRU eviction at ``max_entries`` — deliberately lossy, the tier the
-    stage cache rides.
-
-Both support fault injection in two styles, sharing one vocabulary of
-modes (:data:`~repro.service.chaos.SERVER_MODES`):
+Fault injection comes in two styles, sharing one vocabulary of modes
+(:data:`~repro.service.chaos.SERVER_MODES`):
 
 * ``fail_next(n, mode=...)`` arms the next *n* requests with one mode —
   the surgical style the conformance tests parametrise over;
@@ -33,7 +29,7 @@ Modes and their injury:
   request never happened);
 * ``reset``    — likewise, but with an RST (``SO_LINGER 0``);
 * ``delay``    — process normally after a latency spike;
-* ``error``    — answer 500 / ``ERROR`` without processing;
+* ``error``    — answer 500 without processing;
 * ``truncate`` — **process the request**, then tear the response
   mid-body (the client must treat the operation as failed even though
   it took effect — the precondition-replay scenario);
@@ -45,12 +41,10 @@ from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import struct
 import threading
 import time
 import urllib.parse
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 #: Fake-level delay-fault latency (seconds) — enough to be a real stall
@@ -59,35 +53,21 @@ FAULT_DELAY = 0.05
 
 
 class _BlobTable:
-    """Shared blob state: name → (bytes, mtime), with optional TTL/LRU.
+    """Shared blob state: name → (bytes, mtime).
 
     Keeps a one-deep *previous version* shadow per name so the
     ``stale`` fault mode can serve genuinely outdated (but once-valid)
     reads — the eventual-consistency failure shape.
     """
 
-    def __init__(self, max_entries: int | None = None):
-        self._entries: OrderedDict[str, tuple[bytes, float, float]] = (
-            OrderedDict()
-        )  # name -> (data, mtime, expires_at or 0)
+    def __init__(self) -> None:
+        self._entries: dict[str, tuple[bytes, float]] = {}
         self._previous: dict[str, tuple[bytes, float]] = {}
         self._lock = threading.Lock()
-        self._max_entries = max_entries
-        self.evictions = 0
-
-    def _expired(self, entry: tuple[bytes, float, float]) -> bool:
-        return entry[2] > 0 and time.time() >= entry[2]
 
     def get(self, name: str) -> tuple[bytes, float] | None:
         with self._lock:
-            entry = self._entries.get(name)
-            if entry is None:
-                return None
-            if self._expired(entry):
-                del self._entries[name]
-                return None
-            self._entries.move_to_end(name)  # LRU touch
-            return entry[0], entry[1]
+            return self._entries.get(name)
 
     def get_stale(self, name: str) -> tuple[bytes, float] | None:
         """The previous version when one exists, else the current one —
@@ -96,59 +76,28 @@ class _BlobTable:
             previous = self._previous.get(name)
         return previous if previous is not None else self.get(name)
 
-    def put(
-        self, name: str, data: bytes, ttl: float = 0.0, if_absent: bool = False
-    ) -> bool:
+    def put(self, name: str, data: bytes, if_absent: bool = False) -> bool:
         with self._lock:
             entry = self._entries.get(name)
-            if entry is not None and self._expired(entry):
-                del self._entries[name]
-                entry = None
             if if_absent and entry is not None:
                 return False
             if entry is not None:
-                self._previous[name] = (entry[0], entry[1])
-            expires = time.time() + ttl if ttl > 0 else 0.0
-            self._entries[name] = (bytes(data), time.time(), expires)
-            self._entries.move_to_end(name)
-            if self._max_entries is not None:
-                while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+                self._previous[name] = entry
+            self._entries[name] = (bytes(data), time.time())
             return True
 
     def delete(self, name: str) -> bool:
         with self._lock:
             entry = self._entries.pop(name, None)
             if entry is not None:
-                self._previous[name] = (entry[0], entry[1])
+                self._previous[name] = entry
             return entry is not None
 
     def names(self, prefix: str = "") -> list[str]:
         with self._lock:
-            now = time.time()
             return sorted(
-                name
-                for name, entry in self._entries.items()
-                if name.startswith(prefix)
-                and not (entry[2] > 0 and now >= entry[2])
+                name for name in self._entries if name.startswith(prefix)
             )
-
-    def purge_expired(self) -> int:
-        with self._lock:
-            now = time.time()
-            stale = [
-                name
-                for name, entry in self._entries.items()
-                if entry[2] > 0 and now >= entry[2]
-            ]
-            for name in stale:
-                del self._entries[name]
-            return len(stale)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class _FaultBox:
@@ -209,6 +158,7 @@ class FakeObjectStoreServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
             _fault_mode: str | None = None
 
             def log_message(self, *args):  # noqa: D102 - silence stderr
@@ -384,144 +334,6 @@ class FakeObjectStoreServer:
         self._server.serve_forever()
 
     def __enter__(self) -> FakeObjectStoreServer:
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class FakeCacheServer:
-    """Threaded TCP cache server speaking the ``cache://`` line protocol
-    (commands documented on :class:`repro.store.net.CacheBackend`), with
-    per-entry TTLs and LRU eviction at ``max_entries``.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_entries: int | None = None,
-    ):
-        table = self.blobs = _BlobTable(max_entries=max_entries)
-        faults = self.faults = _FaultBox()
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                while True:
-                    line = self.rfile.readline()
-                    if not line:
-                        return
-                    mode = faults.next_mode()
-                    if mode in ("drop", "reset"):
-                        if mode == "reset":
-                            _reset_connection(self.connection)
-                        return  # close mid-conversation
-                    if mode == "error":
-                        # Unprocessed: the client drops the connection
-                        # on ERROR, so the unread payload of a SET/ADD
-                        # dies with it.
-                        try:
-                            self.wfile.write(b"ERROR\n")
-                            self.wfile.flush()
-                        except OSError:
-                            pass
-                        return
-                    if mode == "delay":
-                        time.sleep(FAULT_DELAY)
-                    try:
-                        reply = self._dispatch(
-                            line.decode().split(), stale=(mode == "stale")
-                        )
-                    except (ValueError, IndexError):
-                        reply = b"ERROR\n"
-                    if mode == "truncate":
-                        # Processed, then torn mid-reply.
-                        try:
-                            self.wfile.write(reply[: max(len(reply) // 2, 1)])
-                            self.wfile.flush()
-                        except OSError:
-                            pass
-                        return
-                    try:
-                        self.wfile.write(reply)
-                        self.wfile.flush()
-                    except OSError:
-                        return
-
-            def _dispatch(
-                self, words: list[str], stale: bool = False
-            ) -> bytes:
-                if not words:
-                    return b"ERROR\n"
-                verb = words[0].upper()
-                if verb == "GET":
-                    entry = (
-                        table.get_stale(words[1])
-                        if stale
-                        else table.get(words[1])
-                    )
-                    if entry is None:
-                        return b"MISS\n"
-                    return f"VALUE {len(entry[0])}\n".encode() + entry[0]
-                if verb in ("SET", "ADD"):
-                    name, ttl, size = words[1], float(words[2]), int(words[3])
-                    data = self.rfile.read(size)
-                    stored = table.put(
-                        name, data, ttl=ttl, if_absent=(verb == "ADD")
-                    )
-                    return b"STORED\n" if stored else b"EXISTS\n"
-                if verb == "DEL":
-                    return b"DELETED\n" if table.delete(words[1]) else b"MISS\n"
-                if verb == "STAT":
-                    entry = table.get(words[1])
-                    if entry is None:
-                        return b"MISS\n"
-                    return f"STAT {len(entry[0])} {entry[1]:.6f}\n".encode()
-                if verb == "KEYS":
-                    prefix = words[1] if len(words) > 1 else ""
-                    names = table.names(prefix)
-                    body = "".join(f"{name}\n" for name in names)
-                    return f"COUNT {len(names)}\n".encode() + body.encode()
-                if verb == "PURGE":
-                    return f"PURGED {table.purge_expired()}\n".encode()
-                return b"ERROR\n"
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"cache://{host}:{port}"
-
-    def fail_next(self, count: int = 1, mode: str = "drop") -> None:
-        self.faults.arm(count, mode)
-
-    def set_chaos(self, schedule) -> None:
-        self.faults.set_schedule(schedule)
-
-    def start(self) -> FakeCacheServer:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def __enter__(self) -> FakeCacheServer:
         return self.start()
 
     def __exit__(self, *exc) -> None:

@@ -98,9 +98,8 @@ class RetryPolicy:
     ) -> RetryPolicy:
         """Fold URL query knobs (``?retry=4&timeout=2``) into a policy.
 
-        Unknown keys are ignored (the cache URL also carries ``ttl``);
-        malformed values fall back to the base policy rather than
-        failing a store open.
+        Unknown keys are ignored; malformed values fall back to the base
+        policy rather than failing a store open.
         """
         policy = base if base is not None else cls()
         parsed = urllib.parse.parse_qs(query)

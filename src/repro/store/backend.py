@@ -3,8 +3,9 @@
 A backend is a flat namespace of named byte blobs — deliberately the
 smallest surface an object store offers (GET / PUT-if-complete / LIST),
 so the :class:`~repro.store.store.ResultStore` above it is
-location-independent: the shipping :class:`DirectoryBackend` keeps JSON
-blobs in a local directory, and an S3/GCS/memcache backend drops in by
+location-independent: :class:`DirectoryBackend` keeps JSON blobs in a
+local directory, :class:`~repro.store.net.ObjectStoreBackend` keeps them
+behind an S3/GCS-shaped HTTP API, and any other store drops in by
 implementing the same three methods.  Correctness never depends on the
 backend: the store verifies every blob's envelope against the requested
 key after reading, so a backend that loses, truncates, or cross-wires
@@ -22,10 +23,17 @@ content hashes, every racer is writing identical bytes anyway).
 from __future__ import annotations
 
 import os
+import re
+import tempfile
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..errors import StoreError
+
+#: A URL-shaped location (``scheme://...``), per RFC 3986's scheme rule.
+_URL_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://")
 
 
 @dataclass(frozen=True)
@@ -188,26 +196,29 @@ class DirectoryBackend(StoreBackend):
                     yield name
 
     def write_if_absent(self, name: str, data: bytes) -> bool:
-        """Atomic on POSIX: ``O_CREAT | O_EXCL`` either creates the blob
-        or fails because someone else already did."""
+        """Atomic on POSIX: the bytes go to a private tmp file, and
+        ``link`` publishes it only if ``name`` does not exist yet — so
+        a reader never sees the blob before it is complete (a racing
+        lease claimant would read an empty file as a lapsed lease)."""
         target = self._blob_path(name)
+        tmp = None
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(target, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False
-        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=target.parent, prefix=f"{target.name}.tmp."
+            )
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
+            os.link(tmp, target)
             return True
-        except OSError:
-            try:
-                target.unlink(missing_ok=True)
-            except OSError:
-                pass
+        except OSError:  # FileExistsError: someone else already did
             return False
+        finally:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def delete(self, name: str) -> bool:
         try:
@@ -234,9 +245,9 @@ def resolve_backend(location, policy=None) -> StoreBackend:
     * ``http://`` / ``https://`` opens an
       :class:`~repro.store.net.ObjectStoreBackend` (S3/GCS shape —
       ``seance store serve-fake`` boots a compatible in-process server);
-    * ``cache://host:port`` opens a
-      :class:`~repro.store.net.CacheBackend` (memcache/Redis shape:
-      server-side TTL + LRU eviction);
+    * any other ``scheme://`` location raises
+      :class:`~repro.errors.StoreError` — it would otherwise become a
+      local directory named after the URL;
     * anything else is a local directory.
 
     ``policy`` is the base :class:`~repro.service.resilience.RetryPolicy`
@@ -251,8 +262,9 @@ def resolve_backend(location, policy=None) -> StoreBackend:
         from .net import ObjectStoreBackend
 
         return ObjectStoreBackend(spec, policy=policy)
-    if spec.startswith("cache://"):
-        from .net import CacheBackend
-
-        return CacheBackend(spec, policy=policy)
+    if _URL_SCHEME.match(spec):
+        raise StoreError(
+            f"unsupported store location {spec!r}: use a directory path "
+            f"or an http(s):// object-store URL"
+        )
     return DirectoryBackend(spec)

@@ -20,10 +20,7 @@ offline sweeps, behind ``seance store verify`` and ``seance store gc``:
     Age-based eviction (``max_age_seconds`` against backend ``stat``
     mtimes), orphan-artifact collection (a ``.vcd`` whose envelope is
     gone), queue-scaffolding cleanup for drained queues, and optional
-    deletion of blobs a verify sweep rejected.  Backends with
-    server-side TTLs do their own expiry; ``gc`` honours that by
-    calling their ``purge`` hook when present instead of re-deriving
-    ages client-side.
+    deletion of blobs a verify sweep rejected.
 """
 
 from __future__ import annotations
@@ -149,7 +146,6 @@ class GcReport:
     orphans: int = 0
     rejected_dropped: int = 0
     queue_blobs: int = 0
-    ttl_purged: int = 0
     undeletable: int = 0
 
     def describe(self) -> str:
@@ -158,11 +154,6 @@ class GcReport:
             f"({self.aged_out} aged out, {self.orphans} orphaned "
             f"artifact(s), {self.rejected_dropped} rejected, "
             f"{self.queue_blobs} queue blob(s)"
-            + (
-                f", {self.ttl_purged} TTL-purged server-side"
-                if self.ttl_purged
-                else ""
-            )
             + (
                 f"; {self.undeletable} undeletable"
                 if self.undeletable
@@ -183,19 +174,14 @@ def gc_store(
 
     ``max_age_seconds`` ages out result envelopes *and* their artifacts
     by backend mtime; backends without ``stat`` simply never age
-    anything out (and TTL backends expire server-side — their ``purge``
-    hook is invoked here).  ``drop_rejected`` deletes what a fresh
-    verify sweep rejects.  ``drained_queues`` removes unit/lease/done
-    scaffolding of queues whose every unit is done.
+    anything out.  ``drop_rejected`` deletes what a fresh verify sweep
+    rejects.  ``drained_queues`` removes unit/lease/done scaffolding of
+    queues whose every unit is done.
     """
     resolved: ResultStore = open_store(store)
     backend = resolved.backend
     report = GcReport()
     now = time.time() if now is None else now
-
-    purge = getattr(backend, "purge", None)
-    if callable(purge):
-        report.ttl_purged = int(purge())
 
     rejected_names = set()
     if drop_rejected:

@@ -1,31 +1,24 @@
-"""Networked store backends: the fleet-facing blob transports.
+"""The networked store backend: blobs over an object-store HTTP API.
 
-Two wire shapes cover the deployment spectrum the roadmap names:
-
-:class:`ObjectStoreBackend`
-    The S3/GCS shape — keyed blobs over HTTP with GET / PUT /
-    conditional PUT (``If-None-Match: *``) / DELETE / HEAD and
-    list-by-prefix.  Any server speaking this minimal surface works;
-    :class:`repro.service.fakes.FakeObjectStoreServer` (also ``seance
-    store serve-fake``) is the in-process stand-in the tests and CI
-    smoke run against — over a real socket, so the client's framing,
-    quoting, reconnects and error paths are genuinely exercised.
-
-:class:`CacheBackend`
-    The memcache/Redis shape — a persistent TCP connection speaking a
-    small line protocol with per-blob TTLs and server-side LRU
-    eviction (:class:`repro.service.fakes.FakeCacheServer`).  Suits the
-    stage-cache tier, where losing an entry costs one recomputed stage.
+:class:`ObjectStoreBackend` speaks the S3/GCS shape — keyed blobs over
+HTTP with GET / PUT / conditional PUT (``If-None-Match: *``) / DELETE /
+HEAD and list-by-prefix.  Any server speaking this minimal surface
+works; :class:`repro.service.fakes.FakeObjectStoreServer` (also
+``seance store serve-fake``) is the in-process stand-in the tests and
+CI smoke run against — over a real socket, so the client's framing,
+quoting, reconnects and error paths are genuinely exercised.  It
+carries both the result store and the persistent stage-cache tier: the
+envelopes above it are verified on read, so one blob protocol serves
+every tier.
 
 Failure semantics follow the :class:`~repro.store.backend.StoreBackend`
 contract exactly: a dead server, a truncated response, or a poisoned
 blob surfaces as *absence* (reads return None, writes degrade,
 conditional writes report False) — the verification layer above
-recomputes, and correctness never depends on the network.  What changed
-from the first cut is that degradation is now **policied and counted**
-instead of silent: every operation runs under a
-:class:`~repro.service.resilience.RetryPolicy` (bounded retries,
-deterministic-jitter backoff, per-operation timeout) behind a
+recomputes, and correctness never depends on the network.  Degradation
+is **policied and counted** rather than silent: every operation runs
+under a :class:`~repro.service.resilience.RetryPolicy` (bounded
+retries, deterministic-jitter backoff, per-operation timeout) behind a
 per-backend :class:`~repro.service.resilience.CircuitBreaker`, with
 every fault, retry, and short-circuit tallied in
 :class:`~repro.service.resilience.TransportTelemetry` (surfaced by
@@ -33,26 +26,25 @@ every fault, retry, and short-circuit tallied in
 
 Two wrinkles make retrying safe:
 
-* a server error (HTTP ≥ 500, cache ``ERROR``) is treated as a
-  transient fault and retried, exactly like a broken socket;
+* a server error (HTTP ≥ 500) is treated as a transient fault and
+  retried, exactly like a broken socket;
 * **conditional puts replay their precondition**: a retried
   ``write_if_absent`` that now answers "already present" *after a
   fault* may be colliding with its own earlier attempt whose response
   was lost — the client reads the blob back and claims victory only on
   byte equality, so a retry can never turn one lease into two.
 
-Both clients are thread-safe (one lock around the shared connection).
+The client is thread-safe (one lock around the shared connection).
 ``--retry`` / ``--timeout`` on the CLI or ``?retry=N&timeout=S`` on the
 store URL tune the policy per location.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 import urllib.parse
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from http.client import HTTPConnection, HTTPException
 
 from ..service.resilience import (
@@ -64,58 +56,11 @@ from .backend import BlobStat, StoreBackend
 
 
 class _ServerFault(Exception):
-    """A reply that means *try again*, not *absent*: HTTP ≥ 500, a cache
-    ``ERROR`` line — the server is alive but momentarily unwell."""
+    """A reply that means *try again*, not *absent*: HTTP ≥ 500 — the
+    server is alive but momentarily unwell."""
 
 
-class _ResilientTransport(StoreBackend):
-    """Shared retry/breaker/telemetry shell of both networked backends.
-
-    Subclasses implement the wire attempt; :meth:`_perform` wraps it in
-    the policy loop.  The connection lock is held by the caller for the
-    whole operation (attempts share one socket), while the breaker and
-    telemetry are internally thread-safe.
-    """
-
-    #: Exceptions one wire attempt may raise that mean "transient".
-    _FAULTS: tuple = (OSError, HTTPException, _ServerFault)
-
-    def _init_transport(self, policy: RetryPolicy | None) -> None:
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker = CircuitBreaker(
-            threshold=self.policy.breaker_threshold,
-            reset_after=self.policy.breaker_reset,
-        )
-        self.telemetry = TransportTelemetry()
-        self._lock = threading.Lock()
-
-    def _drop(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _perform(self, op: str, op_key: str, attempt: Callable):
-        """Run one operation under the policy; None when it exhausts
-        its retries or the breaker short-circuits it (absence)."""
-        if not self.breaker.allow():
-            self.telemetry.record_short_circuit(op)
-            return None
-        self.telemetry.record_op(op)
-        for index in range(self.policy.retries + 1):
-            try:
-                reply = attempt()
-            except self._FAULTS:
-                self._drop()
-                self.telemetry.record_fault(op)
-                if index < self.policy.retries:
-                    self.telemetry.record_retry(op)
-                    time.sleep(self.policy.delay(op_key, index))
-                continue
-            self.breaker.record_success()
-            return reply
-        self.breaker.record_failure()
-        return None
-
-
-class ObjectStoreBackend(_ResilientTransport):
+class ObjectStoreBackend(StoreBackend):
     """Blobs over HTTP, object-store style (``--store http://host:port``).
 
     Verbs, all under ``<base>/b/<name>``:
@@ -130,7 +75,9 @@ class ObjectStoreBackend(_ResilientTransport):
 
     ``?retry=N&timeout=S`` in the URL query tunes the transport policy
     for this location; an explicit ``policy`` (or ``timeout``) argument
-    is the base those knobs override.
+    is the base those knobs override.  The connection lock is held for
+    a whole operation (its attempts share one socket), while the
+    breaker and telemetry are internally thread-safe.
     """
 
     def __init__(
@@ -147,7 +94,13 @@ class ObjectStoreBackend(_ResilientTransport):
         self._port = parsed.port or (443 if parsed.scheme == "https" else 80)
         self._base = parsed.path.rstrip("/")
         policy = RetryPolicy.from_query(parsed.query, base=policy)
-        self._init_transport(policy.merged(timeout=timeout))
+        self.policy = policy.merged(timeout=timeout)
+        self.breaker = CircuitBreaker(
+            threshold=self.policy.breaker_threshold,
+            reset_after=self.policy.breaker_reset,
+        )
+        self.telemetry = TransportTelemetry()
+        self._lock = threading.Lock()
         self._connection: HTTPConnection | None = None
 
     # ------------------------------------------------------------------
@@ -166,50 +119,70 @@ class ObjectStoreBackend(_ResilientTransport):
                 pass
             self._connection = None
 
+    def _attempt(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes, dict]:
+        """One wire attempt; raises on anything that means *retry*."""
+        connection = self._connect()
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        payload = response.read()
+        if response.status >= 500:
+            raise _ServerFault(f"{response.status} on {method}")
+        if (
+            method != "HEAD"
+            and response.getheader("Transfer-Encoding") is None
+        ):
+            # A response torn inside the header block parses as a
+            # complete response with an EOF-delimited body — the one
+            # truncation http.client cannot detect.  Every honest
+            # reply in this protocol declares its length.
+            declared = response.getheader("Content-Length")
+            try:
+                expected = int(declared)
+            except (TypeError, ValueError):
+                raise OSError(
+                    f"torn response headers on {method} "
+                    f"(Content-Length {declared!r})"
+                ) from None
+            if len(payload) != expected:
+                raise OSError(
+                    f"truncated body on {method}: "
+                    f"{len(payload)} != {expected}"
+                )
+        return (
+            response.status,
+            payload,
+            {k.lower(): v for k, v in response.getheaders()},
+        )
+
     def _request(
         self, method: str, path: str, body: bytes | None = None,
         headers: dict | None = None,
     ) -> tuple[int, bytes, dict] | None:
-        """One policied operation under the lock; None = absence."""
-
-        def attempt():
-            connection = self._connect()
-            connection.request(
-                method, path, body=body, headers=headers or {}
-            )
-            response = connection.getresponse()
-            payload = response.read()
-            if response.status >= 500:
-                raise _ServerFault(f"{response.status} on {method}")
-            if (
-                method != "HEAD"
-                and response.getheader("Transfer-Encoding") is None
-            ):
-                # A response torn inside the header block parses as a
-                # complete response with an EOF-delimited body — the
-                # one truncation http.client cannot detect.  Every
-                # honest reply in this protocol declares its length.
-                declared = response.getheader("Content-Length")
-                try:
-                    expected = int(declared)
-                except (TypeError, ValueError):
-                    raise OSError(
-                        f"torn response headers on {method} "
-                        f"(Content-Length {declared!r})"
-                    ) from None
-                if len(payload) != expected:
-                    raise OSError(
-                        f"truncated body on {method}: "
-                        f"{len(payload)} != {expected}"
-                    )
-            return (
-                response.status,
-                payload,
-                {k.lower(): v for k, v in response.getheaders()},
-            )
-
+        """One operation under the policy; None when it exhausts its
+        retries or the breaker short-circuits it (absence)."""
         with self._lock:
-            return self._perform(method, f"{method} {path}", attempt)
+            if not self.breaker.allow():
+                self.telemetry.record_short_circuit(method)
+                return None
+            self.telemetry.record_op(method)
+            for index in range(self.policy.retries + 1):
+                try:
+                    reply = self._attempt(method, path, body, headers or {})
+                except (OSError, HTTPException, _ServerFault):
+                    self._drop()
+                    self.telemetry.record_fault(method)
+                    if index < self.policy.retries:
+                        self.telemetry.record_retry(method)
+                        time.sleep(
+                            self.policy.delay(f"{method} {path}", index)
+                        )
+                    continue
+                self.breaker.record_success()
+                return reply
+            self.breaker.record_failure()
+            return None
 
     def _blob_path(self, name: str) -> str:
         return f"{self._base}/b/{urllib.parse.quote(name, safe='/')}"
@@ -280,195 +253,3 @@ class ObjectStoreBackend(_ResilientTransport):
 
     def describe(self) -> str:
         return f"ObjectStoreBackend({self.url!r})"
-
-
-class CacheBackend(_ResilientTransport):
-    """Blobs over a memcache-style line protocol (``cache://host:port``).
-
-    Commands (client → server, ``\\n``-terminated; payloads are length
-    prefixed, so names may not contain whitespace — store names never
-    do)::
-
-        GET <name>              -> VALUE <n>\\n<bytes>  |  MISS
-        SET <name> <ttl> <n>\\n<bytes>  -> STORED
-        ADD <name> <ttl> <n>\\n<bytes>  -> STORED | EXISTS
-        DEL <name>              -> DELETED | MISS
-        STAT <name>             -> STAT <size> <mtime> | MISS
-        KEYS <prefix>           -> COUNT <n>\\n<name>...
-        PURGE                   -> PURGED <n>
-
-    ``ttl_seconds`` rides every write (0 = no expiry); the server also
-    LRU-evicts at capacity, so this tier is explicitly *lossy* — the
-    right home for the stage cache and warm-result acceleration, with
-    the verified envelope layer guaranteeing a lost or recycled entry
-    costs recomputation only.  ``cache://host:port?ttl=300`` sets the
-    default TTL from the URL; ``retry=``/``timeout=`` knobs ride the
-    same query.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        ttl_seconds: float | None = None,
-        timeout: float | None = None,
-        policy: RetryPolicy | None = None,
-    ):
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme != "cache":
-            raise ValueError(f"cache backend URL must be cache://, got {url!r}")
-        self.url = url
-        self._host = parsed.hostname or "localhost"
-        self._port = parsed.port or 11311
-        if ttl_seconds is None:
-            query = urllib.parse.parse_qs(parsed.query)
-            try:
-                ttl_seconds = float(query.get("ttl", ["0"])[0])
-            except ValueError:
-                ttl_seconds = 0.0
-        self.ttl_seconds = ttl_seconds
-        policy = RetryPolicy.from_query(parsed.query, base=policy)
-        self._init_transport(policy.merged(timeout=timeout))
-        self._sock: socket.socket | None = None
-        self._reader = None
-
-    # ------------------------------------------------------------------
-    def _connect(self):
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self.policy.timeout
-            )
-            self._sock = sock
-            self._reader = sock.makefile("rb")
-        return self._sock, self._reader
-
-    def _drop(self) -> None:
-        for closer in (self._reader, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._sock = None
-        self._reader = None
-
-    #: Every status word the protocol can answer with.  Anything else —
-    #: typically the front half of a torn reply (``STO`` from
-    #: ``STORED``) — is a transport fault, not a negative answer: it
-    #: must be retried and counted, or a torn ``STORED`` would silently
-    #: forfeit a lease the server actually granted.
-    _STATUS_WORDS = frozenset(
-        ("VALUE", "MISS", "STORED", "EXISTS", "DELETED", "STAT",
-         "COUNT", "PURGED")
-    )
-
-    def _command(self, line: str, payload: bytes = b""):
-        """Send one command, return (status words, data bytes) or None."""
-        op = line.split(None, 1)[0] if line else "NOOP"
-
-        def attempt():
-            sock, reader = self._connect()
-            sock.sendall(line.encode() + b"\n" + payload)
-            status = reader.readline()
-            if not status:
-                raise OSError("server closed the connection")
-            words = status.decode().split()
-            if words and words[0] == "ERROR":
-                # The server is answering but unwell: transient, retry.
-                raise _ServerFault("cache server answered ERROR")
-            if not words or words[0] not in self._STATUS_WORDS:
-                raise OSError(f"unrecognized cache reply {status!r}")
-            data = b""
-            if words[0] in ("VALUE", "COUNT"):
-                if words[0] == "VALUE":
-                    size = int(words[1])
-                    data = reader.read(size)
-                    if len(data) != size:
-                        raise OSError("truncated VALUE payload")
-                else:
-                    lines = []
-                    for _ in range(int(words[1])):
-                        raw = reader.readline()
-                        if not raw.endswith(b"\n"):
-                            raise OSError("truncated KEYS listing")
-                        lines.append(raw.decode().rstrip("\n"))
-                    return words, lines
-            return words, data
-
-        with self._lock:
-            try:
-                return self._perform(op, line, attempt)
-            except (ValueError, IndexError):
-                # A reply so mangled it does not parse: drop the
-                # connection and report absence (counted as a fault so
-                # it is never silent).
-                self._drop()
-                self.telemetry.record_fault(op)
-                return None
-
-    # ------------------------------------------------------------------
-    def read(self, name: str) -> bytes | None:
-        reply = self._command(f"GET {name}")
-        if reply is None or reply[0][0] != "VALUE":
-            return None
-        return reply[1]
-
-    def _write(self, verb: str, name: str, data: bytes):
-        return self._command(
-            f"{verb} {name} {self.ttl_seconds:g} {len(data)}", data
-        )
-
-    def write(self, name: str, data: bytes) -> None:
-        self._write("SET", name, data)
-
-    def write_if_absent(self, name: str, data: bytes) -> bool:
-        data = bytes(data)
-        faults_before = self.telemetry.faults
-        reply = self._write("ADD", name, data)
-        if reply is not None and reply[0][0] == "STORED":
-            return True
-        if (
-            reply is not None
-            and reply[0][0] == "EXISTS"
-            and self.telemetry.faults > faults_before
-        ):
-            # Precondition replay, as on the object store: an EXISTS on
-            # a retried ADD may be our own earlier attempt — equal
-            # bytes mean the claim is ours.
-            return self.read(name) == data
-        return False
-
-    def delete(self, name: str) -> bool:
-        reply = self._command(f"DEL {name}")
-        return reply is not None and reply[0][0] == "DELETED"
-
-    def stat(self, name: str) -> BlobStat | None:
-        reply = self._command(f"STAT {name}")
-        if reply is None or reply[0][0] != "STAT":
-            return None
-        try:
-            return BlobStat(
-                size=int(reply[0][1]), mtime=float(reply[0][2])
-            )
-        except (ValueError, IndexError):
-            return None
-
-    def names(self, prefix: str = "") -> Iterator[str]:
-        reply = self._command(f"KEYS {prefix}" if prefix else "KEYS")
-        if reply is None or reply[0][0] != "COUNT":
-            return
-        yield from reply[1]
-
-    def purge(self) -> int:
-        """Server-side sweep of expired entries; returns the count
-        dropped (what ``seance store gc`` calls on a TTL backend)."""
-        reply = self._command("PURGE")
-        if reply is None or reply[0][0] != "PURGED":
-            return 0
-        try:
-            return int(reply[0][1])
-        except (ValueError, IndexError):
-            return 0
-
-    def describe(self) -> str:
-        ttl = f", ttl={self.ttl_seconds:g}s" if self.ttl_seconds else ""
-        return f"CacheBackend({self.url!r}{ttl})"

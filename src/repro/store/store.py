@@ -123,8 +123,8 @@ class ResultStore:
         if backend is None:
             backend = MemoryBackend()
         elif not isinstance(backend, StoreBackend):
-            # A location string: local directory, http(s):// object
-            # store, or cache:// TTL cache (see resolve_backend).
+            # A location string: local directory or http(s):// object
+            # store (see resolve_backend).
             # ``policy`` tunes the transport of networked locations.
             backend = resolve_backend(backend, policy=policy)
         self.backend = backend

@@ -1,11 +1,11 @@
 """StageCache persistent tier: verified envelopes over any backend.
 
 The persistent tier now speaks :class:`~repro.store.backend
-.StoreBackend`, so ``--cache-dir`` can be a directory, an
-``http(s)://`` object store, or a ``cache://`` TTL cache — and every
-blob is a self-describing envelope (``repro-stage <version> <key>``
-header + pickle) verified on read.  Corruption in any form is a miss
-counted in ``rejected``, never an error and never a wrong artifact.
+.StoreBackend`, so ``--cache-dir`` can be a directory or an
+``http(s)://`` object store — and every blob is a self-describing
+envelope (``repro-stage <version> <key>`` header + pickle) verified on
+read.  Corruption in any form is a miss counted in ``rejected``, never
+an error and never a wrong artifact.
 """
 
 import pickle

@@ -1,16 +1,14 @@
-"""Networked store backends against their in-process fake servers.
+"""The networked store backend against its in-process fake server.
 
-Every backend speaks to a real socket: the object-store backend over
-HTTP to :class:`~repro.service.fakes.FakeObjectStoreServer`, the cache
-backend over its line protocol to
-:class:`~repro.service.fakes.FakeCacheServer`.  The contract under
-test is the :class:`~repro.store.backend.StoreBackend` protocol — the
-same one DirectoryBackend satisfies — plus the service-grade parts:
-conditional put (the queue's lease primitive), TTL expiry, LRU
-eviction, and fail-safe degradation when the server drops requests.
+The object-store backend speaks HTTP over a real socket to
+:class:`~repro.service.fakes.FakeObjectStoreServer`.  The contract
+under test is the :class:`~repro.store.backend.StoreBackend` protocol —
+the same one DirectoryBackend satisfies — plus the service-grade parts:
+conditional put (the queue's lease primitive), fail-safe degradation
+when the server drops requests, and reply latency.
 
-The protocol suite runs **four ways**: each backend clean, and each
-backend under a seeded chaos schedule injecting *transparent* faults
+The protocol suite runs **two ways**: clean, and under a seeded chaos
+schedule injecting *transparent* faults
 (drop / reset / 500 / delay — the request never processed, or merely
 slowed) with a patient retry policy.  Under those faults every
 assertion must hold byte-identically to the clean run: that is the
@@ -22,6 +20,7 @@ read-your-writes by design — and get targeted coverage in
 ``test_chaos.py`` instead.
 """
 
+import statistics
 import time
 import zlib
 
@@ -29,7 +28,8 @@ import pytest
 
 from repro.bench import benchmark
 from repro.pipeline.spec import PipelineSpec
-from repro.service import FakeCacheServer, FakeObjectStoreServer
+from repro.errors import StoreError
+from repro.service import FakeObjectStoreServer
 from repro.service.chaos import ChaosSchedule
 from repro.service.resilience import RetryPolicy
 from repro.store import ResultStore
@@ -38,7 +38,7 @@ from repro.store.backend import (
     MemoryBackend,
     resolve_backend,
 )
-from repro.store.net import CacheBackend, ObjectStoreBackend
+from repro.store.net import ObjectStoreBackend
 from tests.strategies import cached_synthesize
 
 #: Fault modes that never process the request (retries are transparent).
@@ -57,12 +57,6 @@ def object_server():
         yield server
 
 
-@pytest.fixture(scope="module")
-def cache_server():
-    with FakeCacheServer() as server:
-        yield server
-
-
 @pytest.fixture
 def object_backend(object_server):
     backend = ObjectStoreBackend(object_server.url)
@@ -71,22 +65,10 @@ def object_backend(object_server):
         backend.delete(name)
 
 
-@pytest.fixture
-def cache_backend(cache_server):
-    backend = CacheBackend(cache_server.url)
-    yield backend
-    for name in backend.names():
-        backend.delete(name)
-
-
-@pytest.fixture(
-    params=["object", "cache", "object-chaos", "cache-chaos"]
-)
-def backend(request, object_server, cache_server):
-    kind, _, chaos = request.param.partition("-")
-    server = object_server if kind == "object" else cache_server
-    cls = ObjectStoreBackend if kind == "object" else CacheBackend
-    if chaos:
+@pytest.fixture(params=["object", "object-chaos"])
+def backend(request, object_server):
+    server = object_server
+    if request.param.endswith("-chaos"):
         # One stable seed per test: reruns see the same fault plan.
         seed = zlib.crc32(request.node.name.encode())
         server.set_chaos(
@@ -94,9 +76,9 @@ def backend(request, object_server, cache_server):
                 seed=seed, rate=0.25, modes=TRANSPARENT_MODES
             )
         )
-        backend = cls(server.url, policy=PATIENT)
+        backend = ObjectStoreBackend(server.url, policy=PATIENT)
     else:
-        backend = cls(server.url)
+        backend = ObjectStoreBackend(server.url)
     yield backend
     server.set_chaos(None)
     for name in backend.names():
@@ -175,14 +157,6 @@ class TestFaults:
         object_backend.read("k/x")
         assert object_backend.read("k/x") == b"payload"
 
-    def test_cache_read_survives_dropped_request(
-        self, cache_server, cache_backend
-    ):
-        cache_backend.write("k/x", b"payload")
-        cache_server.fail_next(1)
-        cache_backend.read("k/x")
-        assert cache_backend.read("k/x") == b"payload"
-
     def test_unreachable_server_reads_as_absent(self):
         with FakeObjectStoreServer() as server:
             url = server.url
@@ -193,32 +167,42 @@ class TestFaults:
 
 
 # ----------------------------------------------------------------------
-# Cache-grade semantics: TTL and LRU eviction
+# Reply latency: a body must not wait on the client's delayed ACK
 # ----------------------------------------------------------------------
-class TestCacheSemantics:
-    def test_ttl_expires_entries(self, cache_server):
-        backend = CacheBackend(f"{cache_server.url}?ttl=1")
-        backend.write("ttl/x", b"ephemeral")
-        assert backend.read("ttl/x") == b"ephemeral"
-        time.sleep(1.1)
-        assert backend.read("ttl/x") is None
+class TestReplyLatency:
+    """A reply with a body goes out as a header write plus a body
+    write; with Nagle on, the body waits for the client's delayed ACK
+    (~40 ms per request on loopback).  HEAD replies carry no body and
+    never stall, so they are the per-request baseline."""
 
-    def test_purge_reports_expired_entries(self, cache_server):
-        backend = CacheBackend(f"{cache_server.url}?ttl=1")
-        backend.write("ttl/a", b"1")
-        backend.write("ttl/b", b"2")
-        time.sleep(1.1)
-        assert backend.purge() >= 2
+    ROUNDS = 20
+    BLOB = bytes(range(256)) * 16  # 4 KB
 
-    def test_lru_eviction_bounds_the_table(self):
-        with FakeCacheServer(max_entries=2) as server:
-            backend = CacheBackend(server.url)
-            backend.write("k/a", b"1")
-            backend.write("k/b", b"2")
-            backend.write("k/c", b"3")
-            assert backend.read("k/a") is None  # oldest evicted
-            assert backend.read("k/c") == b"3"
-            assert server.blobs.evictions == 1
+    @staticmethod
+    def _median_seconds(operation, rounds: int) -> float:
+        samples = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            operation()
+            samples.append(time.perf_counter() - start)
+        return statistics.median(samples)
+
+    def test_body_replies_do_not_stall(self, object_backend):
+        name = "latency/blob"
+        object_backend.write(name, self.BLOB)
+        assert object_backend.read(name) == self.BLOB
+        head = self._median_seconds(
+            lambda: object_backend.stat(name), self.ROUNDS
+        )
+        get = self._median_seconds(
+            lambda: object_backend.read(name), self.ROUNDS
+        )
+        put = self._median_seconds(
+            lambda: object_backend.write(name, self.BLOB), self.ROUNDS
+        )
+        bound = 3 * head + 0.005
+        assert get <= bound, (get, head)
+        assert put <= bound, (put, head)
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +214,17 @@ class TestResolve:
             resolve_backend(object_server.url), ObjectStoreBackend
         )
 
-    def test_cache_url(self, cache_server):
-        assert isinstance(
-            resolve_backend(cache_server.url), CacheBackend
-        )
+    @pytest.mark.parametrize(
+        "location", ["cache://127.0.0.1:1", "s3://b", "redis://h:1/x"]
+    )
+    def test_unknown_scheme_is_rejected(self, location, tmp_path,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(StoreError, match="http"):
+            resolve_backend(location)
+        with pytest.raises(StoreError):
+            ResultStore(location)
+        assert list(tmp_path.iterdir()) == []
 
     def test_path(self, tmp_path):
         assert isinstance(

@@ -2,8 +2,8 @@
 
 Two layers under test.  :class:`ChaosSchedule` must be reproducible
 from its seed (the CI chaos smoke pins one).  :class:`ChaosProxy` and
-the fakes' ``fail_next``/``set_chaos`` modes must injure traffic in
-ways the resilient transport absorbs: every assertion here is
+the fake object store's ``fail_next``/``set_chaos`` modes must injure
+traffic in ways the resilient transport absorbs: every assertion here is
 *correct-or-miss* — an injected fault may cost a retry or a recompute,
 never wrong bytes.
 """
@@ -16,9 +16,9 @@ from repro.service.chaos import (
     ChaosProxy,
     ChaosSchedule,
 )
-from repro.service.fakes import FakeCacheServer, FakeObjectStoreServer
+from repro.service.fakes import FakeObjectStoreServer
 from repro.service.resilience import RetryPolicy
-from repro.store.net import CacheBackend, ObjectStoreBackend
+from repro.store.net import ObjectStoreBackend
 
 #: Generous enough to ride out every single-shot fault; breaker never
 #: trips so tests stay order-independent.
@@ -117,19 +117,6 @@ class TestChaosProxy:
                 assert direct.read(name) == data
         assert schedule.total > 0
 
-    def test_cache_backend_through_proxy(self):
-        with FakeCacheServer() as server:
-            schedule = ChaosSchedule(seed=9, rate=0.3)
-            with ChaosProxy(
-                server.url, schedule, delay_seconds=0.01
-            ) as proxy:
-                backend = CacheBackend(proxy.url, policy=PATIENT)
-                for i in range(8):
-                    backend.write(f"k{i}", f"v{i}".encode())
-                for i in range(8):
-                    got = backend.read(f"k{i}")
-                    assert got is None or got == f"v{i}".encode()
-
 
 class TestServerFaultModes:
     """Each ``fail_next`` mode on the HTTP fake, one surgical shot."""
@@ -182,40 +169,3 @@ class TestServerFaultModes:
         assert backend.read("y") == b"2"
         assert schedule.total == 2
         assert backend.telemetry.faults >= 2
-
-
-class TestCacheFaultModes:
-    """The same vocabulary on the line-protocol fake."""
-
-    @pytest.fixture()
-    def server(self):
-        with FakeCacheServer() as server:
-            yield server
-
-    @pytest.fixture()
-    def backend(self, server):
-        return CacheBackend(server.url, policy=PATIENT)
-
-    @pytest.mark.parametrize("mode", ["drop", "reset", "error", "delay"])
-    def test_recoverable_modes_are_retried(self, server, backend, mode):
-        backend.write("x", b"1")
-        server.fail_next(1, mode=mode)
-        assert backend.read("x") == b"1"
-
-    def test_truncated_reply_is_retried(self, server, backend):
-        backend.write("x", b"a-reasonably-long-payload")
-        server.fail_next(1, mode="truncate")
-        assert backend.read("x") == b"a-reasonably-long-payload"
-        assert backend.telemetry.faults >= 1
-
-    def test_truncated_conditional_put_replays(self, server, backend):
-        server.fail_next(1, mode="truncate")
-        assert backend.write_if_absent("lease", b"mine") is True
-        assert backend.read("lease") == b"mine"
-
-    def test_stale_serves_previous_version(self, server, backend):
-        backend.write("s", b"old")
-        backend.write("s", b"new")
-        server.fail_next(1, mode="stale")
-        assert backend.read("s") == b"old"
-        assert backend.read("s") == b"new"

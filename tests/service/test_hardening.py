@@ -91,13 +91,15 @@ class TestAuth:
 class TestRateLimit:
     def test_over_quota_throttled_then_recovers(self, tmp_path):
         with SynthesisServer(
-            store=tmp_path / "s", rate=20.0, burst=1.0
+            store=tmp_path / "s", rate=2.0, burst=1.0
         ) as server:
             client = ServiceClient(
                 server.url, timeout=30.0, client_id="c1"
             )
             # Burst of 1: the second submission is throttled, the
-            # client honours retry_after and eventually lands.
+            # client honours retry_after and eventually lands.  The
+            # refill (1 / rate = 0.5 s) must outlast the first
+            # submission, or the second is admitted legitimately.
             assert client.submit(benchmark("lion"))["ok"] is True
             assert client.submit(benchmark("traffic"))["ok"] is True
             assert server.stats.throttled >= 1

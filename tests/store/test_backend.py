@@ -1,5 +1,8 @@
 """Blob backends: atomicity, namespacing, absence semantics."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.store import DirectoryBackend, MemoryBackend
@@ -69,3 +72,32 @@ class TestDirectoryBackend:
         b = DirectoryBackend(tmp_path)
         a.write("synthesis/k.json", b"from-a")
         assert b.read("synthesis/k.json") == b"from-a"
+
+    def test_write_if_absent_claims_once_without_tmp_residue(self, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        assert backend.write_if_absent("lease/k.json", b"mine") is True
+        assert backend.write_if_absent("lease/k.json", b"theirs") is False
+        assert backend.read("lease/k.json") == b"mine"
+        files = [p.name for p in (tmp_path / "lease").iterdir()]
+        assert files == ["k.json"]
+
+    def test_write_if_absent_is_never_seen_incomplete(self, tmp_path):
+        """A racing reader sees the claimed blob absent or whole, never
+        empty: an empty lease decodes as lapsed and gets stolen."""
+        backend = DirectoryBackend(tmp_path)
+        data = b'{"worker": "w"}' * 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for index in range(200):
+                name = f"lease/k{index}.json"
+                writer = threading.Thread(
+                    target=backend.write_if_absent, args=(name, data)
+                )
+                writer.start()
+                seen = {backend.read(name) for _ in range(20)}
+                writer.join(timeout=5)
+                assert not writer.is_alive()
+                assert seen <= {None, data}
+        finally:
+            sys.setswitchinterval(interval)

@@ -154,11 +154,3 @@ class TestGc:
         report = gc_store(store)
         assert report.queue_blobs == 0
         assert len(list(store.backend.names("queue/"))) == 3
-
-    def test_ttl_backend_purge_hook_is_invoked(self, store):
-        class PurgingBackend(MemoryBackend):
-            def purge(self):
-                return 7
-
-        report = gc_store(ResultStore(PurgingBackend()))
-        assert report.ttl_purged == 7

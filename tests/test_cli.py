@@ -123,6 +123,15 @@ class TestBatch:
         assert main(["batch", "lion", "--cache-dir", str(blocker)]) == 2
         assert "cache-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--store", "--cache-dir"])
+    def test_batch_unknown_url_scheme_is_a_cli_error(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["batch", flag, "cache://127.0.0.1:1", "lion"]) == 2
+        assert "http(s)://" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSpecWorkflow:
     """`--spec` / `--pass` / `--emit-spec`: declarative pipeline runs."""
