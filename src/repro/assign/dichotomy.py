@@ -16,6 +16,19 @@ Two facts drive the algorithm:
   right blocks, and a set of pairwise-compatible dichotomies merges as a
   whole (unions of lefts and rights stay disjoint), so maximal merged
   dichotomies are maximal cliques of the pairwise-compatibility graph.
+
+Two more facts make the clique enumeration cheap:
+
+* **Mirror pairs.**  Reversing every orientation maps the graph onto
+  itself, and a seed is never compatible with its own reverse.  So the
+  maximal cliques come in mirror pairs with the same canonical merge,
+  and it is enough to enumerate the cliques whose lowest seed appears in
+  its given orientation.
+* **Coverage by maximality.**  A maximal clique with merge ``(L; R)``
+  holds every orientation whose blocks lie inside ``L`` and ``R`` — any
+  such orientation is compatible with all its members.  So the merge
+  covers a seed exactly when the clique holds one of its orientations,
+  and the coverage needs no pass over candidates and seeds.
 """
 
 from __future__ import annotations
@@ -94,10 +107,8 @@ def merge_all(dichotomies: list[Dichotomy]) -> Dichotomy:
 def state_bits(dichotomies: list[Dichotomy]) -> dict[str, int]:
     """Assign each state of ``dichotomies`` one bit position (sorted order).
 
-    The returned mapping, together with :func:`block_mask`, is the shared
-    packing convention for every bitset consumer of dichotomy blocks
-    (:func:`maximal_merged_dichotomies`, :func:`seed_coverage_sets`, and
-    :func:`repro.assign.tracey.absorb_seeds`).
+    With :func:`block_mask`, this is the packing convention of every
+    bitset consumer of dichotomy blocks.
     """
     states = sorted({s for d in dichotomies for s in d.states})
     return {s: k for k, s in enumerate(states)}
@@ -111,37 +122,37 @@ def block_mask(block: frozenset[str], bit_of: dict[str, int]) -> int:
     return bits
 
 
-def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:
-    """All maximal merges of pairwise-compatible seed orientations.
+def dichotomy_of(left: int, right: int, states: list[str]) -> Dichotomy:
+    """Unpack two block masks (bit ``k`` is ``states[k]``) into a dichotomy."""
+    return Dichotomy(
+        frozenset(states[k] for k in iter_bits(left)),
+        frozenset(states[k] for k in iter_bits(right)),
+    )
 
-    Both orientations of every seed participate; the result is
-    deduplicated up to orientation and deterministically ordered.  Each
-    returned dichotomy corresponds to one candidate state variable.
 
-    The pairwise-compatibility graph, the Bron-Kerbosch recursion state
-    and the block unions all run on packed bitsets: state blocks become
-    incidence ints (compatibility is two ``&`` tests), vertex sets become
-    one int each, and a clique's merged dichotomy is the OR of its
-    members' block masks.  The set of maximal cliques — and therefore the
-    returned dichotomies — is unchanged from the set-based original.
+def merged_dichotomy_masks(
+    seeds: list[Dichotomy], bit_of: dict[str, int]
+) -> list[tuple[int, int, int]]:
+    """``(left, right, clique)`` of every canonical maximal merge.
+
+    ``seeds`` must be distinct and contain no seed together with its
+    reverse.  Vertex ``2k`` is ``seeds[k]`` and vertex ``2k+1`` its
+    reverse; ``clique`` is the vertex bitset of the merge's maximal
+    clique, so seed ``k`` is covered exactly when bit ``2k`` or ``2k+1``
+    is set.  Blocks are :func:`block_mask` ints under ``bit_of``, and
+    the list is sorted as the state-name lists of the blocks sort.
     """
-    oriented: list[Dichotomy] = []
-    seen: set[tuple[frozenset[str], frozenset[str]]] = set()
+    lefts: list[int] = []
+    rights: list[int] = []
     for seed in seeds:
-        for d in (seed, seed.reversed()):
-            key = (d.left, d.right)
-            if key not in seen:
-                seen.add(key)
-                oriented.append(d)
+        left = block_mask(seed.left, bit_of)
+        right = block_mask(seed.right, bit_of)
+        lefts += (left, right)
+        rights += (right, left)
+    n = len(lefts)
 
-    n = len(oriented)
-    bit_of = state_bits(oriented)
-    states = sorted(bit_of, key=bit_of.get)
-    lefts = [block_mask(d.left, bit_of) for d in oriented]
-    rights = [block_mask(d.right, bit_of) for d in oriented]
-
-    # compatible[i] is the vertex bitset of the orientations i can merge
-    # with: lefts must avoid each other's rights in both directions.
+    # compatible[v]: the vertices whose left block avoids v's right block
+    # and whose right block avoids v's left block.
     compatible = [0] * n
     for i in range(n):
         li, ri = lefts[i], rights[i]
@@ -150,70 +161,63 @@ def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:
                 compatible[i] |= 1 << j
                 compatible[j] |= 1 << i
 
-    cliques: list[int] = []
+    found: list[tuple[int, int, int]] = []
 
-    def bron_kerbosch(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            cliques.append(r)
+    def expand(clique: int, left: int, right: int, p: int, x: int) -> None:
+        if not p:
+            if not x:  # maximal; canonical puts the lowest state on the left
+                if left & -left > right & -right:
+                    left, right = right, left
+                found.append((left, right, clique))
             return
-        pivot = max(
-            iter_bits(p | x), key=lambda v: (compatible[v] & p).bit_count()
-        )
-        for v in iter_bits(p & ~compatible[pivot]):
-            bit = 1 << v
-            bron_kerbosch(r | bit, p & compatible[v], x & compatible[v])
-            p &= ~bit
-            x |= bit
+        # Tomita pivot: the vertex of P | X with most neighbours in P.
+        # One in X adjacent to all of P leaves nothing to branch on.
+        size = p.bit_count()
+        most = -1
+        pool = p | x
+        while pool:
+            low = pool & -pool
+            nbrs = compatible[low.bit_length() - 1]
+            count = (nbrs & p).bit_count()
+            if count > most:
+                most, skip = count, nbrs
+                if count == size:
+                    return
+            pool ^= low
+        branch = p & ~skip
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            nbrs = compatible[v]
+            expand(clique | low, left | lefts[v], right | rights[v],
+                   p & nbrs, x & nbrs)
+            p ^= low
+            x |= low
+            branch ^= low
 
-    bron_kerbosch(0, (1 << n) - 1 if n else 0, 0)
+    # Only cliques whose lowest vertex is a seed in its given orientation:
+    # the other half are their mirror images, with the same canonical merge.
+    for v in range(0, n, 2):
+        nbrs = compatible[v]
+        later = nbrs >> (v + 1) << (v + 1)
+        expand(1 << v, lefts[v], rights[v], later, nbrs ^ later)
 
-    merged: list[Dichotomy] = []
-    seen_canonical: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for clique in cliques:
-        left_bits = 0
-        right_bits = 0
-        for v in iter_bits(clique):
-            left_bits |= lefts[v]
-            right_bits |= rights[v]
-        combined = Dichotomy(
-            frozenset(states[k] for k in iter_bits(left_bits)),
-            frozenset(states[k] for k in iter_bits(right_bits)),
-        )
-        canon = combined.canonical()
-        key = (canon.left, canon.right)
-        if key not in seen_canonical:
-            seen_canonical.add(key)
-            merged.append(canon)
-    merged.sort(key=lambda d: (sorted(d.left), sorted(d.right)))
-    return merged
+    found.sort(key=lambda c: (tuple(iter_bits(c[0])), tuple(iter_bits(c[1]))))
+    return found
 
 
-def seed_coverage_sets(
-    candidates: list[Dichotomy], seeds: list[Dichotomy]
-) -> list[frozenset[int]]:
-    """For each candidate, the indices of the seeds it :meth:`covers`.
+def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:
+    """All maximal merges of pairwise-compatible seed orientations.
 
-    This is the incidence input of the Tracey covering step
-    (:func:`repro.assign.tracey.assign_states`); blocks are compared as
-    packed bitsets so each candidate-seed test is four ``&`` ops instead
-    of four frozenset subset checks.
+    Both orientations of every seed participate (the seeds are
+    canonicalised and deduplicated first); the result is deduplicated up
+    to orientation and sorted by block names.  Each returned dichotomy
+    corresponds to one candidate state variable.
     """
-    bit_of = state_bits(list(candidates) + list(seeds))
-    cand_blocks = [
-        (block_mask(c.left, bit_of), block_mask(c.right, bit_of))
-        for c in candidates
+    unique = list(dict.fromkeys(seed.canonical() for seed in seeds))
+    bit_of = state_bits(unique)
+    states = sorted(bit_of)
+    return [
+        dichotomy_of(left, right, states)
+        for left, right, _ in merged_dichotomy_masks(unique, bit_of)
     ]
-    seed_blocks = [
-        (block_mask(s.left, bit_of), block_mask(s.right, bit_of))
-        for s in seeds
-    ]
-    covered: list[frozenset[int]] = []
-    for cl, cr in cand_blocks:
-        hits = []
-        for k, (sl, sr) in enumerate(seed_blocks):
-            if (sl & ~cl == 0 and sr & ~cr == 0) or (
-                sl & ~cr == 0 and sr & ~cl == 0
-            ):
-                hits.append(k)
-        covered.append(frozenset(hits))
-    return covered

@@ -12,8 +12,8 @@ The algorithm, following Tracey (1966) as the paper cites:
    bit-vector assignment".
 
 2. **Merged dichotomies.**  Maximal merges of compatible seed
-   orientations (:func:`~repro.assign.dichotomy.maximal_merged_dichotomies`)
-   are the candidate state variables.
+   orientations (:func:`~repro.assign.dichotomy.merged_dichotomy_masks`)
+   are the candidate state variables; each covers the seeds its clique holds.
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
@@ -33,13 +33,14 @@ from itertools import combinations
 
 from ..errors import StateAssignmentError
 from ..flowtable.table import FlowTable
+from ..logic.bitset import iter_bits
 from ..util.setcover import minimum_set_cover
 from .dichotomy import (
     Dichotomy,
     block_mask,
+    dichotomy_of,
+    merged_dichotomy_masks,
     state_bits,
-    maximal_merged_dichotomies,
-    seed_coverage_sets,
 )
 from .encoding import StateEncoding
 
@@ -103,67 +104,57 @@ def absorb_seeds(seeds: list[Dichotomy]) -> list[Dichotomy]:
     optimum nor its feasible solutions — it only shrinks the merge graph,
     which dominates the assignment runtime on the larger machines.
     """
-    if not seeds:
-        return []
+    # Equal seeds (up to orientation) share a key; the first one stays.
     bit_of = state_bits(seeds)
-    blocks = [
-        (block_mask(d.left, bit_of), block_mask(d.right, bit_of))
-        for d in seeds
-    ]
+    first: dict[tuple[int, int], Dichotomy] = {}
+    for d in seeds:
+        left, right = block_mask(d.left, bit_of), block_mask(d.right, bit_of)
+        first.setdefault(min((left, right), (right, left)), d)
     kept: list[Dichotomy] = []
-    for i, (al, ar) in enumerate(blocks):
-        absorbed = False
-        for j, (bl, br) in enumerate(blocks):
-            if i == j:
-                continue
-            contained = (al & ~bl == 0 and ar & ~br == 0) or (
-                al & ~br == 0 and ar & ~bl == 0
+    for (al, ar), d in first.items():
+        for bl, br in first:
+            inside = (al | bl == bl and ar | br == br) or (
+                al | br == br and ar | bl == bl
             )
-            if contained:
-                equal = (al == bl and ar == br) or (al == br and ar == bl)
-                # Of two equal seeds keep the first occurrence only.
-                if equal and j > i:
-                    continue
-                absorbed = True
+            if inside and (al, ar) != (bl, br):
                 break
-        if not absorbed:
-            kept.append(seeds[i])
+        else:
+            kept.append(d)
     return kept
 
 
 def assign_states(
     table: FlowTable, uniqueness: bool = True
 ) -> AssignmentResult:
-    """Compute a minimum-variable USTT encoding for ``table``.
+    """Compute a USTT encoding for ``table``.
 
-    A single-state table degenerates to one variable constant 0 (some
-    feedback signal must exist for the architecture to instantiate).
+    The encoding has the fewest state variables when the result's
+    ``exact`` flag is true.  Covering problems too large for the exact
+    search (the 13-state and larger chain tables) go greedy and may use
+    more.  A single-state table degenerates to one variable constant 0
+    (some feedback signal must exist for the architecture to
+    instantiate).
     """
     if table.num_states == 1:
         encoding = StateEncoding(("y1",), {table.states[0]: 0})
         return AssignmentResult(encoding, (), (), True)
 
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
-    candidates = maximal_merged_dichotomies(seeds)
-
-    universe: set[int] = set(range(len(seeds)))
-    candidate_sets = seed_coverage_sets(candidates, seeds)
-    cover = minimum_set_cover(universe, candidate_sets)
-    chosen = [candidates[i] for i in cover.chosen]
-
-    variables = tuple(f"y{i + 1}" for i in range(len(chosen)))
-    codes: dict[str, int] = {}
-    for state in table.states:
-        code = 0
-        for i, dichotomy in enumerate(chosen):
-            if state in dichotomy.right:
-                code |= 1 << i
-            # left block and unassigned states take 0
-        codes[state] = code
-    encoding = StateEncoding(variables, codes)
-    return AssignmentResult(
-        encoding=encoding,
-        seeds=tuple(seeds),
-        chosen=tuple(chosen),
-        exact=cover.exact,
+    bit_of = state_bits(seeds)
+    states = sorted(bit_of)
+    candidates = merged_dichotomy_masks(seeds, bit_of)
+    # A merge covers seed k when its clique holds vertex 2k or 2k+1.
+    cover = minimum_set_cover(
+        set(range(len(seeds))),
+        [frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates],
     )
+    chosen = [dichotomy_of(*candidates[i][:2], states) for i in cover.chosen]
+
+    # Variable i is 1 on chosen[i]'s right block; every other state takes 0.
+    codes = {
+        state: sum(1 << i for i, d in enumerate(chosen) if state in d.right)
+        for state in table.states
+    }
+    variables = tuple(f"y{i + 1}" for i in range(len(chosen)))
+    encoding = StateEncoding(variables, codes)
+    return AssignmentResult(encoding, tuple(seeds), tuple(chosen), cover.exact)

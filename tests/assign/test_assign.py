@@ -104,6 +104,10 @@ class TestDichotomy:
         for seed in seeds:
             assert any(m.covers(seed) for m in merged)
 
+    def test_no_seeds_no_merged_dichotomies(self):
+        # The empty graph's one (empty) clique is no dichotomy.
+        assert maximal_merged_dichotomies([]) == []
+
 
 class TestSeedDichotomies:
     def test_transition_pair_seeds_present(self):
@@ -165,6 +169,13 @@ class TestAssignStates:
         result = assign_states(gray4())
         codes = [result.encoding.code(s) for s in gray4().states]
         assert len(set(codes)) == len(codes)
+
+    def test_no_seeds_without_uniqueness(self):
+        # gray4 has no transition-pair seeds, so without uniqueness seeds
+        # the cover picks no variable: the encoding, not the candidate
+        # step, reports that the states cannot be told apart.
+        with pytest.raises(StateAssignmentError, match="share codes"):
+            assign_states(gray4(), uniqueness=False)
 
     def test_single_state_machine(self):
         b = FlowTableBuilder(inputs=["x1"], outputs=["z"])
