@@ -9,9 +9,9 @@ paper's envelope, and the per-stage breakdown shows where the time goes
 (assignment and factoring dominate, as the paper's discussion of the
 covering steps suggests).
 
-This module also measures the *pipeline* itself: serial versus
-``BatchRunner`` parallel synthesis over the whole benchmark suite, and
-cold versus warm stage cache.  Run standalone —
+This module also measures the *pipeline* itself: ``BatchRunner``
+synthesis of the whole benchmark suite, cold versus warm stage cache.
+Run standalone —
 
     PYTHONPATH=src python benchmarks/bench_runtime.py
 
@@ -27,17 +27,8 @@ import pytest
 from conftest import print_table
 from repro.bench import TABLE1_BENCHMARKS, benchmark_names, load_all
 from repro.bench import benchmark as load_bench
-from repro.api import SynthesisOptions, synthesize
+from repro.api import synthesize
 from repro.pipeline import BatchRunner, PassManager, StageCache
-
-#: The ablation sweep of the factoring/hazard benchmarks: every machine
-#: under every option set — the workload BatchRunner parallelism is for.
-SWEEP_OPTIONS = (
-    SynthesisOptions(),
-    SynthesisOptions(reduce_mode="joint"),
-    SynthesisOptions(hazard_correction=False),
-    SynthesisOptions(output_policy="as_specified"),
-)
 
 _rows: list[tuple] = []
 
@@ -89,43 +80,30 @@ def test_print_runtime(benchmark):
 
 
 # ----------------------------------------------------------------------
-# BENCH_pipeline.json — batch/parallel and stage-cache speedups.
+# BENCH_pipeline.json — suite synthesis time and stage-cache speedup.
 
-def _time_batch(tables, jobs, cache=None):
+def _time_batch(tables, cache=None):
     start = time.perf_counter()
-    items = BatchRunner(jobs=jobs, cache=cache).run(tables)
+    items = BatchRunner(cache=cache).run(tables)
     elapsed = time.perf_counter() - start
     failures = [item.name for item in items if not item.ok]
     assert not failures, f"benchmarks failed to synthesise: {failures}"
     return elapsed, items
 
 
-def measure_pipeline(jobs: int = 4, rounds: int = 3) -> dict:
-    """Serial vs parallel vs warm-cache timings over the whole suite.
+def measure_pipeline(rounds: int = 3) -> dict:
+    """Uncached vs cold-cache vs warm-cache timings over the whole suite.
 
     ``rounds`` repeats each measurement and keeps the minimum (the usual
     noise-floor estimator for sub-second wall-clock benchmarks).
     """
     tables = list(load_all().values())
 
-    serial = min(_time_batch(tables, jobs=1)[0] for _ in range(rounds))
-    parallel = min(_time_batch(tables, jobs=jobs)[0] for _ in range(rounds))
-
-    def time_sweep(n_jobs):
-        start = time.perf_counter()
-        items = BatchRunner(jobs=n_jobs).run_matrix(tables, SWEEP_OPTIONS)
-        elapsed = time.perf_counter() - start
-        assert all(item.ok for item in items)
-        return elapsed
-
-    sweep_serial = min(time_sweep(1) for _ in range(rounds))
-    sweep_parallel = min(time_sweep(jobs) for _ in range(rounds))
+    serial = min(_time_batch(tables)[0] for _ in range(rounds))
 
     cache = StageCache()
-    cold, _ = _time_batch(tables, jobs=1, cache=cache)
-    warm = min(
-        _time_batch(tables, jobs=1, cache=cache)[0] for _ in range(rounds)
-    )
+    cold, _ = _time_batch(tables, cache=cache)
+    warm = min(_time_batch(tables, cache=cache)[0] for _ in range(rounds))
     assert cache.hits > 0, "warm run never hit the stage cache"
 
     import os
@@ -133,16 +111,9 @@ def measure_pipeline(jobs: int = 4, rounds: int = 3) -> dict:
     return {
         "suite": list(benchmark_names()),
         "machines": len(tables),
-        "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "rounds": rounds,
         "serial_seconds": round(serial, 6),
-        "parallel_seconds": round(parallel, 6),
-        "parallel_speedup": round(serial / parallel, 3),
-        "sweep_option_sets": len(SWEEP_OPTIONS),
-        "sweep_serial_seconds": round(sweep_serial, 6),
-        "sweep_parallel_seconds": round(sweep_parallel, 6),
-        "sweep_parallel_speedup": round(sweep_serial / sweep_parallel, 3),
         "cache_cold_seconds": round(cold, 6),
         "cache_warm_seconds": round(warm, 6),
         "cache_speedup": round(cold / warm, 3),
@@ -219,13 +190,10 @@ def measure_property_suite(
 def test_pipeline_speedups(benchmark):
     """The claims BENCH_pipeline.json records, asserted coarsely."""
     stats = benchmark.pedantic(
-        measure_pipeline, kwargs={"jobs": 2, "rounds": 1},
-        rounds=1, iterations=1,
+        measure_pipeline, kwargs={"rounds": 1}, rounds=1, iterations=1
     )
-    # The warm cache must be a clear win; parallelism merely must not
-    # collapse (pool start-up can eat the gain on tiny suites/machines).
+    # The warm cache must be a clear win.
     assert stats["cache_speedup"] > 2.0
-    assert stats["parallel_seconds"] < stats["serial_seconds"] * 3
 
 
 def main() -> int:

@@ -17,7 +17,9 @@ entries carry over; see :mod:`repro.pipeline.registry`).
 from __future__ import annotations
 
 from ..core.result import SynthesisResult
+from ..errors import ReproError
 from ..flowtable.table import FlowTable
+from ..pipeline.batch import error_message
 from ..pipeline.cache import StageCache
 from ..pipeline.manager import PipelineReport
 from ..pipeline.options import SynthesisOptions
@@ -139,8 +141,9 @@ class Session:
         With a store attached, a warm ``(table, spec)`` key
         short-circuits the whole pipeline: the stored result is
         returned under a report with ``store_hit=True`` and **no pass
-        events** — zero synthesis passes executed.  A stored
-        deterministic failure re-raises as the original domain error.
+        events** — zero synthesis passes executed.  A deterministic
+        failure is stored like a result (as a batch stores it), and a
+        stored failure re-raises as the original domain error.
         """
         if self._store is not None:
             stored = self._store.get_synthesis(self._table, self._spec)
@@ -151,9 +154,19 @@ class Session:
                     table_name=self._table.name, store_hit=True
                 )
         manager = self._spec.build_manager(cache=self._cache)
-        result, report = manager.run_with_report(
-            self._table, self._spec.options
-        )
+        try:
+            result, report = manager.run_with_report(
+                self._table, self._spec.options
+            )
+        except ReproError as error:
+            if self._store is not None:
+                self._store.put_synthesis_error(
+                    self._table,
+                    self._spec,
+                    error_message(error),
+                    error_type=type(error).__name__,
+                )
+            raise
         if self._store is not None:
             self._store.put_synthesis(self._table, self._spec, result)
         return result, report
@@ -252,7 +265,6 @@ def batch(
     *,
     spec: PipelineSpec | None = None,
     options: SynthesisOptions | None = None,
-    jobs: int | None = 1,
     cache: StageCache | None = None,
     store=None,
 ):
@@ -261,6 +273,8 @@ def batch(
     Returns a list of :class:`~repro.pipeline.batch.BatchItem`; each
     item carries the result (or the error), wall-clock seconds, and the
     per-pass :class:`~repro.pipeline.manager.PassEvent` telemetry.
+    The batch runs serially in-process; to spread one over processes
+    or machines, plan it with ``seance shard run`` or ``seance work``.
     As in :func:`synthesize`, ``options`` given alongside a ``spec``
     override the spec's options.
     """
@@ -271,6 +285,6 @@ def batch(
         options = None
     tables = [load_table(source) for source in sources]
     runner = BatchRunner(
-        options=options, jobs=jobs, cache=cache, spec=spec, store=store
+        options=options, cache=cache, spec=spec, store=store
     )
     return runner.run(tables)

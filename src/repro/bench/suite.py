@@ -365,9 +365,7 @@ def load_all() -> dict[str, FlowTable]:
     return {name: benchmark(name) for name in benchmark_names()}
 
 
-def synthesize_suite(
-    names=None, options=None, jobs: int = 1, cache=None, spec=None
-):
+def synthesize_suite(names=None, options=None, cache=None, spec=None):
     """Synthesise benchmarks through the pass pipeline, keyed by name.
 
     The workhorse of ``seance table1``, the ablation benchmarks and the
@@ -386,7 +384,6 @@ def synthesize_suite(
         [benchmark(name) for name in chosen],
         spec=spec,
         options=options,
-        jobs=jobs,
         cache=cache,
     )
     results = {}

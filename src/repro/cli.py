@@ -18,13 +18,13 @@ reproducible from a spec file alone.
 
 ``seance validate SPEC.kiss2``
     Build the gate-level FANTOM machine and dynamically validate it
-    against the flow-table semantics under randomised delays.
+    against the flow-table semantics under randomised delays;
+    ``--jobs`` spreads the campaign's cells over worker processes.
 
 ``seance batch NAME|FILE ...``
-    Synthesise many machines through the pass pipeline at once —
-    optionally in parallel (``--jobs``) and/or against a persistent
-    stage cache (``--cache-dir``), with a deterministic, input-ordered
-    report.  With no names, runs the full built-in suite.  ``--json``
+    Synthesise many machines serially through the pass pipeline,
+    optionally against a persistent stage cache (``--cache-dir``), with
+    a deterministic, input-ordered report.  With no names, runs the full built-in suite.  ``--json``
     includes the per-pass telemetry (wall clock + cache hits) of every
     run.  ``--spec``/``--pass`` work as in ``synth``.
 
@@ -36,7 +36,8 @@ reproducible from a spec file alone.
     ordered result stream byte-identically to a single-process run
     (``seance shard merge``).  Shards can run on different machines
     against a shared store; the merge fails loudly, naming the owning
-    shard of every missing unit.
+    shard of every missing unit.  Shards (or ``seance work``) are how a
+    batch spreads over processes or machines.
 
 ``--store LOC`` (on ``synth``, ``batch``, ``validate``)
     Content-addressed result archive: repeat invocations with the same
@@ -277,8 +278,6 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     specs = args.specs or list(benchmark_names())
     tables = [_load_table(spec) for spec in specs]
     spec = _build_spec(args)
@@ -295,11 +294,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise ReproError(
             f"cannot use --cache-dir {args.cache_dir!r}: {error}"
         ) from error
-    runner = BatchRunner(
-        spec=spec, jobs=args.jobs, cache=cache, store=_open_store(args)
-    )
-
-    items = runner.run(tables)
+    items = BatchRunner(
+        spec=spec, cache=cache, store=_open_store(args)
+    ).run(tables)
     failures = [item for item in items if not item.ok]
 
     if args.canonical:
@@ -346,12 +343,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 f"{len(item.cache_hits):4d}/{len(item.result.stage_seconds)}"
             )
         wall = sum(item.seconds for item in items)
-        mode = f"{runner.jobs} worker(s)"
         hits = sum(1 for item in items if item.store_hit)
         store_note = f", {hits} from warm store" if hits else ""
         print(
             f"{len(items)} machines, {len(failures)} failed, "
-            f"{wall * 1000:.1f}ms synthesis time, {mode}{store_note}"
+            f"{wall * 1000:.1f}ms synthesis time{store_note}"
         )
     return 1 if failures else 0
 
@@ -426,13 +422,9 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_shard_run(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     shard, shards = _parse_shard(args.shard)
     store = _open_store(args)
-    stats = _shard_model(args).run_shard(
-        shard, shards, store, jobs=args.jobs
-    )
+    stats = _shard_model(args).run_shard(shard, shards, store)
     print(f"shard {shard}/{shards}: {stats.describe()}")
     print(store.describe())
     # Mirror `seance batch`: a worker with failed units exits non-zero
@@ -1115,7 +1107,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for synthesis and validation cells",
+        help="worker processes for the validation cells (synthesis "
+        "runs serially)",
     )
     val.add_argument(
         "--engine",
@@ -1171,17 +1164,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="KISS2 files or benchmark names (default: the whole suite)",
     )
     batch.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial in-process; default 1)",
-    )
-    batch.add_argument(
         "--cache-dir",
         metavar="LOC",
-        help="persistent stage cache, shared across runs and worker "
-        "processes (a directory or an http(s):// object-store URL)",
+        help="persistent stage cache, shared across runs (a directory "
+        "or an http(s):// object-store URL)",
     )
     batch.add_argument(
         "--no-minimize", action="store_true", help="skip Step 2"
@@ -1247,10 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="I/N",
         help="which shard this worker is (e.g. 0/2) of how many",
-    )
-    srun.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes within this shard",
     )
     srun.set_defaults(func=cmd_shard_run)
 

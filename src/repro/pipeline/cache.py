@@ -158,16 +158,6 @@ class StageCache:
         return getattr(self._backend, "path", None)
 
     @property
-    def location(self) -> str | None:
-        """A re-openable location string for the persistent tier (the
-        directory path or backend URL), or None when memory-only.
-        Worker processes re-open their cache from this."""
-        path = getattr(self._backend, "path", None)
-        if path is not None:
-            return str(path)
-        return getattr(self._backend, "url", None)
-
-    @property
     def backend(self):
         """The persistent-tier backend, or None when memory-only."""
         return self._backend

@@ -25,12 +25,17 @@ reproducible from its textual configuration alone:
     Section 4.3 (:class:`~repro.sim.delays.CornerDelay`; the sweep seed
     flips the corner's polarity).
 
-Walks depend only on (table, seed), so the campaign generates each walk
-once and replays it under every delay model — fresh silicon per cell,
-same stimulus.  Synthesis routes through the existing
+Every cell runs through one loop, :func:`run_cells`, whether it comes
+from the serial sweep, a worker of the campaign's process pool
+(``jobs > 1``), or a shard/queue unit
+(:func:`~repro.store.sharding.execute_units`).  Walks depend only on
+(table, steps, seed), so that loop generates each walk once and replays
+it under every delay model — fresh silicon per cell, same stimulus.
+Synthesis routes through the serial
 :class:`~repro.pipeline.batch.BatchRunner` (ordered stream, shared
-stage cache, ``jobs`` worker processes); with ``jobs > 1`` the
-validation cells themselves fan out over a process pool as well.
+stage cache); only the validation cells fan out over processes, the
+one parallel path that measured faster than serial (ROADMAP, "One
+local executor").
 
 Entry points: ``seance validate --sweep N --delay-model M --jobs J``,
 :meth:`repro.api.Session.validate`, and the ``verify`` pipeline pass
@@ -40,8 +45,9 @@ dirty machine.
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
@@ -53,7 +59,12 @@ from .delays import (
     loop_safe_random,
     skewed_random,
 )
-from .harness import expected_walk, random_legal_walk, validate_walk
+from .harness import (
+    expected_walk,
+    export_walk_vcd,
+    random_legal_walk,
+    validate_walk,
+)
 from .monitors import ValidationSummary
 from .ring import RingSimulator
 from .simulator import Simulator
@@ -121,31 +132,6 @@ def delay_model(name: str, seed: int, machine: FantomMachine):
     return factory(seed, machine)
 
 
-def write_cell(
-    store, key, summary, machine, walk, model: str, seed: int, engine: str
-) -> None:
-    """Write one computed cell back: its summary, and when it is dirty
-    the replayed waveform next to the envelope.
-
-    A failing cell's evidence is a downloadable ``<kind>/<digest>.vcd``
-    blob, not a rerun on someone's laptop.  The replay is deterministic
-    (same walk, same seed-derived silicon), so the archived waveform
-    shows exactly the failing events the scoring run judged.
-    """
-    from .harness import export_walk_vcd
-
-    store.put_validation(key, summary)
-    if summary.all_clean:
-        return
-    vcd = export_walk_vcd(
-        machine,
-        walk,
-        delays=delay_model(model, seed, machine),
-        simulator_factory=_resolve_engine(engine),
-    )
-    store.put_artifact(key, "vcd", vcd.encode())
-
-
 def _resolve_engine(engine: str):
     if engine == "reference":
         return _reference_engine()
@@ -156,6 +142,86 @@ def _resolve_engine(engine: str):
             f"unknown simulation engine {engine!r}; available: "
             f"{', '.join(sorted((*ENGINES, 'reference')))}"
         ) from None
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A campaign cell's parameters: the validation key's workload."""
+
+    model: str
+    seed: int
+    steps: int
+    engine: str
+    use_fsv: bool
+
+
+def run_cells(build_machine, cells, store=None, models=None) -> list:
+    """Run one machine's campaign cells, in order — the one cell loop.
+
+    ``cells`` is a sequence of ``(cell, key)`` pairs: a :class:`Cell`
+    and its validation :class:`~repro.store.keys.StoreKey` (``None``
+    without a ``store``).  For each cell:
+
+    1. a cell the store holds is replayed, not simulated;
+    2. the walk and its reference step stream are computed once per
+       (steps, seed) and shared by every delay model's cell, so the
+       interpreter never runs inside a timed cell;
+    3. one delay-model instance per (model, seed) is built and kept in
+       ``models``, which callers share across machines — the built-in
+       models draw by gate *name*, so a shared instance assigns exactly
+       the delays a fresh one would;
+    4. the walk is validated on fresh silicon and, with a store, the
+       summary is written back — and a dirty cell's replayed waveform
+       is filed next to it as a ``<kind>/<digest>.vcd`` artifact, so
+       the evidence is a download, not a rerun (the replay is
+       deterministic: same walk, same seed-derived silicon).
+
+    ``build_machine`` returns the
+    :class:`~repro.netlist.fantom.FantomMachine`; it is called once, at
+    the first cell the store does not hold.  Returns one ``(summary,
+    seconds, store_hit)`` triple per cell.
+    """
+    models = {} if models is None else models
+    machine = None
+    walks: dict[tuple[int, int], tuple] = {}
+    outcomes = []
+    for cell, key in cells:
+        summary = None if store is None else store.get_validation(key)
+        if summary is not None:
+            outcomes.append((summary, 0.0, True))
+            continue
+        if machine is None:
+            machine = build_machine()
+        walk_key = (cell.steps, cell.seed)
+        if walk_key not in walks:
+            table = machine.result.table
+            walk = random_legal_walk(table, cell.steps, seed=cell.seed)
+            walks[walk_key] = (walk, expected_walk(table, walk))
+        walk, expected = walks[walk_key]
+        delays = models.get((cell.model, cell.seed))
+        if delays is None:
+            delays = models[cell.model, cell.seed] = delay_model(
+                cell.model, cell.seed, machine
+            )
+        factory = _resolve_engine(cell.engine)
+        start = time.perf_counter()
+        summary = validate_walk(
+            machine,
+            walk,
+            delays=delays,
+            simulator_factory=factory,
+            expected=expected,
+        )
+        seconds = time.perf_counter() - start
+        if store is not None:
+            store.put_validation(key, summary)
+            if not summary.all_clean:
+                vcd = export_walk_vcd(
+                    machine, walk, delays=delays, simulator_factory=factory
+                )
+                store.put_artifact(key, "vcd", vcd.encode())
+        outcomes.append((summary, seconds, False))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -289,36 +355,29 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Worker-side cell execution
 # ----------------------------------------------------------------------
-#: Per-worker machine list, installed once by `_init_campaign_worker` so
-#: machines cross the process boundary once, not per cell.
-_WORKER_MACHINES: list[FantomMachine] | None = None
+#: Per-worker state, installed once by `_init_campaign_worker` so
+#: machines cross the process boundary once, not per task: the machine
+#: list, the re-opened result store (or None) and the shared delay
+#: models.
+_WORKER: tuple | None = None
 
 
-def _init_campaign_worker(machines: list[FantomMachine]) -> None:
-    global _WORKER_MACHINES
-    _WORKER_MACHINES = machines
+def _init_campaign_worker(
+    machines: list[FantomMachine], store_location: str | None
+) -> None:
+    global _WORKER
+    from ..store.store import open_store
+
+    _WORKER = (machines, open_store(store_location), {})
 
 
-def _run_cell(
-    cell_index: int,
-    machine_index: int,
-    model: str,
-    seed: int,
-    walk: list[int],
-    engine: str,
-    expected=None,
-) -> tuple[int, ValidationSummary, float]:
-    """Validate one walk on fresh silicon; module-level for pickling."""
-    machine = _WORKER_MACHINES[machine_index]
-    start = time.perf_counter()
-    summary = validate_walk(
-        machine,
-        walk,
-        delays=delay_model(model, seed, machine),
-        simulator_factory=_resolve_engine(engine),
-        expected=expected,
+def _run_worker_cells(machine_index: int, cells) -> list:
+    """Pool task: :func:`run_cells` over one machine's cells in this
+    worker; module-level for pickling."""
+    machines, store, models = _WORKER
+    return run_cells(
+        lambda: machines[machine_index], cells, store=store, models=models
     )
-    return cell_index, summary, time.perf_counter() - start
 
 
 class ValidationCampaign:
@@ -339,8 +398,10 @@ class ValidationCampaign:
     use_fsv:
         ``False`` builds the unprotected machines (hazard ablation).
     jobs:
-        Worker processes for synthesis *and* for the validation cells;
-        1 runs everything serially in-process.
+        Worker processes for the validation cells; 1 runs them serially
+        in-process.  Synthesis is always serial.  A pool needs a store
+        its workers can re-open (a directory or URL), so with an
+        in-memory store the cells run serially.
     spec:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
         phase (pass variants, options, stage cache).
@@ -413,9 +474,7 @@ class ValidationCampaign:
         """Synthesise ``tables`` (through the BatchRunner), then sweep."""
         from ..pipeline.batch import BatchRunner
 
-        runner = BatchRunner(
-            spec=self.spec, jobs=self.jobs, store=self.store
-        )
+        runner = BatchRunner(spec=self.spec, store=self.store)
         result = CampaignResult(
             models=self.delay_models, sweep=self.sweep, steps=self.steps
         )
@@ -441,139 +500,88 @@ class ValidationCampaign:
         return self._sweep_machines(list(machines), result)
 
     # ------------------------------------------------------------------
-    def _cells(self, machines):
-        """The cell grid in deterministic order, walks computed once.
+    def _cell_grid(self, machine) -> list:
+        """One machine's ``(cell, key)`` pairs in campaign order (model,
+        then seed); keys are None when no store is attached.
 
-        Each (machine, seed) walk and its reference-interpreter step
-        stream are computed once and shared across every delay model's
-        cell — the interpreter never runs inside a timed cell.
-        """
-        cells = []
-        for machine_index, machine in enumerate(machines):
-            table = machine.result.table
-            walks = {
-                seed: random_legal_walk(table, self.steps, seed=seed)
-                for seed in self.seeds
-            }
-            steps = {
-                seed: expected_walk(table, walk)
-                for seed, walk in walks.items()
-            }
-            for model in self.delay_models:
-                for seed in self.seeds:
-                    cells.append(
-                        (machine_index, model, seed, walks[seed],
-                         steps[seed])
-                    )
-        return cells
-
-    def _cell_keys(self, machines, cells):
-        """Store keys per cell (None when no store is attached).
-
-        Keyed on each machine's *source* table and its ``uses_fsv``
-        flag — properties of the machine actually simulated — plus this
+        Keyed on the machine's *source* table and its ``uses_fsv`` flag
+        — properties of the machine actually simulated — plus this
         campaign's (spec, steps, engine) workload parameters.
         """
+        cells = [
+            Cell(model, seed, self.steps, self.engine, machine.uses_fsv)
+            for model in self.delay_models
+            for seed in self.seeds
+        ]
         if self.store is None:
-            return [None] * len(cells)
+            return [(cell, None) for cell in cells]
         from ..pipeline.spec import PipelineSpec
         from ..store.keys import validation_key
 
         spec = self.spec if self.spec is not None else PipelineSpec()
         return [
-            validation_key(
-                machines[mi].result.source,
-                spec,
-                model=model,
-                seed=seed,
-                steps=self.steps,
-                engine=self.engine,
-                use_fsv=machines[mi].uses_fsv,
+            (
+                cell,
+                validation_key(
+                    machine.result.source, spec, **dataclasses.asdict(cell)
+                ),
             )
-            for mi, model, seed, _walk, _expected in cells
+            for cell in cells
         ]
 
     def _sweep_machines(self, machines, result: CampaignResult):
-        cells = self._cells(machines)
-        keys = self._cell_keys(machines, cells)
-        replayed: dict[int, ValidationSummary] = {}
-        if self.store is not None:
-            for i, key in enumerate(keys):
-                summary = self.store.get_validation(key)
-                if summary is not None:
-                    replayed[i] = summary
-        pending = [i for i in range(len(cells)) if i not in replayed]
-
-        computed: dict[int, tuple[ValidationSummary, float]] = {}
-        if self.jobs > 1 and len(pending) > 1:
-            outcomes = self._sweep_parallel(
-                machines, [cells[i] for i in pending]
-            )
-            for i, (_j, summary, seconds) in zip(pending, outcomes):
-                computed[i] = (summary, seconds)
+        grids = [self._cell_grid(machine) for machine in machines]
+        shareable = self.store is None or self.store.location is not None
+        if self.jobs > 1 and shareable and len(grids) * self.sweep > 1:
+            outcomes = self._sweep_parallel(machines, grids)
         else:
-            # One delay model instance per (model, seed) for the whole
-            # sweep: the built-in models draw by instance *name*, so a
-            # shared instance assigns exactly the delays a fresh one
-            # would, without re-deriving them per machine.
-            models: dict[tuple[str, int], object] = {}
-            for i in pending:
-                mi, model, seed, walk, expected = cells[i]
-                key = (model, seed)
-                delays = models.get(key)
-                if delays is None:
-                    delays = models[key] = delay_model(
-                        model, seed, machines[mi]
-                    )
-                start = time.perf_counter()
-                summary = validate_walk(
-                    machines[mi],
-                    walk,
-                    delays=delays,
-                    simulator_factory=_resolve_engine(self.engine),
-                    expected=expected,
-                )
-                computed[i] = (summary, time.perf_counter() - start)
-        for i, (machine_index, model, seed, walk, _expected) in enumerate(
-            cells
+            models: dict = {}
+            outcomes = [
+                run_cells(lambda m=machine: m, grid, self.store, models)
+                for machine, grid in zip(machines, grids)
+            ]
+        for machine, grid, machine_outcomes in zip(
+            machines, grids, outcomes
         ):
-            if i in replayed:
-                summary, seconds, hit = replayed[i], 0.0, True
-            else:
-                summary, seconds = computed[i]
-                hit = False
-                if self.store is not None:
-                    write_cell(
-                        self.store, keys[i], summary,
-                        machines[machine_index], walk, model, seed,
-                        self.engine,
+            for (cell, _key), (summary, seconds, hit) in zip(
+                grid, machine_outcomes
+            ):
+                result.cells.append(
+                    CampaignCell(
+                        table=machine.result.table.name,
+                        model=cell.model,
+                        seed=cell.seed,
+                        summary=summary,
+                        seconds=seconds,
+                        store_hit=hit,
                     )
-            result.cells.append(
-                CampaignCell(
-                    table=machines[machine_index].result.table.name,
-                    model=model,
-                    seed=seed,
-                    summary=summary,
-                    seconds=seconds,
-                    store_hit=hit,
                 )
-            )
         return result
 
-    def _sweep_parallel(self, machines, cells):
-        workers = min(self.jobs, len(cells))
-        with ProcessPoolExecutor(
-            max_workers=workers,
+    def _sweep_parallel(self, machines, grids) -> list:
+        """Every grid's outcomes, computed in one pool task per
+        (machine, seed) so each walk is still generated once."""
+        tasks = [
+            (mi, [i for i, (cell, _) in enumerate(grid) if cell.seed == seed])
+            for mi, grid in enumerate(grids)
+            for seed in self.seeds
+        ]
+        location = self.store.location if self.store is not None else None
+        outcomes = [[None] * len(grid) for grid in grids]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(tasks)),
             initializer=_init_campaign_worker,
-            initargs=(machines,),
+            initargs=(machines, location),
         ) as pool:
             futures = [
                 pool.submit(
-                    _run_cell, i, mi, model, seed, walk, self.engine,
-                    expected,
+                    _run_worker_cells, mi, [grids[mi][i] for i in positions]
                 )
-                for i, (mi, model, seed, walk, expected) in enumerate(cells)
+                for mi, positions in tasks
             ]
             # Input order, not completion order — the result stream is
             # deterministic no matter which worker finishes first.
-            return [future.result() for future in futures]
+            for (mi, positions), future in zip(tasks, futures):
+                for i, outcome in zip(positions, future.result()):
+                    outcomes[mi][i] = outcome
+        return outcomes

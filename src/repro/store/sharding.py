@@ -39,7 +39,7 @@ CLI: ``seance shard plan | run --shard i/N | merge`` (see
 from __future__ import annotations
 
 import dataclasses
-import time
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +47,7 @@ from functools import cached_property
 from ..errors import StoreError
 from ..flowtable.table import FlowTable
 from ..pipeline.spec import PipelineSpec
+from ..sim.campaign import Cell, run_cells
 from .keys import StoreKey, synthesis_key, validation_key
 from .store import ResultStore
 
@@ -56,17 +57,6 @@ def shard_of(key: StoreKey, shards: int) -> int:
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
     return int(key.digest, 16) % shards
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A campaign cell's parameters: the validation key's workload."""
-
-    model: str
-    seed: int
-    steps: int
-    engine: str
-    use_fsv: bool
 
 
 @dataclass(frozen=True)
@@ -218,32 +208,32 @@ class UnitStats:
         return "\n".join(lines)
 
 
-def execute_units(units, store: ResultStore, jobs: int = 1) -> UnitStats:
+def execute_units(units, store: ResultStore) -> UnitStats:
     """Compute ``units`` into ``store``, skipping verified hits.
 
     The units share one pass list (true of any plan's units and of a
     single unit).  The synthesis leg runs every distinct (table, spec)
     they need through one store-backed
-    :class:`~repro.pipeline.batch.BatchRunner` (``jobs`` worker
-    processes): a stored result is a verified hit, a fresh one —
-    failures included — is written back, and a corrupt blob is
-    recomputed.  The validation leg checks each cell's key before
-    building a machine; machines and walks are built once per table and
-    (table, seed).  A cell whose table failed synthesis counts as failed
-    and stays absent from the store (the merger reads the recorded
-    synthesis error instead).
+    :class:`~repro.pipeline.batch.BatchRunner`: a stored result is a
+    verified hit, a fresh one — failures included — is written back,
+    and a corrupt blob is recomputed.  The validation leg hands each
+    machine's cells to :func:`~repro.sim.campaign.run_cells`, the loop
+    every campaign cell runs through: it checks each cell's key first,
+    builds the machine only when a cell is missing, and shares walks
+    per (table, steps, seed) and delay models per (model, seed).  A
+    cell whose table failed synthesis counts as failed and stays absent
+    from the store (the merger reads the recorded synthesis error
+    instead).
     """
     from ..netlist.fantom import build_fantom
     from ..pipeline.batch import BatchRunner
-    from ..sim.campaign import _resolve_engine, delay_model, write_cell
-    from ..sim.harness import random_legal_walk, validate_walk
 
     units = list(units)
     needs: dict[tuple[str, str], WorkUnit] = {}
     for unit in units:
         needs.setdefault((unit.key.table, unit.key.spec), unit)
     runner = BatchRunner(
-        spec=units[0].spec if units else None, jobs=jobs, store=store
+        spec=units[0].spec if units else None, store=store
     )
     pairs = [(unit.table, unit.spec.options) for unit in needs.values()]
     stats = UnitStats()
@@ -254,47 +244,35 @@ def execute_units(units, store: ResultStore, jobs: int = 1) -> UnitStats:
             stats.synthesis_seconds += item.seconds
             stats.passes.update({e.name: e.seconds for e in item.events})
 
-    machines, walks = {}, {}
+    machines: dict[tuple, list[WorkUnit]] = {}
     for unit in units:
         stats.units += 1
         item = items[(unit.key.table, unit.key.spec)]
-        cell = unit.cell
         if not item.ok:
             stats.failed += 1
             stats.failures[item.name] = item.error
-        elif cell is None:
-            if item.store_hit:
-                stats.store_hits += 1
-            else:
-                stats.synthesized += 1
-        elif unit.stored(store):
+        elif unit.cell is not None:
+            fantom = (unit.key.table, unit.key.spec, unit.cell.use_fsv)
+            machines.setdefault(fantom, []).append(unit)
+        elif item.store_hit:
             stats.store_hits += 1
         else:
-            fantom = (unit.key.table, unit.key.spec, cell.use_fsv)
-            if fantom not in machines:
-                machines[fantom] = build_fantom(
-                    item.result, use_fsv=cell.use_fsv
-                )
-            machine = machines[fantom]
-            walk_key = (fantom, cell.steps, cell.seed)
-            if walk_key not in walks:
-                walks[walk_key] = random_legal_walk(
-                    machine.result.table, cell.steps, seed=cell.seed
-                )
-            walk = walks[walk_key]
-            start = time.perf_counter()
-            summary = validate_walk(
-                machine,
-                walk,
-                delays=delay_model(cell.model, cell.seed, machine),
-                simulator_factory=_resolve_engine(cell.engine),
-            )
-            stats.cell_seconds += time.perf_counter() - start
-            write_cell(
-                store, unit.key, summary, machine, walk,
-                cell.model, cell.seed, cell.engine,
-            )
-            stats.validated += 1
+            stats.synthesized += 1
+
+    models: dict = {}
+    for (table, spec, use_fsv), cells in machines.items():
+        result = items[(table, spec)].result
+        for _summary, seconds, hit in run_cells(
+            functools.partial(build_fantom, result, use_fsv=use_fsv),
+            [(unit.cell, unit.key) for unit in cells],
+            store,
+            models,
+        ):
+            if hit:
+                stats.store_hits += 1
+            else:
+                stats.validated += 1
+                stats.cell_seconds += seconds
     return stats
 
 
@@ -327,16 +305,10 @@ class _Sharded:
         return ShardPlan(shards=shards, units=self.units)
 
     def run_shard(
-        self,
-        shard: int,
-        shards: int,
-        store: ResultStore,
-        jobs: int = 1,
+        self, shard: int, shards: int, store: ResultStore
     ) -> UnitStats:
         """Execute (or verify) this shard's units into ``store``."""
-        return execute_units(
-            self.plan(shards).shard_units(shard), store, jobs=jobs
-        )
+        return execute_units(self.plan(shards).shard_units(shard), store)
 
 
 # ----------------------------------------------------------------------

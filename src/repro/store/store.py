@@ -270,16 +270,10 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     @property
-    def path(self):
-        """Disk directory when directory-backed, else None (so callers
-        can re-open the store in worker processes)."""
-        return getattr(self.backend, "path", None)
-
-    @property
     def location(self) -> str | None:
         """A re-openable location string — the directory path or the
         backend URL — or None for in-memory/unaddressable backends.
-        Worker processes re-open the store from this."""
+        Campaign pool workers re-open the store from this."""
         path = getattr(self.backend, "path", None)
         if path is not None:
             return str(path)

@@ -1,4 +1,4 @@
-"""BatchRunner: ordered deterministic streams, serial/parallel parity."""
+"""BatchRunner: ordered deterministic streams, matrices, conveniences."""
 
 import pytest
 
@@ -65,43 +65,16 @@ class TestSerial:
 
 
 class TestParallel:
-    def test_parallel_matches_serial_byte_for_byte(self):
-        tables = [benchmark(name) for name in NAMES]
-        serial = BatchRunner(jobs=1).run(tables)
-        parallel = BatchRunner(jobs=2).run(tables)
-        assert [i.name for i in parallel] == [i.name for i in serial]
-        for a, b in zip(serial, parallel):
-            assert stripped(a.result) == stripped(b.result)
-
-    def test_parallel_carries_failures_in_place(self):
-        tables = [benchmark("lion"), invalid_table(), benchmark("traffic")]
-        items = BatchRunner(jobs=2).run(tables)
-        assert [item.ok for item in items] == [True, False, True]
+    """There is no batch pool: scale-out is `shard run` / `work`."""
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             BatchRunner(jobs=0)
 
-    def test_abandoned_stream_cancels_pending_work(self):
-        tables = [benchmark(name) for name in NAMES]
-        stream = BatchRunner(jobs=2).iter_results(tables)
-        first = next(stream)
-        assert first.name == NAMES[0]
-        stream.close()  # must cancel queued futures, not block on them
-
-    def test_parallel_workers_share_a_disk_cache(self, tmp_path):
-        tables = [benchmark(name) for name in NAMES]
-        cache = StageCache(path=tmp_path)
-        BatchRunner(jobs=2, cache=cache).run(tables)
-        items = BatchRunner(jobs=2, cache=cache).run(tables)
-        assert all(len(item.cache_hits) == 7 for item in items)
-
-    def test_parallel_workers_keep_a_memory_cache_for_repeats(self):
-        # the same table twice with a memory-only cache: at least one
-        # worker sees the repeat and serves it from its in-memory tier
-        tables = [benchmark("lion")] * 4
-        items = BatchRunner(jobs=2, cache=StageCache()).run(tables)
-        assert any(len(item.cache_hits) == 7 for item in items)
+    def test_parallel_jobs_point_to_shard_run(self):
+        with pytest.raises(ValueError, match="shard run") as raised:
+            BatchRunner(jobs=2)
+        assert "seance work" in str(raised.value)
 
 
 class TestMatrix:

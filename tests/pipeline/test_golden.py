@@ -78,8 +78,8 @@ def test_cached_pipeline_is_byte_identical_to_seed():
         assert canonical(result) == golden(name)
 
 
-def test_parallel_batch_is_byte_identical_to_seed():
+def test_batch_stream_is_byte_identical_to_seed():
     tables = [benchmark(name) for name in benchmark_names()]
-    for item in BatchRunner(jobs=2).run(tables):
+    for item in BatchRunner().run(tables):
         assert item.ok, item.error
         assert canonical(item.result) == golden(item.name)

@@ -275,6 +275,31 @@ class TestCampaignDifferential:
         assert json.loads(merged)["errors"][0][0] == "broken"
 
 
+class TestExecutor:
+    def test_expected_walk_once_per_table_and_seed(self, monkeypatch):
+        """`execute_units` shares each (table, seed) walk's reference
+        step stream across delay models, as a local campaign does."""
+        from collections import Counter
+
+        from repro.sim import campaign as campaign_module
+        from repro.sim import harness
+        from repro.store.sharding import execute_units
+
+        real = harness.expected_walk
+        calls = Counter()
+
+        def counting(table, walk):
+            calls[table.name] += 1
+            return real(table, walk)
+
+        monkeypatch.setattr(harness, "expected_walk", counting)
+        monkeypatch.setattr(campaign_module, "expected_walk", counting)
+        sharded = _sharded_campaign("two-model")  # 2 models x 2 seeds
+        stats = execute_units(sharded.units, ResultStore())
+        assert stats.validated == len(sharded.units) == 8
+        assert calls == Counter({"lion": 2, "hazard_demo": 2})
+
+
 # ----------------------------------------------------------------------
 # Plan properties
 # ----------------------------------------------------------------------

@@ -34,16 +34,6 @@ class TestBatchShortCircuit:
         assert all(item.events == () for item in warm)
         assert all(item.cache_hits == () for item in warm)
 
-    def test_warm_batch_parallel_jobs_short_circuits(self, tmp_path):
-        store_dir = tmp_path / "store"
-        tables = [benchmark(name) for name in NAMES]
-        BatchRunner(store=ResultStore(store_dir)).run(tables)
-        warm = BatchRunner(store=ResultStore(store_dir), jobs=2).run(
-            tables
-        )
-        assert all(item.store_hit for item in warm)
-        assert all(item.events == () for item in warm)
-
     def test_stored_failure_short_circuits_too(self):
         from tests.store.test_sharding import broken_table
 
@@ -101,6 +91,27 @@ class TestSessionShortCircuit:
         assert type(warm.value) is type(cold.value)
         assert str(warm.value) == str(cold.value)
 
+    def test_session_stores_its_own_failure(self, monkeypatch):
+        """A cold Session failure is recorded like a batch failure, so
+        a second Session over the store re-raises without synthesising."""
+        from repro.errors import FlowTableError
+        from repro.pipeline.manager import PassManager
+        from repro.pipeline.spec import PipelineSpec
+        from tests.store.test_sharding import broken_table
+
+        store = ResultStore()
+        with pytest.raises(FlowTableError):
+            api.Session(broken_table(), PipelineSpec(), store=store).run()
+        stored = store.get_synthesis(broken_table(), PipelineSpec())
+        assert stored is not None and stored.error_type == "FlowTableError"
+
+        def no_passes(*args, **kwargs):
+            raise AssertionError("a stored failure must not re-synthesise")
+
+        monkeypatch.setattr(PassManager, "run_with_report", no_passes)
+        with pytest.raises(FlowTableError):
+            api.Session(broken_table(), PipelineSpec(), store=store).run()
+
     def test_unknown_stored_error_type_falls_back_safely(self):
         """A poisoned/legacy error_type must not name arbitrary
         classes; it degrades to SynthesisError."""
@@ -142,6 +153,31 @@ class TestCampaignShortCircuit:
         assert [c.summary.cycles for c in warm.cells] == [
             c.summary.cycles for c in cold.cells
         ]
+
+    def test_parallel_campaign_fills_a_directory_store(self, tmp_path):
+        """Pool workers re-open a directory store and write every cell;
+        a serial rerun then replays them all."""
+        tables = [benchmark("lion"), benchmark("hazard_demo")]
+        store_dir = tmp_path / "store"
+        cold = ValidationCampaign(
+            sweep=2, steps=6, delay_models=("unit", "loop-safe"),
+            jobs=2, store=store_dir,
+        ).run(tables)
+        assert cold.store_hits == 0
+        warm = self.campaign(ResultStore(store_dir)).run(tables)
+        assert warm.store_hits == len(warm.cells) == 8
+        assert [c.summary.cycles for c in warm.cells] == [
+            c.summary.cycles for c in cold.cells
+        ]
+
+    def test_parallel_campaign_keeps_a_memory_store_in_process(self):
+        store = ResultStore()
+        tables = [benchmark("lion"), benchmark("hazard_demo")]
+        ValidationCampaign(
+            sweep=2, steps=6, delay_models=("unit", "loop-safe"),
+            jobs=2, store=store,
+        ).run(tables)
+        assert self.campaign(store).run(tables).store_hits == 8
 
     def test_session_validate_uses_the_store(self):
         store = ResultStore()

@@ -77,10 +77,6 @@ class TestBatch:
         out = capsys.readouterr().out
         assert out.index("traffic") < out.index("lion")
 
-    def test_batch_parallel_jobs(self, capsys):
-        assert main(["batch", "lion", "traffic", "-j", "2"]) == 0
-        assert "2 worker(s)" in capsys.readouterr().out
-
     def test_batch_json_reports(self, capsys):
         import json
 
@@ -111,9 +107,12 @@ class TestBatch:
         assert main(["batch", "no_such_benchmark"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_batch_zero_jobs_is_a_cli_error(self, capsys):
-        assert main(["batch", "lion", "-j", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+    def test_batch_has_no_jobs_flag(self, capsys):
+        # Batches run serially; scale-out is `seance shard run`/`work`.
+        with pytest.raises(SystemExit) as raised:
+            main(["batch", "lion", "-j", "2"])
+        assert raised.value.code == 2
+        assert "-j" in capsys.readouterr().err
 
     def test_batch_cache_dir_on_a_file_is_a_cli_error(
         self, tmp_path, capsys
@@ -370,6 +369,14 @@ class TestShard:
         assert main(["shard", "merge", "-n", "1"] + args) == 0
         out = capsys.readouterr().out
         assert "validation campaign" in out
+
+    def test_shard_run_has_no_jobs_flag(self, tmp_path, capsys):
+        store = str(tmp_path / "rs")
+        with pytest.raises(SystemExit) as raised:
+            main(["shard", "run", "--shard", "0/1", "--store", store,
+                  "-j", "2", "lion"])
+        assert raised.value.code == 2
+        assert "-j" in capsys.readouterr().err
 
     def test_bad_shard_spec_rejected(self, tmp_path, capsys):
         store = str(tmp_path / "rs")
