@@ -33,8 +33,8 @@ compiled campaign regresses more than 2x against the committed
 ``CHECK_SPEEDUP_FLOOR``x.
 
 The **ring tier** (ISSUE 6) measures the bucket-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — batched same-timestamp fronts,
-run-segment replay with lazy queue materialisation) against the
+(:class:`repro.sim.ring.RingSimulator` — one live bucket loop over tick
+time, run-segment replay with lazy queue materialisation) against the
 compiled kernel on the campaign-scale regime it targets: unit-delay
 Monte-Carlo sweeps with long walks on the two largest paper machines,
 >10\N{SUPERSCRIPT SIX} kernel events per campaign.  Cell outcomes are
@@ -99,7 +99,7 @@ CHECK_SPEEDUP_FLOOR = 3.0
 #: Ring-tier workload (ISSUE 6): unit-delay campaign sweeps with
 #: campaign-length walks on the two largest paper machines — the regime
 #: where event-kernel load (not harness overhead) dominates and the
-#: bucket-ring's front batching and segment replay engage.  At ~115
+#: bucket-ring's segment replay engages.  At ~115
 #: kernel events per hand-shake cycle this is >10^6 events per campaign.
 RING_MACHINES = ("lion9", "train11")
 RING_SWEEP = 5

@@ -1116,9 +1116,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulation kernel (ring = the fast event kernel: exact "
         "fixed-point ticks for fractional delays, heap fallback for "
-        "off-grid ones, batched fronts and segment replay; compiled = "
-        "the heap kernel; reference = the retained seed interpreter, "
-        "for benchmarking; default ring)",
+        "off-grid ones, segment replay; compiled = the heap kernel; "
+        "reference = the retained seed interpreter, for benchmarking; "
+        "default ring)",
     )
     val.add_argument(
         "--skewed",

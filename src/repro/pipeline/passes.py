@@ -406,7 +406,8 @@ class VerifyPass:
     The pass assembles the gate-level FANTOM machine from the pipeline
     artifacts and runs a small :class:`~repro.sim.campaign.
     ValidationCampaign` (``SWEEP`` seeded walks under each of
-    ``MODELS``) on the compiled simulation kernel.  A dirty machine
+    ``MODELS``) on the default simulation kernel (the event ring of
+    :mod:`repro.sim.ring`).  A dirty machine
     raises :class:`~repro.errors.ValidationError`, failing the run; a
     clean one stores the :class:`~repro.sim.campaign.CampaignResult`
     as the ``validation`` artifact.

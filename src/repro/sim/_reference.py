@@ -31,7 +31,9 @@ import heapq
 from ..errors import SimulationError
 from ..netlist.netlist import Netlist
 from .delays import DelayModel, UnitDelay
-from .simulator import NetChange
+from .simulator import NetChange, schedule_time_error
+
+_INF = float("inf")
 
 
 class ReferenceSimulator:
@@ -83,10 +85,8 @@ class ReferenceSimulator:
         External schedules are never cancelled by inertial semantics —
         the environment's waveform is what it is.
         """
-        if at < self.now:
-            raise SimulationError(
-                f"cannot schedule {net} at {at} before now ({self.now})"
-            )
+        if not self.now <= at < _INF:
+            raise schedule_time_error(net, at, self.now)
         self._push(at, net, value, cancellable=False)
 
     def _push(

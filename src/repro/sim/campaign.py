@@ -398,22 +398,21 @@ class ValidationCampaign:
     use_fsv:
         ``False`` builds the unprotected machines (hazard ablation).
     jobs:
-        Worker processes for the validation cells; 1 runs them serially
-        in-process.  Synthesis is always serial.  A pool needs a store
-        its workers can re-open (a directory or URL), so with an
-        in-memory store the cells run serially.
+        Worker processes for the validation cells, at least 1; 1 runs
+        them serially in-process.  Synthesis is always serial.  A pool
+        needs a store its workers can re-open (a directory or URL), so
+        with an in-memory store the cells run serially.
     spec:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
         phase (pass variants, options, stage cache).
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
-        event-ring kernel of :mod:`repro.sim.ring`: fractional delays
-        run on an exact fixed-point tick grid (off-grid ones on the
-        heap), with batched fronts and run-segment replay, so every
-        built-in delay model stays on the fast path; ``"compiled"`` —
-        the heap kernel; or ``"reference"`` — the retained seed kernel,
-        for benchmarking and distrust.  All three are pinned
-        trace-equivalent.
+        event-ring kernel of :mod:`repro.sim.ring`: one live bucket loop
+        over an exact fixed-point tick grid (off-grid delays run on the
+        heap) plus run-segment replay, so every built-in delay model
+        stays on the fast path; ``"compiled"`` — the heap kernel; or
+        ``"reference"`` — the retained seed kernel, for benchmarking and
+        distrust.  All three are pinned trace-equivalent.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or a
         path/backend to open one over).  The synthesis phase routes
@@ -444,6 +443,8 @@ class ValidationCampaign:
             raise SimulationError(f"sweep must be >= 1, got {sweep}")
         if steps < 1:
             raise SimulationError(f"steps must be >= 1, got {steps}")
+        if jobs < 1:
+            raise SimulationError(f"jobs must be >= 1, got {jobs}")
         if not delay_models:
             raise SimulationError("a campaign needs at least one delay model")
         for model in delay_models:

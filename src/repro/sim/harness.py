@@ -218,8 +218,6 @@ def kernel_snapshot(sim) -> dict | None:
         # The replay counters are deliberately absent: they vary with
         # segment-cache warmth (an in-process execution detail), and
         # the summary's wire form must be partition-independent.
-        "fronts": stats.get("fronts", 0),
-        "front_events": stats.get("front_events", 0),
     }
 
 

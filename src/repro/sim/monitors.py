@@ -91,25 +91,19 @@ class CycleReport:
         )
 
 
-#: Counter keys of a kernel-telemetry snapshot, in wire order.  Only
-#: counters that are deterministic for a given walk belong here: the
-#: ring kernel's replay counters depend on how warm its segment cache
-#: is (which cells ran earlier in the same process), so they stay
-#: in-process diagnostics on ``sim.kernel_stats`` and never enter the
-#: summary — the sharded store's byte-identity contract requires the
-#: wire form to be partition-independent.
-_KERNEL_COUNTERS = ("fronts", "front_events")
-
-
 @dataclass
 class ValidationSummary:
     """Aggregate of a whole validation run (many cycles, many seeds).
 
     ``kernel`` aggregates the per-walk kernel telemetry the simulators
     expose (``sim.kernel_stats``): which engine paths the walks ended on
-    (``ring``/``ticks``/``heap``), any fast-path demotions
-    (``migrations``), and the batching counters.  ``None`` means no walk
-    contributed telemetry (e.g. the reference kernel).
+    (``ring``/``ticks``/``heap``) and any fast-path demotions
+    (``migrations``).  ``None`` means no walk contributed telemetry
+    (e.g. the reference kernel).  The ring kernel's replay counters
+    never enter it: they depend on how warm its segment cache is (which
+    cells ran earlier in the same process), and the sharded store's
+    byte-identity contract requires the wire form to be
+    partition-independent.
     """
 
     cycles: list[CycleReport] = field(default_factory=list)
@@ -124,20 +118,13 @@ class ValidationSummary:
             return
         kernel = self.kernel
         if kernel is None:
-            kernel = self.kernel = {
-                "paths": {},
-                "migrations": {},
-                **{key: 0 for key in _KERNEL_COUNTERS},
-            }
+            kernel = self.kernel = {"paths": {}, "migrations": {}}
         for path, count in snapshot.get("paths", {}).items():
             kernel["paths"][path] = kernel["paths"].get(path, 0) + count
         for reason, count in snapshot.get("migrations", {}).items():
-            kernel["migrations"] = kernel.get("migrations", {})
             kernel["migrations"][reason] = (
                 kernel["migrations"].get(reason, 0) + count
             )
-        for key in _KERNEL_COUNTERS:
-            kernel[key] = kernel.get(key, 0) + snapshot.get(key, 0)
 
     @property
     def total(self) -> int:
@@ -190,7 +177,6 @@ class ValidationSummary:
                 "migrations": dict(
                     sorted(kernel.get("migrations", {}).items())
                 ),
-                **{key: kernel.get(key, 0) for key in _KERNEL_COUNTERS},
             }
         return payload
 

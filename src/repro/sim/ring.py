@@ -1,17 +1,19 @@
-"""The event-ring simulation kernel: batched fronts over tick time.
+"""The event-ring simulation kernel: a bucket ring over tick time.
 
 :class:`RingSimulator` is the third event kernel (after the seed
 interpreter in :mod:`repro.sim._reference` and the compiled heap kernel
 in :mod:`repro.sim.simulator`), selectable as ``--engine ring``.  It is
 pinned trace-equivalent to both: identical
 :class:`~repro.sim.simulator.NetChange` streams, values and simulation
-times on every netlist and delay model (``events_processed``
-intentionally differs, exactly as the compiled kernel's push-time
-filtering already does).
+times on every netlist and delay model.  Its live loop makes the same
+pushes as the compiled kernel's, so ``events_processed`` agrees with
+the compiled kernel too (the seed interpreter's differs, as the
+compiled kernel's push-time filtering already does).
 
 Where the compiled kernel replaced *interpretation* costs (string keys,
 virtual calls) with a flat integer program, the ring kernel replaces the
-*event queue* itself for the delay regimes that allow it:
+*event queue* itself for the delay regimes that allow it, with two
+mechanisms:
 
 * **bucket-ring queue over negotiated ticks** — the resolved delay
   vector is put to :func:`~repro.sim.delays.negotiate_time_quantum`:
@@ -28,12 +30,6 @@ virtual calls) with a flat integer program, the ring kernel replaces the
   :data:`~repro.sim.delays.TIME_GRID_BITS` grid precisely so their
   campaign cells ride this path (``path: ticks``; the all-integer case
   is ``path: ring``);
-* **batched front evaluation** — a whole same-timestamp fanout front is
-  applied in one pass: values and flip-flop samples are committed in
-  sequence order, then each *touched* gate is evaluated **once** against
-  its final ones-count (``tt >> count & 1``) instead of once per fanout
-  edge, and the surviving pushes are emitted in exactly the order the
-  serial kernel's supersession chain would leave behind;
 * **run-segment replay** — a FANTOM hand-shake revisits a small set of
   ``(net values, queued events, wait)`` situations over and over (the
   walk graph has few distinct edges).  In integer-time mode every
@@ -56,8 +52,8 @@ loop (``path: heap``), so it is a drop-in for arbitrary stimuli:
 A migration preserves sequence numbers and pending entries, so the
 heap's ``(time, sequence)`` order is exactly the bucket order it
 replaces.  Every path transition is counted in
-:attr:`RingSimulator.kernel_stats` (fronts, replays, migrations, current
-path) — the telemetry surfaced through
+:attr:`RingSimulator.kernel_stats` (replays, migrations, current
+path); the path and migrations are the telemetry surfaced through
 :class:`~repro.sim.monitors.ValidationSummary` and
 ``seance validate --json`` so a silent fast-path loss is visible.
 """
@@ -74,10 +70,8 @@ from .simulator import (
     Simulator,
     plan_cache_get,
     plan_cache_put,
+    schedule_time_error,
 )
-
-#: Buckets at least this large take the batched front path.
-FRONT_MIN = 6
 
 _INF = float("inf")
 
@@ -87,18 +81,13 @@ class _Segment:
 
     __slots__ = (
         "events", "end_dt", "exit_values", "exit_counts", "trace", "queue",
-        "fronts", "front_events", "next",
+        "next",
     )
 
     def __init__(self, events, end_dt, exit_values, exit_counts, trace,
-                 queue, fronts=0, front_events=0):
+                 queue):
         self.events = events
         self.end_dt = end_dt
-        #: fronts fired while this segment was recorded; replays re-count
-        #: them so the telemetry totals match an all-live run no matter
-        #: how warm the cache was (the store's byte-identity contract).
-        self.fronts = fronts
-        self.front_events = front_events
         #: successor edges: (externals signature, run args) -> _Segment.
         #: The post-replay state is exact, so the next ``run()``'s full
         #: key is a function of this segment, the externally scheduled
@@ -123,10 +112,12 @@ class _Segment:
 class RingSimulator(Simulator):
     """Event-driven simulation on the bucket-ring kernel.
 
-    Construction, driving surface and observable behaviour are identical
-    to :class:`~repro.sim.simulator.Simulator`; only the execution
-    strategy differs (and only when the resolved delays share a
-    practical tick quantum).
+    Construction, driving surface and observable behaviour (traces,
+    values, time and ``events_processed``) are identical to
+    :class:`~repro.sim.simulator.Simulator`; only the execution strategy
+    differs, and only when the resolved delays share a practical tick
+    quantum: live runs take :meth:`_ring_loop`, repeated run segments
+    are replayed from the segment cache.
     """
 
     def __init__(
@@ -156,14 +147,12 @@ class RingSimulator(Simulator):
             [*gate_delays, *dff_delays], limit=TICK_SHIFT_LIMIT
         )
         #: Kernel telemetry: current engine path, the negotiated tick
-        #: shift, batched-front and segment-replay counts, and any path
-        #: migrations (reason -> count).  Everything here is
-        #: deterministic for a deterministic workload.
+        #: shift, segment-replay counts, and any path migrations
+        #: (reason -> count).  Everything here is deterministic for a
+        #: deterministic workload.
         self.kernel_stats = {
             "path": "heap",
             "shift": 0 if shift is None else shift,
-            "fronts": 0,
-            "front_events": 0,
             "replays": 0,
             "replayed_events": 0,
             "migrations": {},
@@ -204,26 +193,11 @@ class RingSimulator(Simulator):
             ]
             gate_delays_i = [int(d * up) for d in gate_delays]
             dff_delays_i = [int(d * up) for d in dff_delays]
-            num_nets = prog.num_nets
-            driver_gate = [-1] * num_nets
-            for g, out in enumerate(prog.gate_output):
-                driver_gate[out] = g
-            driver_dff = [-1] * num_nets
-            for f, q in enumerate(prog.dff_q):
-                driver_dff[q] = f
-            driven = [
-                driver_gate[n] >= 0 or driver_dff[n] >= 0
-                for n in range(num_nets)
-            ]
-            cached = (
-                plans_i, dff_plans_i, gate_delays_i, dff_delays_i,
-                driver_gate, driver_dff, driven,
-            )
+            cached = (plans_i, dff_plans_i, gate_delays_i, dff_delays_i)
             plan_cache_put(prog.plan_cache, ring_key, cached)
         (
             self._plans_i, self._dff_plans_i, self._gate_delays_i,
-            self._dff_delays_i, self._driver_gate, self._driver_dff,
-            self._driven,
+            self._dff_delays_i,
         ) = cached
 
         # Exactness horizon: every tick must stay below 2**53 for the
@@ -304,10 +278,8 @@ class RingSimulator(Simulator):
             extras.clear()
 
     def _ring_schedule(self, net: str, value: int, at: float) -> None:
-        if at < self.now:
-            raise SimulationError(
-                f"cannot schedule {net} at {at} before now ({self.now})"
-            )
+        if not self.now <= at < _INF:
+            raise schedule_time_error(net, at, self.now)
         nid = self._ids.get(net)
         if nid is None:
             raise SimulationError(f"unknown net {net!r}")
@@ -511,9 +483,6 @@ class RingSimulator(Simulator):
         # propagates before the cache write, so every revisit runs it
         # fresh and raises at the same point.
         events_before = self._events_processed
-        stats = self.kernel_stats
-        fronts_before = stats["fronts"]
-        front_events_before = stats["front_events"]
         recorder = {"changed": {}, "trace": [], "queue": ()}
         result = self._ring_loop(until, None, stop_nid, stop_value, recorder)
         segments[key] = segment = _Segment(
@@ -523,8 +492,6 @@ class RingSimulator(Simulator):
             exit_counts=list(self._counts),
             trace=tuple(recorder["trace"]),
             queue=recorder["queue"],
-            fronts=stats["fronts"] - fronts_before,
-            front_events=stats["front_events"] - front_events_before,
         )
         if edge is not None:
             last.next[edge] = segment
@@ -557,9 +524,6 @@ class RingSimulator(Simulator):
         stats = self.kernel_stats
         stats["replays"] += 1
         stats["replayed_events"] += segment.events
-        if segment.fronts:
-            stats["fronts"] += segment.fronts
-            stats["front_events"] += segment.front_events
         # Slice-assign so the list identities survive (values_reader
         # closures and the base class hold references to these lists).
         self._values[:] = segment.exit_values
@@ -599,7 +563,14 @@ class RingSimulator(Simulator):
     def _ring_loop(
         self, until, stop_when, stop_nid, stop_value, recorder
     ) -> float:
-        """The live bucket loop (records into ``recorder`` when given)."""
+        """The live bucket loop: the ring's one per-event loop.
+
+        Pops each tick bucket in append order and applies its events
+        exactly as the compiled kernel's heap loop does (same
+        supersession, same push-time filtering), so the two kernels push
+        and process the same events.  Records the segment into
+        ``recorder`` when given.
+        """
         self._materialise_queue()
         times = self._times
         buckets = self._buckets
@@ -631,8 +602,6 @@ class RingSimulator(Simulator):
             rec_base = int(start * up)
         else:
             rec_changed = rec_trace = None
-        stats = self.kernel_stats
-        front_ok = inertial and stop_when is None
         self._running = True
         try:
             while times:
@@ -642,25 +611,6 @@ class RingSimulator(Simulator):
                     return now
                 batch = buckets[t]
                 ft = t * down
-                if (
-                    front_ok
-                    and len(batch) >= FRONT_MIN
-                    and self._front_eligible(batch)
-                ):
-                    del buckets[t]
-                    times.pop(0)
-                    now = ft
-                    stats["fronts"] += 1
-                    stats["front_events"] += len(batch)
-                    events, stopped, error = self._front(
-                        t, batch, stop_nid, stop_value, events,
-                        rec_changed, rec_trace, rec_base,
-                    )
-                    if error is not None:
-                        raise error
-                    if stopped:
-                        return now
-                    continue
                 index = 0
                 stop_here = False
                 # Index loop: a stop_when callback may schedule into the
@@ -774,190 +724,3 @@ class RingSimulator(Simulator):
                     )
                     for t in times
                 )
-
-    def _front_eligible(self, batch) -> bool:
-        """True when the batched front path is exact for ``batch``.
-
-        Requirements (see the proofs in :meth:`_front`): every entry on
-        a driven net must be *tracked* (its sequence is the net's
-        pending one — always true for gate/flip-flop pushes; an external
-        stimulus aimed at a driven net forces the serial path), and no
-        applied net may feed any gate more than once (the duplicate-
-        occurrence push order is a serial-path artefact).
-        """
-        pending = self._pending
-        driven = self._driven
-        plans = self._plans_i
-        for seq, nid, _value in batch:
-            if driven[nid]:
-                live = pending[nid]
-                if live != seq and live != 0:
-                    continue  # dead entry: skipped either way
-                if live != seq:
-                    return False  # untracked external on a driven net
-            if plans[nid] is None:
-                return False
-        return True
-
-    def _front(
-        self, t, batch, stop_nid, stop_value, events,
-        rec_changed, rec_trace, rec_base,
-    ):
-        """Apply one same-timestamp front in a single batched pass.
-
-        Pass A walks the batch in sequence order: supersession decisions,
-        value commits, the trace tap, ones-count updates and flip-flop
-        D-sampling are all order-sensitive and run serially (they are
-        O(1) each).  Pass B then evaluates every *touched* gate exactly
-        once against its final count and emits the surviving pushes in
-        the order the serial kernel's supersession would leave behind —
-        (last touching event, plan position) — which reproduces sequence
-        numbering, and therefore future pop order, bit for bit.
-
-        Exactness relies on the :meth:`_front_eligible` guards: with
-        every driven-net entry tracked, an earlier touch of a net's
-        driver implies the serial kernel *would* have pushed (its push
-        condition ``pending or differs`` is automatically true while
-        that entry is pending), so "driver touched earlier" is exactly
-        the dead-entry rule, and only the *last* touch's push survives
-        supersession.  A gate touched more than once is replayed over
-        its recorded count sequence, so intermediate evaluations that
-        arm (or fail to arm) the push chain are honoured.
-
-        Returns ``(events, stopped, error)``; the caller syncs counters
-        before raising ``error`` so the post-exception state matches the
-        serial kernel's.
-        """
-        values = self._values
-        pending = self._pending
-        counts = self._counts
-        watched = self._watched_flags
-        trace = self.trace
-        fan_counts = self._prog.fan_counts
-        fan_dffs = self._prog.fan_dffs
-        gate_output = self._prog.gate_output
-        tts = self._prog.gate_tt
-        gate_delays = self._gate_delays_i
-        dff_d = self._prog.dff_d
-        dff_q = self._prog.dff_q
-        dff_delays = self._dff_delays_i
-        driver_gate = self._driver_gate
-        driver_dff = self._driver_dff
-        net_names = self._prog.net_names
-        max_events = self.max_events
-        ft = t * self._down
-
-        #: gate -> list of ones-counts after each touch (batch order).
-        touch_counts: dict[int, list[int]] = {}
-        #: gate -> (last touching batch index, 0, plan position).
-        touch_order: dict[int, tuple[int, int, int]] = {}
-        #: flip-flops that pushed during this front (their Q is dirty).
-        pushed_dffs: set[int] = set()
-        #: (order key, target nid, value, delay) for every surviving push.
-        push_log: list[tuple[tuple[int, int, int], int, int, int]] = []
-
-        stopped = False
-        stop_index = len(batch)
-        error = None
-        for index, (eseq, nid, value) in enumerate(batch):
-            events += 1
-            if events > max_events:
-                error = SimulationError(
-                    f"event budget exceeded ({max_events}); "
-                    f"oscillating feedback loop in {self.netlist.name!r}?"
-                )
-                stop_index = index
-                break
-            live = pending[nid]
-            if live:
-                if live != eseq:
-                    continue  # superseded before this front began
-                # Dead-entry rule: an earlier applied event touched this
-                # net's driver, so the serial kernel's re-evaluation push
-                # would have superseded this entry.
-                g = driver_gate[nid]
-                if g >= 0 and g in touch_counts:
-                    continue
-                f = driver_dff[nid]
-                if f >= 0 and f in pushed_dffs:
-                    continue
-                pending[nid] = 0
-            if values[nid] == value:
-                continue
-            values[nid] = value
-            if rec_changed is not None:
-                rec_changed[nid] = value
-            if watched[nid]:
-                trace.append(NetChange(ft, net_names[nid], value))
-                if rec_trace is not None:
-                    rec_trace.append((t - rec_base, nid, value))
-            if value:
-                for j, (g, mult) in enumerate(fan_counts[nid]):
-                    c = counts[g] + mult
-                    counts[g] = c
-                    seen = touch_counts.get(g)
-                    if seen is None:
-                        touch_counts[g] = [c]
-                    else:
-                        seen.append(c)
-                    touch_order[g] = (index, 0, j)
-                for f in fan_dffs[nid]:
-                    q_nid = dff_q[f]
-                    sampled = values[dff_d[f]]
-                    if pending[q_nid] or sampled != values[q_nid]:
-                        push_log.append(
-                            ((index, 1, f), q_nid, sampled, dff_delays[f])
-                        )
-                        pushed_dffs.add(f)
-            else:
-                for j, (g, mult) in enumerate(fan_counts[nid]):
-                    c = counts[g] - mult
-                    counts[g] = c
-                    seen = touch_counts.get(g)
-                    if seen is None:
-                        touch_counts[g] = [c]
-                    else:
-                        seen.append(c)
-                    touch_order[g] = (index, 0, j)
-            if stop_nid >= 0 and values[stop_nid] == stop_value:
-                stopped = True
-                stop_index = index
-                break
-
-        # Pass B: evaluate each touched gate once.  Gates touched more
-        # than once replay their count sequence — an intermediate
-        # deviation arms the push chain, after which every later touch
-        # pushes (superseding), so only the final value survives.
-        for g, counts_seen in touch_counts.items():
-            out_nid = gate_output[g]
-            table = tts[g]
-            if len(counts_seen) == 1:
-                out = table >> counts_seen[0] & 1
-                if pending[out_nid] or out != values[out_nid]:
-                    push_log.append(
-                        (touch_order[g], out_nid, out, gate_delays[g])
-                    )
-                continue
-            current = values[out_nid]
-            armed = pending[out_nid] != 0
-            out = current
-            for c in counts_seen:
-                out = table >> c & 1
-                if not armed and out != current:
-                    armed = True
-            if armed:
-                push_log.append(
-                    (touch_order[g], out_nid, out, gate_delays[g])
-                )
-
-        # Emit surviving pushes in serial supersession order.
-        push_log.sort(key=lambda item: item[0])
-        for _order, out_nid, out, delay in push_log:
-            self._bucket_push(t + delay, out_nid, out, True)
-
-        if error is not None or stopped:
-            rest = batch[stop_index + 1 :]
-            if rest:
-                self._buckets[t] = rest
-                insort(self._times, t)
-        return events, stopped, error

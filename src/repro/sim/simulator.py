@@ -56,6 +56,21 @@ from .delays import DelayModel, UnitDelay
 #: cell's plans (and the ring kernel's segment memos) mid-sweep.
 PLAN_CACHE_LIMIT = 64
 
+_INF = float("inf")
+
+
+def schedule_time_error(net: str, at: float, now: float) -> SimulationError:
+    """Why an external schedule of ``net`` at ``at`` is refused.
+
+    Every kernel accepts only ``now <= at < inf``: a NaN or infinite
+    time would become the clock and disable the "before now" guard.
+    """
+    if at < now:
+        return SimulationError(
+            f"cannot schedule {net} at {at} before now ({now})"
+        )
+    return SimulationError(f"cannot schedule {net} at non-finite time {at}")
+
 
 def plan_cache_get(cache: dict, key):
     """LRU lookup: a hit is refreshed to most-recently-used."""
@@ -220,10 +235,8 @@ class Simulator:
         the environment's waveform is what it is.  (As with :meth:`run`,
         the constructor shadows this with a generated closure.)
         """
-        if at < self.now:
-            raise SimulationError(
-                f"cannot schedule {net} at {at} before now ({self.now})"
-            )
+        if not self.now <= at < _INF:
+            raise schedule_time_error(net, at, self.now)
         nid = self._ids.get(net)
         if nid is None:
             raise SimulationError(f"unknown net {net!r}")
@@ -270,10 +283,8 @@ class Simulator:
             queue=self._queue,
             heappush=heapq.heappush,
         ):
-            if at < sim.now:
-                raise SimulationError(
-                    f"cannot schedule {net} at {at} before now ({sim.now})"
-                )
+            if not sim.now <= at < _INF:
+                raise schedule_time_error(net, at, sim.now)
             nid = ids.get(net)
             if nid is None:
                 raise SimulationError(f"unknown net {net!r}")

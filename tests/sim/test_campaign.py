@@ -31,6 +31,11 @@ class TestConfiguration:
         with pytest.raises(SimulationError):
             ValidationCampaign(delay_models=())
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(SimulationError, match="jobs must be >= 1"):
+            ValidationCampaign(jobs=jobs)
+
     def test_registry_names(self):
         assert set(DELAY_MODELS) == {
             "unit",
@@ -211,3 +216,9 @@ class TestCli:
 
         assert main(["validate", "hazard_demo", "--delay-model", "x"]) == 2
         assert "unknown delay model" in capsys.readouterr().err
+
+    def test_validate_zero_jobs_is_a_cli_error(self, capsys):
+        from repro.cli import main
+
+        assert main(["validate", "hazard_demo", "-j", "0"]) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err

@@ -1,15 +1,15 @@
 """The ring-buffer event kernel is pinned to the compiled kernel.
 
-Same pattern as the PR-4 engine swap: the vectorised bucket-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — batched same-timestamp fronts,
-run-segment replay, heap fallback for fractional delays) must be
-observably indistinguishable from the compiled kernel — identical
+Same pattern as the compiled-kernel engine swap: the bucket-ring kernel
+(:class:`repro.sim.ring.RingSimulator` — one live bucket loop, run-segment
+replay, heap fallback for fractional delays) must be observably
+indistinguishable from the compiled kernel — identical
 :class:`NetChange` traces, identical final net values, identical
 simulation time — on random netlists under random stimuli across every
 delay model, and identical campaign outcomes (including the failing
-cells of ablated machines) over the golden machines.
-(``events_processed`` intentionally differs in unit-delay mode: batched
-fronts elide pushes that the serial kernel enqueues and supersedes.)
+cells of ablated machines) over the golden machines.  Its live loop
+pushes exactly what the compiled kernel pushes, so ``events_processed``
+agrees too (pinned on unit-delay machine walks below).
 """
 
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ def integral_stimuli(draw, nl):
 
     The fractional schedules of :func:`stimuli` force the ring kernel
     onto its heap fallback; integral schedules keep it on the bucket
-    ring, exercising front batching and segment replay.
+    ring, exercising the live bucket loop and segment replay.
     """
     schedule = []
     at = 0
@@ -183,25 +183,49 @@ class TestRingFastPaths:
             simulator_factory=RingSimulator,
         )
 
-    def test_front_and_replay_paths_engage(self, monkeypatch):
-        """Guard against a silent fall-through to the serial/live path."""
+    def test_replay_path_engages(self, monkeypatch):
+        """Guard against a silent fall-through to the live loop.
+
+        Segment replay carries almost every event of a campaign walk,
+        and a lost replay changes no trace, so only this probe (not the
+        equivalence pins) notices when it stops firing.
+        """
         import repro.sim.ring as ring_mod
 
-        hits = {"front": 0, "replay": 0}
-        orig_front = ring_mod.RingSimulator._front
+        hits = {"replay": 0}
         orig_replay = ring_mod.RingSimulator._replay
-
-        def front(self, *a, **kw):
-            hits["front"] += 1
-            return orig_front(self, *a, **kw)
 
         def replay(self, *a, **kw):
             hits["replay"] += 1
             return orig_replay(self, *a, **kw)
 
-        monkeypatch.setattr(ring_mod.RingSimulator, "_front", front)
         monkeypatch.setattr(ring_mod.RingSimulator, "_replay", replay)
         summary = self._walk("lion9")
         assert summary.total > 0
-        assert hits["front"] > 0
         assert hits["replay"] > 0
+
+    def test_events_processed_match_the_compiled_kernel(self):
+        """The live loop pushes what the compiled kernel pushes and a
+        replay adds its segment's recorded count, so both kernels
+        process the same number of events over a long unit-delay walk
+        (the regime with the largest same-tick buckets)."""
+        from repro.bench import benchmark
+        from repro.netlist.fantom import build_fantom
+        from repro.sim.delays import UnitDelay
+        from repro.sim.harness import FantomHarness, random_legal_walk
+        from repro.sim.simulator import Simulator
+
+        from ..strategies import cached_synthesize
+
+        for name in ("lion9", "train11"):
+            machine = build_fantom(cached_synthesize(benchmark(name)))
+            walk = random_legal_walk(machine.result.table, 200, seed=0)
+            processed = []
+            for kernel in (RingSimulator, Simulator):
+                harness = FantomHarness(
+                    machine, delays=UnitDelay(), simulator_factory=kernel
+                )
+                for column in walk:
+                    harness.apply(column)
+                processed.append(harness.simulator.events_processed)
+            assert processed[0] == processed[1], name

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.sim._reference import ReferenceSimulator
 from repro.sim.delays import RandomDelay, UnitDelay, loop_safe_random
+from repro.sim.ring import RingSimulator
 from repro.sim.simulator import Simulator
 
 
@@ -69,6 +71,27 @@ class TestCombinational:
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.schedule("a", 1, at=1.0)
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "kernel", [Simulator, RingSimulator, ReferenceSimulator],
+        ids=["compiled", "ring", "reference"],
+    )
+    def test_non_finite_schedule_time_rejected(self, kernel, at):
+        """A NaN or infinite time would become the clock and switch off
+        the "before now" guard for the rest of the session."""
+        nl, _ = inverter_chain(1)
+        sim = kernel(nl, UnitDelay())
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.schedule("a", 1, at=at)
+        assert sim.run(until=10.0) == 10.0
+        assert sim.now == 10.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.schedule("a", 1, at=5.0)
+        # The ring refuses before any path migration.
+        stats = getattr(sim, "kernel_stats", {"migrations": {}})
+        assert stats["migrations"] == {}
 
     def test_unknown_net_value(self):
         nl, _ = inverter_chain(1)
