@@ -32,9 +32,9 @@ compiled campaign regresses more than 2x against the committed
 ``BENCH_sim.json`` baseline or the speedup collapses below
 ``CHECK_SPEEDUP_FLOOR``x.
 
-The **ring tier** (ISSUE 6) measures the bucket-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — one live bucket loop over tick
-time, run-segment replay with lazy queue materialisation) against the
+The **ring tier** measures the event-ring kernel
+(:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
+run-segment replay with lazy queue materialisation) against the
 compiled kernel on the campaign-scale regime it targets: unit-delay
 Monte-Carlo sweeps with long walks on the two largest paper machines,
 >10\N{SUPERSCRIPT SIX} kernel events per campaign.  Cell outcomes are
@@ -99,7 +99,7 @@ CHECK_SPEEDUP_FLOOR = 3.0
 #: Ring-tier workload (ISSUE 6): unit-delay campaign sweeps with
 #: campaign-length walks on the two largest paper machines — the regime
 #: where event-kernel load (not harness overhead) dominates and the
-#: bucket-ring's segment replay engages.  At ~115
+#: ring kernel's segment replay engages.  At ~115
 #: kernel events per hand-shake cycle this is >10^6 events per campaign.
 RING_MACHINES = ("lion9", "train11")
 RING_SWEEP = 5

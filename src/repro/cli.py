@@ -548,6 +548,8 @@ def cmd_queue_status(args: argparse.Namespace) -> int:
 
     from .service import WorkQueue
 
+    if not args.interval > 0:
+        raise ReproError(f"--interval must be > 0, got {args.interval}")
     queue = WorkQueue(_open_store(args), args.queue)
     if not args.watch:
         _print_queue_status(queue, args.queue)
@@ -739,7 +741,9 @@ def _add_matrix_arguments(
         "--engine",
         choices=_engine_choices(),
         default=None,
-        help="[campaign] simulation kernel (default ring)",
+        help="[campaign] simulation kernel: ring (default; the heap "
+        "loop plus segment replay), compiled (the heap loop alone) or "
+        "reference (the seed interpreter)",
     )
 
 

@@ -538,6 +538,7 @@ def fuzz_table(
     variable, so a whole campaign can be armed without threading a
     flag through the CLI.
     """
+    _check_steps(steps)
     key = key if key is not None else table.name
     if selftest is None:
         selftest = selftest_enabled()
@@ -575,6 +576,13 @@ def _resolve_source(source) -> tuple[str, str, FlowTable]:
     )
 
 
+def _check_steps(steps: int) -> None:
+    # A walk of no cycles runs no simulation check and would pass
+    # vacuously.
+    if steps < 1:
+        raise ReproError(f"steps must be >= 1, got {steps}")
+
+
 def _checks_per_machine(models: tuple[str, ...], selftest: bool) -> int:
     # logic + huffman legs count as one check each; each model runs a
     # trace check and two dirty-cell checks; selftest adds one.
@@ -606,6 +614,7 @@ def run_fuzz(
     Findings on :data:`KNOWN_DIRTY` machines land in
     ``known_findings`` unless ``strict``.
     """
+    _check_steps(steps)
     if selftest is None:
         selftest = selftest_enabled()
     report = FuzzReport()

@@ -51,6 +51,8 @@ class QueueWorker:
         lease_ttl: float = 30.0,
         poll: float = 0.5,
     ):
+        if not poll > 0:
+            raise ReproError(f"poll interval must be > 0, got {poll}")
         self.queue = WorkQueue(store, queue_id, lease_ttl=lease_ttl)
         self.store = self.queue.store
         self.worker_id = worker_id or (

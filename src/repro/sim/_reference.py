@@ -31,7 +31,7 @@ import heapq
 from ..errors import SimulationError
 from ..netlist.netlist import Netlist
 from .delays import DelayModel, UnitDelay
-from .simulator import NetChange, schedule_time_error
+from .simulator import NetChange, run_time_error, schedule_time_error
 
 _INF = float("inf")
 
@@ -121,6 +121,8 @@ class ReferenceSimulator:
         too so either kernel is a drop-in for the other.  Returns the
         simulation time reached.
         """
+        if until is not None and not until >= self.now:
+            raise run_time_error(until, self.now)
         if stop_net is not None:
             if stop_net not in self.values:
                 raise SimulationError(f"unknown net {stop_net!r}")
@@ -166,6 +168,8 @@ class ReferenceSimulator:
         caller expected stability and did not get it.
         """
         deadline = self.now + timeout
+        if not timeout >= 0:
+            raise run_time_error(deadline, self.now)
         if not self._queue:  # already quiet: just advance time
             self.now = deadline
             return deadline

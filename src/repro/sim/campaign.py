@@ -407,10 +407,10 @@ class ValidationCampaign:
         phase (pass variants, options, stage cache).
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
-        event-ring kernel of :mod:`repro.sim.ring`: one live bucket loop
-        over an exact fixed-point tick grid (off-grid delays run on the
-        heap) plus run-segment replay, so every built-in delay model
-        stays on the fast path; ``"compiled"`` — the heap kernel; or
+        event-ring kernel of :mod:`repro.sim.ring`: the compiled heap
+        loop plus run-segment replay, exact on the dyadic time grid
+        every built-in delay model draws on (off-grid delays run the
+        plain heap loop); ``"compiled"`` — the heap kernel; or
         ``"reference"`` — the retained seed kernel, for benchmarking and
         distrust.  All three are pinned trace-equivalent.
     store:

@@ -24,12 +24,12 @@ Every built-in model snaps its delays onto the dyadic grid
 physically meaningless at the model ranges in play).  On that grid every
 float the event kernels compute — sums and comparisons of event times —
 is *exact* IEEE arithmetic as long as times stay below
-``2**(53 - TIME_GRID_BITS)``, so a fixed-point tick kernel
-(:mod:`repro.sim.ring`) scaled by the negotiated quantum reproduces the
-float kernels bit for bit.  :func:`negotiate_time_quantum` is that
+``2**(53 - TIME_GRID_BITS)``, so the ring kernel (:mod:`repro.sim.ring`)
+can record a run segment in times relative to its start and replay it
+elsewhere bit for bit.  :func:`negotiate_time_quantum` is that
 negotiation: given a resolved delay vector it returns the shared shift,
 or ``None`` when no practical quantum exists (hand-annotated off-grid
-delays), in which case the kernel falls back to its event heap.
+delays), in which case the kernel runs its event heap without replay.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..netlist.gates import Dff, Gate
 #: Built-in delay draws land on multiples of ``2**-TIME_GRID_BITS``.
 TIME_GRID_BITS = 24
 
-#: The largest per-vector tick shift the ring kernel will run on.  With
+#: The largest per-vector tick shift the ring kernel replays on.  With
 #: shift ``k`` the exactness horizon is ``2**(53 - k)`` time units
 #: (~5.4e8 at the default grid) — far beyond any campaign walk.
 TICK_SHIFT_LIMIT = 30
@@ -73,8 +73,8 @@ def negotiate_time_quantum(
     Returns the smallest ``k`` such that every value is an integer
     multiple of ``2**-k`` — the vector's exact common quantum — provided
     it does not exceed ``limit`` (a denominator-bounded stand-in for the
-    LCM blow-up of impractical quanta).  ``0`` means the plain integer
-    ring suffices.
+    LCM blow-up of impractical quanta).  ``0`` means every delay is an
+    integer.
     """
     shift = 0
     for value in values:
@@ -90,9 +90,9 @@ class DelayModel:
     """Assigns a fixed delay to every gate and flip-flop instance.
 
     Built-in models keep their delays on the dyadic time grid
-    (:data:`TIME_GRID_BITS`) so the fixed-point tick kernel applies;
-    models are free to return off-grid values, at the cost of the
-    heap path.
+    (:data:`TIME_GRID_BITS`) so the ring kernel's segment replay
+    applies; models are free to return off-grid values, at the cost of
+    the heap path.
     """
 
     def gate_delay(self, gate: Gate) -> float:
@@ -126,7 +126,7 @@ class RandomDelay(DelayModel):
 
     Draws are snapped to the dyadic grid ``2**-grid_bits`` (and clamped
     inside the stated range, whose ends may themselves be off-grid), so
-    the tick kernel's quantum negotiation always succeeds on built-in
+    the ring kernel's quantum negotiation always succeeds on built-in
     silicon.  Pass ``grid_bits=None`` for raw uniform draws — the
     heap regime.
     """
@@ -223,7 +223,7 @@ class CornerDelay(DelayModel):
 
     Like the random models, the extremes are snapped to the dyadic time
     grid (nearest multiple of ``2**-TIME_GRID_BITS``) so corner cells
-    run on the tick kernel; the snap moves a boundary by under 3e-8.
+    keep segment replay; the snap moves a boundary by under 3e-8.
     """
 
     def __init__(

@@ -72,6 +72,18 @@ def schedule_time_error(net: str, at: float, now: float) -> SimulationError:
     return SimulationError(f"cannot schedule {net} at non-finite time {at}")
 
 
+def run_time_error(until: float, now: float) -> SimulationError:
+    """Why a run horizon ``until`` is refused.
+
+    Every kernel only runs forward, to ``until >= now``: an earlier
+    horizon would move the clock backwards (reopening time that has
+    passed to ``schedule()``), and a NaN would run unbounded.
+    """
+    if until != until:
+        return SimulationError("cannot run until NaN")
+    return SimulationError(f"cannot run until {until}, before now ({now})")
+
+
 def plan_cache_get(cache: dict, key):
     """LRU lookup: a hit is refreshed to most-recently-used."""
     entry = cache.pop(key, None)
@@ -330,6 +342,12 @@ class Simulator:
             max_events=self.max_events,
             inf=float("inf"),
         ):
+            if until is None:
+                deadline = inf
+            elif until >= sim.now:
+                deadline = until
+            else:
+                raise run_time_error(until, sim.now)
             stop_nid = -1
             if stop_net is not None:
                 stop_nid = ids.get(stop_net, -1)
@@ -337,7 +355,6 @@ class Simulator:
                     raise SimulationError(f"unknown net {stop_net!r}")
                 if values[stop_nid] == stop_value:
                     return sim.now
-            deadline = inf if until is None else until
             events = sim._events_processed
             seq = sim._sequence
             now = sim.now
@@ -463,7 +480,9 @@ class Simulator:
         caller expected stability and did not get it.
         """
         deadline = self.now + timeout
-        if not self._queue:  # already quiet: just advance time
+        if not timeout >= 0:
+            raise run_time_error(deadline, self.now)
+        if not self.pending_events():  # already quiet: just advance time
             self.now = deadline
             return deadline
         reached = self.run(until=deadline)

@@ -176,6 +176,17 @@ class TestRunFuzz:
         assert report.checks == report.machines * 11  # 2 + 3 models * 3
 
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_walks_of_no_cycles_are_rejected(self, steps):
+        """A walk of no cycles would pass every check vacuously."""
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="steps must be >= 1"):
+            run_fuzz(self.CORPUS[:1], steps=steps)
+        with pytest.raises(ReproError, match="steps must be >= 1"):
+            fuzz_table(generate(self.CORPUS[0]), steps=steps)
+
+
 class TestCorpusCli:
     def test_corpus_list(self, capsys):
         assert main(["corpus", "list"]) == 0
@@ -241,6 +252,12 @@ class TestCorpusCli:
     def test_fuzz_nothing_to_do_is_a_clean_error(self, capsys):
         assert main(["fuzz"]) == 2
         assert "nothing to fuzz" in capsys.readouterr().err
+
+    def test_fuzz_zero_steps_is_a_clean_error(self, capsys):
+        assert main(["fuzz", "corpus:random-flow:0", "--steps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "steps must be >= 1" in captured.err
+        assert "no divergences" not in captured.out
 
     def test_vcd_diff_cli(self, tmp_path, capsys):
         fixtures = Path(__file__).parent / "fixtures"

@@ -35,6 +35,24 @@ class TestQueueCli:
         ]) == 0
         assert "2 done, 0 remaining" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["work", "--poll", "-1", "--keep-polling", "--timeout", "0.1"],
+            ["queue", "status", "--watch", "--interval", "-1"],
+        ],
+        ids=["work-poll", "status-interval"],
+    )
+    def test_negative_poll_interval_is_a_clean_error(
+        self, tmp_path, capsys, argv
+    ):
+        store = str(tmp_path / "store")
+        main(["queue", "publish", "lion", "--store", store])
+        capsys.readouterr()
+        assert main([*argv, "--store", store]) == 2
+        err = capsys.readouterr().err
+        assert "must be > 0" in err and "Traceback" not in err
+
     def test_drained_queue_merges_canonically(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         main(["queue", "publish", "lion", "--store", store])

@@ -86,6 +86,15 @@ class TestDrain:
         )
 
 
+    @pytest.mark.parametrize("poll", [0.0, -1.0])
+    def test_non_positive_poll_is_rejected(self, store, poll):
+        """An idle worker would crash in ``time.sleep`` later."""
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="poll interval must be > 0"):
+            QueueWorker(store, "q", poll=poll)
+
+
 class TestSteal:
     def test_surviving_worker_completes_a_crashed_workers_units(
         self, store

@@ -1,13 +1,13 @@
 """The fractional-time fast paths, pinned and provenanced (ISSUE 9).
 
-The ring kernel no longer needs integral delays: a resolved delay
-vector negotiates an exact dyadic tick quantum
-(:func:`~repro.sim.delays.negotiate_time_quantum`) and the integer
-bucket ring runs on scaled ticks, while vectors with no practical
-quantum keep the inherited heap.  These tests pin both paths
-trace-for-trace to the compiled heap kernel across every built-in
-delay model, exercise the documented migrations (off-grid stimulus
-mid-run → heap, tick-horizon overflow → heap), and check the
+The ring kernel's segment replay does not need integral delays: a
+resolved delay vector negotiates an exact dyadic tick quantum
+(:func:`~repro.sim.delays.negotiate_time_quantum`) under which relative
+event times are exact, while vectors with no practical quantum run the
+plain heap loop.  These tests pin both paths trace-for-trace to the
+compiled heap kernel across every built-in delay model, exercise the
+documented migrations (off-grid stimulus mid-run → heap, tick-horizon
+overflow → heap, also from a ``stop_when`` callback), and check the
 per-cell engine-path provenance that :class:`CampaignResult` and
 ``seance validate --json`` surface.
 """
@@ -222,6 +222,38 @@ class TestOverflowFallback:
         assert stats["path"] == "ticks"
         assert 0 < stats["shift"] <= TIME_GRID_BITS
         assert not stats["migrations"]
+
+
+class TestCallbackStimulus:
+    def test_off_grid_schedule_from_stop_when_leaves_the_grid(self):
+        """A ``stop_when`` callback may schedule anything, as on the
+        compiled kernel: an off-grid event just turns replay off."""
+        nl = TestOverflowFallback()._netlist()
+        factory = _model_factory("loop-safe", 3)
+
+        def drive(kernel):
+            sim = kernel(nl, delays=factory())
+            sim.watch(*sorted(nl.nets()))
+            sim.schedule("a", 1, at=1.0)
+            fired = []
+
+            def stop_when(sim):
+                if not fired:
+                    fired.append(sim.now)
+                    sim.schedule("a", 0, at=sim.now + 0.1)
+                return False
+
+            end = sim.run(until=60.0, stop_when=stop_when)
+            values = {net: sim.value(net) for net in nl.nets()}
+            return (sim.trace, values, end), sim.kernel_stats
+
+        ring, stats = drive(RingSimulator)
+        compiled, _ = drive(Simulator)
+        assert ring == compiled
+        assert [change.value for change in ring[0] if change.net == "a"] \
+            == [1, 0]
+        assert stats["path"] == "heap"
+        assert stats["migrations"] == {"off-grid-stimulus": 1}
 
 
 # ----------------------------------------------------------------------

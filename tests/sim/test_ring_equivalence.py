@@ -1,15 +1,16 @@
 """The ring-buffer event kernel is pinned to the compiled kernel.
 
-Same pattern as the compiled-kernel engine swap: the bucket-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — one live bucket loop, run-segment
-replay, heap fallback for fractional delays) must be observably
-indistinguishable from the compiled kernel — identical
+Same pattern as the compiled-kernel engine swap: the event-ring kernel
+(:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
+run-segment replay, replay off for stimuli off the time grid) must be
+observably indistinguishable from the compiled kernel — identical
 :class:`NetChange` traces, identical final net values, identical
 simulation time — on random netlists under random stimuli across every
 delay model, and identical campaign outcomes (including the failing
-cells of ablated machines) over the golden machines.  Its live loop
-pushes exactly what the compiled kernel pushes, so ``events_processed``
-agrees too (pinned on unit-delay machine walks below).
+cells of ablated machines) over the golden machines.  Its live events
+run on the compiled kernel's own loop and a replay adds its segment's
+recorded count, so ``events_processed`` agrees too (pinned on
+unit-delay machine walks below).
 """
 
 from hypothesis import given, settings
@@ -27,9 +28,9 @@ SETTINGS = settings(max_examples=40, deadline=None)
 def integral_stimuli(draw, nl):
     """A monotone schedule of pin changes at integer times.
 
-    The fractional schedules of :func:`stimuli` force the ring kernel
-    onto its heap fallback; integral schedules keep it on the bucket
-    ring, exercising the live bucket loop and segment replay.
+    The fractional schedules of :func:`stimuli` turn the ring kernel's
+    segment replay off; integral schedules keep it on, exercising
+    recorded live runs and their replay.
     """
     schedule = []
     at = 0
@@ -56,7 +57,7 @@ class TestRingKernelEquivalence:
     @given(data=st.data(), inertial=st.booleans())
     @SETTINGS
     def test_integral_unit_delay_stays_on_the_ring(self, data, inertial):
-        """Bucket-ring path (no heap migration) is trace-identical."""
+        """Replay path (no heap migration) is trace-identical."""
         nl = data.draw(netlists())
         schedule = data.draw(integral_stimuli(nl))
         delays_factory = delay_model_for(0)  # unit: integral delays
@@ -205,10 +206,10 @@ class TestRingFastPaths:
         assert hits["replay"] > 0
 
     def test_events_processed_match_the_compiled_kernel(self):
-        """The live loop pushes what the compiled kernel pushes and a
-        replay adds its segment's recorded count, so both kernels
-        process the same number of events over a long unit-delay walk
-        (the regime with the largest same-tick buckets)."""
+        """Live runs are the compiled kernel's loop and a replay adds
+        its segment's recorded count, so both kernels process the same
+        number of events over a long unit-delay walk (the regime with
+        the most same-time events)."""
         from repro.bench import benchmark
         from repro.netlist.fantom import build_fantom
         from repro.sim.delays import UnitDelay

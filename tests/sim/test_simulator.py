@@ -93,6 +93,34 @@ class TestCombinational:
         stats = getattr(sim, "kernel_stats", {"migrations": {}})
         assert stats["migrations"] == {}
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.run(until=5.0),
+            lambda sim: sim.run(until=float("nan")),
+            lambda sim: sim.run_until_quiet(-1.0),
+        ],
+        ids=["until-before-now", "until-nan", "negative-timeout"],
+    )
+    @pytest.mark.parametrize(
+        "kernel", [Simulator, RingSimulator, ReferenceSimulator],
+        ids=["compiled", "ring", "reference"],
+    )
+    def test_clock_never_runs_backwards(self, kernel, call):
+        """A horizon before ``now`` (or NaN) is refused, so time that
+        has passed never reopens to ``schedule()``."""
+        nl, _ = inverter_chain(1)
+        sim = kernel(nl, UnitDelay())
+        sim.schedule("a", 1, at=20.0)
+        assert sim.run(until=10.0) == 10.0
+        with pytest.raises(SimulationError, match="cannot run until"):
+            call(sim)
+        assert sim.now == 10.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.schedule("a", 0, at=6.0)
+        assert sim.run(until=30.0) == 30.0
+        assert sim.value("a") == 1
+
     def test_unknown_net_value(self):
         nl, _ = inverter_chain(1)
         sim = Simulator(nl)
