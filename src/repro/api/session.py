@@ -23,7 +23,7 @@ from ..pipeline.batch import error_message
 from ..pipeline.cache import StageCache
 from ..pipeline.manager import PipelineReport
 from ..pipeline.options import SynthesisOptions
-from ..pipeline.spec import PipelineSpec
+from ..pipeline.spec import PipelineSpec, reject_cache_path
 from .loaders import load_table
 
 
@@ -105,16 +105,10 @@ class Session:
         """Substitute stages by base name (``"factor:joint"`` → factor)."""
         return self._derive(self._spec.substitute(*overrides))
 
-    def with_cache(self, cache) -> "Session":
-        """Attach a cache: an existing :class:`StageCache`, a disk-tier
-        directory path (str or PathLike), or None to disable caching."""
-        import os
-
-        from ..pipeline.spec import CacheSpec
-
-        if isinstance(cache, (str, os.PathLike)):
-            # Through CacheSpec.build for the domain-error wrapping.
-            cache = CacheSpec(path=os.fspath(cache)).build()
+    def with_cache(self, cache: StageCache | None) -> "Session":
+        """Attach an existing :class:`StageCache`, or None to disable
+        caching."""
+        reject_cache_path(cache)
         return Session(
             self._table, self._spec, cache=cache, store=self._store
         )

@@ -36,15 +36,6 @@ class StgExpansionCost:
     extra_arcs: int
     max_steps_per_input_change: int
 
-    @property
-    def total_phase_factor(self) -> float:
-        """Expanded phase count relative to the original state count."""
-        return 1.0 + (
-            self.extra_phases / max(1, self._original_states)
-        )
-
-    _original_states: int = 1
-
 
 @dataclass(frozen=True)
 class FantomExpansionCost:
@@ -81,7 +72,6 @@ def stg_expansion_cost(table: FlowTable) -> StgExpansionCost:
         extra_phases=extra_phases,
         extra_arcs=extra_arcs,
         max_steps_per_input_change=max_steps,
-        _original_states=table.num_states,
     )
 
 
@@ -98,7 +88,6 @@ def stg_expansion_cost_from_stg(stg: Stg) -> StgExpansionCost:
         extra_phases=len(expanded.phases) - len(stg.phases),
         extra_arcs=len(expanded.arcs) - len(stg.arcs),
         max_steps_per_input_change=max_steps,
-        _original_states=len(stg.phases),
     )
 
 

@@ -22,11 +22,13 @@ reproducible from a spec file alone.
     ``--jobs`` spreads the campaign's cells over worker processes.
 
 ``seance batch NAME|FILE ...``
-    Synthesise many machines serially through the pass pipeline,
-    optionally against a persistent stage cache (``--cache-dir``), with
-    a deterministic, input-ordered report.  With no names, runs the full built-in suite.  ``--json``
-    includes the per-pass telemetry (wall clock + cache hits) of every
-    run.  ``--spec``/``--pass`` work as in ``synth``.
+    Synthesise many machines serially through the pass pipeline, with
+    a deterministic, input-ordered report.  With no names, runs the
+    full built-in suite.  One in-memory stage cache spans the batch, so
+    a repeated table reuses every stage; ``--store`` reuses whole
+    results across invocations.  ``--json`` includes the per-pass
+    telemetry (wall clock + cache hits) of every run.
+    ``--spec``/``--pass`` work as in ``synth``.
 
 ``seance shard plan|run|merge``
     Split a batch matrix (default) or a validation campaign
@@ -65,8 +67,8 @@ reproducible from a spec file alone.
     rejected-blob eviction, and the in-process fake object store for
     smokes and CI.
 
-``--store LOC`` and ``--cache-dir LOC`` everywhere accept a directory
-path or an ``http(s)://`` object-store URL; any other ``scheme://``
+``--store LOC`` everywhere accepts a directory path or an
+``http(s)://`` object-store URL; any other ``scheme://``
 location is an error (exit 2).
 
 ``seance passes``
@@ -87,7 +89,7 @@ from .bench import PAPER_TABLE1, TABLE1_BENCHMARKS, benchmark, benchmark_names
 from .bench import kiss_source, synthesize_suite
 from .errors import ReproError
 from .netlist.fantom import build_fantom
-from .pipeline import BatchRunner, PipelineSpec, StageCache
+from .pipeline import BatchRunner, PipelineSpec
 from .pipeline.registry import DEFAULT_PIPELINE, base_name, registered_passes
 
 
@@ -281,22 +283,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     specs = args.specs or list(benchmark_names())
     tables = [_load_table(spec) for spec in specs]
     spec = _build_spec(args)
-    try:
-        # --cache-dir overrides the spec's cache config; otherwise the
-        # spec decides (its default is an in-memory cache, matching the
-        # historical `seance batch` behaviour).
-        cache = (
-            StageCache(path=args.cache_dir, policy=_store_policy(args))
-            if args.cache_dir
-            else None
-        )
-    except OSError as error:
-        raise ReproError(
-            f"cannot use --cache-dir {args.cache_dir!r}: {error}"
-        ) from error
-    items = BatchRunner(
-        spec=spec, cache=cache, store=_open_store(args)
-    ).run(tables)
+    items = BatchRunner(spec=spec, store=_open_store(args)).run(tables)
     failures = [item for item in items if not item.ok]
 
     if args.canonical:
@@ -754,7 +741,7 @@ def _add_store_arguments(
     timeout_flag: str = "--timeout",
 ) -> None:
     """``--store LOC`` plus the transport knobs for networked
-    ``--store``/``--cache-dir`` locations (``seance work`` spells the
+    ``--store`` locations (``seance work`` spells the
     timeout ``--store-timeout`` because its ``--timeout`` is the run's
     wall-clock bound)."""
     p.add_argument(
@@ -1166,12 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "specs",
         nargs="*",
         help="KISS2 files or benchmark names (default: the whole suite)",
-    )
-    batch.add_argument(
-        "--cache-dir",
-        metavar="LOC",
-        help="persistent stage cache, shared across runs (a directory "
-        "or an http(s):// object-store URL)",
     )
     batch.add_argument(
         "--no-minimize", action="store_true", help="skip Step 2"

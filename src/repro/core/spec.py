@@ -194,14 +194,6 @@ class SpecifiedMachine:
             self.names, frozenset(on), frozenset(dc - on)
         )
 
-    def output_functions(
-        self, policy: str = "stable_only"
-    ) -> list[BooleanFunction]:
-        return [
-            self.output_function(k, policy)
-            for k in range(self.table.num_outputs)
-        ]
-
     # ------------------------------------------------------------------
     # Stability
     # ------------------------------------------------------------------

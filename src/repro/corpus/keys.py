@@ -49,9 +49,6 @@ class CorpusKey:
             return f"{PREFIX}{self.family}:{overrides}:{self.seed}"
         return f"{PREFIX}{self.family}:{self.seed}"
 
-    def with_seed(self, seed: int) -> "CorpusKey":
-        return CorpusKey(self.family, seed, self.params)
-
     def merged_params(self, defaults: dict[str, int]) -> dict[str, int]:
         """Family defaults with this key's overrides applied."""
         merged = dict(defaults)

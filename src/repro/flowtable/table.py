@@ -153,15 +153,6 @@ class FlowTable:
         #: its cost.
         self._blank = Entry(None, (None,) * len(self._outputs))
 
-    def __getattr__(self, name):
-        # Tables unpickled from a stage cache written before ``_blank``
-        # existed lack the attribute; rebuild it on first touch.
-        if name == "_blank":
-            blank = Entry(None, (None,) * len(self._outputs))
-            self.__dict__["_blank"] = blank
-            return blank
-        raise AttributeError(name)
-
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------

@@ -248,22 +248,6 @@ def minimal_cover(
     )
 
 
-def any_cover_possible(
-    candidates: Sequence[Cube], minterms: Iterable[int] | int | ChunkedMask
-) -> bool:
-    """True when the union of the candidates contains every minterm."""
-    if isinstance(minterms, ChunkedMask):
-        union = ChunkedMask.empty(minterms.chunk_bits)
-        for cube in candidates:
-            union = union | cube.chunked_coverage(minterms.chunk_bits)
-        return minterms.is_subset(union)
-    wanted = minterms if isinstance(minterms, int) else mask_of(minterms)
-    union = 0
-    for cube in candidates:
-        union |= cube.coverage_mask()
-    return wanted & ~union == 0
-
-
 def _greedy(
     primes: Sequence[Cube],
     coverage: Sequence,

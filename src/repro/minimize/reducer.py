@@ -35,12 +35,6 @@ class ReductionResult:
     state_map: dict[str, tuple[str, ...]]
     """reduced state name -> original member states."""
 
-    @property
-    def was_reduced(self) -> bool:
-        return len(self.state_map) < sum(
-            len(members) for members in self.state_map.values()
-        ) or any(len(m) > 1 for m in self.state_map.values())
-
 
 def class_name(members: frozenset[str]) -> str:
     """Deterministic name for a merged state (joined member names)."""

@@ -117,9 +117,6 @@ class Netlist:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def dff_count(self) -> int:
-        return len(self.dffs)
-
     # ------------------------------------------------------------------
     def compile(self):
         """The flat integer-indexed program of this netlist.

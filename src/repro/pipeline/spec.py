@@ -53,36 +53,22 @@ def _require_keys(payload: dict, allowed: set[str], what: str) -> None:
 class CacheSpec:
     """Stage-cache configuration, as data.
 
-    ``enabled=False`` disables caching entirely; ``path`` adds the disk
-    tier (shared across processes/invocations); ``max_entries`` bounds
-    the in-memory tier.
+    ``enabled=False`` disables caching entirely; ``max_entries`` bounds
+    the in-memory cache.  Sharing work across processes is the result
+    store's job (``--store``), not the stage cache's.
     """
 
     enabled: bool = True
-    path: str | None = None
     max_entries: int = 4096
 
     def build(self) -> StageCache | None:
-        """Materialise the configured cache (None when disabled).
-
-        An unusable ``path`` raises a domain error (so CLI consumers
-        report it cleanly) rather than a raw OSError.
-        """
+        """Materialise the configured cache (None when disabled)."""
         if not self.enabled:
             return None
-        try:
-            return StageCache(path=self.path, max_entries=self.max_entries)
-        except OSError as error:
-            raise SynthesisError(
-                f"cannot use stage-cache directory {self.path!r}: {error}"
-            ) from error
+        return StageCache(max_entries=self.max_entries)
 
     def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "path": self.path,
-            "max_entries": self.max_entries,
-        }
+        return {"enabled": self.enabled, "max_entries": self.max_entries}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CacheSpec":
@@ -91,20 +77,35 @@ class CacheSpec:
                 f"cache spec must be an object, got {type(payload).__name__}"
             )
         _require_keys(payload, {"enabled", "path", "max_entries"}, "cache spec")
+        # Spec files written by older builds carry ``"path": null``, so
+        # the key stays readable; any other value asked for a
+        # cross-process stage cache, which is the store's job now.
+        if payload.get("path") is not None:
+            raise SynthesisError(
+                "cache spec 'path' is no longer supported: share results "
+                "across processes with a result store (--store)"
+            )
         spec = cls(
             enabled=payload.get("enabled", True),
-            path=payload.get("path"),
             max_entries=payload.get("max_entries", 4096),
         )
         if not isinstance(spec.enabled, bool):
             raise SynthesisError("cache spec 'enabled' must be a boolean")
-        if spec.path is not None and not isinstance(spec.path, str):
-            raise SynthesisError("cache spec 'path' must be a string or null")
         if not isinstance(spec.max_entries, int) or spec.max_entries < 1:
             raise SynthesisError(
                 "cache spec 'max_entries' must be a positive integer"
             )
         return spec
+
+
+def reject_cache_path(cache) -> None:
+    """Raise for a path handed to ``with_cache``: the stage cache is
+    in-memory only, and cross-process reuse is the result store's job."""
+    if isinstance(cache, (str, os.PathLike)):
+        raise SynthesisError(
+            f"with_cache({os.fspath(cache)!r}): the stage cache has no "
+            "persistent tier; attach a result store with with_store()"
+        )
 
 
 def _options_to_dict(options: SynthesisOptions) -> dict:
@@ -175,16 +176,10 @@ class PipelineSpec:
                 raise SynthesisError(f"bad options: {error}") from error
         return dataclasses.replace(self, options=base)
 
-    def with_cache(
-        self, cache: CacheSpec | str | os.PathLike | None
-    ) -> "PipelineSpec":
-        """Set the cache config (a path means a disk-tier cache there)."""
-        if cache is None:
-            spec = CacheSpec(enabled=False)
-        elif isinstance(cache, CacheSpec):
-            spec = cache
-        else:
-            spec = CacheSpec(path=os.fspath(cache))
+    def with_cache(self, cache: CacheSpec | None) -> "PipelineSpec":
+        """Set the cache config (None disables the stage cache)."""
+        reject_cache_path(cache)
+        spec = CacheSpec(enabled=False) if cache is None else cache
         return dataclasses.replace(self, cache=spec)
 
     # ------------------------------------------------------------------

@@ -22,6 +22,7 @@ import urllib.parse
 from http.client import HTTPConnection, HTTPException
 
 from ..errors import StoreError
+from .resilience import timeout_in_range
 
 
 class ServiceClient:
@@ -38,6 +39,11 @@ class ServiceClient:
         if parsed.scheme != "http":
             raise StoreError(
                 f"service URL must be http://, got {url!r}"
+            )
+        if not timeout_in_range(timeout):
+            raise StoreError(
+                f"service timeout must be a positive number of seconds, "
+                f"got {timeout}"
             )
         self.url = url.rstrip("/")
         self._host = parsed.hostname or "localhost"

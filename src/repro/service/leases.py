@@ -38,6 +38,8 @@ import json
 import threading
 import time
 
+from ..errors import StoreError
+
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
@@ -60,10 +62,14 @@ class LeaseTable:
     ``prefix`` the namespace (``queue/<qid>/lease`` for unit claims,
     ``inflight`` for the front door's intent markers); ``ttl`` the
     default claim lifetime — owners heartbeat at a fraction of it, so
-    it bounds how long a crashed owner's keys stay stuck.
+    it bounds how long a crashed owner's keys stay stuck.  A ``ttl``
+    that is not ``> 0`` raises :class:`~repro.errors.StoreError`: every
+    claim would be written already expired, free for any peer to steal.
     """
 
     def __init__(self, backend, prefix: str, ttl: float = 30.0):
+        if not float(ttl) > 0:
+            raise StoreError(f"lease TTL must be > 0 seconds, got {ttl}")
         self.backend = backend
         self.prefix = prefix.rstrip("/") + "/"
         self.ttl = float(ttl)

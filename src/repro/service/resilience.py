@@ -41,10 +41,20 @@ response can never turn one lease into two.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, replace
+
+from ..errors import StoreError
+
+
+def timeout_in_range(timeout: float) -> bool:
+    """Is ``timeout`` a usable socket timeout?  Zero would make the
+    socket non-blocking (every operation a silent miss); negative and
+    NaN values are rejected by the socket layer itself."""
+    return 0 < timeout < math.inf
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,13 @@ class RetryPolicy:
         if retries is not None:
             updates["retries"] = max(int(retries), 0)
         if timeout is not None:
-            updates["timeout"] = float(timeout)
+            timeout = float(timeout)
+            if not timeout_in_range(timeout):
+                raise StoreError(
+                    f"transport timeout must be a positive number of "
+                    f"seconds, got {timeout}"
+                )
+            updates["timeout"] = timeout
         return replace(self, **updates) if updates else self
 
     @classmethod
@@ -98,8 +114,8 @@ class RetryPolicy:
     ) -> RetryPolicy:
         """Fold URL query knobs (``?retry=4&timeout=2``) into a policy.
 
-        Unknown keys are ignored; malformed values fall back to the base
-        policy rather than failing a store open.
+        Unknown keys are ignored; malformed or out-of-range values fall
+        back to the base policy rather than failing a store open.
         """
         policy = base if base is not None else cls()
         parsed = urllib.parse.parse_qs(query)
@@ -116,6 +132,8 @@ class RetryPolicy:
                 else None
             )
         except (ValueError, IndexError):
+            timeout = None
+        if timeout is not None and not timeout_in_range(timeout):
             timeout = None
         return policy.merged(retries=retries, timeout=timeout)
 

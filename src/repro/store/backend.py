@@ -14,8 +14,7 @@ blobs degrades to recomputation, not to wrong results.
 Write atomicity contract: :meth:`StoreBackend.write` must publish a blob
 either completely or not at all — a reader may see the old blob or the
 new blob, never a torn one.  :class:`DirectoryBackend` implements this
-with the same tmp-file + ``rename`` idiom the stage cache uses, which
-also makes concurrent writers of one name safe on POSIX filesystems:
+with the tmp-file + ``rename`` idiom, which also makes concurrent writers of one name safe on POSIX filesystems:
 the last rename wins with a complete file (and, because blob names are
 content hashes, every racer is writing identical bytes anyway).
 """

@@ -29,6 +29,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from ..errors import StoreError
 from .keys import STORE_FORMAT_VERSION, StoreKey
 from .store import ResultStore, open_store
 
@@ -176,8 +177,14 @@ def gc_store(
     by backend mtime; backends without ``stat`` simply never age
     anything out.  ``drop_rejected`` deletes what a fresh verify sweep
     rejects.  ``drained_queues`` removes unit/lease/done scaffolding of
-    queues whose every unit is done.
+    queues whose every unit is done.  A negative or NaN
+    ``max_age_seconds`` raises :class:`~repro.errors.StoreError` before
+    anything is deleted: a sign typo must not age out every result.
     """
+    if max_age_seconds is not None and not max_age_seconds >= 0:
+        raise StoreError(
+            f"max age must be >= 0 seconds, got {max_age_seconds}"
+        )
     resolved: ResultStore = open_store(store)
     backend = resolved.backend
     report = GcReport()

@@ -7,9 +7,8 @@ works; :class:`repro.service.fakes.FakeObjectStoreServer` (also
 ``seance store serve-fake``) is the in-process stand-in the tests and
 CI smoke run against — over a real socket, so the client's framing,
 quoting, reconnects and error paths are genuinely exercised.  It
-carries both the result store and the persistent stage-cache tier: the
-envelopes above it are verified on read, so one blob protocol serves
-every tier.
+carries the result store and the work queue built on it: the envelopes
+above it are verified on read, so one blob protocol serves both.
 
 Failure semantics follow the :class:`~repro.store.backend.StoreBackend`
 contract exactly: a dead server, a truncated response, or a poisoned

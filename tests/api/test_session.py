@@ -7,7 +7,7 @@ import pytest
 from repro import api
 from repro.bench import benchmark, kiss_source
 from repro.core.serialize import table_to_dict
-from repro.errors import ReproError
+from repro.errors import ReproError, SynthesisError
 from repro.flowtable.builder import FlowTableBuilder
 from repro.flowtable.burst import BurstSpec
 from repro.pipeline import StageCache
@@ -103,10 +103,10 @@ class TestSession:
         _, report = session.run_with_report()
         assert report.cache_hits == ()
 
-    def test_with_cache_path_builds_disk_tier(self, tmp_path):
-        session = api.load("lion").with_cache(str(tmp_path / "stages"))
-        session.run()
-        assert any((tmp_path / "stages").iterdir())
+    def test_with_cache_rejects_a_path(self, tmp_path):
+        with pytest.raises(SynthesisError, match="with_store"):
+            api.load("lion").with_cache(str(tmp_path / "stages"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_with_spec_keeps_cache_when_config_unchanged(self):
         base = api.load("lion")

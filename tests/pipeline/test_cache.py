@@ -148,26 +148,6 @@ class TestKeys:
 
 
 class TestDiskTier:
-    def test_warm_disk_cache_survives_a_new_cache_object(self, tmp_path):
-        table = benchmark("lion")
-        first = PassManager(cache=StageCache(path=tmp_path)).run(table)
-
-        fresh = StageCache(path=tmp_path)
-        manager = PassManager(cache=fresh)
-        second, report = manager.run_with_report(table)
-        assert report.cache_hits == ALL_STAGES
-        assert stripped(first) == stripped(second)
-
-    def test_corrupt_disk_entries_are_misses(self, tmp_path):
-        table = benchmark("lion")
-        PassManager(cache=StageCache(path=tmp_path)).run(table)
-        for entry in tmp_path.glob("*.pkl"):
-            entry.write_bytes(b"not a pickle")
-        _, report = PassManager(
-            cache=StageCache(path=tmp_path)
-        ).run_with_report(table)
-        assert report.cache_hits == ()
-
     def test_memory_tier_is_bounded(self):
         cache = StageCache(max_entries=2)
         cache.put("a", {"x": 1})

@@ -110,7 +110,15 @@ class TestPipelineSpec:
 
     def test_with_cache_forms(self):
         assert PipelineSpec().with_cache(None).cache == CacheSpec(enabled=False)
-        assert PipelineSpec().with_cache("/tmp/x").cache.path == "/tmp/x"
+        bounded = CacheSpec(max_entries=7)
+        assert PipelineSpec().with_cache(bounded).cache == bounded
+
+    def test_with_cache_rejects_a_path(self, tmp_path):
+        # The stage cache is in-memory only; a location names a store.
+        with pytest.raises(SynthesisError, match="with_store"):
+            PipelineSpec().with_cache("stages")
+        with pytest.raises(SynthesisError, match="with_store"):
+            PipelineSpec().with_cache(tmp_path)
 
     def test_build_manager_runs(self):
         from repro.bench import benchmark
@@ -138,7 +146,7 @@ class TestPipelineSpec:
             != base.fingerprint()
         )
         assert (
-            base.with_cache("/tmp/somewhere").fingerprint()
+            base.with_cache(None).fingerprint()
             == base.fingerprint()
         )
 
@@ -155,7 +163,7 @@ class TestSpecRoundTrip:
                     minimize=False, reduce_mode="joint",
                     output_policy="as_specified",
                 ),
-                cache=CacheSpec(enabled=True, path="stages", max_entries=7),
+                cache=CacheSpec(enabled=False, max_entries=7),
             ),
         ]
 
@@ -198,6 +206,19 @@ class TestSpecRoundTrip:
         payload = PipelineSpec().to_dict()
         payload["cache"]["surprise"] = 1
         with pytest.raises(SynthesisError, match="unknown cache spec"):
+            PipelineSpec.from_dict(payload)
+
+    def test_null_cache_path_still_loads(self):
+        # Older builds emitted `"path": null` in every spec file.
+        payload = PipelineSpec().to_dict()
+        assert "path" not in payload["cache"]
+        payload["cache"]["path"] = None
+        assert PipelineSpec.from_dict(payload) == PipelineSpec()
+
+    def test_cache_path_is_rejected(self):
+        payload = PipelineSpec().to_dict()
+        payload["cache"]["path"] = "stages"
+        with pytest.raises(SynthesisError, match="--store"):
             PipelineSpec.from_dict(payload)
 
     def test_future_format_is_rejected(self):

@@ -53,6 +53,21 @@ class TestQueueCli:
         err = capsys.readouterr().err
         assert "must be > 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("ttl", ["0", "-5"])
+    def test_non_positive_lease_ttl_is_a_clean_error(
+        self, tmp_path, capsys, ttl
+    ):
+        store = str(tmp_path / "store")
+        main(["queue", "publish", "lion", "--store", store])
+        capsys.readouterr()
+        assert main([
+            "work", "--store", store, "--lease-ttl", ttl, "--timeout", "60",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "lease TTL" in err and "Traceback" not in err
+        assert main(["queue", "status", "--store", store]) == 0
+        assert "0 done, 1 remaining" in capsys.readouterr().out
+
     def test_drained_queue_merges_canonically(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         main(["queue", "publish", "lion", "--store", store])
@@ -179,6 +194,19 @@ class TestStoreLifecycleCli:
         assert "1 rejected" in capsys.readouterr().out
         assert not blob.exists()
 
+    @pytest.mark.parametrize("hours", ["-1", "nan"])
+    def test_gc_rejects_a_negative_max_age(self, tmp_path, capsys, hours):
+        store = str(tmp_path / "store")
+        main(["batch", "lion", "traffic", "--store", store])
+        blobs = sorted((tmp_path / "store").rglob("*.json"))
+        assert blobs
+        capsys.readouterr()
+        assert main([
+            "store", "gc", "--store", store, "--max-age-hours", hours,
+        ]) == 2
+        assert "max age" in capsys.readouterr().err
+        assert sorted((tmp_path / "store").rglob("*.json")) == blobs
+
     def test_gc_ages_out_old_results(self, tmp_path, capsys):
         import os
         import time
@@ -245,6 +273,26 @@ class TestTransportCli:
                 "queue", "status", "--store", server.url,
                 "--retry", "3", "--timeout", "5",
             ]) == 0
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+    def test_out_of_range_store_timeout_is_a_clean_error(
+        self, capsys, timeout
+    ):
+        with FakeObjectStoreServer() as server:
+            assert main([
+                "batch", "lion", "--store", server.url,
+                "--timeout", timeout,
+            ]) == 2
+        err = capsys.readouterr().err
+        assert "timeout" in err and "Traceback" not in err
+
+    def test_out_of_range_url_timeout_falls_back(self, capsys):
+        with FakeObjectStoreServer() as server:
+            assert main([
+                "batch", "lion", "--store", f"{server.url}?timeout=-1",
+                "--json",
+            ]) == 0
+        assert '"ok": true' in capsys.readouterr().out
 
     def test_retry_knobs_ride_the_store_url(self, capsys):
         with FakeObjectStoreServer() as server:
@@ -316,3 +364,15 @@ class TestSubmitCli:
             "submit", "lion", "--server", url, "--timeout", "0.5",
         ]) == 2
         assert "unreachable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["-1", "0"])
+    def test_submit_out_of_range_timeout_is_a_clean_error(
+        self, tmp_path, capsys, timeout
+    ):
+        with SynthesisServer(store=tmp_path / "store") as server:
+            assert main([
+                "submit", "lion", "--server", server.url,
+                "--timeout", timeout,
+            ]) == 2
+        err = capsys.readouterr().err
+        assert "timeout" in err and "Traceback" not in err

@@ -16,7 +16,9 @@ import pytest
 
 from repro.bench import benchmark
 from repro.pipeline.spec import PipelineSpec
+from repro.errors import StoreError
 from repro.service import QueueWorker, WorkQueue
+from repro.service.leases import LeaseTable
 from repro.store import ResultStore, ShardedBatch
 from repro.store.backend import MemoryBackend
 from repro.store.keys import synthesis_key, table_digest
@@ -104,6 +106,14 @@ class TestPublish:
 
 
 class TestLeases:
+    @pytest.mark.parametrize("ttl", [0.0, -5.0, float("nan")])
+    def test_non_positive_ttl_is_rejected(self, store, ttl):
+        # An already-expired claim is free for any peer to steal.
+        with pytest.raises(StoreError, match="lease TTL"):
+            WorkQueue(store, "q", lease_ttl=ttl)
+        with pytest.raises(StoreError, match="lease TTL"):
+            LeaseTable(store.backend, "inflight", ttl=ttl)
+
     def test_claim_is_exclusive(self, queue):
         publish(queue, ("lion",))
         [(digest, _)] = queue.pending()

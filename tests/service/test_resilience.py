@@ -7,6 +7,7 @@ lives in ``test_chaos.py`` and the parametrised conformance suite.
 
 import pytest
 
+from repro.errors import StoreError
 from repro.service.resilience import (
     CircuitBreaker,
     RetryPolicy,
@@ -47,6 +48,12 @@ class TestRetryPolicy:
     def test_merged_clamps_negative_retries(self):
         assert RetryPolicy().merged(retries=-3).retries == 0
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"),
+                                         float("inf")])
+    def test_merged_rejects_an_unusable_timeout(self, timeout):
+        with pytest.raises(StoreError, match="timeout"):
+            RetryPolicy().merged(timeout=timeout)
+
     def test_merged_noop_returns_self(self):
         policy = RetryPolicy()
         assert policy.merged() is policy
@@ -66,6 +73,12 @@ class TestRetryPolicy:
         policy = RetryPolicy.from_query("retry=lots&timeout=", base=base)
         assert policy.retries == 9
         assert policy.timeout == base.timeout
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_from_query_out_of_range_timeout_falls_back(self, timeout):
+        base = RetryPolicy(timeout=4.0)
+        policy = RetryPolicy.from_query(f"timeout={timeout}", base=base)
+        assert policy.timeout == 4.0
 
     def test_from_query_empty(self):
         assert RetryPolicy.from_query("") == RetryPolicy()

@@ -14,7 +14,7 @@ import pytest
 
 from repro import api
 from repro.bench import benchmark, benchmark_names
-from repro.pipeline.spec import PipelineSpec
+from repro.pipeline.spec import CacheSpec, PipelineSpec
 from repro.store import (
     STORE_FORMAT_VERSION,
     ResultStore,
@@ -104,12 +104,12 @@ class TestKeys:
         )
         assert len({base.digest, ablated.digest, substituted.digest}) == 3
 
-    def test_cache_config_does_not_change_the_key(self, tmp_path):
+    def test_cache_config_does_not_change_the_key(self):
         table = benchmark("lion")
         assert (
             synthesis_key(table, PipelineSpec()).digest
             == synthesis_key(
-                table, PipelineSpec().with_cache(tmp_path)
+                table, PipelineSpec().with_cache(CacheSpec(enabled=False))
             ).digest
         )
 

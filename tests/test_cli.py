@@ -86,15 +86,6 @@ class TestBatch:
         assert payload[0]["ok"] is True
         assert payload[0]["result"]["depths"]["total"] == 9
 
-    def test_batch_cache_dir_warms_across_invocations(
-        self, tmp_path, capsys
-    ):
-        cache = str(tmp_path / "stages")
-        assert main(["batch", "lion", "--cache-dir", cache]) == 0
-        capsys.readouterr()
-        assert main(["batch", "lion", "--cache-dir", cache]) == 0
-        assert "7/7" in capsys.readouterr().out
-
     def test_batch_kiss_file_and_options(self, tmp_path, capsys):
         from repro.bench import kiss_source
 
@@ -114,15 +105,15 @@ class TestBatch:
         assert raised.value.code == 2
         assert "-j" in capsys.readouterr().err
 
-    def test_batch_cache_dir_on_a_file_is_a_cli_error(
-        self, tmp_path, capsys
-    ):
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("")
-        assert main(["batch", "lion", "--cache-dir", str(blocker)]) == 2
-        assert "cache-dir" in capsys.readouterr().err
+    def test_batch_has_no_cache_dir_flag(self, tmp_path, capsys):
+        # Cross-process reuse is the result store's job (`--store`).
+        with pytest.raises(SystemExit) as raised:
+            main(["batch", "lion", "--cache-dir", str(tmp_path)])
+        assert raised.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", ["--store", "--cache-dir"])
+    @pytest.mark.parametrize("flag", ["--store"])
     def test_batch_unknown_url_scheme_is_a_cli_error(
         self, flag, tmp_path, monkeypatch, capsys
     ):
@@ -208,15 +199,16 @@ class TestSpecWorkflow:
             assert event["seconds"] >= 0.0
             assert event["cached"] is False
 
-    def test_batch_json_telemetry_marks_cache_hits(self, tmp_path, capsys):
+    def test_batch_json_telemetry_marks_cache_hits(self, capsys):
         import json
 
-        cache = str(tmp_path / "stages")
-        assert main(["batch", "lion", "--cache-dir", cache]) == 0
-        capsys.readouterr()
-        assert main(["batch", "lion", "--cache-dir", cache, "--json"]) == 0
+        # One in-memory stage cache spans the batch: the repeat of a
+        # table is served from it, stage by stage.
+        assert main(["batch", "lion", "lion", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert all(e["cached"] for e in payload[0]["passes"])
+        assert not any(e["cached"] for e in payload[0]["passes"])
+        assert payload[1]["passes"]
+        assert all(e["cached"] for e in payload[1]["passes"])
 
     def test_batch_with_substitution(self, capsys):
         assert main(["batch", "lion", "--pass", "factor:joint"]) == 0
