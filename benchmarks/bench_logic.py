@@ -38,6 +38,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.bench import load_all
+from repro.bench.suite import random_flow_table
 from repro.api import synthesize
 from repro.hazards.logic_hazards import static_one_hazards
 from repro.logic import _reference as ref
@@ -153,28 +154,6 @@ def measure_widths(
             )
         )
     return rows
-
-
-def random_flow_table(positions: int, seed: int = SEED):
-    """A deterministic random chain-style flow table (lion9 geometry).
-
-    Built on :func:`repro.bench.suite._chain_machine` so the table is in
-    normal mode by construction; the output zones and jump structure are
-    drawn from the seeded RNG, exercising the assignment/hazard covering
-    cores on machines larger than the paper's.
-    """
-    from repro.bench.suite import _chain_machine
-
-    rng = random.Random(seed * 1000 + 499 + positions)
-    zones = [rng.randint(0, 1) for _ in range(positions + 1)]
-    jumps = [rng.random() < 0.5 for _ in range(positions + 1)]
-    return _chain_machine(
-        f"rand{positions}",
-        num_positions=positions,
-        z_of=lambda k: zones[k],
-        jump_from=lambda k: jumps[k],
-        resync=None,
-    )
 
 
 def measure_flow_tables(position_counts, rounds: int, seed: int) -> list[dict]:

@@ -29,6 +29,10 @@ Two more facts make the clique enumeration cheap:
   such orientation is compatible with all its members.  So the merge
   covers a seed exactly when the clique holds one of its orientations,
   and the coverage needs no pass over candidates and seeds.
+
+Past a few dozen seeds there are thousands of maximal merges, and the
+greedy cover keeps a handful; :func:`greedy_merge_cover` finds those
+with one maximum-weight clique search per chosen merge instead.
 """
 
 from __future__ import annotations
@@ -140,7 +144,32 @@ def merged_dichotomy_masks(
     reverse; ``clique`` is the vertex bitset of the merge's maximal
     clique, so seed ``k`` is covered exactly when bit ``2k`` or ``2k+1``
     is set.  Blocks are :func:`block_mask` ints under ``bit_of``, and
-    the list is sorted as the state-name lists of the blocks sort.
+    the list is sorted by :func:`merge_key`, as the state-name lists of
+    the blocks sort.
+    """
+    # With no vertex weighted, every maximal clique is a heaviest one.
+    found = heaviest_merges(
+        orientation_graph(seeds, bit_of), 0, roots=(1 << 2 * len(seeds)) - 1
+    )
+    found.sort(key=merge_key)
+    return found
+
+
+def merge_key(merge: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sort key of a canonical merge ``(left, right, ...)``: its blocks'
+    state bits, which sort as the blocks' state names do."""
+    return tuple(iter_bits(merge[0])), tuple(iter_bits(merge[1]))
+
+
+def orientation_graph(
+    seeds: list[Dichotomy], bit_of: dict[str, int]
+) -> tuple[list[int], list[int], list[int]]:
+    """``(lefts, rights, compatible)`` of the seed-orientation graph.
+
+    Vertex ``2k`` is ``seeds[k]`` and vertex ``2k+1`` its reverse, with
+    blocks packed by :func:`block_mask`.  ``compatible[v]`` is the
+    vertex bitset of the orientations that merge with ``v``: their left
+    block avoids ``v``'s right block and their right block ``v``'s left.
     """
     lefts: list[int] = []
     rights: list[int] = []
@@ -150,9 +179,6 @@ def merged_dichotomy_masks(
         lefts += (left, right)
         rights += (right, left)
     n = len(lefts)
-
-    # compatible[v]: the vertices whose left block avoids v's right block
-    # and whose right block avoids v's left block.
     compatible = [0] * n
     for i in range(n):
         li, ri = lefts[i], rights[i]
@@ -160,15 +186,70 @@ def merged_dichotomy_masks(
             if not (li & rights[j]) and not (ri & lefts[j]):
                 compatible[i] |= 1 << j
                 compatible[j] |= 1 << i
+    return lefts, rights, compatible
 
+
+def heaviest_merges(
+    graph: tuple[list[int], list[int], list[int]],
+    weighted: int,
+    roots: int,
+) -> list[tuple[int, int, int]]:
+    """The canonical maximal merges of greatest weight, unsorted.
+
+    A clique weighs the number of its vertices in the bitset
+    ``weighted``.  Of the canonical maximal cliques that hold a vertex
+    of ``roots``, returns every one of the greatest weight, as ``(left,
+    right, clique)`` in the form of :func:`merged_dichotomy_masks`,
+    except that ``clique`` is the mirror image that holds the even
+    vertex of its lowest root seed.  Both bitsets hold both orientations
+    of a seed or neither.  With ``weighted == 0`` and every vertex a
+    root, that is every maximal clique, each in the orientation that
+    holds its lowest vertex.
+
+    The search is Bron-Kerbosch with Tomita pivots on vertex bitsets,
+    started once per root seed ``k`` at vertex ``2k`` with the lower
+    roots' vertices excluded, so each clique is found once per mirror
+    pair.  It is pruned as in Tomita & Seki's MCQ: a node whose clique
+    weight plus a bound on what its candidate set can still add falls
+    *strictly* below the best weight so far is cut, so every tie
+    survives.  The bound is the size of a greedy colouring of the
+    weighted candidates: a clique takes at most one vertex per colour
+    class.
+    """
+    lefts, rights, compatible = graph
     found: list[tuple[int, int, int]] = []
+    best = 0
 
-    def expand(clique: int, left: int, right: int, p: int, x: int) -> None:
+    def colours(p: int, need: int) -> int:
+        """Greedy colour classes of ``p``, counted up to ``need``."""
+        count = 0
+        while p:
+            count += 1
+            if count >= need:
+                break
+            q = p
+            while q:
+                low = q & -q
+                q &= ~(compatible[low.bit_length() - 1] | low)
+                p ^= low
+        return count
+
+    def expand(
+        clique: int, left: int, right: int, weight: int, p: int, x: int
+    ) -> None:
+        nonlocal best
         if not p:
-            if not x:  # maximal; canonical puts the lowest state on the left
+            if not x and weight >= best:  # maximal and heavy enough
+                if weight > best:
+                    best = weight
+                    found.clear()
+                # Canonical puts the lowest state on the left.
                 if left & -left > right & -right:
                     left, right = right, left
                 found.append((left, right, clique))
+            return
+        need = best - weight
+        if need > 0 and colours(p & weighted, need) < need:
             return
         # Tomita pivot: the vertex of P | X with most neighbours in P.
         # One in X adjacent to all of P leaves nothing to branch on.
@@ -190,20 +271,102 @@ def merged_dichotomy_masks(
             v = low.bit_length() - 1
             nbrs = compatible[v]
             expand(clique | low, left | lefts[v], right | rights[v],
-                   p & nbrs, x & nbrs)
+                   weight + (weighted >> v & 1), p & nbrs, x & nbrs)
             p ^= low
             x |= low
             branch ^= low
 
-    # Only cliques whose lowest vertex is a seed in its given orientation:
-    # the other half are their mirror images, with the same canonical merge.
-    for v in range(0, n, 2):
+    # A clique and its mirror image have the same canonical merge, so
+    # each root seed starts in its given orientation only.
+    even = (1 << len(lefts)) // 3  # bit 2k for every seed k
+    for v in iter_bits(roots & even):
         nbrs = compatible[v]
-        later = nbrs >> (v + 1) << (v + 1)
-        expand(1 << v, lefts[v], rights[v], later, nbrs ^ later)
-
-    found.sort(key=lambda c: (tuple(iter_bits(c[0])), tuple(iter_bits(c[1]))))
+        lower = nbrs & roots & ((1 << v) - 1)
+        expand(1 << v, lefts[v], rights[v], weighted >> v & 1,
+               nbrs ^ lower, lower)
     return found
+
+
+def greedy_merge_cover(
+    seeds: list[Dichotomy], bit_of: dict[str, int]
+) -> tuple[list[tuple[int, int]], bool]:
+    """The greedy cover of the seeds by maximal merges, without
+    enumerating the merges.
+
+    Returns the chosen canonical ``(left, right)`` block masks in
+    :func:`merge_key` order, and whether the cover is provably minimum.
+    The result is exactly what enumerating every merge with
+    :func:`merged_dichotomy_masks` and covering with
+    :func:`~repro.util.setcover.minimum_set_cover` (``exact=False``)
+    chooses, by two facts:
+
+    1. **Essentials without enumeration.**  Seed ``k`` is covered by
+       exactly one maximal merge iff the closed neighbourhood of vertex
+       ``2k`` is a clique.  That clique, taken in the mirror orientation
+       that holds its lowest seed's even vertex, is the only merge that
+       covers ``k``.  The set cover takes every such merge first, so its
+       ``useful`` masks are coverage minus what those merges cover; when
+       they cover every seed the cover is minimum.
+    2. **Greedy with dominance and ties.**  Each greedy round takes the
+       largest gain among the undominated candidates, lowest candidate
+       index (that is, lowest :func:`merge_key`) first.  That is: let
+       ``M`` be every canonical maximal clique of the greatest weight,
+       where a vertex weighs 1 while its seed is uncovered
+       (:func:`heaviest_merges`).  Drop each member of ``M`` another
+       member dominates, by the static ``useful`` masks and the set
+       cover's predicate ``ui | uj == uj and (ui != uj or j < i)``, and
+       take the lowest key left.  ``M`` is enough: a dominator of a
+       largest-gain candidate gains at least as much, so it is in ``M``.
+    """
+    graph = orientation_graph(seeds, bit_of)
+    lefts, rights, compatible = graph
+    even = (1 << len(compatible)) // 3
+
+    def seeds_of(clique: int) -> int:
+        """Seed ``k`` of the clique as bit ``2k``."""
+        return (clique | clique >> 1) & even
+
+    # Fact 1: a closed neighbourhood that is a clique is an essential
+    # merge (two seeds' neighbourhoods may be one merge's mirror images).
+    essential: dict[tuple[int, int], int] = {}
+    for v in range(0, len(compatible), 2):
+        closed = compatible[v] | 1 << v
+        if all(
+            closed & ~compatible[u] == 1 << u
+            for u in iter_bits(closed ^ 1 << v)
+        ):
+            left = right = 0
+            for u in iter_bits(closed):
+                left |= lefts[u]
+                right |= rights[u]
+            if left & -left > right & -right:
+                left, right = right, left
+            essential[left, right] = closed
+    chosen = list(essential)
+    uncovered = even
+    for clique in essential.values():
+        uncovered &= ~seeds_of(clique)
+    exact = not uncovered
+
+    # Fact 2, one round per chosen merge.
+    core = uncovered  # the seeds the static ``useful`` masks keep
+    while uncovered:
+        weighted = uncovered | uncovered << 1
+        heaviest = heaviest_merges(graph, weighted, weighted)
+        # Lowest key per distinct useful mask; the first key whose mask
+        # has no strict superset among the others is undominated.
+        first: dict[int, tuple[int, int, int]] = {}
+        for merge in sorted(heaviest, key=merge_key):
+            first.setdefault(seeds_of(merge[2]) & core, merge)
+        masks = list(first)
+        for mask, merge in first.items():
+            if not any(mask | m == m and m != mask for m in masks):
+                break
+        chosen.append(merge[:2])
+        uncovered &= ~seeds_of(merge[2])
+
+    chosen.sort(key=merge_key)
+    return chosen, exact
 
 
 def maximal_merged_dichotomies(seeds: list[Dichotomy]) -> list[Dichotomy]:

@@ -17,8 +17,13 @@ The algorithm, following Tracey (1966) as the paper cites:
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
-   that will generate the smallest number of state variables".  The cover
-   is solved exactly at paper scale (:mod:`repro.util.setcover`).
+   that will generate the smallest number of state variables".
+   :func:`~repro.util.setcover.minimum_set_cover` solves it exactly when
+   its cyclic core is small (every paper table but lion9 and train11) and
+   greedily otherwise.  Above :data:`SEARCH_ABOVE_SEEDS` seeds the merges
+   are not enumerated at all:
+   :func:`~repro.assign.dichotomy.greedy_merge_cover` finds the same
+   greedy cover one maximum-weight clique search per chosen merge.
 
 4. **Code construction.**  Chosen dichotomy ``i`` becomes variable
    ``y{i+1}``: 0 on its left block, 1 on its right block.  States in
@@ -39,10 +44,15 @@ from .dichotomy import (
     Dichotomy,
     block_mask,
     dichotomy_of,
+    greedy_merge_cover,
     merged_dichotomy_masks,
     state_bits,
 )
 from .encoding import StateEncoding
+
+#: Above this many seeds (after :func:`absorb_seeds`) the greedy cover is
+#: searched merge by merge instead of enumerating every maximal merge.
+SEARCH_ABOVE_SEEDS = 64
 
 
 @dataclass(frozen=True)
@@ -129,11 +139,24 @@ def assign_states(
     """Compute a USTT encoding for ``table``.
 
     The encoding has the fewest state variables when the result's
-    ``exact`` flag is true.  Covering problems too large for the exact
-    search (the 13-state and larger chain tables) go greedy and may use
-    more.  A single-state table degenerates to one variable constant 0
-    (some feedback signal must exist for the architecture to
-    instantiate).
+    ``exact`` flag is true.  A covering problem whose cyclic core is too
+    large for the exact search goes greedy (``exact`` false) and may use
+    more; of the paper tables, lion9 and train11 do.
+
+    The cover is built one of two ways, by a rule on the input: a table
+    with more than :data:`SEARCH_ABOVE_SEEDS` (64) seeds after
+    :func:`absorb_seeds` takes
+    :func:`~repro.assign.dichotomy.greedy_merge_cover`, which searches
+    the greedy cover clique by clique and reports ``exact`` false unless
+    the essential merges alone cover every seed.  Every other table
+    enumerates all maximal merges and covers them with
+    :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
+    cover goes greedy, the search chooses the same merges; the search
+    never runs the exact branch-and-bound.  For scale: lion9 has 42
+    seeds, train11 58, the 13- to 17-state chain tables 80-148.
+
+    A single-state table degenerates to one variable constant 0 (some
+    feedback signal must exist for the architecture to instantiate).
     """
     if table.num_states == 1:
         encoding = StateEncoding(("y1",), {table.states[0]: 0})
@@ -142,13 +165,18 @@ def assign_states(
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
     bit_of = state_bits(seeds)
     states = sorted(bit_of)
-    candidates = merged_dichotomy_masks(seeds, bit_of)
-    # A merge covers seed k when its clique holds vertex 2k or 2k+1.
-    cover = minimum_set_cover(
-        set(range(len(seeds))),
-        [frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates],
-    )
-    chosen = [dichotomy_of(*candidates[i][:2], states) for i in cover.chosen]
+    if len(seeds) > SEARCH_ABOVE_SEEDS:
+        merges, exact = greedy_merge_cover(seeds, bit_of)
+    else:
+        candidates = merged_dichotomy_masks(seeds, bit_of)
+        # A merge covers seed k when its clique holds vertex 2k or 2k+1.
+        covered = [
+            frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates
+        ]
+        cover = minimum_set_cover(set(range(len(seeds))), covered)
+        merges = [candidates[i][:2] for i in cover.chosen]
+        exact = cover.exact
+    chosen = [dichotomy_of(left, right, states) for left, right in merges]
 
     # Variable i is 1 on chosen[i]'s right block; every other state takes 0.
     codes = {
@@ -157,4 +185,4 @@ def assign_states(
     }
     variables = tuple(f"y{i + 1}" for i in range(len(chosen)))
     encoding = StateEncoding(variables, codes)
-    return AssignmentResult(encoding, tuple(seeds), tuple(chosen), cover.exact)
+    return AssignmentResult(encoding, tuple(seeds), tuple(chosen), exact)

@@ -47,6 +47,8 @@ the measured values next to the paper's.
 
 from __future__ import annotations
 
+import random
+
 from ..flowtable.builder import FlowTableBuilder
 from ..flowtable.kiss import parse_kiss, write_kiss
 from ..flowtable.table import FlowTable
@@ -221,6 +223,32 @@ def _chain_machine(
         k, column, target = resync
         builder.add(state(k), column, state(target), str(z_of(k)))
     return builder.build(reset=state(0), name=name)
+
+
+#: Default seed of :func:`random_flow_table`.
+RANDOM_TABLE_SEED = 20260729
+
+
+def random_flow_table(
+    positions: int, seed: int = RANDOM_TABLE_SEED
+) -> FlowTable:
+    """A deterministic random chain table ``rand{positions}``.
+
+    Built on :func:`_chain_machine`, so the table is in normal mode by
+    construction; the output zones and jump structure are drawn from an
+    RNG seeded by ``(seed, positions)``.  These tables exercise the
+    assignment and hazard covering cores past the paper's sizes.
+    """
+    rng = random.Random(seed * 1000 + 499 + positions)
+    zones = [rng.randint(0, 1) for _ in range(positions + 1)]
+    jumps = [rng.random() < 0.5 for _ in range(positions + 1)]
+    return _chain_machine(
+        f"rand{positions}",
+        num_positions=positions,
+        z_of=lambda k: zones[k],
+        jump_from=lambda k: jumps[k],
+        resync=None,
+    )
 
 
 #: Output zones of the chain machines.  The boundaries are chosen so all

@@ -227,9 +227,17 @@ class SynthesisResult:
                 f"  reduced    : {self.reduction.table.num_states} states "
                 f"({self.reduction.cover.num_classes} classes)"
             )
+        encoding = self.assignment.encoding
+        if self.assignment.exact:
+            provenance = "exact"
+        elif encoding.num_variables == (len(encoding.states) - 1).bit_length():
+            # n states need at least ceil(log2 n) variables.
+            provenance = "heuristic, meets ⌈log₂ n⌉ bound"
+        else:
+            provenance = "heuristic"
         lines.append(
-            f"  encoding   : {self.assignment.encoding.num_variables} state "
-            f"variables ({'exact' if self.assignment.exact else 'heuristic'})"
+            f"  encoding   : {encoding.num_variables} state "
+            f"variables ({provenance})"
         )
         lines.append(
             f"  hazards    : {len(self.analysis.fl)} fsv minterms, "

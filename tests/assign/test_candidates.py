@@ -7,9 +7,7 @@ oracle on small random tables, and pin the candidate counts of the
 larger machines.
 """
 
-import sys
 from itertools import combinations, product
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,15 +21,10 @@ from repro.assign.dichotomy import (
 )
 from repro.assign.tracey import seed_dichotomies
 from repro.bench import benchmark
+from repro.bench.suite import random_flow_table
 from repro.logic.bitset import iter_bits
 
 from ..strategies import normal_mode_tables
-
-BENCHMARKS = Path(__file__).resolve().parent.parent.parent / "benchmarks"
-if str(BENCHMARKS) not in sys.path:
-    sys.path.insert(0, str(BENCHMARKS))
-
-from bench_logic import random_flow_table
 
 
 def oracle(seeds):

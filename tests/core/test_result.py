@@ -46,6 +46,33 @@ class TestToDict:
         assert "factor" in data["stage_seconds"]
 
 
+class TestDescribe:
+    """The encoding line says when a greedy cover is provably minimum."""
+
+    @staticmethod
+    def encoding_line(name):
+        text = synthesize(benchmark(name)).describe()
+        return next(line for line in text.splitlines() if "encoding" in line)
+
+    def test_exact_cover(self):
+        assert self.encoding_line("lion").endswith("2 state variables (exact)")
+
+    def test_greedy_cover_meeting_the_log_bound(self):
+        # lion9: 9 states, 4 variables = ceil(log2 9).
+        result = synthesize(benchmark("lion9"))
+        assert not result.assignment.exact
+        assert self.encoding_line("lion9").endswith(
+            "4 state variables (heuristic, meets ⌈log₂ n⌉ bound)"
+        )
+        assert "bound" not in json.dumps(result.to_dict())
+
+    def test_greedy_cover_above_the_log_bound(self):
+        # train11: 11 states, 5 variables > ceil(log2 11) = 4.
+        assert self.encoding_line("train11").endswith(
+            "5 state variables (heuristic)"
+        )
+
+
 class TestCliJson:
     def test_cli_json_flag(self, capsys):
         from repro.cli import main
