@@ -5,7 +5,7 @@ paths on packed big-int bitsets (:mod:`repro.logic.bitset`); the original
 per-minterm set engine is retained in :mod:`repro.logic._reference`.
 This workload quantifies the difference on *wide* synthetic functions —
 seeded, deterministic unions of random cubes from 8 variables up to
-:data:`repro.logic.function.MAX_WIDTH` — and on randomly generated
+:data:`repro.logic.bitset.MAX_WIDTH` — and on randomly generated
 flow tables synthesised end-to-end, then records the numbers to
 ``BENCH_logic.json`` at the repository root:
 
@@ -52,13 +52,10 @@ from repro.logic.quine_mccluskey import prime_implicants, useful_primes
 SEED = 20260729
 
 #: Widths measured engine-vs-reference, and engine-only beyond.  The
-#: engine-only tail crosses :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT`
-#: (22): above it the engine switches from one dense 2^width-bit int per
-#: coverage mask to the sparse chunked representation
-#: (:class:`~repro.logic.bitset.ChunkedMask`), which is what lifts
-#: ``MAX_WIDTH`` to 26.
+#: engine-only tail ends at :data:`~repro.logic.bitset.MAX_WIDTH` (22),
+#: the widest space one dense 2^width-bit int per coverage mask serves.
 WIDTHS_BOTH = (8, 10, 12, 14, 16)
-WIDTHS_ENGINE_ONLY = (18, 20, 22, 24, MAX_WIDTH)
+WIDTHS_ENGINE_ONLY = (18, 20, MAX_WIDTH)
 
 #: Acceptance floor (ISSUE 3): at width >= 16 the bitset engine must be
 #: at least this much faster than the retained reference engine.

@@ -216,7 +216,7 @@ def _cover_repr(cubes) -> str:
 
 
 def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
-    """Bitset vs reference engine over every synthesised function."""
+    """Packed-bitset vs reference engine over every synthesised function."""
     findings: list[Finding] = []
     spec = result.spec
     functions = [

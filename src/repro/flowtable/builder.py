@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ..errors import FlowTableError
-from .table import Entry, FlowTable
+from .table import Entry, FlowTable, input_limit_error
 from .validation import validate
 
 
@@ -33,6 +33,9 @@ class FlowTableBuilder:
 
     def __init__(self, inputs: Iterable[str], outputs: Iterable[str]):
         self._inputs = tuple(inputs)
+        too_many = input_limit_error(len(self._inputs))
+        if too_many:
+            raise FlowTableError(too_many)
         self._outputs = tuple(outputs)
         self._states: list[str] = []
         self._entries: dict[tuple[str, int], Entry] = {}

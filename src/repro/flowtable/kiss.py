@@ -27,7 +27,7 @@ same cell, and returns a :class:`~repro.flowtable.table.FlowTable`.
 from __future__ import annotations
 
 from ..errors import KissFormatError
-from .table import Entry, FlowTable
+from .table import Entry, FlowTable, input_limit_error
 
 
 def parse_kiss(text: str, name: str = "kiss") -> FlowTable:
@@ -60,6 +60,9 @@ def parse_kiss(text: str, name: str = "kiss") -> FlowTable:
             arg = parts[1]
             if directive == ".i":
                 num_inputs = _positive_int(arg, ".i", lineno)
+                too_many = input_limit_error(num_inputs)
+                if too_many:
+                    raise KissFormatError(too_many, lineno)
             elif directive == ".o":
                 num_outputs = _positive_int(arg, ".o", lineno)
             elif directive == ".s":

@@ -25,6 +25,25 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..errors import FlowTableError
+from ..logic.bitset import MAX_WIDTH
+
+#: Most inputs a flow table may have.  Synthesis builds functions over
+#: the inputs, at least one state variable and the fsv, all in one
+#: :data:`~repro.logic.bitset.MAX_WIDTH`-variable space, so a wider
+#: table could never synthesise.  Readers check this before expanding
+#: any ``-`` pattern, which would otherwise build ``2**inputs`` columns.
+MAX_INPUTS = MAX_WIDTH - 2
+
+
+def input_limit_error(count: int) -> str | None:
+    """Why ``count`` inputs are too many, or ``None`` when they fit."""
+    if count <= MAX_INPUTS:
+        return None
+    return (
+        f"{count} inputs exceed the limit of {MAX_INPUTS}: the inputs, a "
+        f"state variable and the fsv must fit in MAX_WIDTH={MAX_WIDTH} "
+        "variables"
+    )
 
 
 @dataclass(frozen=True)
@@ -123,6 +142,9 @@ class FlowTable:
             raise FlowTableError("a flow table needs at least one state")
         if not self._inputs:
             raise FlowTableError("a flow table needs at least one input")
+        too_many = input_limit_error(len(self._inputs))
+        if too_many:
+            raise FlowTableError(too_many)
         state_set = set(self._states)
         num_columns = 1 << len(self._inputs)
         checked: dict[tuple[str, int], Entry] = {}

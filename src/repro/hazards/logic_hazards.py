@@ -25,13 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..logic.bitset import (
-    CHUNK_BITS,
-    DENSE_WIDTH_LIMIT,
-    ChunkedMask,
-    half_space,
-    iter_bits,
-)
+from ..logic.bitset import check_width, half_space, iter_bits
 from ..logic.cube import Cube
 from ..logic.function import BooleanFunction
 
@@ -57,14 +51,11 @@ def static_one_hazards(
     (restricted to the half-space where bit ``v`` is 0 so the shift is a
     genuine single-bit flip), and the pairs held by a single term are the
     same expression per cube.  The difference of those two masks is
-    exactly the hazard set for ``v`` — no per-minterm scanning.  Above
-    :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT` variables the same
-    pair-shift runs per chunk on sparse
-    :class:`~repro.logic.bitset.ChunkedMask` coverages
-    (:meth:`~repro.logic.bitset.ChunkedMask.adjacent_pairs`).
+    exactly the hazard set for ``v`` — no per-minterm scanning.  Raises
+    :class:`ValueError` when ``width`` exceeds
+    :data:`~repro.logic.bitset.MAX_WIDTH`.
     """
-    if width > DENSE_WIDTH_LIMIT:
-        return _static_one_hazards_wide(cubes, width)
+    check_width(width)
     coverages = [cube.coverage_mask() for cube in cubes]
     covered = 0
     for cov in coverages:
@@ -81,28 +72,6 @@ def static_one_hazards(
             held |= cov & (cov >> shift)
         for m in iter_bits(pairs & ~held):
             found.append((m, m ^ shift, bit))
-    found.sort()
-    return [StaticHazard(a, b, bit) for a, b, bit in found]
-
-
-def _static_one_hazards_wide(
-    cubes: Sequence[Cube], width: int
-) -> list[StaticHazard]:
-    """Chunked-mask variant of :func:`static_one_hazards`."""
-    coverages = [cube.chunked_coverage() for cube in cubes]
-    covered = ChunkedMask.empty(CHUNK_BITS)
-    for cov in coverages:
-        covered = covered | cov
-    found: list[tuple[int, int, int]] = []
-    for bit in range(width):
-        pairs = covered.adjacent_pairs(bit)
-        if not pairs:
-            continue
-        held = ChunkedMask.empty(CHUNK_BITS)
-        for cov in coverages:
-            held = held | cov.adjacent_pairs(bit)
-        for m in pairs.andnot(held).members():
-            found.append((m, m ^ (1 << bit), bit))
     found.sort()
     return [StaticHazard(a, b, bit) for a, b, bit in found]
 
@@ -126,24 +95,20 @@ def mic_static_one_hazard(
 
     Assumes every vertex of the transition subcube is covered (a "1-1"
     transition); the implementation is glitch-free for every bit ordering
-    iff some single term covers the whole subcube.
+    iff some single term covers the whole subcube.  Raises
+    :class:`ValueError` when the cubes are wider than
+    :data:`~repro.logic.bitset.MAX_WIDTH`.
     """
     if not cubes:
         return True
     width = cubes[0].width
+    check_width(width)
     span = Cube.from_minterm(a, width).supercube(Cube.from_minterm(b, width))
     # The transition subcube's minterms are exactly the span's coverage.
-    if width > DENSE_WIDTH_LIMIT:
-        covered = ChunkedMask.empty(CHUNK_BITS)
-        for cube in cubes:
-            covered = covered | cube.chunked_coverage()
-        uncovered = not span.chunked_coverage().is_subset(covered)
-    else:
-        covered = 0
-        for cube in cubes:
-            covered |= cube.coverage_mask()
-        uncovered = bool(span.coverage_mask() & ~covered)
-    if uncovered:
+    covered = 0
+    for cube in cubes:
+        covered |= cube.coverage_mask()
+    if span.coverage_mask() & ~covered:
         raise ValueError(
             "mic_static_one_hazard expects a fully covered transition cube"
         )

@@ -15,17 +15,7 @@ This package is the substrate under every synthesis stage of SEANCE:
 * :mod:`~repro.logic.depth` — Table 1's depth metrics.
 """
 
-from .bitset import (
-    CHUNK_BITS,
-    DENSE_WIDTH_LIMIT,
-    Bitset,
-    ChunkedMask,
-    chunked_coverage,
-    coverage_mask,
-    full_mask,
-    iter_bits,
-    mask_of,
-)
+from .bitset import coverage_mask, full_mask, iter_bits, mask_of
 from .cube import Cube, cover_contains, remove_contained
 from .cover import (
     CoverResult,
@@ -72,15 +62,11 @@ from .quine_mccluskey import (
 
 __all__ = [
     "And",
-    "Bitset",
     "BooleanFunction",
-    "CHUNK_BITS",
-    "ChunkedMask",
     "Const",
     "CostReport",
     "CoverResult",
     "Cube",
-    "DENSE_WIDTH_LIMIT",
     "DepthReport",
     "Expr",
     "Lit",
@@ -91,7 +77,6 @@ __all__ = [
     "bridge_consensus",
     "common_cube",
     "cover_contains",
-    "chunked_coverage",
     "coverage_mask",
     "cube_to_expr",
     "depth_report",

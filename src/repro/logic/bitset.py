@@ -7,46 +7,42 @@ Python's arbitrary-precision integers make every set operation a single
 O(words) C-level pass — union is ``|``, intersection is ``&``, subset is
 ``a | b == b``, cardinality is ``int.bit_count`` — instead of an
 O(minterms) interpreted loop over a ``set`` of boxed ints.  That constant
-factor is what turns :data:`repro.logic.function.MAX_WIDTH` from a nominal
-limit into a usable one (see ``benchmarks/bench_logic.py``).
+factor is what turns :data:`MAX_WIDTH` from a nominal limit into a usable
+one (see ``benchmarks/bench_logic.py``).
 
-Two layers are provided:
-
-* module-level helpers (:func:`mask_of`, :func:`iter_bits`,
-  :func:`coverage_mask`, ...) operating on *raw ints* — these are what the
-  hot paths in :mod:`~repro.logic.quine_mccluskey`,
-  :mod:`~repro.logic.cover` and :mod:`repro.util.setcover` use;
-* the :class:`Bitset` wrapper — an immutable, hashable, set-like facade
-  over one raw int for callers that want a typed object.
+The helpers here (:func:`mask_of`, :func:`iter_bits`,
+:func:`coverage_mask`, ...) operate on raw ints; they are what the hot
+paths in :mod:`~repro.logic.quine_mccluskey`, :mod:`~repro.logic.cover`
+and :mod:`repro.util.setcover` use.
 
 The key primitive is :func:`coverage_mask`: the bitset of every minterm a
 cube ``(mask, value)`` covers, built by subset-doubling in O(width)
 shifts rather than enumerating ``2**free`` minterms.
 
-Above :data:`DENSE_WIDTH_LIMIT` variables a single dense int stops being
-viable: the space has ``2**width`` bits, so one mask is megabytes and the
-implied off-set (its complement) dominates every operation even when the
-care set is a few thousand minterms.  :class:`ChunkedMask` is the wide
-representation: the space is cut into aligned chunks of ``2**chunk_bits``
-minterms and only the non-empty chunks are stored, each as one small
-dense int.  All the big-int idioms survive per-chunk (union is still
-``|``, subset is still ``word | other == other``), so costs scale with
-the *care set*, not the space.  Widths at or below the limit keep the raw
-int path untouched — the golden synthesis outputs are byte-identical.
+One dense int per mask holds ``2**width`` bits, so the representation is
+what bounds the width: :data:`MAX_WIDTH` keeps every mask at or below
+512 KiB.  SEANCE's functions are far narrower (a flow table's inputs, a
+few state variables and the fsv), so the cap costs no real workload.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-#: Widths at or below this use one dense ``2**width``-bit int per mask
-#: (the representation every golden output was pinned against); wider
-#: functions switch to :class:`ChunkedMask`.
-DENSE_WIDTH_LIMIT = 22
+#: Widest Boolean space the engine represents.  Each minterm set is one
+#: dense ``2**width``-bit int; at 22 variables that is already 512 KiB
+#: per mask, and every public entry point that takes a width raises
+#: :class:`ValueError` above it (:func:`check_width`) instead of
+#: allocating more.
+MAX_WIDTH = 22
 
-#: Default chunk size for :class:`ChunkedMask`: each chunk is one dense
-#: ``2**CHUNK_BITS``-bit int covering an aligned block of minterms.
-CHUNK_BITS = 16
+
+def check_width(width: int) -> None:
+    """Raise :class:`ValueError` when ``width`` exceeds :data:`MAX_WIDTH`."""
+    if width > MAX_WIDTH:
+        raise ValueError(
+            f"{width}-variable space exceeds MAX_WIDTH={MAX_WIDTH}"
+        )
 
 
 def popcount(bits: int) -> int:
@@ -81,7 +77,7 @@ def is_subset(a: int, b: int) -> bool:
 
 
 def coverage_mask(width: int, mask: int, value: int) -> int:
-    """Bitset of every minterm covered by the cube ``(mask, value)``.
+    """Packed bitset of every minterm the cube ``(mask, value)`` covers.
 
     A minterm ``m`` is covered when ``m & mask == value``.  Starting from
     the single minterm ``value``, freeing one variable at position ``p``
@@ -98,7 +94,7 @@ def coverage_mask(width: int, mask: int, value: int) -> int:
 
 
 def half_space(width: int, var: int) -> int:
-    """Bitset of the minterms with variable ``var`` equal to 0.
+    """Packed bitset of the minterms with variable ``var`` equal to 0.
 
     This is the alternating block pattern ``...0011`` with period
     ``2**(var+1)``, built by doubling; it restricts pair-shift tricks such
@@ -113,409 +109,3 @@ def half_space(width: int, var: int) -> int:
         pattern |= pattern << span
         span <<= 1
     return pattern
-
-
-class Bitset:
-    """An immutable, hashable set of non-negative ints packed in one int.
-
-    Supports the standard set algebra (``| & - ^``), containment,
-    iteration in increasing order, ``len``, and subset comparisons.  The
-    raw int is exposed as :attr:`bits` for interop with the module-level
-    helpers.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0) -> None:
-        if bits < 0:
-            raise ValueError(f"bitset int must be non-negative, got {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Bitset is immutable")
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_iterable(cls, members: Iterable[int]) -> "Bitset":
-        return cls(mask_of(members))
-
-    # ------------------------------------------------------------------
-    # Set protocol
-    # ------------------------------------------------------------------
-    def __contains__(self, member: int) -> bool:
-        return member >= 0 and self.bits >> member & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Bitset):
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    # ------------------------------------------------------------------
-    # Algebra
-    # ------------------------------------------------------------------
-    def __or__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits | other.bits)
-
-    def __and__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits & other.bits)
-
-    def __sub__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits & ~other.bits)
-
-    def __xor__(self, other: "Bitset") -> "Bitset":
-        return Bitset(self.bits ^ other.bits)
-
-    def __le__(self, other: "Bitset") -> bool:
-        return is_subset(self.bits, other.bits)
-
-    def __lt__(self, other: "Bitset") -> bool:
-        return self.bits != other.bits and is_subset(self.bits, other.bits)
-
-    def __ge__(self, other: "Bitset") -> bool:
-        return is_subset(other.bits, self.bits)
-
-    def __gt__(self, other: "Bitset") -> bool:
-        return self.bits != other.bits and is_subset(other.bits, self.bits)
-
-    def isdisjoint(self, other: "Bitset") -> bool:
-        return self.bits & other.bits == 0
-
-    def issubset(self, other: "Bitset") -> bool:
-        return is_subset(self.bits, other.bits)
-
-    def issuperset(self, other: "Bitset") -> bool:
-        return is_subset(other.bits, self.bits)
-
-    def intersects(self, other: "Bitset") -> bool:
-        return self.bits & other.bits != 0
-
-    def add(self, member: int) -> "Bitset":
-        """A new bitset with ``member`` included (bitsets are immutable)."""
-        if member < 0:
-            raise ValueError(f"bitset members must be non-negative, got {member}")
-        return Bitset(self.bits | 1 << member)
-
-    def discard(self, member: int) -> "Bitset":
-        """A new bitset with ``member`` excluded (bitsets are immutable)."""
-        if member < 0:
-            return self
-        return Bitset(self.bits & ~(1 << member))
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def min(self) -> int:
-        """Smallest member; raises :class:`ValueError` when empty."""
-        if not self.bits:
-            raise ValueError("min() of an empty bitset")
-        return (self.bits & -self.bits).bit_length() - 1
-
-    def max(self) -> int:
-        """Largest member; raises :class:`ValueError` when empty."""
-        if not self.bits:
-            raise ValueError("max() of an empty bitset")
-        return self.bits.bit_length() - 1
-
-    def __repr__(self) -> str:
-        return f"Bitset({{{', '.join(map(str, self))}}})"
-
-
-class ChunkedMask:
-    """A sparse minterm bitset stored as fixed-size dense chunks.
-
-    Chunk ``c`` holds minterms ``c * 2**chunk_bits`` through
-    ``(c + 1) * 2**chunk_bits - 1`` as one dense int; empty chunks are
-    absent.  Instances are treated as immutable — every operation
-    returns a new mask — and are hashable, so branch-and-bound can
-    memoise on them exactly as it does on raw ints.
-
-    The int-seed conventions of the dense hot paths are honoured:
-    ``0 | chunked`` is the chunked mask, ``0 & chunked`` is ``0``, and
-    ``chunked == 0`` tests emptiness, so accumulation loops seeded with
-    ``covered = 0`` work unchanged.  ``~chunked`` returns a lazy
-    complement usable only on the right of ``&`` (i.e. ``a & ~b``), the
-    one way a complement ever appears in the engine.
-    """
-
-    __slots__ = ("chunk_bits", "chunks", "_hash")
-
-    def __init__(self, chunk_bits: int, chunks: dict[int, int]) -> None:
-        self.chunk_bits = chunk_bits
-        self.chunks = {c: w for c, w in chunks.items() if w}
-        self._hash = None
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls, chunk_bits: int = CHUNK_BITS) -> "ChunkedMask":
-        return cls(chunk_bits, {})
-
-    @classmethod
-    def from_minterms(
-        cls, members: Iterable[int], chunk_bits: int = CHUNK_BITS
-    ) -> "ChunkedMask":
-        chunks: dict[int, int] = {}
-        low = (1 << chunk_bits) - 1
-        for m in members:
-            chunks[m >> chunk_bits] = chunks.get(m >> chunk_bits, 0) | (
-                1 << (m & low)
-            )
-        return cls(chunk_bits, chunks)
-
-    # ------------------------------------------------------------------
-    # Set protocol
-    # ------------------------------------------------------------------
-    def __bool__(self) -> bool:
-        return bool(self.chunks)
-
-    def bit_count(self) -> int:
-        """Cardinality (named after ``int.bit_count`` for polymorphism)."""
-        return sum(w.bit_count() for w in self.chunks.values())
-
-    def members(self) -> Iterator[int]:
-        """Yield member minterms in increasing order."""
-        for c in sorted(self.chunks):
-            base = c << self.chunk_bits
-            for b in iter_bits(self.chunks[c]):
-                yield base + b
-
-    def contains(self, member: int) -> bool:
-        word = self.chunks.get(member >> self.chunk_bits)
-        if word is None:
-            return False
-        return word >> (member & ((1 << self.chunk_bits) - 1)) & 1 == 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ChunkedMask):
-            return (
-                self.chunk_bits == other.chunk_bits
-                and self.chunks == other.chunks
-            )
-        if isinstance(other, int):
-            # Dense loops compare against the 0 seed for emptiness.
-            return other == 0 and not self.chunks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.chunk_bits, frozenset(self.chunks.items())))
-            self._hash = h
-        return h
-
-    # ------------------------------------------------------------------
-    # Algebra
-    # ------------------------------------------------------------------
-    def _check(self, other: "ChunkedMask") -> None:
-        if self.chunk_bits != other.chunk_bits:
-            raise ValueError(
-                f"chunk size mismatch: {self.chunk_bits} vs {other.chunk_bits}"
-            )
-
-    def __or__(self, other: "ChunkedMask") -> "ChunkedMask":
-        if isinstance(other, int):
-            if other == 0:
-                return self
-            return NotImplemented
-        self._check(other)
-        merged = dict(self.chunks)
-        for c, w in other.chunks.items():
-            merged[c] = merged.get(c, 0) | w
-        return ChunkedMask(self.chunk_bits, merged)
-
-    __ror__ = __or__
-
-    def __and__(self, other):
-        if isinstance(other, _Complement):
-            return self.andnot(other.mask)
-        if isinstance(other, int):
-            if other == 0:
-                return 0
-            return NotImplemented
-        self._check(other)
-        a, b = self.chunks, other.chunks
-        if len(b) < len(a):
-            a, b = b, a
-        out = {}
-        for c, w in a.items():
-            hit = w & b.get(c, 0)
-            if hit:
-                out[c] = hit
-        return ChunkedMask(self.chunk_bits, out)
-
-    __rand__ = __and__
-
-    def __xor__(self, other: "ChunkedMask") -> "ChunkedMask":
-        if isinstance(other, int):
-            if other == 0:
-                return self
-            return NotImplemented
-        self._check(other)
-        merged = dict(self.chunks)
-        for c, w in other.chunks.items():
-            merged[c] = merged.get(c, 0) ^ w
-        return ChunkedMask(self.chunk_bits, merged)
-
-    __rxor__ = __xor__
-
-    def __invert__(self) -> "_Complement":
-        return _Complement(self)
-
-    def andnot(self, other: "ChunkedMask") -> "ChunkedMask":
-        """``self & ~other`` without materialising the complement."""
-        self._check(other)
-        out = {}
-        for c, w in self.chunks.items():
-            kept = w & ~other.chunks.get(c, 0)
-            if kept:
-                out[c] = kept
-        return ChunkedMask(self.chunk_bits, out)
-
-    def is_subset(self, other: "ChunkedMask") -> bool:
-        """Per-chunk ``word | other == other`` containment test."""
-        self._check(other)
-        theirs = other.chunks
-        for c, w in self.chunks.items():
-            if w & ~theirs.get(c, 0):
-                return False
-        return True
-
-    def intersects(self, other: "ChunkedMask") -> bool:
-        self._check(other)
-        a, b = self.chunks, other.chunks
-        if len(b) < len(a):
-            a, b = b, a
-        for c, w in a.items():
-            if w & b.get(c, 0):
-                return True
-        return False
-
-    def adjacent_pairs(self, var: int) -> "ChunkedMask":
-        """Minterms ``m`` with bit ``var`` = 0 whose ``var``-neighbour is
-        also a member — the chunked form of the dense pair-shift idiom
-        ``covered & (covered >> 2**var) & half_space(width, var)``.
-
-        For ``var`` below the chunk size both minterms share a chunk and
-        the dense trick applies within the chunk word; above it the
-        neighbour lives in the paired chunk ``c | 2**(var - chunk_bits)``
-        and the pair mask is a plain chunk-against-chunk AND.
-        """
-        bits = self.chunk_bits
-        chunks = self.chunks
-        out: dict[int, int] = {}
-        if var < bits:
-            shift = 1 << var
-            half = half_space(bits, var)
-            for c, w in chunks.items():
-                p = w & (w >> shift) & half
-                if p:
-                    out[c] = p
-        else:
-            upper = 1 << (var - bits)
-            for c, w in chunks.items():
-                if c & upper:
-                    continue
-                partner = chunks.get(c | upper)
-                if partner is None:
-                    continue
-                p = w & partner
-                if p:
-                    out[c] = p
-        return ChunkedMask(bits, out)
-
-    def __repr__(self) -> str:
-        return (
-            f"ChunkedMask(chunk_bits={self.chunk_bits}, "
-            f"|members|={self.bit_count()}, |chunks|={len(self.chunks)})"
-        )
-
-
-class _Complement:
-    """Lazy ``~mask`` over a :class:`ChunkedMask`.
-
-    Exists only so the dense idiom ``a & ~b`` keeps working verbatim on
-    chunked masks; any other use is a bug and raises.
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: ChunkedMask) -> None:
-        self.mask = mask
-
-    def __rand__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return 0
-            raise TypeError(
-                "cannot AND a non-zero raw int with a chunked complement"
-            )
-        return NotImplemented
-
-    def __invert__(self) -> ChunkedMask:
-        return self.mask
-
-
-def chunked_coverage(
-    width: int, mask: int, value: int, chunk_bits: int = CHUNK_BITS
-) -> ChunkedMask:
-    """Chunked coverage of the cube ``(mask, value)`` over ``width`` vars.
-
-    The coverage factorises over the chunk boundary: the variables below
-    ``chunk_bits`` determine one within-chunk pattern shared by every
-    occupied chunk, and the variables above it determine which chunks are
-    occupied — each half built by the same O(width) subset-doubling as
-    :func:`coverage_mask`, so no per-minterm enumeration happens.
-    """
-    if width <= chunk_bits:
-        return ChunkedMask(
-            chunk_bits, {0: coverage_mask(width, mask, value)}
-        )
-    low = (1 << chunk_bits) - 1
-    pattern = coverage_mask(chunk_bits, mask & low, value & low)
-    high = coverage_mask(width - chunk_bits, mask >> chunk_bits, value >> chunk_bits)
-    return ChunkedMask(chunk_bits, {c: pattern for c in iter_bits(high)})
-
-
-def members_of(mask) -> Iterator[int]:
-    """Member minterms of a raw-int or chunked mask, increasing order."""
-    if isinstance(mask, int):
-        return iter_bits(mask)
-    return mask.members()
-
-
-def contains_member(mask, member: int) -> bool:
-    """Membership test on a raw-int or chunked mask."""
-    if isinstance(mask, int):
-        return mask >> member & 1 == 1
-    return mask.contains(member)
-
-
-def andnot(a, b):
-    """``a & ~b`` for raw-int or chunked masks (0 seeds tolerated)."""
-    if isinstance(a, int):
-        if isinstance(b, int):
-            return a & ~b
-        if a == 0:
-            return 0
-        raise TypeError("cannot subtract a chunked mask from a raw int")
-    if isinstance(b, int):
-        if b == 0:
-            return a
-        raise TypeError("cannot subtract a raw int from a chunked mask")
-    return a.andnot(b)

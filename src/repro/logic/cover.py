@@ -27,13 +27,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..errors import CoveringError
-from .bitset import (
-    ChunkedMask,
-    andnot,
-    contains_member,
-    mask_of,
-    members_of,
-)
+from .bitset import iter_bits, mask_of
 from .cube import Cube, remove_contained
 from .function import BooleanFunction
 from .quine_mccluskey import primes_of, useful_primes
@@ -76,49 +70,41 @@ class CoverResult:
         return sum(cube.num_literals for cube in self.cubes)
 
 
-def _covered_once_mask(coverage: Sequence):
-    """Bitset of the minterms covered by exactly one coverage mask."""
+def _covered_once_mask(coverage: Sequence[int]) -> int:
+    """Packed bitset of the minterms covered by exactly one coverage mask."""
     once = 0
     more = 0
     for cov in coverage:
         more |= once & cov
         once |= cov
-    return andnot(once, more)
+    return once & ~more
 
 
-def _unique_coverer(coverage: Sequence, unique_mask) -> dict[int, int]:
+def _unique_coverer(
+    coverage: Sequence[int], unique_mask: int
+) -> dict[int, int]:
     """Map each uniquely covered minterm to the index of its sole coverer."""
     coverer: dict[int, int] = {}
     for i, cov in enumerate(coverage):
         hits = cov & unique_mask
         if hits:
-            for m in members_of(hits):
+            for m in iter_bits(hits):
                 coverer[m] = i
     return coverer
 
 
-def _coverages(primes: Sequence[Cube], mask) -> list:
-    """Per-prime coverage masks in the representation ``mask`` uses."""
-    if isinstance(mask, ChunkedMask):
-        return [p.chunked_coverage(mask.chunk_bits) for p in primes]
-    return [p.coverage_mask() for p in primes]
-
-
 def essential_primes(
-    primes: Sequence[Cube], on: Iterable[int] | int | ChunkedMask
+    primes: Sequence[Cube], on: Iterable[int] | int
 ) -> list[Cube]:
     """Primes that are the unique cover of at least one on-set minterm."""
-    if isinstance(on, (int, ChunkedMask)):
-        on_mask = on
-    else:
-        on_mask = mask_of(on)
+    on_mask = on if isinstance(on, int) else mask_of(on)
     primes = list(primes)
-    coverage = _coverages(primes, on_mask)
+    coverage = [p.coverage_mask() for p in primes]
     unique = _covered_once_mask(coverage) & on_mask
     coverer = _unique_coverer(coverage, unique)
     essential: list[Cube] = []
     seen: set[int] = set()
-    for m in members_of(unique):
+    for m in iter_bits(unique):
         i = coverer[m]
         if i not in seen:
             seen.add(i)
@@ -154,28 +140,15 @@ def minimal_cover(
         primes = useful_primes(primes_of(function), function.on_mask)
     primes = list(primes)
     coverage = []
-    if function.wide:
-        # Wide widths never materialise the off-set: a candidate avoids
-        # it exactly when its coverage stays inside the care set.
-        care_mask = function.care_mask
-        for prime in primes:
-            function._check_cube_width(prime, function.names)
-            cov = prime.chunked_coverage(care_mask.chunk_bits)
-            if not cov.is_subset(care_mask):
-                raise CoveringError(
-                    f"candidate {prime} intersects the off-set of the function"
-                )
-            coverage.append(cov)
-    else:
-        off_mask = function.off_mask
-        for prime in primes:
-            function._check_cube_width(prime, function.names)
-            cov = prime.coverage_mask()
-            if cov & off_mask:
-                raise CoveringError(
-                    f"candidate {prime} intersects the off-set of the function"
-                )
-            coverage.append(cov)
+    off_mask = function.off_mask
+    for prime in primes:
+        function._check_cube_width(prime, function.names)
+        cov = prime.coverage_mask()
+        if cov & off_mask:
+            raise CoveringError(
+                f"candidate {prime} intersects the off-set of the function"
+            )
+        coverage.append(cov)
 
     remaining = function.on_mask
     if not remaining:
@@ -196,7 +169,7 @@ def minimal_cover(
     while True:
         found: list[int] = []
         found_set: set[int] = set()
-        for m in members_of(unique & remaining):
+        for m in iter_bits(unique & remaining):
             i = coverer[m]
             if i not in found_set:
                 found_set.add(i)
@@ -209,7 +182,7 @@ def minimal_cover(
             chosen_set.add(i)
             if i not in essential_idx:
                 essential_idx.append(i)
-            remaining = andnot(remaining, coverage[i])
+            remaining &= ~coverage[i]
         if not remaining:
             break
 
@@ -223,7 +196,7 @@ def minimal_cover(
         union = 0
         for i in candidates:
             union |= coverage[i]
-        uncoverable = andnot(remaining, union)
+        uncoverable = remaining & ~union
         if uncoverable:
             raise CoveringError(
                 f"{uncoverable.bit_count()} on-set minterms cannot "
@@ -250,9 +223,9 @@ def minimal_cover(
 
 def _greedy(
     primes: Sequence[Cube],
-    coverage: Sequence,
+    coverage: Sequence[int],
     candidates: list[int],
-    remaining,
+    remaining: int,
 ) -> list[int]:
     """Greedy set cover: repeatedly take the cube covering the most."""
     chosen: list[int] = []
@@ -268,15 +241,15 @@ def _greedy(
         if not gain:
             raise CoveringError("greedy cover stalled (internal error)")
         chosen.append(best)
-        remaining = andnot(remaining, gain)
+        remaining &= ~gain
     return chosen
 
 
 def _branch_and_bound(
     primes: Sequence[Cube],
-    coverage: Sequence,
+    coverage: Sequence[int],
     candidates: list[int],
-    remaining,
+    remaining: int,
 ) -> list[int]:
     """Exact minimum completion of the cover (terms, then literals).
 
@@ -298,14 +271,14 @@ def _branch_and_bound(
     # minterm never changes during the search.
     counts: dict[int, int] = {}
     for i in candidates:
-        for m in members_of(cover_map[i]):
+        for m in iter_bits(cover_map[i]):
             counts[m] = counts.get(m, 0) + 1
     order = sorted(counts, key=lambda m: (counts[m], m))
 
     # Pareto prefixes per remaining-universe bitset (see docstring).
-    explored: dict = {}
+    explored: dict[int, list[tuple[int, int]]] = {}
 
-    def search(uncovered, chosen: list[int], chosen_lits: int) -> None:
+    def search(uncovered: int, chosen: list[int], chosen_lits: int) -> None:
         nonlocal best, best_cost
         if not uncovered:
             cost = (len(chosen), chosen_lits)
@@ -320,10 +293,8 @@ def _branch_and_bound(
             if terms <= len(chosen) and lits <= chosen_lits:
                 return
         prefixes.append((len(chosen), chosen_lits))
-        target = next(m for m in order if contains_member(uncovered, m))
-        options = [
-            i for i in candidates if contains_member(cover_map[i], target)
-        ]
+        target = next(m for m in order if uncovered >> m & 1)
+        options = [i for i in candidates if cover_map[i] >> target & 1]
         # Try larger cubes first: covers more, fewer literals.
         options.sort(
             key=lambda i: (cover_map[i] & uncovered).bit_count(), reverse=True
@@ -334,7 +305,7 @@ def _branch_and_bound(
             chosen.append(option)
             lits = chosen_lits + literals[option]
             if (len(chosen), lits) <= best_cost:
-                search(andnot(uncovered, cover_map[option]), chosen, lits)
+                search(uncovered & ~cover_map[option], chosen, lits)
             chosen.pop()
 
     search(remaining, [], 0)

@@ -30,8 +30,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import CHUNK_BITS, DENSE_WIDTH_LIMIT, ChunkedMask
-from .bitset import chunked_coverage as _chunked_coverage
 from .bitset import coverage_mask as _coverage_mask
 from .bitset import iter_bits
 from .bitset import popcount  # re-exported: this was the helper's home
@@ -149,20 +147,7 @@ class Cube:
 
     def minterms(self) -> Iterator[int]:
         """Yield every minterm of the cube in increasing order."""
-        if self.width <= DENSE_WIDTH_LIMIT:
-            return iter_bits(self.coverage_mask())
-        return self._wide_minterms()
-
-    def _wide_minterms(self) -> Iterator[int]:
-        # Deposit every combination of the free positions onto the bound
-        # value; with positions ascending the yield order is increasing.
-        free = [i for i in range(self.width) if not self.mask >> i & 1]
-        for combo in range(1 << len(free)):
-            m = self.value
-            for j, pos in enumerate(free):
-                if combo >> j & 1:
-                    m |= 1 << pos
-            yield m
+        return iter_bits(self.coverage_mask())
 
     def coverage_mask(self) -> int:
         """Packed bitset of every minterm the cube covers.
@@ -175,25 +160,6 @@ class Cube:
         become word-parallel ``&``/``|`` instead of per-minterm loops.
         """
         return _coverage_mask(self.width, self.mask, self.value)
-
-    def chunked_coverage(self, chunk_bits: int = CHUNK_BITS) -> ChunkedMask:
-        """Coverage as a sparse :class:`~repro.logic.bitset.ChunkedMask`.
-
-        The wide-width (above
-        :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT`) counterpart of
-        :meth:`coverage_mask`: cost scales with the occupied chunks, not
-        ``2**width``.  Memoised per ``chunk_bits`` on the cube, since the
-        covering engine re-tests the same prime's coverage many times.
-        """
-        cache = self.__dict__.get("_chunked")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_chunked", cache)
-        mask = cache.get(chunk_bits)
-        if mask is None:
-            mask = _chunked_coverage(self.width, self.mask, self.value, chunk_bits)
-            cache[chunk_bits] = mask
-        return mask
 
     # ------------------------------------------------------------------
     # Algebra

@@ -7,7 +7,8 @@ implied.  The public API exposes the sets as frozensets; the covering hot
 paths work on the packed big-int bitsets (:attr:`BooleanFunction.on_mask`
 and friends, lazily derived and cached), so coverage relations are
 O(words) int algebra rather than per-minterm set loops
-(:mod:`repro.logic.bitset`).
+(:mod:`repro.logic.bitset`).  Each mask is one dense ``2**width``-bit
+int, so functions wider than :data:`MAX_WIDTH` raise :class:`ValueError`.
 
 Variable ``i`` of :attr:`BooleanFunction.names` corresponds to bit ``i`` of
 a minterm integer (least-significant bit is variable 0), matching
@@ -19,24 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .bitset import (
-    CHUNK_BITS,
-    DENSE_WIDTH_LIMIT,
-    ChunkedMask,
-    iter_bits,
-    mask_of,
-)
+from .bitset import MAX_WIDTH  # re-exported for callers of this module
+from .bitset import check_width, iter_bits, mask_of
 from .cube import Cube
-
-#: Functions wider than this raise.  All paper benchmarks are <= 10
-#: variables; the packed-bitset engine keeps widths up to
-#: :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT` usable on one dense int
-#: per mask, and the chunked-mask representation
-#: (:class:`~repro.logic.bitset.ChunkedMask`) carries care-set-sparse
-#: functions beyond it (``benchmarks/bench_logic.py`` exercises the
-#: headroom).  Above ``DENSE_WIDTH_LIMIT`` the implied off-set is never
-#: materialised, so :attr:`BooleanFunction.off` and friends raise there.
-MAX_WIDTH = 26
 
 
 @dataclass(frozen=True)
@@ -65,10 +51,7 @@ class BooleanFunction:
         object.__setattr__(self, "names", names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        if len(names) > MAX_WIDTH:
-            raise ValueError(
-                f"{len(names)}-variable function exceeds MAX_WIDTH={MAX_WIDTH}"
-            )
+        check_width(len(names))
         on = frozenset(self.on)
         dc = frozenset(self.dc)
         object.__setattr__(self, "on", on)
@@ -91,6 +74,7 @@ class BooleanFunction:
     def constant(cls, names: Iterable[str], bit: int) -> "BooleanFunction":
         """The constant-0 or constant-1 function over ``names``."""
         names = tuple(names)
+        check_width(len(names))
         if bit:
             return cls(names, frozenset(range(1 << len(names))), frozenset())
         return cls(names, frozenset(), frozenset())
@@ -108,19 +92,7 @@ class BooleanFunction:
         stays *on* (the cubes assert it).
         """
         names = tuple(names)
-        if len(names) > DENSE_WIDTH_LIMIT:
-            # Wide spaces never materialise a dense 2**width-bit mask:
-            # the cubes are enumerated directly (cost scales with the
-            # cube sizes, i.e. the resulting care set).
-            on_set: set[int] = set()
-            for cube in on_cubes:
-                cls._check_cube_width(cube, names)
-                on_set.update(cube.minterms())
-            dc_set: set[int] = set()
-            for cube in dc_cubes:
-                cls._check_cube_width(cube, names)
-                dc_set.update(cube.minterms())
-            return cls(names, frozenset(on_set), frozenset(dc_set - on_set))
+        check_width(len(names))
         on_bits = 0
         for cube in on_cubes:
             cls._check_cube_width(cube, names)
@@ -156,61 +128,35 @@ class BooleanFunction:
         """Size of the Boolean space, ``2 ** width``."""
         return 1 << self.width
 
-    @property
-    def wide(self) -> bool:
-        """True when the function uses the chunked-mask representation
-        (width above :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT`)."""
-        return self.width > DENSE_WIDTH_LIMIT
-
     # ------------------------------------------------------------------
-    # Packed-bitset views (lazily derived from the frozensets, cached).
-    # At or below DENSE_WIDTH_LIMIT these are raw ints; above it they are
-    # ChunkedMask objects supporting the same operator idioms.
+    # Packed-bitset views (lazily derived from the frozensets, cached)
     # ------------------------------------------------------------------
     @property
-    def on_mask(self):
+    def on_mask(self) -> int:
         """The on-set as a packed bitset (bit ``m`` set iff ``m`` on)."""
         cached = self.__dict__.get("_on_mask")
         if cached is None:
-            if self.wide:
-                cached = ChunkedMask.from_minterms(self.on, CHUNK_BITS)
-            else:
-                cached = mask_of(self.on)
+            cached = mask_of(self.on)
             object.__setattr__(self, "_on_mask", cached)
         return cached
 
     @property
-    def dc_mask(self):
+    def dc_mask(self) -> int:
         """The don't-care set as a packed bitset."""
         cached = self.__dict__.get("_dc_mask")
         if cached is None:
-            if self.wide:
-                cached = ChunkedMask.from_minterms(self.dc, CHUNK_BITS)
-            else:
-                cached = mask_of(self.dc)
+            cached = mask_of(self.dc)
             object.__setattr__(self, "_dc_mask", cached)
         return cached
 
     @property
-    def care_mask(self):
+    def care_mask(self) -> int:
         """``on_mask | dc_mask`` as a packed bitset."""
         return self.on_mask | self.dc_mask
 
     @property
     def off_mask(self) -> int:
-        """The implied off-set as a packed bitset int.
-
-        Only available at dense widths: above
-        :data:`~repro.logic.bitset.DENSE_WIDTH_LIMIT` the complement of a
-        sparse care set is astronomically large and is never needed — the
-        engine phrases off-set tests as care-subset tests instead.
-        """
-        if self.wide:
-            raise ValueError(
-                f"off-set of a {self.width}-variable function is not "
-                f"materialised above DENSE_WIDTH_LIMIT={DENSE_WIDTH_LIMIT}; "
-                "use care-subset tests (is_implicant/is_cover) instead"
-            )
+        """The implied off-set as a packed bitset int."""
         return ((1 << self.space) - 1) & ~self.on_mask & ~self.dc_mask
 
     @property
@@ -261,24 +207,10 @@ class BooleanFunction:
     def is_implicant(self, cube: Cube) -> bool:
         """True when ``cube`` never covers an off-set minterm."""
         self._check_cube_width(cube, self.names)
-        if self.wide:
-            # Avoiding the (never materialised) off-set is the same as
-            # staying inside the care set.
-            return cube.chunked_coverage().is_subset(self.care_mask)
         return cube.coverage_mask() & self.off_mask == 0
 
     def is_cover(self, cubes: Iterable[Cube]) -> bool:
         """True when ``cubes`` covers the on-set and avoids the off-set."""
-        if self.wide:
-            care = self.care_mask
-            covered = ChunkedMask.empty(CHUNK_BITS)
-            for cube in cubes:
-                self._check_cube_width(cube, self.names)
-                coverage = cube.chunked_coverage()
-                if not coverage.is_subset(care):
-                    return False
-                covered = covered | coverage
-            return self.on_mask.is_subset(covered)
         covered = 0
         off_mask = self.off_mask
         for cube in cubes:
@@ -295,15 +227,6 @@ class BooleanFunction:
         With packed sets this is one mask equality: the covered minterms,
         restricted to the care set, must be exactly the on-set.
         """
-        if self.wide:
-            covered = ChunkedMask.empty(CHUNK_BITS)
-            for cube in cubes:
-                self._check_cube_width(cube, self.names)
-                covered = covered | cube.chunked_coverage()
-            # Identity: covered & ~dc == on  <=>  on ⊆ covered ⊆ on | dc.
-            return self.on_mask.is_subset(covered) and covered.is_subset(
-                self.care_mask
-            )
         covered = 0
         for cube in cubes:
             self._check_cube_width(cube, self.names)

@@ -18,14 +18,14 @@ removes the per-minterm object churn that used to dominate wide
 functions (see ``benchmarks/bench_logic.py``; the original per-Cube
 tabulation is retained in :mod:`repro.logic._reference`).  Complexity is
 still exponential in the variable count, which is capped by
-:data:`repro.logic.function.MAX_WIDTH`.
+:data:`repro.logic.bitset.MAX_WIDTH`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .bitset import ChunkedMask, mask_of
+from .bitset import check_width, mask_of
 from .cube import Cube
 from .function import BooleanFunction
 
@@ -49,7 +49,11 @@ def prime_implicants(
         Primes that cover only don't-care minterms are included (callers
         that do not want them filter with the on-set; see
         :func:`useful_primes`).
+
+    Raises :class:`ValueError` when ``width`` exceeds
+    :data:`~repro.logic.bitset.MAX_WIDTH`.
     """
+    check_width(width)
     on = set(on)
     dc = set(dc)
     if on & dc:
@@ -111,19 +115,12 @@ def useful_primes(
     wholly in the don't-care set add gates without covering anything and
     are dropped.
 
-    ``on`` may be an iterable of minterms, an already-packed on-set
-    bitset int, or a :class:`~repro.logic.bitset.ChunkedMask` for wide
-    functions (callers with a :class:`BooleanFunction` at hand pass
+    ``on`` may be an iterable of minterms or an already-packed on-set
+    bitset int (callers with a :class:`BooleanFunction` at hand pass
     :attr:`~repro.logic.function.BooleanFunction.on_mask` so the packing
     happens once per function).  Each prime is kept on a single
-    ``coverage & on_mask != 0`` test — per-chunk in the wide case.
+    ``coverage & on_mask != 0`` test.
     """
-    if isinstance(on, ChunkedMask):
-        return [
-            p
-            for p in primes
-            if p.chunked_coverage(on.chunk_bits).intersects(on)
-        ]
     on_mask = on if isinstance(on, int) else mask_of(on)
     return [p for p in primes if p.coverage_mask() & on_mask]
 

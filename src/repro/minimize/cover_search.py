@@ -105,7 +105,7 @@ def find_minimum_closed_cover(
 
     best = list(upper_family)
 
-    # Bitset plumbing: state k of ``table.states`` is bit k, a compatible
+    # Packed-bitset plumbing: state k of ``table.states`` is bit k, a compatible
     # is one incidence int, and the per-state candidate options (sorted
     # largest-first with a deterministic name tie-break) are precomputed
     # once instead of rescanned at every search node.

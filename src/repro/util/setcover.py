@@ -11,9 +11,11 @@ Internally every element is numbered (in ``repr``-sorted order, which is
 also the deterministic scan order of the original set-based solver, kept
 in :mod:`repro.logic._reference`), each candidate becomes one incidence
 bitset int, and the element-to-covering-candidates map is built in a
-single pass up front.  Dominance is the subset test ``a | b == b``,
-essential extraction walks a precomputed covered-exactly-once list, and
-the branch-and-bound memoises on the remaining-universe bitset.
+single pass up front.  Dominance elimination probes a popcount-ordered
+superset index (:func:`_undominated_indexed`) instead of testing every
+pair, essential extraction walks a precomputed covered-exactly-once
+list, and the branch-and-bound memoises on the remaining-universe
+bitset.
 """
 
 from __future__ import annotations
@@ -28,16 +30,6 @@ from ..logic.bitset import iter_bits
 #: The bitset rewrite (O(words) dominance/coverage ops plus a memoised
 #: search) raised this from the original 30.
 EXACT_LIMIT = 48
-
-#: Above this many live candidates the dominated-candidate elimination
-#: switches from the direct all-pairs subset scan to the indexed
-#: :func:`_undominated_indexed` (same survivors, built on a
-#: rarest-element / popcount-ordered superset index).  Tracey covering
-#: problems can reach tens of thousands of merged dichotomies, where the
-#: quadratic scan used to dominate the whole synthesis run — and was
-#: simply skipped, leaving the greedy fallback to wade through every
-#: dominated candidate on each selection round.
-DOMINANCE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -132,20 +124,7 @@ def minimum_set_cover(
     # Dominance: drop candidates whose useful contribution is a subset of
     # another's (ties keep the lower index).
     useful = {i: masks[i] & remaining for i in live}
-    if len(live) <= DOMINANCE_LIMIT:
-        undominated = []
-        for i in live:
-            ui = useful[i]
-            dominated = any(
-                ui | useful[j] == useful[j] and (ui != useful[j] or j < i)
-                for j in live
-                if j != i
-            )
-            if not dominated:
-                undominated.append(i)
-        live = undominated
-    else:
-        live = _undominated_indexed(live, useful)
+    live = _undominated_indexed(live, useful)
 
     use_exact = exact if exact is not None else len(live) <= EXACT_LIMIT
     if use_exact:

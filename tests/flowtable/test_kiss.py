@@ -130,6 +130,18 @@ class TestParseErrors:
         with pytest.raises(KissFormatError):
             parse_kiss(".q 2\n.i 1\n.o 1\n0 a a 0\n")
 
+    def test_too_many_inputs_rejected_before_expansion(self):
+        # One all-'-' product over 30 inputs would expand to 2**30
+        # columns; the .i directive is refused first.
+        text = ".i 30\n.o 1\n.s 1\n" + "-" * 30 + " a a 0\n.e\n"
+        with pytest.raises(KissFormatError, match="limit of 20") as err:
+            parse_kiss(text)
+        assert err.value.line == 1
+
+    def test_twenty_one_inputs_rejected(self):
+        with pytest.raises(KissFormatError, match="MAX_WIDTH=22"):
+            parse_kiss(".i 21\n.o 1\n" + "0" * 21 + " a a 0\n")
+
     def test_line_number_reported(self):
         with pytest.raises(KissFormatError) as err:
             parse_kiss(".i 1\n.o 1\nbad line here also\n")

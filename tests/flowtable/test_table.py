@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.core.serialize import table_from_dict
 from repro.errors import FlowTableError
 from repro.flowtable.builder import FlowTableBuilder
-from repro.flowtable.table import Entry, FlowTable, TableStats, Transition
+from repro.flowtable.table import (
+    MAX_INPUTS,
+    Entry,
+    FlowTable,
+    TableStats,
+    Transition,
+)
+from repro.logic.bitset import MAX_WIDTH
 
 
 def gray4() -> FlowTable:
@@ -55,6 +63,24 @@ class TestConstruction:
     def test_unknown_reset_state(self):
         with pytest.raises(FlowTableError):
             FlowTable(["x"], ["z"], ["a"], {}, reset_state="zzz")
+
+    def test_rejects_more_inputs_than_max_width_allows(self):
+        inputs = [f"x{i}" for i in range(MAX_INPUTS + 1)]
+        with pytest.raises(FlowTableError, match=f"limit of {MAX_INPUTS}"):
+            FlowTable(inputs, ["z"], ["a"], {})
+        with pytest.raises(FlowTableError, match=f"limit of {MAX_INPUTS}"):
+            FlowTableBuilder(inputs, ["z"])
+        with pytest.raises(FlowTableError, match=f"limit of {MAX_INPUTS}"):
+            table_from_dict(
+                {"inputs": inputs, "outputs": ["z"], "states": ["a"],
+                 "entries": [["a", 0, "a", [0]]]}
+            )
+
+    def test_accepts_max_inputs(self):
+        # Inputs, one state variable and the fsv fill MAX_WIDTH exactly.
+        assert MAX_INPUTS + 2 == MAX_WIDTH
+        inputs = [f"x{i}" for i in range(MAX_INPUTS)]
+        assert FlowTable(inputs, ["z"], ["a"], {}).num_inputs == MAX_INPUTS
 
     def test_needs_inputs_and_states(self):
         with pytest.raises(FlowTableError):

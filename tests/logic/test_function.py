@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.hazards.logic_hazards import mic_static_one_hazard, static_one_hazards
 from repro.logic.cube import Cube
-from repro.logic.function import BooleanFunction, truth_table
+from repro.logic.function import MAX_WIDTH, BooleanFunction, truth_table
+from repro.logic.quine_mccluskey import prime_implicants
 
 
 def xor2() -> BooleanFunction:
@@ -29,20 +31,38 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BooleanFunction(("a", "a"))
 
-    def test_rejects_too_wide(self):
-        from repro.logic.function import MAX_WIDTH
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda w: BooleanFunction(tuple(f"v{i}" for i in range(w))),
+            lambda w: static_one_hazards([Cube.universe(w)], w),
+            lambda w: mic_static_one_hazard([Cube.universe(w)], 0, 1),
+            lambda w: prime_implicants({0}, (), w),
+        ],
+        ids=[
+            "BooleanFunction",
+            "static_one_hazards",
+            "mic_static_one_hazard",
+            "prime_implicants",
+        ],
+    )
+    def test_rejects_too_wide(self, entry):
+        with pytest.raises(ValueError, match=f"MAX_WIDTH={MAX_WIDTH}"):
+            entry(MAX_WIDTH + 1)
 
-        with pytest.raises(ValueError):
-            BooleanFunction(tuple(f"v{i}" for i in range(MAX_WIDTH + 1)))
-
-    def test_accepts_wide_chunked_width(self):
-        # Widths above DENSE_WIDTH_LIMIT (but within MAX_WIDTH) are valid
-        # and use the chunked-mask representation.
+    def test_accepts_max_width(self):
+        # The widest space: every mask is one dense 2**22-bit int.
+        assert MAX_WIDTH == 22
         f = BooleanFunction(
-            tuple(f"v{i}" for i in range(23)), on=frozenset({0, 5_000_000})
+            tuple(f"v{i}" for i in range(MAX_WIDTH)),
+            on=frozenset({0, 4_000_000}),
         )
-        assert f.wide
         assert f.on_mask.bit_count() == 2
+        assert f.off_mask.bit_count() == (1 << MAX_WIDTH) - 2
+        assert f.is_cover(
+            [Cube.from_minterm(0, MAX_WIDTH),
+             Cube.from_minterm(4_000_000, MAX_WIDTH)]
+        )
 
     def test_constant(self):
         one = BooleanFunction.constant(("a", "b"), 1)

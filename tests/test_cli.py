@@ -35,6 +35,14 @@ class TestSynth:
         assert main(["synth", "no_such_benchmark"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_too_many_inputs_is_a_cli_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.kiss2"
+        path.write_text(".i 30\n.o 1\n.s 1\n" + "-" * 30 + " a a 0\n.e\n")
+        assert main(["synth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "limit of 20" in err
+
 
 class TestTable1:
     def test_table1_lists_all_benchmarks(self, capsys):

@@ -6,11 +6,7 @@ import random
 import pytest
 
 from repro.errors import CoveringError
-from repro.util.setcover import (
-    DOMINANCE_LIMIT,
-    _undominated_indexed,
-    minimum_set_cover,
-)
+from repro.util.setcover import _undominated_indexed, minimum_set_cover
 
 
 def brute_force_min(universe, candidates):
@@ -133,20 +129,20 @@ class TestDominanceIndex:
     def test_above_limit_instance_same_cover_as_forced_quadratic(
         self, monkeypatch
     ):
-        # Enough candidates to cross DOMINANCE_LIMIT and engage the
-        # index inside minimum_set_cover; the chosen cover must match a
-        # run with the limit raised out of reach (quadratic path).
+        # A >2000-candidate instance through minimum_set_cover: the
+        # cover chosen with the index must match a run with the
+        # all-pairs oracle patched in for the dominance step.
         rng = random.Random(17)
         universe = set(range(16))
         candidates = []
-        while len(candidates) <= DOMINANCE_LIMIT:
+        while len(candidates) <= 2000:
             size = rng.randint(1, 6)
             candidates.append(frozenset(rng.sample(sorted(universe), size)))
         indexed = minimum_set_cover(universe, candidates)
 
         import repro.util.setcover as sc
 
-        monkeypatch.setattr(sc, "DOMINANCE_LIMIT", len(candidates) + 1)
+        monkeypatch.setattr(sc, "_undominated_indexed", quadratic_undominated)
         quadratic = minimum_set_cover(universe, candidates)
         assert indexed == quadratic
         covered = set()
