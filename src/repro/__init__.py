@@ -76,13 +76,7 @@ from .flowtable import (
     write_kiss,
 )
 from .netlist import FantomMachine, build_fantom, timing_report
-from .pipeline import (
-    BatchItem,
-    BatchRunner,
-    PassManager,
-    StageCache,
-    synthesize_batch,
-)
+from .pipeline import BatchItem, BatchRunner, PassManager, StageCache
 from .sim import (
     FantomHarness,
     FlowTableInterpreter,
@@ -134,7 +128,6 @@ __all__ = [
     "skewed_random",
     "synthesize",
     "synthesize_and_validate",
-    "synthesize_batch",
     "synthesize_suite",
     "timing_report",
     "validate_against_reference",

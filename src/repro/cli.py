@@ -227,34 +227,39 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def _build_campaign(args: argparse.Namespace, **settings):
+    """The ValidationCampaign of a ``validate``, ``shard --campaign`` or
+    ``queue publish --campaign`` command line; ``settings`` carries the
+    verb's own extras (``jobs``, ``store``, ``spec``)."""
     from .sim.campaign import ValidationCampaign
 
-    tables = [_load_table(spec) for spec in args.specs]
     requested = list(args.delay_models or [])
-    if args.skewed:  # alias for --delay-model skewed; composes with it
+    if getattr(args, "skewed", False):  # validate's alias; composes
         requested.append("skewed")
-    models = tuple(dict.fromkeys(requested)) or ("loop-safe",)
-    campaign = ValidationCampaign(
-        sweep=args.sweep if args.sweep is not None else args.seeds,
+    return ValidationCampaign(
+        sweep=args.sweep,
         steps=args.steps,
-        delay_models=models,
+        delay_models=tuple(dict.fromkeys(requested)) or ("loop-safe",),
         base_seed=args.seed,
         use_fsv=not args.no_fsv,
-        jobs=args.jobs,
         engine=args.engine,
-        store=_open_store(args),
+        **settings,
+    )
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    tables = [_load_table(spec) for spec in args.specs]
+    campaign = _build_campaign(
+        args, jobs=args.jobs, store=_open_store(args)
     )
     report = campaign.run(tables)
     if args.json:
-        import json
-
-        from .store import canonical_campaign_payload
+        from .store import canonical_campaign_payload, canonical_json
 
         payload = canonical_campaign_payload(report)
         payload["all_clean"] = report.all_clean
         payload["store_hits"] = report.store_hits
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(canonical_json(payload))
         return 0 if report.all_clean else 1
     print(report.describe())
     if report.all_clean:
@@ -369,25 +374,13 @@ def _shard_model(args: argparse.Namespace):
     specs = args.specs or list(benchmark_names())
     tables = [_load_table(spec) for spec in specs]
     if args.campaign:
-        from .sim.campaign import ValidationCampaign
         from .store import ShardedCampaign
 
         # --no-fsv selects the unprotected *machine* here (as in
         # `seance validate`), not the hazard_correction spec override
         # `seance batch` uses, so keep it away from _build_spec.
         spec_args = argparse.Namespace(**{**vars(args), "no_fsv": False})
-        models = tuple(dict.fromkeys(args.delay_models or [])) or (
-            "loop-safe",
-        )
-        campaign = ValidationCampaign(
-            sweep=args.sweep,
-            steps=args.steps,
-            delay_models=models,
-            base_seed=args.seed,
-            use_fsv=not args.no_fsv,
-            spec=_build_spec(spec_args),
-            engine=args.engine,
-        )
+        campaign = _build_campaign(args, spec=_build_spec(spec_args))
         return ShardedCampaign(tables, campaign)
     from .store import ShardedBatch
 
@@ -1073,11 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument(
         "--sweep",
         type=int,
-        default=None,
-        help="seeded walks per (machine, delay model); replaces --seeds",
+        default=3,
+        help="seeded walks per (machine, delay model)",
     )
-    val.add_argument("--seeds", type=int, default=3,
-                     help=argparse.SUPPRESS)  # legacy alias of --sweep
     val.add_argument(
         "--seed",
         type=int,
@@ -1114,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument(
         "--skewed",
         action="store_true",
-        help="use hostile input-skew delays (alias for "
+        help="use the skewed input-skew delay model (alias for "
         "--delay-model skewed)",
     )
     val.add_argument(

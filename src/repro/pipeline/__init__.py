@@ -19,7 +19,7 @@ Typical use::
     print(report.describe())               # per-pass ms + cache hits
 """
 
-from .batch import BatchItem, BatchRunner, synthesize_batch
+from .batch import BatchItem, BatchRunner
 from .cache import (
     CACHE_FORMAT_VERSION,
     StageCache,
@@ -84,6 +84,5 @@ __all__ = [
     "run_fingerprint",
     "stage_key",
     "substitute",
-    "synthesize_batch",
     "table_fingerprint",
 ]

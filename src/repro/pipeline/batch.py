@@ -251,12 +251,3 @@ class BatchRunner:
             events=tuple(report.events),
         )
 
-
-def synthesize_batch(
-    tables: Sequence[FlowTable],
-    options: SynthesisOptions | None = None,
-    cache: StageCache | None = None,
-    spec: PipelineSpec | None = None,
-) -> list[BatchItem]:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    return BatchRunner(options=options, cache=cache, spec=spec).run(tables)

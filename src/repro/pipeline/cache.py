@@ -92,18 +92,22 @@ def stage_key(run_prefix: str, pass_names: tuple[str, ...]) -> str:
     return digest.hexdigest()
 
 
-class StageCache:
-    """In-memory store of completed stages.
+#: Entries a :class:`StageCache` holds before evicting the oldest (FIFO).
+#: Synthesis artifacts are small; the bound is a safety valve for
+#: unbounded batch loops, not a tuned policy.
+MAX_ENTRIES = 4096
 
-    ``max_entries`` bounds the cache (FIFO eviction — synthesis
-    artifacts are small, the bound is a safety valve for unbounded
-    batch loops, not a tuned policy).  ``hits``/``misses``/``stores``
-    expose effectiveness to the benchmarks.
+
+class StageCache:
+    """In-memory store of completed stages, bounded by
+    :data:`MAX_ENTRIES`.
+
+    ``hits``/``misses``/``stores`` expose effectiveness to the
+    benchmarks.
     """
 
-    def __init__(self, max_entries: int = 4096):
+    def __init__(self):
         self._memory: dict[str, dict[str, Any]] = {}
-        self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -122,7 +126,7 @@ class StageCache:
         return artifacts
 
     def put(self, key: str, artifacts: dict[str, Any]) -> None:
-        while len(self._memory) >= self._max_entries:
+        while len(self._memory) >= MAX_ENTRIES:
             self._memory.pop(next(iter(self._memory)))
         self._memory[key] = artifacts
         self.stores += 1

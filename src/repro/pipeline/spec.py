@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import SynthesisError
-from .cache import StageCache
+from .cache import MAX_ENTRIES, StageCache
 from .manager import PassManager
 from .options import SynthesisOptions
 from .registry import DEFAULT_PIPELINE, registered_passes, resolve_passes
@@ -53,22 +53,22 @@ def _require_keys(payload: dict, allowed: set[str], what: str) -> None:
 class CacheSpec:
     """Stage-cache configuration, as data.
 
-    ``enabled=False`` disables caching entirely; ``max_entries`` bounds
-    the in-memory cache.  Sharing work across processes is the result
-    store's job (``--store``), not the stage cache's.
+    ``enabled=False`` disables caching entirely; the in-memory cache is
+    bounded by :data:`~repro.pipeline.cache.MAX_ENTRIES`.  Sharing work
+    across processes is the result store's job (``--store``), not the
+    stage cache's.
     """
 
     enabled: bool = True
-    max_entries: int = 4096
 
     def build(self) -> StageCache | None:
         """Materialise the configured cache (None when disabled)."""
         if not self.enabled:
             return None
-        return StageCache(max_entries=self.max_entries)
+        return StageCache()
 
     def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "max_entries": self.max_entries}
+        return {"enabled": self.enabled}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CacheSpec":
@@ -77,24 +77,23 @@ class CacheSpec:
                 f"cache spec must be an object, got {type(payload).__name__}"
             )
         _require_keys(payload, {"enabled", "path", "max_entries"}, "cache spec")
-        # Spec files written by older builds carry ``"path": null``, so
-        # the key stays readable; any other value asked for a
-        # cross-process stage cache, which is the store's job now.
+        # Spec files written by older builds carry ``"path": null`` and
+        # ``"max_entries": 4096``, so both keys stay readable; any other
+        # value asked for a cross-process stage cache (the store's job
+        # now) or a bound that is no longer settable.
         if payload.get("path") is not None:
             raise SynthesisError(
                 "cache spec 'path' is no longer supported: share results "
                 "across processes with a result store (--store)"
             )
-        spec = cls(
-            enabled=payload.get("enabled", True),
-            max_entries=payload.get("max_entries", 4096),
-        )
+        if payload.get("max_entries", MAX_ENTRIES) != MAX_ENTRIES:
+            raise SynthesisError(
+                f"cache spec 'max_entries' is no longer settable: the "
+                f"stage cache always holds up to {MAX_ENTRIES} entries"
+            )
+        spec = cls(enabled=payload.get("enabled", True))
         if not isinstance(spec.enabled, bool):
             raise SynthesisError("cache spec 'enabled' must be a boolean")
-        if not isinstance(spec.max_entries, int) or spec.max_entries < 1:
-            raise SynthesisError(
-                "cache spec 'max_entries' must be a positive integer"
-            )
         return spec
 
 

@@ -25,17 +25,17 @@ reproducible from its textual configuration alone:
     Section 4.3 (:class:`~repro.sim.delays.CornerDelay`; the sweep seed
     flips the corner's polarity).
 
-Every cell runs through one loop, :func:`run_cells`, whether it comes
-from the serial sweep, a worker of the campaign's process pool
-(``jobs > 1``), or a shard/queue unit
-(:func:`~repro.store.sharding.execute_units`).  Walks depend only on
-(table, steps, seed), so that loop generates each walk once and replays
-it under every delay model — fresh silicon per cell, same stimulus.
-Synthesis routes through the serial
-:class:`~repro.pipeline.batch.BatchRunner` (ordered stream, shared
-stage cache); only the validation cells fan out over processes, the
-one parallel path that measured faster than serial (ROADMAP, "One
-local executor").
+A campaign is a plan run by the one unit executor:
+:meth:`ValidationCampaign.units` plans one
+:class:`~repro.store.sharding.WorkUnit` per (table, model, seed) cell,
+:meth:`~ValidationCampaign.run` executes the plan with
+:func:`~repro.store.sharding.execute_units` (as shards and queue workers
+do), and :meth:`~ValidationCampaign.assemble` builds the
+:class:`CampaignResult` from the units' outcomes — ``shard merge`` feeds
+it store reads instead.  Every cell runs through :func:`run_cells`,
+serially or, with ``jobs > 1``, over the one campaign process pool;
+that loop generates each (table, steps, seed) walk once and replays it
+under every delay model — fresh silicon per cell, same stimulus.
 
 Entry points: ``seance validate --sweep N --delay-model M --jobs J``,
 :meth:`repro.api.Session.validate`, and the ``verify`` pipeline pass
@@ -45,13 +45,11 @@ dirty machine.
 
 from __future__ import annotations
 
-import concurrent.futures
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-from ..netlist.fantom import FantomMachine, build_fantom
+from ..netlist.fantom import FantomMachine
 from .delays import (
     CornerDelay,
     UnitDelay,
@@ -352,34 +350,6 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Worker-side cell execution
-# ----------------------------------------------------------------------
-#: Per-worker state, installed once by `_init_campaign_worker` so
-#: machines cross the process boundary once, not per task: the machine
-#: list, the re-opened result store (or None) and the shared delay
-#: models.
-_WORKER: tuple | None = None
-
-
-def _init_campaign_worker(
-    machines: list[FantomMachine], store_location: str | None
-) -> None:
-    global _WORKER
-    from ..store.store import open_store
-
-    _WORKER = (machines, open_store(store_location), {})
-
-
-def _run_worker_cells(machine_index: int, cells) -> list:
-    """Pool task: :func:`run_cells` over one machine's cells in this
-    worker; module-level for pickling."""
-    machines, store, models = _WORKER
-    return run_cells(
-        lambda: machines[machine_index], cells, store=store, models=models
-    )
-
-
 class ValidationCampaign:
     """Fan seeded walks × delay models over synthesised machines.
 
@@ -471,21 +441,20 @@ class ValidationCampaign:
     def seeds(self) -> tuple[int, ...]:
         return tuple(range(self.base_seed, self.base_seed + self.sweep))
 
-    def run(self, tables) -> CampaignResult:
-        """Synthesise ``tables`` (through the BatchRunner), then sweep."""
-        from ..pipeline.batch import BatchRunner
+    def units(self, tables) -> tuple:
+        """The campaign's plan — the only cell planner: one
+        :class:`~repro.store.sharding.WorkUnit` per (table, model, seed)
+        cell, table-major, keyed on the *source* tables (no synthesis
+        needed to plan)."""
+        return self._plan((table, self.use_fsv) for table in tables)
 
-        runner = BatchRunner(spec=self.spec, store=self.store)
-        result = CampaignResult(
-            models=self.delay_models, sweep=self.sweep, steps=self.steps
-        )
-        machines = []
-        for item in runner.run(list(tables)):
-            if item.ok:
-                machines.append(build_fantom(item.result, use_fsv=self.use_fsv))
-            else:
-                result.errors.append((item.name, item.error))
-        return self._sweep_machines(machines, result)
+    def run(self, tables) -> CampaignResult:
+        """Plan ``tables``, execute the plan, assemble the result."""
+        from ..store.sharding import _execute
+
+        units = self.units(tables)
+        stats = _execute(list(units), self.store, self.jobs)
+        return self.assemble(units, stats.outcomes)
 
     def run_names(self, names) -> CampaignResult:
         """Campaign over built-in benchmarks by name."""
@@ -494,95 +463,70 @@ class ValidationCampaign:
         return self.run([benchmark(name) for name in names])
 
     def run_machines(self, machines) -> CampaignResult:
-        """Sweep machines that are already built (the ``verify`` pass)."""
+        """Sweep machines that are already built (the ``verify`` pass).
+
+        Each machine's cells are planned on its source table and its own
+        ``uses_fsv`` flag — properties of the machine actually simulated
+        — and run through the executor's validation leg.
+        """
+        from ..store.sharding import _validate_machines
+
+        machines = list(machines)
+        units = self._plan(
+            (machine.result.source, machine.uses_fsv) for machine in machines
+        )
+        groups = [
+            (
+                machine.result.table.name,
+                lambda m=machine: m,
+                [unit for unit in units if unit.table_index == index],
+            )
+            for index, machine in enumerate(machines)
+        ]
+        return self.assemble(
+            units, _validate_machines(groups, self.store, self.jobs)
+        )
+
+    def assemble(self, units, outcomes) -> CampaignResult:
+        """The :class:`CampaignResult` of a plan and its outcomes.
+
+        ``outcomes`` holds one :class:`~repro.store.sharding.UnitOutcome`
+        per unit, in plan order — from the executor or from store reads
+        (``ShardedCampaign.merge``).  A table that failed synthesis
+        contributes one ``errors`` entry and no cells.
+        """
         result = CampaignResult(
             models=self.delay_models, sweep=self.sweep, steps=self.steps
         )
-        return self._sweep_machines(list(machines), result)
-
-    # ------------------------------------------------------------------
-    def _cell_grid(self, machine) -> list:
-        """One machine's ``(cell, key)`` pairs in campaign order (model,
-        then seed); keys are None when no store is attached.
-
-        Keyed on the machine's *source* table and its ``uses_fsv`` flag
-        — properties of the machine actually simulated — plus this
-        campaign's (spec, steps, engine) workload parameters.
-        """
-        cells = [
-            Cell(model, seed, self.steps, self.engine, machine.uses_fsv)
-            for model in self.delay_models
-            for seed in self.seeds
-        ]
-        if self.store is None:
-            return [(cell, None) for cell in cells]
-        from ..pipeline.spec import PipelineSpec
-        from ..store.keys import validation_key
-
-        spec = self.spec if self.spec is not None else PipelineSpec()
-        return [
-            (
-                cell,
-                validation_key(
-                    machine.result.source, spec, **dataclasses.asdict(cell)
-                ),
-            )
-            for cell in cells
-        ]
-
-    def _sweep_machines(self, machines, result: CampaignResult):
-        grids = [self._cell_grid(machine) for machine in machines]
-        shareable = self.store is None or self.store.location is not None
-        if self.jobs > 1 and shareable and len(grids) * self.sweep > 1:
-            outcomes = self._sweep_parallel(machines, grids)
-        else:
-            models: dict = {}
-            outcomes = [
-                run_cells(lambda m=machine: m, grid, self.store, models)
-                for machine, grid in zip(machines, grids)
-            ]
-        for machine, grid, machine_outcomes in zip(
-            machines, grids, outcomes
-        ):
-            for (cell, _key), (summary, seconds, hit) in zip(
-                grid, machine_outcomes
-            ):
+        failed = set()
+        for unit, outcome in zip(units, outcomes):
+            if outcome.error is None:
+                cell = unit.cell
                 result.cells.append(
                     CampaignCell(
-                        table=machine.result.table.name,
-                        model=cell.model,
-                        seed=cell.seed,
-                        summary=summary,
-                        seconds=seconds,
-                        store_hit=hit,
+                        outcome.table, cell.model, cell.seed, outcome.summary,
+                        outcome.seconds, outcome.store_hit,
                     )
                 )
+            elif unit.table_index not in failed:
+                failed.add(unit.table_index)
+                result.errors.append((outcome.table, outcome.error))
         return result
 
-    def _sweep_parallel(self, machines, grids) -> list:
-        """Every grid's outcomes, computed in one pool task per
-        (machine, seed) so each walk is still generated once."""
-        tasks = [
-            (mi, [i for i, (cell, _) in enumerate(grid) if cell.seed == seed])
-            for mi, grid in enumerate(grids)
-            for seed in self.seeds
-        ]
-        location = self.store.location if self.store is not None else None
-        outcomes = [[None] * len(grid) for grid in grids]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks)),
-            initializer=_init_campaign_worker,
-            initargs=(machines, location),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _run_worker_cells, mi, [grids[mi][i] for i in positions]
-                )
-                for mi, positions in tasks
-            ]
-            # Input order, not completion order — the result stream is
-            # deterministic no matter which worker finishes first.
-            for (mi, positions), future in zip(tasks, futures):
-                for i, outcome in zip(positions, future.result()):
-                    outcomes[mi][i] = outcome
-        return outcomes
+    # ------------------------------------------------------------------
+    def _plan(self, sources) -> tuple:
+        """Units for ``(table, use_fsv)`` sources, in campaign order."""
+        from ..pipeline.spec import PipelineSpec
+        from ..store.sharding import WorkUnit
+
+        spec = self.spec if self.spec is not None else PipelineSpec()
+        units = []
+        for table_index, (table, use_fsv) in enumerate(sources):
+            for model in self.delay_models:
+                for seed in self.seeds:
+                    cell = Cell(model, seed, self.steps, self.engine, use_fsv)
+                    label = f"{table.name}/{model}/seed{seed}"
+                    units.append(WorkUnit(
+                        len(units), label, table_index, table, spec, cell
+                    ))
+        return tuple(units)

@@ -1,4 +1,4 @@
-"""Deterministic work-splitting over the result store.
+"""Work units, their content-hash partition, and the one executor.
 
 The distributed pattern of the roadmap's DAC/DALC related work:
 partition independent work units by **content key**, execute each
@@ -17,20 +17,20 @@ the same partition.  Shards overlap nothing, cover everything, and any
 ``shards`` >= 1 is legal (``shards=1`` degenerates to a single-process
 run; ``shards`` > units leaves some shards empty).
 
-:class:`ShardedBatch` and :class:`ShardedCampaign` plan their unit list
-once (``units``).  :func:`execute_units` is the one executor: it runs
-any unit list through a store, skipping verified hits, and returns one
-:class:`UnitStats` counter set.  ``run_shard`` is that executor over
-one shard's units, and a :class:`~repro.service.QueueWorker` is the
-same executor over one claimed unit at a time, so a shard run and a
-queue drain are interchangeable ways of filling the store.  ``merge``
-— the only sharding-specific code — reads every unit back and rebuilds
-the stream **byte-identically** to the single-process
-:class:`~repro.pipeline.batch.BatchRunner` /
-:class:`~repro.sim.campaign.ValidationCampaign` output, up to the
-canonical projection of :mod:`repro.store.canonical`.  A merge over an
-incomplete store raises :class:`~repro.errors.StoreError` naming each
-missing unit and the shard that owns it.
+:func:`execute_units` is the one executor: it runs any unit list,
+through a store or without one, and returns one :class:`UnitStats`
+counter set carrying each unit's in-memory :class:`UnitOutcome`.  A
+local campaign, ``run_shard`` (one shard's units) and a
+:class:`~repro.service.QueueWorker` (one claimed unit at a time) all
+run through it, so a shard run and a queue drain are interchangeable
+ways of filling the store.  ``merge`` reads every unit back and
+rebuilds the local stream **byte-identically**, up to the canonical
+projection of :mod:`repro.store.canonical` — campaigns through the
+campaign's own assembler.  A merge over an incomplete store raises
+:class:`~repro.errors.StoreError` naming each missing unit and the
+shard that owns it.  Batches plan units only to shard them: a local
+batch is the executor's synthesis leg,
+:class:`~repro.pipeline.batch.BatchRunner`, called directly.
 
 CLI: ``seance shard plan | run --shard i/N | merge`` (see
 :mod:`repro.cli`).
@@ -38,6 +38,7 @@ CLI: ``seance shard plan | run --shard i/N | merge`` (see
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import functools
 from collections import Counter
@@ -48,6 +49,7 @@ from ..errors import StoreError
 from ..flowtable.table import FlowTable
 from ..pipeline.spec import PipelineSpec
 from ..sim.campaign import Cell, run_cells
+from ..sim.monitors import ValidationSummary
 from .keys import StoreKey, synthesis_key, validation_key
 from .store import ResultStore
 
@@ -164,6 +166,19 @@ class ShardPlan:
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class UnitOutcome:
+    """One unit's result in memory: the synthesised ``table`` name, its
+    synthesis ``error`` (None on success) and, for a campaign cell, its
+    ``summary``.  ``seconds`` times fresh work only."""
+
+    table: str
+    error: str | None = None
+    summary: ValidationSummary | None = None
+    seconds: float = 0.0
+    store_hit: bool = False
+
+
 @dataclass
 class UnitStats:
     """Counters of one execution (see :func:`execute_units`).
@@ -172,7 +187,9 @@ class UnitStats:
     ``store_hits`` or ``failed``; ``failures`` names each failed table
     (or unexecutable unit) with its error.  ``stolen`` counts lapsed
     leases a queue worker took over.  The seconds fields time fresh
-    computation only — the queue's LPT telemetry.
+    computation only — the queue's LPT telemetry.  ``outcomes`` holds
+    one :class:`UnitOutcome` per executed unit, in input order; it is
+    not a counter, so :meth:`add` leaves it alone.
     """
 
     units: int = 0
@@ -185,12 +202,15 @@ class UnitStats:
     synthesis_seconds: float = 0.0
     passes: Counter = field(default_factory=Counter)
     cell_seconds: float = 0.0
+    outcomes: list[UnitOutcome] = field(default_factory=list, repr=False)
 
     def __getitem__(self, name: str):
         return getattr(self, name)
 
     def add(self, other: UnitStats) -> None:
         for name, value in vars(other).items():
+            if name == "outcomes":
+                continue
             if isinstance(value, dict):  # failures replace, passes sum
                 self[name].update(value)
             else:
@@ -208,27 +228,29 @@ class UnitStats:
         return "\n".join(lines)
 
 
-def execute_units(units, store: ResultStore) -> UnitStats:
-    """Compute ``units`` into ``store``, skipping verified hits.
+def execute_units(units, store: ResultStore | None = None) -> UnitStats:
+    """Compute ``units``, through ``store`` when one is given.
 
     The units share one pass list (true of any plan's units and of a
     single unit).  The synthesis leg runs every distinct (table, spec)
-    they need through one store-backed
-    :class:`~repro.pipeline.batch.BatchRunner`: a stored result is a
-    verified hit, a fresh one — failures included — is written back,
-    and a corrupt blob is recomputed.  The validation leg hands each
-    machine's cells to :func:`~repro.sim.campaign.run_cells`, the loop
-    every campaign cell runs through: it checks each cell's key first,
-    builds the machine only when a cell is missing, and shares walks
-    per (table, steps, seed) and delay models per (model, seed).  A
+    they need through one :class:`~repro.pipeline.batch.BatchRunner`:
+    with a store, a stored result is a verified hit, a fresh one —
+    failures included — is written back, and a corrupt blob is
+    recomputed.  The validation leg (:func:`_validate_machines`) hands
+    each machine's cells to :func:`~repro.sim.campaign.run_cells`.  A
     cell whose table failed synthesis counts as failed and stays absent
     from the store (the merger reads the recorded synthesis error
-    instead).
+    instead).  The cells run serially here; a campaign's ``jobs``
+    reaches the same executor through
+    :meth:`~repro.sim.campaign.ValidationCampaign.run`.
     """
+    return _execute(list(units), store, jobs=1)
+
+
+def _execute(units: list[WorkUnit], store, jobs: int) -> UnitStats:
     from ..netlist.fantom import build_fantom
     from ..pipeline.batch import BatchRunner
 
-    units = list(units)
     needs: dict[tuple[str, str], WorkUnit] = {}
     for unit in units:
         needs.setdefault((unit.key.table, unit.key.spec), unit)
@@ -236,7 +258,7 @@ def execute_units(units, store: ResultStore) -> UnitStats:
         spec=units[0].spec if units else None, store=store
     )
     pairs = [(unit.table, unit.spec.options) for unit in needs.values()]
-    stats = UnitStats()
+    stats = UnitStats(units=len(units), outcomes=[None] * len(units))
     items = {}
     for need, item in zip(needs, runner.run_pairs(pairs)):
         items[need] = item
@@ -244,36 +266,116 @@ def execute_units(units, store: ResultStore) -> UnitStats:
             stats.synthesis_seconds += item.seconds
             stats.passes.update({e.name: e.seconds for e in item.events})
 
-    machines: dict[tuple, list[WorkUnit]] = {}
-    for unit in units:
-        stats.units += 1
+    machines: dict[tuple, list[int]] = {}
+    for position, unit in enumerate(units):
         item = items[(unit.key.table, unit.key.spec)]
-        if not item.ok:
-            stats.failed += 1
-            stats.failures[item.name] = item.error
-        elif unit.cell is not None:
+        if item.ok and unit.cell is not None:
             fantom = (unit.key.table, unit.key.spec, unit.cell.use_fsv)
-            machines.setdefault(fantom, []).append(unit)
-        elif item.store_hit:
+            machines.setdefault(fantom, []).append(position)
+        else:
+            stats.outcomes[position] = UnitOutcome(
+                item.name, error=item.error, seconds=item.seconds,
+                store_hit=item.store_hit,
+            )
+    groups = []
+    for (table, spec, use_fsv), positions in machines.items():
+        result = items[(table, spec)].result
+        build = functools.partial(build_fantom, result, use_fsv=use_fsv)
+        groups.append(
+            (result.table.name, build, [units[p] for p in positions])
+        )
+    positions = [p for group in machines.values() for p in group]
+    for position, outcome in zip(
+        positions, _validate_machines(groups, store, jobs)
+    ):
+        stats.outcomes[position] = outcome
+
+    for unit, outcome in zip(units, stats.outcomes):
+        if outcome.error is not None:
+            stats.failed += 1
+            stats.failures[outcome.table] = outcome.error
+        elif outcome.store_hit:
             stats.store_hits += 1
+        elif unit.cell is not None:
+            stats.validated += 1
+            stats.cell_seconds += outcome.seconds
         else:
             stats.synthesized += 1
-
-    models: dict = {}
-    for (table, spec, use_fsv), cells in machines.items():
-        result = items[(table, spec)].result
-        for _summary, seconds, hit in run_cells(
-            functools.partial(build_fantom, result, use_fsv=use_fsv),
-            [(unit.cell, unit.key) for unit in cells],
-            store,
-            models,
-        ):
-            if hit:
-                stats.store_hits += 1
-            else:
-                stats.validated += 1
-                stats.cell_seconds += seconds
     return stats
+
+
+#: Per-worker state, installed once by `_init_worker` so machines cross
+#: the process boundary once, not per task: the machine list, the
+#: re-opened result store (or None) and the shared delay models.
+_WORKER: tuple | None = None
+
+
+def _init_worker(machines, store_location: str | None) -> None:
+    global _WORKER
+    from .store import open_store
+
+    _WORKER = (machines, open_store(store_location), {})
+
+
+def _run_worker_cells(machine_index: int, cells) -> list:
+    """Pool task: :func:`run_cells` over one machine's cells in this
+    worker; module-level for pickling."""
+    machines, store, models = _WORKER
+    return run_cells(
+        lambda: machines[machine_index], cells, store=store, models=models
+    )
+
+
+def _validate_machines(groups, store, jobs: int) -> list[UnitOutcome]:
+    """The executor's validation leg: every group's cell outcomes, in
+    order.  ``groups`` holds one ``(table name, build_machine, cell
+    units)`` triple per machine.  With ``jobs > 1`` and no store or one
+    the workers can re-open (a directory or URL), the cells fan out over
+    a process pool, one task per (machine, seed), so each walk is still
+    generated once; otherwise they run serially, sharing delay models.
+    """
+    grids = [
+        [(unit.cell, None if store is None else unit.key) for unit in units]
+        for _name, _build, units in groups
+    ]
+    tasks = [
+        (mi, [i for i, (cell, _) in enumerate(grid) if cell.seed == seed])
+        for mi, grid in enumerate(grids)
+        for seed in dict.fromkeys(cell.seed for cell, _ in grid)
+    ]
+    shareable = store is None or store.location is not None
+    if jobs > 1 and shareable and len(tasks) > 1:
+        triples = [[None] * len(grid) for grid in grids]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            initializer=_init_worker,
+            initargs=(
+                [build() for _name, build, _units in groups],
+                None if store is None else store.location,
+            ),
+        ) as pool:
+            futures = [
+                pool.submit(
+                    _run_worker_cells, mi, [grids[mi][i] for i in positions]
+                )
+                for mi, positions in tasks
+            ]
+            # Input order, not completion order — the result stream is
+            # deterministic no matter which worker finishes first.
+            for (mi, positions), future in zip(tasks, futures):
+                for i, outcome in zip(positions, future.result()):
+                    triples[mi][i] = outcome
+    else:
+        models: dict = {}
+        triples = [
+            run_cells(build, grid, store, models)
+            for (_name, build, _units), grid in zip(groups, grids)
+        ]
+    return [
+        UnitOutcome(name, summary=summary, seconds=seconds, store_hit=hit)
+        for (name, _build, _units), group in zip(groups, triples)
+        for summary, seconds, hit in group
+    ]
 
 
 def _missing_error(
@@ -375,68 +477,42 @@ class ShardedBatch(_Sharded):
 class ShardedCampaign(_Sharded):
     """A campaign cell grid split by content hash.
 
-    Cells are planned on the *source* tables (their keys need no
-    synthesis), in the campaign's deterministic table-major / model /
-    seed order.  Executing a cell synthesises its table through the
-    store, so a table whose cells span shards is computed once and
-    verified everywhere else — and a synthesis failure is recorded in
-    the store like any other deterministic outcome, so the merger can
-    rebuild the campaign's ``errors`` list without re-running anything.
+    The units are the campaign's own plan
+    (:meth:`~repro.sim.campaign.ValidationCampaign.units`).  Executing a
+    cell synthesises its table through the store, so a table whose cells
+    span shards is computed once and verified everywhere else — and a
+    synthesis failure is recorded in the store like any other
+    deterministic outcome, so the merger can rebuild the campaign's
+    ``errors`` list without re-running anything.
     """
 
     def __init__(self, tables: list[FlowTable], campaign):
         self.tables = list(tables)
         self.campaign = campaign
-        self.spec = (
-            campaign.spec if campaign.spec is not None else PipelineSpec()
-        )
-        units = []
-        for table_index, table in enumerate(self.tables):
-            for model in campaign.delay_models:
-                for seed in campaign.seeds:
-                    units.append(
-                        WorkUnit(
-                            index=len(units),
-                            label=f"{table.name}/{model}/seed{seed}",
-                            table_index=table_index,
-                            table=table,
-                            spec=self.spec,
-                            cell=Cell(
-                                model=model,
-                                seed=seed,
-                                steps=campaign.steps,
-                                engine=campaign.engine,
-                                use_fsv=campaign.use_fsv,
-                            ),
-                        )
-                    )
-        self.units = tuple(units)
+        self.units = campaign.units(self.tables)
 
     def merge(self, store: ResultStore, shards: int = 1):
         """Reassemble the full deterministic :class:`CampaignResult`.
 
-        ``shards`` only labels the missing-unit error (which shard to
-        re-run); the stream itself is shard-count independent.
+        Every unit's outcome is read back from ``store`` and handed to
+        the campaign's assembler.  ``shards`` only labels the
+        missing-unit error (which shard to re-run); the result itself is
+        shard-count independent.
         """
-        from ..sim.campaign import CampaignCell, CampaignResult
-
-        campaign = self.campaign
-        result = CampaignResult(
-            models=campaign.delay_models,
-            sweep=campaign.sweep,
-            steps=campaign.steps,
-        )
+        outcomes: list[UnitOutcome] = []
         missing: list[WorkUnit] = []
         plan = self.plan(shards)
         synthesized = {}
         for unit in plan.units:
             if unit.table_index not in synthesized:
-                stored = store.get_synthesis(unit.table, unit.spec)
-                synthesized[unit.table_index] = stored
-                if stored is not None and not stored.ok:
-                    result.errors.append((unit.table.name, stored.error))
+                synthesized[unit.table_index] = store.get_synthesis(
+                    unit.table, unit.spec
+                )
             stored = synthesized[unit.table_index]
             if stored is not None and not stored.ok:
+                outcomes.append(
+                    UnitOutcome(unit.table.name, error=stored.error)
+                )
                 continue
             summary = None if stored is None else store.get_validation(
                 unit.key
@@ -444,16 +520,11 @@ class ShardedCampaign(_Sharded):
             if summary is None:
                 missing.append(unit)
                 continue
-            result.cells.append(
-                CampaignCell(
-                    table=stored.result.table.name,
-                    model=unit.cell.model,
-                    seed=unit.cell.seed,
-                    summary=summary,
-                    seconds=0.0,
-                    store_hit=True,
+            outcomes.append(
+                UnitOutcome(
+                    stored.result.table.name, summary=summary, store_hit=True
                 )
             )
         if missing:
             raise _missing_error("campaign", missing, plan.shards)
-        return result
+        return self.campaign.assemble(plan.units, outcomes)

@@ -5,12 +5,7 @@ import pytest
 from repro.bench import benchmark, benchmark_names, synthesize_suite
 from repro.errors import SynthesisError
 from repro.flowtable.table import Entry, FlowTable
-from repro.pipeline import (
-    BatchRunner,
-    StageCache,
-    SynthesisOptions,
-    synthesize_batch,
-)
+from repro.pipeline import BatchRunner, StageCache, SynthesisOptions
 
 NAMES = ("lion", "traffic", "hazard_demo", "test_example")
 
@@ -93,8 +88,10 @@ class TestMatrix:
 
 
 class TestConveniences:
-    def test_synthesize_batch_one_shot(self):
-        items = synthesize_batch([benchmark("lion")])
+    def test_api_batch_one_shot(self):
+        from repro import api
+
+        items = api.batch([benchmark("lion")])
         assert len(items) == 1 and items[0].ok
 
     def test_synthesize_suite_defaults_to_every_benchmark(self):

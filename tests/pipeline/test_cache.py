@@ -148,8 +148,11 @@ class TestKeys:
 
 
 class TestDiskTier:
-    def test_memory_tier_is_bounded(self):
-        cache = StageCache(max_entries=2)
+    def test_memory_tier_is_bounded(self, monkeypatch):
+        from repro.pipeline import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = StageCache()
         cache.put("a", {"x": 1})
         cache.put("b", {"x": 2})
         cache.put("c", {"x": 3})

@@ -110,8 +110,8 @@ class TestPipelineSpec:
 
     def test_with_cache_forms(self):
         assert PipelineSpec().with_cache(None).cache == CacheSpec(enabled=False)
-        bounded = CacheSpec(max_entries=7)
-        assert PipelineSpec().with_cache(bounded).cache == bounded
+        disabled = CacheSpec(enabled=False)
+        assert PipelineSpec().with_cache(disabled).cache == disabled
 
     def test_with_cache_rejects_a_path(self, tmp_path):
         # The stage cache is in-memory only; a location names a store.
@@ -163,7 +163,7 @@ class TestSpecRoundTrip:
                     minimize=False, reduce_mode="joint",
                     output_policy="as_specified",
                 ),
-                cache=CacheSpec(enabled=False, max_entries=7),
+                cache=CacheSpec(enabled=False),
             ),
         ]
 
@@ -214,6 +214,20 @@ class TestSpecRoundTrip:
         assert "path" not in payload["cache"]
         payload["cache"]["path"] = None
         assert PipelineSpec.from_dict(payload) == PipelineSpec()
+
+    def test_default_max_entries_still_loads(self):
+        # Older builds emitted `"max_entries": 4096` in every spec file.
+        payload = PipelineSpec().to_dict()
+        assert "max_entries" not in payload["cache"]
+        payload["cache"]["max_entries"] = 4096
+        assert PipelineSpec.from_dict(payload) == PipelineSpec()
+
+    @pytest.mark.parametrize("bound", [7, 0, None, "4096"])
+    def test_other_max_entries_are_rejected(self, bound):
+        payload = PipelineSpec().to_dict()
+        payload["cache"]["max_entries"] = bound
+        with pytest.raises(SynthesisError, match="max_entries"):
+            PipelineSpec.from_dict(payload)
 
     def test_cache_path_is_rejected(self):
         payload = PipelineSpec().to_dict()

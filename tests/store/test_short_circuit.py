@@ -207,3 +207,61 @@ class TestCampaignShortCircuit:
         )
         assert protected.store_hits == 0
         assert unprotected.store_hits == 0  # no cross-key pollution
+
+    def test_storeless_campaign_does_no_store_io(self, monkeypatch):
+        """Without a store a campaign never touches one, and its result
+        equals the same campaign over a fresh store, cold and warm."""
+        from repro.store import canonical_campaign_payload, canonical_json
+        from tests.store.test_sharding import broken_table
+
+        def no_io(*args, **kwargs):
+            raise AssertionError("a storeless campaign did store I/O")
+
+        for name in ("get_validation", "put_validation",
+                     "get_synthesis", "put_synthesis"):
+            monkeypatch.setattr(ResultStore, name, no_io)
+        tables = [benchmark("hazard_demo"), broken_table(),
+                  benchmark("traffic")]
+        storeless = self.campaign(None).run(tables)
+        monkeypatch.undo()
+
+        store = ResultStore()
+        cold = self.campaign(store).run(tables)
+        warm = self.campaign(store).run(tables)
+        assert warm.store_hits == len(warm.cells) == 8
+        assert storeless.errors and storeless.store_hits == 0
+        expected = canonical_json(canonical_campaign_payload(storeless))
+        for report in (cold, warm):
+            assert canonical_json(
+                canonical_campaign_payload(report)
+            ) == expected
+
+    def test_session_cells_are_hits_for_a_planned_campaign(self):
+        """The `verify`/Session path and the planned path key cells
+        the same way: on the source table (test_example reduces to 3
+        states), not the reduced one."""
+        store = ResultStore()
+        shape = dict(sweep=2, steps=6, delay_models=("unit", "corner"))
+        session = api.load("test_example", store=store).validate(
+            use_fsv=False, **shape
+        )
+        assert session.store_hits == 0
+        planned = ValidationCampaign(
+            use_fsv=False, store=store, **shape
+        ).run([benchmark("test_example")])
+        assert planned.store_hits == len(planned.cells) == 4
+        assert [c.summary.cycles for c in planned.cells] == [
+            c.summary.cycles for c in session.cells
+        ]
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_session_validate_raises_the_synthesis_error(self, with_store):
+        from repro.errors import FlowTableError
+        from tests.store.test_sharding import broken_table
+
+        store = ResultStore() if with_store else None
+        for _ in range(2):  # with a store, the second run replays it
+            with pytest.raises(FlowTableError):
+                api.Session(broken_table(), store=store).validate(
+                    sweep=1, steps=6, delay_models=("unit",)
+                )

@@ -55,13 +55,13 @@ class TestTable1:
 class TestValidate:
     def test_validate_clean_machine(self, capsys):
         assert main(["validate", "hazard_demo", "--steps", "8",
-                     "--seeds", "1"]) == 0
+                     "--sweep", "1"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_validate_ablated_machine_fails(self, capsys):
         code = main([
             "validate", "hazard_demo", "--no-fsv", "--skewed",
-            "--steps", "20", "--seeds", "2",
+            "--steps", "20", "--sweep", "2",
         ])
         out = capsys.readouterr().out
         # the unprotected machine must either fail outright or
