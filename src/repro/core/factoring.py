@@ -36,15 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..logic.bitset import popcount
 from ..logic.cover import minimal_cover
 from ..logic.cube import Cube
 from ..logic.expr import Expr, make_and, make_or
-from ..logic.factor import (
-    bridge_consensus,
-    common_cube,
-    divide_cube,
-    first_level,
-)
+from ..logic.factor import bridge_consensus, divide_cube, first_level
 from ..logic.function import BooleanFunction
 from ..logic.quine_mccluskey import all_primes_cover
 from ..logic.expr import cube_to_expr, sop_to_expr
@@ -147,10 +143,18 @@ def _grouped_expression(
 ) -> Expr:
     """Greedy common-cube grouping over the non-fsv variables.
 
-    Repeatedly finds the largest (most literals, then most members)
-    shared non-fsv subcube among the remaining terms, emits
-    ``AND(L, OR(residuals))`` for its group, and continues.  Terms that
-    never group are emitted as plain products.
+    Each round looks at the shared non-fsv subcube ``L`` of every pair of
+    remaining terms.  Its members are the terms ``L`` divides, and ``L``
+    is then tightened to everything the members share.  The winner has
+    the most members, then the most literals in its tightened ``L``;
+    ties go to the first pair in ``(i, j)`` order.  It is emitted as
+    ``AND(L, OR(residuals))`` and its members leave.  Rounds stop when no
+    two remaining terms share a non-fsv literal; terms that never group
+    are emitted as plain products.
+
+    Terms are scanned as ``(mask, value)`` ints restricted to the
+    non-fsv bits; ``Cube``s are built only for the chosen ``L`` and its
+    residuals.
     """
     if not cubes:
         return sop_to_expr([], names)
@@ -159,53 +163,57 @@ def _grouped_expression(
 
     remaining = list(cubes)
     terms: list[Expr] = []
-    while True:
+    while len(remaining) >= 2:
+        masks = [c.mask & nonfsv_mask for c in remaining]
+        values = [c.value & nonfsv_mask for c in remaining]
+        indices = range(len(remaining))
+        seen: set[tuple[int, int]] = set()
         best: tuple[int, int] | None = None
-        best_l: Cube | None = None
-        best_members: list[Cube] = []
-        for i in range(len(remaining)):
+        best_l = (0, 0)
+        best_members: list[int] = []
+        for i in indices:
+            mi = masks[i]
+            vi = values[i]
             for j in range(i + 1, len(remaining)):
-                shared = common_cube(
-                    [
-                        remaining[i].restricted_to(nonfsv_mask),
-                        remaining[j].restricted_to(nonfsv_mask),
-                    ]
-                )
-                if shared.num_literals == 0:
+                agree = mi & masks[j] & ~(vi ^ values[j])
+                if not agree:
                     continue
+                # The same L has the same members and score, and its
+                # first occurrence already wins ties under the strict >.
+                lvalue = vi & agree
+                if (agree, lvalue) in seen:
+                    continue
+                seen.add((agree, lvalue))
                 members = [
-                    c
-                    for c in remaining
-                    if _divides(shared, c.restricted_to(nonfsv_mask))
+                    k
+                    for k in indices
+                    if masks[k] & agree == agree
+                    and values[k] & agree == lvalue
                 ]
                 # Tighten L to everything the members actually share.
-                shared = common_cube(
-                    [c.restricted_to(nonfsv_mask) for c in members]
-                )
+                lmask = mi
+                for k in members:
+                    lmask &= masks[k] & ~(vi ^ values[k])
                 # Bigger groups first: gathering the f̄sv/fsv branch pair
                 # with its bridge under one L is what yields the paper's
                 # L·(f̄sv·u + fsv·v + bridge) shape.
-                score = (len(members), shared.num_literals)
+                score = (len(members), popcount(lmask))
                 if best is None or score > best:
                     best = score
-                    best_l = shared
+                    best_l = (lmask, vi & lmask)
                     best_members = members
-        if best is None or len(best_members) < 2:
+        if best is None:
             break
-        residuals = [divide_cube(c, best_l) for c in best_members]
+        shared = Cube(width, *best_l)
         inner = make_or(
-            [cube_to_expr(r, names) for r in residuals]
+            [
+                cube_to_expr(divide_cube(remaining[k], shared), names)
+                for k in best_members
+            ]
         )
-        terms.append(make_and([cube_to_expr(best_l, names), inner]))
-        remaining = [c for c in remaining if c not in best_members]
+        terms.append(make_and([cube_to_expr(shared, names), inner]))
+        grouped = set(best_members)
+        remaining = [c for k, c in enumerate(remaining) if k not in grouped]
     for cube in remaining:
         terms.append(cube_to_expr(cube, names))
     return make_or(terms)
-
-
-def _divides(divisor: Cube, cube: Cube) -> bool:
-    """True when ``divisor``'s literals all appear in ``cube``."""
-    return (
-        cube.mask & divisor.mask == divisor.mask
-        and (cube.value ^ divisor.value) & divisor.mask == 0
-    )

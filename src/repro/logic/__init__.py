@@ -11,7 +11,7 @@ This package is the substrate under every synthesis stage of SEANCE:
 * :mod:`~repro.logic.expr` — gate-level expression trees with the paper's
   depth convention,
 * :mod:`~repro.logic.factor` — first-level (AND-NOR) expansion, consensus
-  bridging and the ``L·R`` common-cube factoring of Figure 5,
+  bridging and the common-cube helpers of Figure 5's ``L·R`` factoring,
 * :mod:`~repro.logic.depth` — Table 1's depth metrics.
 """
 
@@ -47,8 +47,6 @@ from .factor import (
     bridge_consensus,
     common_cube,
     divide_cube,
-    factor_groups,
-    factored_sop_expr,
     first_level,
     has_complemented_inputs,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "essential_sop",
     "expr_truth",
     "expression_depth",
-    "factor_groups",
-    "factored_sop_expr",
     "first_level",
     "full_mask",
     "has_complemented_inputs",

@@ -1,7 +1,7 @@
 """First-level-gate expansion and cube-level factoring utilities.
 
-Two transformations from the paper's Step 7 live here because they are
-generic logic manipulations (the SEANCE-specific orchestration is in
+These pieces of the paper's Step 7 live here because they are generic
+logic manipulations (the SEANCE-specific orchestration is in
 :mod:`repro.core.factoring`):
 
 ``first_level``
@@ -22,9 +22,10 @@ generic logic manipulations (the SEANCE-specific orchestration is in
     with ``fsv`` as the pivot, which is the mechanism behind Figure 5's
     ``R̃`` substitution (``f̄sv + fsv·x̄2`` absorbing into ``f̄sv + x̄2``).
 
-``factor_common_cube``
-    Extract the largest common sub-cube of a group of product terms,
-    producing the nested ``L_i · R_i`` shape of Figure 5.
+``common_cube`` / ``divide_cube``
+    The shared literals of a group of product terms and the quotient of
+    one term by them: the ``L_i`` and residual cubes of Figure 5's
+    nested ``L_i · R_i`` shape.
 """
 
 from __future__ import annotations
@@ -143,65 +144,3 @@ def divide_cube(cube: Cube, divisor: Cube) -> Cube:
         raise ValueError(f"{divisor} does not divide {cube}")
     mask = cube.mask & ~divisor.mask
     return Cube(cube.width, mask, cube.value & mask)
-
-
-def factor_groups(
-    cubes: Sequence[Cube], group_on: int
-) -> list[tuple[Cube, list[Cube]]]:
-    """Group a cover by its shared literals on the ``group_on`` variables.
-
-    ``group_on`` is a bit-set of variable indices (typically the state
-    variables).  Cubes whose restriction to those variables is identical
-    form one group; the returned pairs are ``(shared_part, residuals)``
-    where each residual is the cube with the shared literals removed.
-    Groups appear in first-occurrence order; residual order is preserved.
-
-    This produces the ``L_i (R_i)`` decomposition of Figure 5, with
-    ``shared_part`` playing ``L_i`` and the OR of the residuals ``R_i``.
-    """
-    order: list[Cube] = []
-    buckets: dict[Cube, list[Cube]] = {}
-    for cube in cubes:
-        key = cube.restricted_to(group_on)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(divide_cube(cube, key))
-    return [(key, buckets[key]) for key in order]
-
-
-def factored_sop_expr(
-    cubes: Sequence[Cube],
-    names: Sequence[str],
-    group_on: int,
-) -> Expr:
-    """Build the nested ``Σ L_i·R_i`` expression for a cover.
-
-    Each group from :func:`factor_groups` becomes ``AND(L_i-literals,
-    OR(residual terms))``; groups with a single residual collapse to a
-    plain product term.  Literal polarity is preserved — apply
-    :func:`first_level` afterwards to obtain the AND-NOR form whose depth
-    the paper reports.
-    """
-    terms: list[Expr] = []
-    for shared, residuals in factor_groups(cubes, group_on):
-        residual_exprs = [_cube_expr(r, names) for r in residuals]
-        inner = make_or(residual_exprs)
-        shared_expr = _cube_expr(shared, names)
-        if isinstance(shared_expr, Const) and shared_expr.bit == 1:
-            terms.append(inner)
-        elif isinstance(inner, Const) and inner.bit == 1:
-            terms.append(shared_expr)
-        else:
-            terms.append(make_and([shared_expr, inner]))
-    return make_or(terms)
-
-
-def _cube_expr(cube: Cube, names: Sequence[str]) -> Expr:
-    lits: list[Expr] = []
-    for i in range(cube.width):
-        bound = cube.literal(i)
-        if bound is None:
-            continue
-        lits.append(Lit(names[i], negated=not bound))
-    return make_and(lits)

@@ -47,6 +47,8 @@ import threading
 import time
 import urllib.parse
 
+from .fakes import StopOnRequest
+
 #: Fault modes a byte-level proxy can inject.
 PROXY_MODES = ("drop", "delay", "truncate", "reset")
 
@@ -243,7 +245,7 @@ class ChaosProxy:
                         except OSError:
                             pass
 
-        class Server(socketserver.ThreadingTCPServer):
+        class Server(StopOnRequest, socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
 

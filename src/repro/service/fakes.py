@@ -40,6 +40,7 @@ Modes and their injury:
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import struct
 import threading
@@ -139,6 +140,53 @@ def _reset_connection(connection: socket.socket) -> None:
         )
     except OSError:
         pass
+
+
+class StopOnRequest:
+    """Server mixin whose ``shutdown()`` returns as soon as it is called.
+
+    ``socketserver``'s own ``serve_forever`` checks for a shutdown only
+    between 0.5 s polls, so every ``shutdown()`` waits out up to one
+    poll.  This loop instead waits on a selector over the listening
+    socket and one end of a ``socketpair``; ``shutdown()`` writes a byte
+    to the other end, which wakes the loop at once.  Mix in ahead of the
+    ``socketserver`` class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stop_requested = threading.Event()
+        self._stopped = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def serve_forever(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_reader, selectors.EVENT_READ)
+            try:
+                while not self._stop_requested.is_set():
+                    for key, _ in selector.select():
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                    self.service_actions()
+            finally:
+                self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` (running in another thread)."""
+        if not self._stop_requested.is_set():
+            self._stop_requested.set()
+            self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
+
+
+class _HTTPServer(StopOnRequest, ThreadingHTTPServer):
+    daemon_threads = True
 
 
 class FakeObjectStoreServer:
@@ -296,8 +344,7 @@ class FakeObjectStoreServer:
                 else:
                     self._reply(404)
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
+        self._server = _HTTPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
 
     @property

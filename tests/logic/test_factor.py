@@ -8,8 +8,6 @@ from repro.logic.factor import (
     bridge_consensus,
     common_cube,
     divide_cube,
-    factor_groups,
-    factored_sop_expr,
     first_level,
     has_complemented_inputs,
 )
@@ -124,43 +122,3 @@ class TestDivideCube:
     def test_non_divisor_raises(self):
         with pytest.raises(ValueError):
             divide_cube(Cube.from_string("0--"), Cube.from_string("1--"))
-
-
-class TestFactorGroups:
-    def test_groups_by_shared_part(self):
-        # group on variable 2 (bit 2): cubes with the same y-literal group.
-        cubes = [
-            Cube.from_string("101"),
-            Cube.from_string("011"),
-            Cube.from_string("1-0"),
-        ]
-        groups = factor_groups(cubes, group_on=0b100)
-        keys = [key for key, _ in groups]
-        assert keys == [Cube.from_string("--1"), Cube.from_string("--0")]
-        assert groups[0][1] == [Cube.from_string("10-"), Cube.from_string("01-")]
-
-    def test_factored_expr_preserves_function(self):
-        names = ["x1", "x2", "y1"]
-        cubes = [
-            Cube.from_string("101"),
-            Cube.from_string("011"),
-            Cube.from_string("1-0"),
-        ]
-        flat = sop_to_expr(cubes, names)
-        nested = factored_sop_expr(cubes, names, group_on=0b100)
-        assert expr_truth(flat, names) == expr_truth(nested, names)
-
-    def test_factored_expr_increases_depth_by_nesting(self):
-        names = ["f", "a", "b", "y"]
-        # y·f'·a + y·f·b -> y·(f'·a + f·b): depth 4 after nesting
-        cubes = [Cube.from_string("01-1"), Cube.from_string("1-11")]
-        nested = factored_sop_expr(cubes, names, group_on=0b1000)
-        # NOR(f)=1, AND(f',a)=2, OR=3, AND(y, ...)=4
-        assert nested.depth() == 4
-
-    def test_single_group_no_shared_literals(self):
-        cubes = [Cube.from_string("1-"), Cube.from_string("-0")]
-        expr = factored_sop_expr(cubes, ["a", "b"], group_on=0)
-        names = ["a", "b"]
-        flat = sop_to_expr(cubes, names)
-        assert expr_truth(expr, names) == expr_truth(flat, names)
