@@ -22,8 +22,6 @@ aggregate.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
-from operator import attrgetter
 
 from ..errors import SimulationError
 from ..netlist.fantom import FantomMachine
@@ -31,9 +29,6 @@ from .delays import DelayModel, loop_safe_random
 from .monitors import CycleReport, ValidationSummary
 from .reference import FlowTableInterpreter
 from .simulator import Simulator
-
-_change_time = attrgetter("time")
-
 
 class FantomHarness:
     """Owns one machine instance, one simulator, and the hand-shake.
@@ -79,6 +74,10 @@ class FantomHarness:
         ]
         self._output_net_list = list(machine.output_nets)
         self.cycle_count = 0
+        # The cycle memo of :meth:`scored_apply_expected`:
+        # (state, column) -> (kernel capture, judgement).
+        self._cycle_key = getattr(self.simulator, "cycle_key", None)
+        self._cycles: dict = {}
 
     # ------------------------------------------------------------------
     @property
@@ -160,34 +159,39 @@ class FantomHarness:
         depends only on (table, walk), so precomputing it once and
         passing each step here removes the interpreter from every
         timed cell.
+
+        Scoring keeps no history: the cycle's window of the trace is
+        judged and then dropped (only changes stamped at the window's
+        end survive, as the next window counts them), so a long walk's
+        trace stays one cycle long.  Output changes count over
+        ``[start, end)``, ``VOM`` rises over ``(start, end]``.
+
+        **Cycle replay.**  A hand-shake cycle is a pure function of the
+        kernel's exact state and the column, and a walk revisits the
+        same few (state, column) pairs over and over.  On a kernel that
+        exposes ``cycle_key`` (the ring kernel; see
+        :meth:`~repro.sim.ring.RingSimulator.cycle_key`), a cycle that
+        starts keyed with nothing carried over in the trace, and ends
+        drained with nothing carried out, is memoised on this harness
+        with its judgement.  A revisit restores the kernel from the memo
+        and rebuilds the report with no ``run``, ``schedule`` or trace
+        scan.  A cycle that raises is never stored.
         """
-        window_start = self.now
-        observed_state, observed_outputs = self.apply(column)
-        window_end = self.now
-        # The trace is appended in event order, so it is sorted by time;
-        # bisect the cycle's window out and score it in one pass instead
-        # of rescanning the whole run's trace every cycle (the campaign
-        # runs thousands of them).  Output changes count over
-        # [start, end), VOM rises over (start, end] — the original
-        # judgement windows exactly.
-        trace = self.simulator.trace
-        vom = self.machine.vom
-        changes = dict.fromkeys(self._output_net_list, 0)
-        vom_rises = 0
-        for change in trace[
-            bisect_left(trace, window_start, key=_change_time)
-            : bisect_right(trace, window_end, key=_change_time)
-        ]:
-            net = change.net
-            if net in changes:
-                if window_start <= change.time < window_end:
-                    changes[net] += 1
-            elif (
-                net == vom
-                and change.value == 1
-                and window_start < change.time
-            ):
-                vom_rises += 1
+        sim = self.simulator
+        key = hit = None
+        if not sim.trace and self._cycle_key is not None:
+            state = self._cycle_key()
+            if state is not None:
+                key = (state, column)
+                hit = self._cycles.get(key)
+        if hit is not None and sim.cycle_restore(hit[0]):
+            self.cycle_count += 1
+            _, observed_state, observed_outputs, changes, vom_rises = hit
+            changes = dict(changes)
+        else:
+            observed_state, observed_outputs, changes, vom_rises = (
+                self._judged_apply(column, key)
+            )
         return CycleReport(
             index=index,
             column=column,
@@ -198,6 +202,46 @@ class FantomHarness:
             output_changes=changes,
             vom_rises=vom_rises,
         )
+
+    def _judged_apply(self, column: int, key) -> tuple:
+        """Run one cycle live and judge its trace window.
+
+        Returns (state, outputs, per-output changes, ``VOM`` rises) and,
+        when ``key`` is set and the cycle carried nothing out, memoises
+        them under it with the kernel's capture of the cycle.
+        """
+        sim = self.simulator
+        trace = sim.trace
+        window_start = self.now
+        events = sim.events_processed
+        observed_state, observed_outputs = self.apply(column)
+        window_end = self.now
+        vom = self.machine.vom
+        changes = dict.fromkeys(self._output_net_list, 0)
+        vom_rises = 0
+        for change in trace:
+            net = change.net
+            if net in changes:
+                if window_start <= change.time < window_end:
+                    changes[net] += 1
+            elif (
+                net == vom
+                and change.value == 1
+                and window_start < change.time
+            ):
+                vom_rises += 1
+        keep = len(trace)
+        while keep and trace[keep - 1].time == window_end:
+            keep -= 1
+        del trace[:keep]
+        if key is not None and not trace:
+            capture = sim.cycle_capture(window_start, events)
+            if capture is not None:
+                self._cycles[key] = (
+                    capture, observed_state, observed_outputs,
+                    dict(changes), vom_rises,
+                )
+        return observed_state, observed_outputs, changes, vom_rises
 
 
 def kernel_snapshot(sim) -> dict | None:
@@ -217,7 +261,9 @@ def kernel_snapshot(sim) -> dict | None:
         "migrations": dict(stats.get("migrations", {})),
         # The replay counters are deliberately absent: they vary with
         # segment-cache warmth (an in-process execution detail), and
-        # the summary's wire form must be partition-independent.
+        # the summary's wire form must be partition-independent.  The
+        # cycle-replay count stays out with them: it says how the
+        # kernel ran, not what the walk observed.
     }
 
 
@@ -433,6 +479,14 @@ def validate_walk(
     :class:`~repro.errors.SimulationError` mid-walk is recorded as a
     failed cycle and ends the walk, exactly as before.  The walk's
     kernel telemetry is folded into the summary's ``kernel`` aggregate.
+
+    Every cycle goes through
+    :meth:`FantomHarness.scored_apply_expected`, so the walk keeps only
+    the current cycle's trace, and on the ring kernel a revisited
+    (state, column) pair is replayed whole from the walk's cycle memo
+    (counted as ``cycle_replays`` in the kernel's ``kernel_stats``,
+    never in the summary).  :func:`export_walk_vcd` re-runs a walk with
+    its full trace.
     """
     summary = into if into is not None else ValidationSummary()
     harness = FantomHarness(

@@ -48,6 +48,29 @@ migration is counted in :attr:`RingSimulator.kernel_stats`; the path
 and migrations are the telemetry surfaced through
 :class:`~repro.sim.monitors.ValidationSummary` and
 ``seance validate --json`` so a silent fast-path loss is visible.
+
+**Cycle replay** sits one level above segment replay.  A FANTOM
+hand-shake cycle (:meth:`~repro.sim.harness.FantomHarness.apply`) starts
+and ends with the kernel drained: nothing queued and ``now`` on the
+grid.  There the net values alone fix every later event, so the whole
+cycle is a pure function of (values, column), and an 800-step
+Monte-Carlo walk visits only a few dozen such pairs.  Three methods
+let the harness memoise whole cycles without writing a kernel field:
+:meth:`RingSimulator.cycle_key` returns the drained state as ``bytes``
+(``None`` on the ``heap`` path, off the grid, or with events queued —
+those cycles run live); :meth:`RingSimulator.cycle_capture` records
+what a live cycle did to the kernel (its exit segment, clock advance and
+event count); and :meth:`RingSimulator.cycle_restore` replays it: one
+slice copy of values and counts, no ``run``, no ``schedule``.  A
+restore that would exceed ``max_events`` or cross the exactness horizon
+declines, and the cycle runs live to the same outcome.  The key is the
+current segment's exit state, built once per segment and cached on it,
+so keying a cycle costs a dict lookup.  ``cycle_replays`` counts
+restores, and their events join ``replayed_events`` and
+``events_processed``, which therefore still agree with the compiled
+kernel.  The memo itself is per walk and lives in the harness
+(:meth:`~repro.sim.harness.FantomHarness.scored_apply_expected`), along
+with the judgement of each cycle.
 """
 
 from __future__ import annotations
@@ -73,7 +96,7 @@ class _Segment:
 
     __slots__ = (
         "events", "end_dt", "exit_values", "exit_counts", "trace", "queue",
-        "next",
+        "next", "state",
     )
 
     def __init__(self, events, end_dt, exit_values, exit_counts, trace,
@@ -99,6 +122,10 @@ class _Segment:
         #: ((dt, nid, value, tracked), ...) the queue left behind, in
         #: ``(time, sequence)`` pop order.
         self.queue = queue
+        #: ``bytes(exit_values)``, built on first use: the canonical
+        #: drained state a cycle leaves behind (see
+        #: :meth:`RingSimulator.cycle_key`).
+        self.state: bytes | None = None
 
 
 class RingSimulator(Simulator):
@@ -146,13 +173,15 @@ class RingSimulator(Simulator):
         delays = [*self._gate_delays, *self._dff_delays]
         shift = negotiate_time_quantum(delays, limit=TICK_SHIFT_LIMIT)
         #: Kernel telemetry: current engine path, the negotiated tick
-        #: shift, segment-replay counts, and any path migrations
+        #: shift, segment- and cycle-replay counts (``replayed_events``
+        #: sums both), and any path migrations
         #: (reason -> count).  Everything here is deterministic for a
         #: deterministic workload.
         self.kernel_stats = {
             "path": "heap",
             "shift": 0 if shift is None else shift,
             "replays": 0,
+            "cycle_replays": 0,
             "replayed_events": 0,
             "migrations": {},
         }
@@ -418,3 +447,75 @@ class RingSimulator(Simulator):
         self._events_processed += segment.events
         self.now = now + segment.end_dt
         return self.now
+
+    # ------------------------------------------------------------------
+    # Cycle replay (see module docs)
+    # ------------------------------------------------------------------
+    def _drained_on_grid(self) -> bool:
+        """Replay on, nothing queued and ``now`` exactly on the grid."""
+        if (
+            self.kernel_stats["path"] == "heap"
+            or self._queue
+            or self._queue_stub is not None
+            or self._ext_log
+        ):
+            return False
+        scaled = self.now * self._up
+        return scaled < self._tick_safe and scaled.is_integer()
+
+    def cycle_key(self) -> bytes | None:
+        """The exact state a hand-shake cycle would start from.
+
+        ``None`` unless the kernel is drained on the grid (replay on, no
+        queued or externally scheduled event, ``now`` on the grid): then
+        the net values alone determine every later event, and they are
+        returned as hashable ``bytes``.  After a run that is the current
+        segment's exit state, built once per segment and cached on it.
+        """
+        if not self._drained_on_grid():
+            return None
+        segment = self._last_segment
+        if segment is None:
+            return bytes(self._values)
+        state = segment.state
+        if state is None:
+            segment.state = state = bytes(segment.exit_values)
+        return state
+
+    def cycle_capture(self, start: float, events: int) -> tuple | None:
+        """What :meth:`cycle_restore` needs to replay the cycle just run.
+
+        Call after a live cycle that began at ``now == start`` with
+        ``events`` processed, from a state :meth:`cycle_key` keyed.
+        ``None`` when the cycle did not end drained on the grid (it left
+        events queued, or replay was turned off on the way).
+        """
+        segment = self._last_segment
+        if segment is None or not self._drained_on_grid():
+            return None
+        return segment, self.now - start, self._events_processed - events
+
+    def cycle_restore(self, capture: tuple) -> bool:
+        """Replay a captured cycle from a state with the same key.
+
+        Restores the exit values, advances the clock and the event count
+        and counts a cycle replay; nothing is queued or traced, as the
+        live cycle left nothing queued and its scoring was captured with
+        it.  Returns ``False``, changing nothing, when the live cycle
+        could end differently here: it would exceed ``max_events`` or
+        cross the exactness horizon — the caller then runs it live.
+        """
+        segment, advance, events = capture
+        processed = self._events_processed + events
+        now = self.now + advance
+        if processed > self.max_events or now * self._up >= self._tick_safe:
+            return False
+        self._values[:] = segment.exit_values
+        self._counts[:] = segment.exit_counts
+        self._last_segment = segment
+        self._events_processed = processed
+        self.now = now
+        stats = self.kernel_stats
+        stats["cycle_replays"] += 1
+        stats["replayed_events"] += events
+        return True

@@ -187,33 +187,46 @@ class TestRingFastPaths:
     def test_replay_path_engages(self, monkeypatch):
         """Guard against a silent fall-through to the live loop.
 
-        Segment replay carries almost every event of a campaign walk,
-        and a lost replay changes no trace, so only this probe (not the
-        equivalence pins) notices when it stops firing.
+        Segment replay and cycle replay carry almost every event of a
+        campaign walk, and a lost replay changes no trace, so only this
+        probe (not the equivalence pins) notices when both stop firing.
         """
         import repro.sim.ring as ring_mod
 
-        hits = {"replay": 0}
+        hits = {"replay": 0, "cycle": 0}
         orig_replay = ring_mod.RingSimulator._replay
+        orig_restore = ring_mod.RingSimulator.cycle_restore
 
         def replay(self, *a, **kw):
             hits["replay"] += 1
             return orig_replay(self, *a, **kw)
 
+        def restore(self, *a, **kw):
+            replayed = orig_restore(self, *a, **kw)
+            hits["cycle"] += replayed
+            return replayed
+
         monkeypatch.setattr(ring_mod.RingSimulator, "_replay", replay)
+        monkeypatch.setattr(ring_mod.RingSimulator, "cycle_restore", restore)
         summary = self._walk("lion9")
         assert summary.total > 0
-        assert hits["replay"] > 0
+        assert hits["replay"] + hits["cycle"] > 0
 
     def test_events_processed_match_the_compiled_kernel(self):
-        """Live runs are the compiled kernel's loop and a replay adds
-        its segment's recorded count, so both kernels process the same
-        number of events over a long unit-delay walk (the regime with
-        the most same-time events)."""
+        """Live runs are the compiled kernel's loop and a segment or
+        cycle replay adds its recorded count, so both kernels process
+        the same number of events over a long unit-delay walk (the
+        regime with the most same-time events), driven cycle by cycle
+        through ``harness.apply`` and scored through ``validate_walk``
+        (where the ring serves revisited cycles from its memo)."""
         from repro.bench import benchmark
         from repro.netlist.fantom import build_fantom
         from repro.sim.delays import UnitDelay
-        from repro.sim.harness import FantomHarness, random_legal_walk
+        from repro.sim.harness import (
+            FantomHarness,
+            random_legal_walk,
+            validate_walk,
+        )
         from repro.sim.simulator import Simulator
 
         from ..strategies import cached_synthesize
@@ -222,6 +235,8 @@ class TestRingFastPaths:
             machine = build_fantom(cached_synthesize(benchmark(name)))
             walk = random_legal_walk(machine.result.table, 200, seed=0)
             processed = []
+            scored = []
+            sims = []
             for kernel in (RingSimulator, Simulator):
                 harness = FantomHarness(
                     machine, delays=UnitDelay(), simulator_factory=kernel
@@ -229,4 +244,17 @@ class TestRingFastPaths:
                 for column in walk:
                     harness.apply(column)
                 processed.append(harness.simulator.events_processed)
+
+                def factory(*args, kernel=kernel, **kwargs):
+                    sims.append(kernel(*args, **kwargs))
+                    return sims[-1]
+
+                validate_walk(
+                    machine, walk, delays=UnitDelay(),
+                    simulator_factory=factory,
+                )
+                scored.append(sims[-1].events_processed)
             assert processed[0] == processed[1], name
+            assert scored[0] == scored[1], name
+            assert scored[0] == processed[0], name
+            assert sims[0].kernel_stats["cycle_replays"] > 0, name
