@@ -34,7 +34,7 @@ compiled campaign regresses more than 2x against the committed
 
 The **ring tier** measures the event-ring kernel
 (:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
-run-segment replay with lazy queue materialisation) against the
+hand-shake cycle replay from each walk's cycle memo) against the
 compiled kernel on the campaign-scale regime it targets: unit-delay
 Monte-Carlo sweeps with long walks on the two largest paper machines,
 >10\N{SUPERSCRIPT SIX} kernel events per campaign.  Cell outcomes are
@@ -99,7 +99,7 @@ CHECK_SPEEDUP_FLOOR = 3.0
 #: Ring-tier workload (ISSUE 6): unit-delay campaign sweeps with
 #: campaign-length walks on the two largest paper machines — the regime
 #: where event-kernel load (not harness overhead) dominates and the
-#: ring kernel's segment replay engages.  At ~115
+#: ring kernel's cycle replay engages.  At ~115
 #: kernel events per hand-shake cycle this is >10^6 events per campaign.
 RING_MACHINES = ("lion9", "train11")
 RING_SWEEP = 5
@@ -129,8 +129,9 @@ CAMPAIGN_TIER_STEPS = 800
 #: generation.
 MIN_CAMPAIGN_TIER_SPEEDUP = 3.0
 #: Reduced-workload floor for the CI gate: shared runners are noisy and
-#: short walks amortise segment recording poorly, so the gate only has
-#: to detect fast-path collapse (a heap demotion reads ~1.0x).
+#: short walks revisit fewer cycles, so the memo serves a smaller share
+#: of them; the gate only has to detect fast-path collapse (a heap
+#: demotion reads ~1.0x).
 CHECK_CAMPAIGN_TIER_FLOOR = 1.5
 #: Kernel paths a sweep cell may legitimately report; ``heap`` appears
 #: only through an off-grid vector or the documented quantum-overflow

@@ -722,7 +722,7 @@ def _add_matrix_arguments(
         choices=_engine_choices(),
         default=None,
         help="[campaign] simulation kernel: ring (default; the heap "
-        "loop plus segment replay), compiled (the heap loop alone) or "
+        "loop plus cycle replay), compiled (the heap loop alone) or "
         "reference (the seed interpreter)",
     )
 
@@ -1098,9 +1098,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulation kernel (ring = the fast event kernel: exact "
         "fixed-point ticks for fractional delays, heap fallback for "
-        "off-grid ones, segment replay; compiled = the heap kernel; "
-        "reference = the retained seed interpreter, for benchmarking; "
-        "default ring)",
+        "off-grid ones, hand-shake cycle replay; compiled = the heap "
+        "kernel; reference = the retained seed interpreter, for "
+        "benchmarking; default ring)",
     )
     val.add_argument(
         "--skewed",

@@ -254,8 +254,10 @@ def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
             )
             continue
         fast_cover = minimal_cover(fn)
+        # The useful primes just compared are exactly what the
+        # reference cover would otherwise recompute from scratch.
         slow_cubes, slow_essential, slow_exact = (
-            ref.minimal_cover_reference(fn)
+            ref.minimal_cover_reference(fn, primes=slow_useful)
         )
         if (
             tuple(fast_cover.cubes) != tuple(slow_cubes)

@@ -378,9 +378,9 @@ class ValidationCampaign:
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
         event-ring kernel of :mod:`repro.sim.ring`: the compiled heap
-        loop plus run-segment replay, exact on the dyadic time grid
-        every built-in delay model draws on (off-grid delays run the
-        plain heap loop); ``"compiled"`` — the heap kernel; or
+        loop plus hand-shake cycle replay, exact on the dyadic time
+        grid every built-in delay model draws on (off-grid delays run
+        the plain heap loop); ``"compiled"`` — the heap kernel; or
         ``"reference"`` — the retained seed kernel, for benchmarking and
         distrust.  All three are pinned trace-equivalent.
     store:

@@ -25,8 +25,8 @@ physically meaningless at the model ranges in play).  On that grid every
 float the event kernels compute — sums and comparisons of event times —
 is *exact* IEEE arithmetic as long as times stay below
 ``2**(53 - TIME_GRID_BITS)``, so the ring kernel (:mod:`repro.sim.ring`)
-can record a run segment in times relative to its start and replay it
-elsewhere bit for bit.  :func:`negotiate_time_quantum` is that
+can record a hand-shake cycle's clock advance and replay it at another
+start time bit for bit.  :func:`negotiate_time_quantum` is that
 negotiation: given a resolved delay vector it returns the shared shift,
 or ``None`` when no practical quantum exists (hand-annotated off-grid
 delays), in which case the kernel runs its event heap without replay.
@@ -34,6 +34,7 @@ delays), in which case the kernel runs its event heap without replay.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -86,11 +87,23 @@ def negotiate_time_quantum(
     return shift
 
 
+@functools.lru_cache(maxsize=4096)
+def _variate(name: str) -> float:
+    """The first uniform variate of ``random.Random(name)``.
+
+    A pure function of ``name``, memoised because seeding a generator
+    costs far more than the draw: a campaign builds a fresh
+    :class:`RandomDelay` per cell, and every model with the same seed
+    draws the same variate for the same instance.
+    """
+    return random.Random(name).random()
+
+
 class DelayModel:
     """Assigns a fixed delay to every gate and flip-flop instance.
 
     Built-in models keep their delays on the dyadic time grid
-    (:data:`TIME_GRID_BITS`) so the ring kernel's segment replay
+    (:data:`TIME_GRID_BITS`) so the ring kernel's cycle replay
     applies; models are free to return off-grid values, at the cost of
     the heap path.
     """
@@ -148,8 +161,9 @@ class RandomDelay(DelayModel):
 
     def _draw(self, key: str, lo: float, hi: float) -> float:
         if key not in self._cache:
-            rng = random.Random(f"{self.seed}:{key}")
-            value = rng.uniform(lo, hi)
+            # ``rng.uniform(lo, hi)``, bit for bit, with the variate
+            # shared by every model drawing the same (seed, instance).
+            value = lo + (hi - lo) * _variate(f"{self.seed}:{key}")
             bits = self.grid_bits
             if bits is not None:
                 scale = 1 << bits
@@ -223,7 +237,7 @@ class CornerDelay(DelayModel):
 
     Like the random models, the extremes are snapped to the dyadic time
     grid (nearest multiple of ``2**-TIME_GRID_BITS``) so corner cells
-    keep segment replay; the snap moves a boundary by under 3e-8.
+    keep cycle replay; the snap moves a boundary by under 3e-8.
     """
 
     def __init__(

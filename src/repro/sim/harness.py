@@ -259,11 +259,9 @@ def kernel_snapshot(sim) -> dict | None:
     return {
         "paths": {stats["path"]: 1},
         "migrations": dict(stats.get("migrations", {})),
-        # The replay counters are deliberately absent: they vary with
-        # segment-cache warmth (an in-process execution detail), and
-        # the summary's wire form must be partition-independent.  The
-        # cycle-replay count stays out with them: it says how the
-        # kernel ran, not what the walk observed.
+        # The replay counters are deliberately absent: they say how
+        # the kernel ran, not what the walk observed, and the summary's
+        # wire form must not depend on the engine's internals.
     }
 
 

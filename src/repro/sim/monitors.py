@@ -99,11 +99,10 @@ class ValidationSummary:
     expose (``sim.kernel_stats``): which engine paths the walks ended on
     (``ring``/``ticks``/``heap``) and any fast-path demotions
     (``migrations``).  ``None`` means no walk contributed telemetry
-    (e.g. the reference kernel).  The ring kernel's replay counters
-    never enter it: they depend on how warm its segment cache is (which
-    cells ran earlier in the same process), and the sharded store's
-    byte-identity contract requires the wire form to be
-    partition-independent.
+    (e.g. the reference kernel).  The ring kernel's cycle-replay
+    counters never enter it: they say how the kernel ran, not what the
+    walks observed, and the sharded store's byte-identity contract
+    needs a wire form that no execution detail can move.
     """
 
     cycles: list[CycleReport] = field(default_factory=list)

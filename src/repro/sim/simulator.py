@@ -53,7 +53,7 @@ from .delays import DelayModel, UnitDelay
 #: Entries kept in a compiled program's plan cache.  Campaign sweeps
 #: cycle through one plan set per (model, seed) — an LRU keeps the live
 #: working set warm where the old wholesale clear-at-16 threw away every
-#: cell's plans (and the ring kernel's segment memos) mid-sweep.
+#: cell's plans mid-sweep.
 PLAN_CACHE_LIMIT = 64
 
 _INF = float("inf")

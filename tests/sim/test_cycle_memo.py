@@ -188,3 +188,40 @@ class TestCycleMemoFallbacks:
         live, _ = _run(machine, walk, delays(), Simulator)
         assert [cycle.to_dict() for cycle in summary.cycles] == live
         assert sims[0].kernel_stats["cycle_replays"] > 0
+
+
+class TestCycleKey:
+    def test_every_key_is_the_live_state(self):
+        """A cached key never outlives the state it names.
+
+        The ring caches ``bytes(values)`` between ``run``/``schedule``
+        calls and sets it on every restore; a key left stale across a
+        live cycle would file that cycle's capture under the wrong
+        state.  Every non-``None`` key a walk asks for must equal the
+        live net values.
+        """
+        keyed = []
+
+        class Checked(RingSimulator):
+            def cycle_key(self):
+                key = super().cycle_key()
+                if key is not None:
+                    live = self.values
+                    keyed.append(key == bytes(
+                        live[net] for net in self.compiled.net_names
+                    ))
+                return key
+
+        replays = 0
+        for name in TABLES:
+            machine = _machine(name)
+            for seed in (0, 1):
+                walk = random_legal_walk(machine.result.table, 200, seed=seed)
+                for model in MODELS:
+                    _, sim = _run(
+                        machine, walk, delay_model(model, seed, machine),
+                        Checked,
+                    )
+                    replays += sim.kernel_stats["cycle_replays"]
+        assert replays > 0
+        assert keyed and all(keyed), keyed.count(False)

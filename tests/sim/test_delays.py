@@ -1,5 +1,8 @@
 """Distribution and bounds tests for the delay models."""
 
+import math
+import random
+
 import pytest
 
 from repro.netlist.gates import Dff, Gate, GateType
@@ -112,3 +115,84 @@ class TestCornerDelay:
             CornerDelay(gate_floor=0.5)  # 0.8 skew window >= 0.5 loop
         with pytest.raises(ValueError):
             CornerDelay(ff_extremes=(0.0, 0.5))
+
+
+class TestDrawExactness:
+    """Each instance's delay is the seeded generator's uniform draw.
+
+    :class:`RandomDelay` shares one memoised variate per (seed,
+    instance) across models; every delay must still equal the fresh
+    ``random.Random(f"{seed}:{key}").uniform(lo, hi)``, snapped to the
+    grid and clamped into the range exactly as a fresh draw would be.
+    """
+
+    #: model -> (gate range, flip-flop range, grid bits), as stated by
+    #: the campaign and fuzz delay models.
+    MODELS = {
+        "loop-safe": ((1.5, 2.5), (0.2, 1.0), 24),
+        "skewed": ((0.9, 1.6), (0.2, 2.0), 24),
+        "hostile": ((0.5, 1.2), (0.2, 3.0), 24),
+        "loop-safe-offgrid": ((1.5, 2.5), (0.2, 1.0), None),
+    }
+
+    @staticmethod
+    def _fresh_draw(seed, key, lo, hi, bits):
+        value = random.Random(f"{seed}:{key}").uniform(lo, hi)
+        if bits is None:
+            return value
+        scale = 1 << bits
+        tick = round(value * scale)
+        tick = max(tick, math.ceil(lo * scale))
+        tick = min(tick, math.floor(hi * scale))
+        return tick / scale
+
+    @pytest.fixture(scope="class")
+    def machines(self):
+        from repro.bench import benchmark
+        from repro.corpus.families import build_corpus, generate
+        from repro.netlist.fantom import build_fantom
+        from repro.sim.harness import build_timed_fantom
+
+        from ..strategies import cached_synthesize
+
+        machines = [
+            build_fantom(cached_synthesize(benchmark(name)))
+            for name in ("lion9", "train11")
+        ]
+        machines += [
+            build_timed_fantom(cached_synthesize(generate(key)))
+            for key in build_corpus(count=4)
+        ]
+        assert len(machines) == 22
+        return machines
+
+    def test_every_instance_matches_a_fresh_draw(self, machines):
+        from repro.corpus.fuzz import _delays_for
+
+        checked = 0
+        for name, (gate_range, ff_range, bits) in self.MODELS.items():
+            for seed in range(3):
+                for machine in machines:
+                    model = _delays_for(name, seed, machine)
+                    netlist = machine.netlist
+                    for gate in netlist.gates:
+                        expected = gate.delay
+                        if expected is None:
+                            expected = self._fresh_draw(
+                                seed, f"g:{gate.name}", *gate_range, bits
+                            )
+                            checked += 1
+                        assert model.gate_delay(gate) == expected, (
+                            name, seed, gate.name,
+                        )
+                    for dff in netlist.dffs:
+                        expected = dff.clk_to_q
+                        if expected is None:
+                            expected = self._fresh_draw(
+                                seed, f"f:{dff.name}", *ff_range, bits
+                            )
+                            checked += 1
+                        assert model.clk_to_q(dff) == expected, (
+                            name, seed, dff.name,
+                        )
+        assert checked > 10_000

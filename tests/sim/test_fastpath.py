@@ -1,6 +1,6 @@
 """The fractional-time fast paths, pinned and provenanced (ISSUE 9).
 
-The ring kernel's segment replay does not need integral delays: a
+The ring kernel's cycle replay does not need integral delays: a
 resolved delay vector negotiates an exact dyadic tick quantum
 (:func:`~repro.sim.delays.negotiate_time_quantum`) under which relative
 event times are exact, while vectors with no practical quantum run the
@@ -342,9 +342,9 @@ class TestCampaignProvenance:
         assert restored.to_dict() == fresh.to_dict()
 
     def test_telemetry_is_partition_independent(self):
-        """The wire form must not leak segment-cache warmth: running
-        the same cell twice in one process (warm caches, replays) and
-        in a fresh order must serialise identically."""
+        """The wire form must not leak in-process warmth: running the
+        same cell twice in one process (warm plan caches) and in a
+        fresh order must serialise identically."""
         first = self._campaign()
         second = self._campaign()
         payload = [c.summary.to_dict() for c in first.cells]

@@ -2,13 +2,13 @@
 
 Same pattern as the compiled-kernel engine swap: the event-ring kernel
 (:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
-run-segment replay, replay off for stimuli off the time grid) must be
+hand-shake cycle replay, replay off for stimuli off the time grid) must be
 observably indistinguishable from the compiled kernel — identical
 :class:`NetChange` traces, identical final net values, identical
 simulation time — on random netlists under random stimuli across every
 delay model, and identical campaign outcomes (including the failing
 cells of ablated machines) over the golden machines.  Its live events
-run on the compiled kernel's own loop and a replay adds its segment's
+run on the compiled kernel's own loop and a cycle replay adds its
 recorded count, so ``events_processed`` agrees too (pinned on
 unit-delay machine walks below).
 """
@@ -29,8 +29,7 @@ def integral_stimuli(draw, nl):
     """A monotone schedule of pin changes at integer times.
 
     The fractional schedules of :func:`stimuli` turn the ring kernel's
-    segment replay off; integral schedules keep it on, exercising
-    recorded live runs and their replay.
+    replay off; integral schedules keep it on the ``ring`` path.
     """
     schedule = []
     at = 0
@@ -187,34 +186,28 @@ class TestRingFastPaths:
     def test_replay_path_engages(self, monkeypatch):
         """Guard against a silent fall-through to the live loop.
 
-        Segment replay and cycle replay carry almost every event of a
-        campaign walk, and a lost replay changes no trace, so only this
-        probe (not the equivalence pins) notices when both stop firing.
+        Cycle replay carries almost every event of a campaign walk, and
+        a lost replay changes no trace, so only this probe (not the
+        equivalence pins) notices when restores stop firing.
         """
         import repro.sim.ring as ring_mod
 
-        hits = {"replay": 0, "cycle": 0}
-        orig_replay = ring_mod.RingSimulator._replay
+        restores = []
         orig_restore = ring_mod.RingSimulator.cycle_restore
-
-        def replay(self, *a, **kw):
-            hits["replay"] += 1
-            return orig_replay(self, *a, **kw)
 
         def restore(self, *a, **kw):
             replayed = orig_restore(self, *a, **kw)
-            hits["cycle"] += replayed
+            restores.append(replayed)
             return replayed
 
-        monkeypatch.setattr(ring_mod.RingSimulator, "_replay", replay)
         monkeypatch.setattr(ring_mod.RingSimulator, "cycle_restore", restore)
         summary = self._walk("lion9")
         assert summary.total > 0
-        assert hits["replay"] + hits["cycle"] > 0
+        assert sum(restores) > 0, restores
 
     def test_events_processed_match_the_compiled_kernel(self):
-        """Live runs are the compiled kernel's loop and a segment or
-        cycle replay adds its recorded count, so both kernels process
+        """Live runs are the compiled kernel's loop and a cycle replay
+        adds its recorded count, so both kernels process
         the same number of events over a long unit-delay walk (the
         regime with the most same-time events), driven cycle by cycle
         through ``harness.apply`` and scored through ``validate_walk``
