@@ -1,6 +1,11 @@
 """Baselines the paper compares against: SIC Huffman and STG expansion."""
 
-from .huffman import HuffmanResult, sic_walk_is_legal, synthesize_huffman
+from .huffman import (
+    HuffmanResult,
+    huffman_from_assignment,
+    sic_walk_is_legal,
+    synthesize_huffman,
+)
 from .huffman_sim import (
     HuffmanMachine,
     HuffmanRun,
@@ -24,6 +29,7 @@ __all__ = [
     "HuffmanResult",
     "HuffmanRun",
     "build_huffman",
+    "huffman_from_assignment",
     "default_baseline_delays",
     "run_walk",
     "sic_walk",

@@ -17,6 +17,16 @@ The comparison benchmarks use this baseline two ways: statically (logic
 cost and depth against FANTOM's) and dynamically (the SIC machine is
 correct on single-input-change walks, and its contract simply excludes
 the multiple-input-change walks FANTOM survives).
+
+Synthesis comes in two halves.  The front end — validate, reduce,
+Tracey USTT assignment — is exactly FANTOM's first three passes;
+:func:`huffman_from_assignment` builds the consensus covers from a
+reduced table and its :class:`~repro.assign.tracey.AssignmentResult`.
+:func:`synthesize_huffman` runs both.  A caller that already holds a
+FANTOM :class:`~repro.core.result.SynthesisResult` of the same table
+(the differential fuzzer) passes its ``table`` and ``assignment`` to
+the second half and gets the same baseline without reducing or
+assigning the table again.
 """
 
 from __future__ import annotations
@@ -72,17 +82,18 @@ class HuffmanResult:
         return "\n".join(lines)
 
 
-def synthesize_huffman(
+def huffman_from_assignment(
+    source: FlowTable,
     table: FlowTable,
-    minimize: bool = True,
-    validate_input: bool = True,
+    assignment: AssignmentResult,
 ) -> HuffmanResult:
-    """Synthesise the classic SIC machine for ``table``."""
-    if validate_input:
-        validate(table)
-    working = reduce_flow_table(table).table if minimize else table
-    assignment = assign_states(working)
-    spec = SpecifiedMachine(working, assignment.encoding)
+    """All-prime consensus covers of ``table`` under ``assignment``.
+
+    ``source`` is the unreduced table the caller started from (it only
+    names the result); ``table`` is the reduced table ``assignment``
+    encodes.
+    """
+    spec = SpecifiedMachine(table, assignment.encoding)
 
     next_state: dict[str, tuple[Cube, ...]] = {}
     equations: dict[str, Expr] = {}
@@ -93,21 +104,38 @@ def synthesize_huffman(
         equations[name] = first_level(sop_to_expr(cover, spec.names))
 
     outputs: dict[str, tuple[Cube, ...]] = {}
-    for k, name in enumerate(working.outputs):
+    for k, name in enumerate(table.outputs):
         fn = spec.output_function(k, policy="as_specified")
         cover = all_primes_cover(fn)
         outputs[name] = tuple(cover)
         equations[name] = first_level(sop_to_expr(cover, spec.names))
 
     return HuffmanResult(
-        source=table,
-        table=working,
+        source=source,
+        table=table,
         assignment=assignment,
         spec=spec,
         next_state=next_state,
         outputs=outputs,
         equations=equations,
     )
+
+
+def synthesize_huffman(
+    table: FlowTable,
+    minimize: bool = True,
+    validate_input: bool = True,
+) -> HuffmanResult:
+    """Synthesise the classic SIC machine for ``table``.
+
+    The front end is FANTOM's first three passes with the same defaults
+    (validate, reduce, Tracey USTT assignment); the covers come from
+    :func:`huffman_from_assignment`.
+    """
+    if validate_input:
+        validate(table)
+    working = reduce_flow_table(table).table if minimize else table
+    return huffman_from_assignment(table, working, assign_states(working))
 
 
 def sic_walk_is_legal(table: FlowTable, columns: list[int]) -> bool:

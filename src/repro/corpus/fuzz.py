@@ -13,11 +13,12 @@ all of them and treats *any* disagreement as a finding:
     differ from the reference engine on an excitation or output
     function of the synthesised machine.
 ``huffman-cover``
-    The all-prime consensus cover of the SIC baseline differs between
-    the two engines.
+    A consensus cover the SIC baseline ships (built with the bitset
+    engine) differs from the reference engine's useful primes of the
+    same function.
 ``trace``
     The compiled and ring kernels score the same walk on the same
-    silicon differently (cycle-by-cycle ``CycleReport`` payloads).
+    silicon differently (cycle-by-cycle ``CycleReport`` lists).
 ``dirty-cell``
     A machine diverges from its own flow table under some delay model —
     both kernels agree, so this is a synthesis/timing anomaly, not an
@@ -31,6 +32,20 @@ all of them and treats *any* disagreement as a finding:
 Machines are built with :func:`repro.sim.harness.build_timed_fantom`
 (Gate A padded per Section 4.3) so a dirty cell is always a logic
 anomaly, never a critical-path-3 race by construction.
+
+Each machine is derived once.  The SIC baseline takes FANTOM's reduced
+table and Tracey assignment (the paper's baseline uses the same ones;
+only its covers differ) through
+:func:`~repro.baselines.huffman.huffman_from_assignment`, so the table
+is reduced and assigned once.  Each distinct Boolean function — keyed
+on its exact ``(on_mask, dc_mask, width)`` — has its bitset and
+reference primes and useful primes derived once per machine, in a map
+the logic and Huffman legs share.  The logic leg compares all four and
+selects each engine's cover from its own useful primes; the Huffman
+leg compares the covers the baseline actually ships against the
+reference useful primes.  Every comparison still runs on every
+function; only the repeated derivations are gone.  The armed self-test
+reuses the clean machine the simulation leg already walked.
 """
 
 from __future__ import annotations
@@ -40,16 +55,14 @@ import time
 from dataclasses import dataclass, field
 
 from ..api import PipelineSpec, synthesize
-from ..baselines.huffman import synthesize_huffman
+from ..baselines.huffman import HuffmanResult, huffman_from_assignment
 from ..errors import ReproError
 from ..flowtable.table import Entry, FlowTable
 from ..logic import _reference as ref
 from ..logic.cover import minimal_cover
-from ..logic.quine_mccluskey import (
-    all_primes_cover,
-    prime_implicants,
-    useful_primes,
-)
+from ..logic.cube import Cube
+from ..logic.function import BooleanFunction
+from ..logic.quine_mccluskey import primes_of, useful_primes
 from ..sim.campaign import delay_model
 from ..sim.delays import RandomDelay
 from ..sim.harness import (
@@ -215,7 +228,45 @@ def _cover_repr(cubes) -> str:
     return "[" + ", ".join(str(cube) for cube in cubes) + "]"
 
 
-def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
+@dataclass(frozen=True)
+class _Derivation:
+    """Both engines' primes and useful primes of one Boolean function."""
+
+    fast_primes: list[Cube]
+    slow_primes: list[Cube]
+    fast_useful: list[Cube]
+    slow_useful: list[Cube]
+
+
+#: One machine's derivations, keyed on the exact function
+#: ``(on_mask, dc_mask, width)``.  The logic and Huffman legs share it,
+#: so a function both legs see (every excitation, and each output whose
+#: ``as_specified`` and ``stable_only`` readings coincide) is derived
+#: once per machine.
+_Derivations = dict[tuple[int, int, int], _Derivation]
+
+
+def _derive(fn: BooleanFunction, derivations: _Derivations) -> _Derivation:
+    key = (fn.on_mask, fn.dc_mask, fn.width)
+    entry = derivations.get(key)
+    if entry is None:
+        fast_primes = primes_of(fn)
+        slow_primes = ref.prime_implicants_reference(fn.on, fn.dc, fn.width)
+        entry = derivations[key] = _Derivation(
+            fast_primes,
+            slow_primes,
+            useful_primes(fast_primes, fn.on_mask),
+            ref.useful_primes_reference(slow_primes, fn.on),
+        )
+    return entry
+
+
+def _logic_findings(
+    key: str,
+    result,
+    fingerprint: str,
+    derivations: _Derivations,
+) -> list[Finding]:
     """Packed-bitset vs reference engine over every synthesised function."""
     findings: list[Finding] = []
     spec = result.spec
@@ -227,21 +278,19 @@ def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
         for k, name in enumerate(result.table.outputs)
     ]
     for name, fn in functions:
-        fast_primes = prime_implicants(fn.on, fn.dc, fn.width)
-        slow_primes = ref.prime_implicants_reference(fn.on, fn.dc, fn.width)
-        if fast_primes != slow_primes:
+        derived = _derive(fn, derivations)
+        if derived.fast_primes != derived.slow_primes:
             findings.append(
                 Finding(
                     key,
                     "logic-primes",
-                    f"{name}: {len(fast_primes)} bitset primes vs "
-                    f"{len(slow_primes)} reference primes",
+                    f"{name}: {len(derived.fast_primes)} bitset primes vs "
+                    f"{len(derived.slow_primes)} reference primes",
                     fingerprint,
                 )
             )
             continue
-        fast_useful = useful_primes(fast_primes, fn.on_mask)
-        slow_useful = ref.useful_primes_reference(slow_primes, fn.on)
+        fast_useful, slow_useful = derived.fast_useful, derived.slow_useful
         if fast_useful != slow_useful:
             findings.append(
                 Finding(
@@ -253,9 +302,9 @@ def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
                 )
             )
             continue
-        fast_cover = minimal_cover(fn)
-        # The useful primes just compared are exactly what the
-        # reference cover would otherwise recompute from scratch.
+        # Each side selects from its own engine's useful primes, just
+        # compared, instead of re-deriving them.
+        fast_cover = minimal_cover(fn, primes=fast_useful)
         slow_cubes, slow_essential, slow_exact = (
             ref.minimal_cover_reference(fn, primes=slow_useful)
         )
@@ -277,30 +326,39 @@ def _logic_findings(key: str, result, fingerprint: str) -> list[Finding]:
 
 
 def _huffman_findings(
-    key: str, table: FlowTable, fingerprint: str
+    key: str,
+    baseline: HuffmanResult,
+    fingerprint: str,
+    derivations: _Derivations,
 ) -> list[Finding]:
-    """Both engines must agree on the SIC baseline's consensus covers."""
+    """The SIC baseline's shipped covers must equal the reference's.
+
+    Every consensus cover the baseline built with the bitset engine is
+    compared against the reference engine's useful primes of the same
+    function.
+    """
     findings: list[Finding] = []
-    baseline = synthesize_huffman(table)
     spec = baseline.spec
     functions = [
-        (spec.encoding.variables[n], fn)
-        for n, fn in enumerate(spec.excitations())
+        (name, fn, baseline.next_state[name])
+        for name, fn in zip(spec.encoding.variables, spec.excitations())
     ]
     functions += [
-        (name, spec.output_function(k, policy="as_specified"))
+        (
+            name,
+            spec.output_function(k, policy="as_specified"),
+            baseline.outputs[name],
+        )
         for k, name in enumerate(baseline.table.outputs)
     ]
-    for name, fn in functions:
-        fast = all_primes_cover(fn)
-        slow_primes = ref.prime_implicants_reference(fn.on, fn.dc, fn.width)
-        slow = ref.useful_primes_reference(slow_primes, fn.on)
-        if tuple(fast) != tuple(slow):
+    for name, fn, shipped in functions:
+        slow = _derive(fn, derivations).slow_useful
+        if shipped != tuple(slow):
             findings.append(
                 Finding(
                     key,
                     "huffman-cover",
-                    f"{name}: {_cover_repr(fast)} bitset vs "
+                    f"{name}: {_cover_repr(shipped)} bitset vs "
                     f"{_cover_repr(slow)} reference",
                     fingerprint,
                 )
@@ -308,14 +366,10 @@ def _huffman_findings(
     return findings
 
 
-def _cycle_payloads(summary) -> list[dict]:
-    return [cycle.to_dict() for cycle in summary.cycles]
-
-
-def _first_difference(a: list[dict], b: list[dict]) -> str:
+def _first_difference(a, b) -> str:
     for index, (cell_a, cell_b) in enumerate(zip(a, b)):
         if cell_a != cell_b:
-            return f"cycle {index}: {cell_a} vs {cell_b}"
+            return f"cycle {index}: {cell_a.to_dict()} vs {cell_b.to_dict()}"
     return f"cycle counts differ ({len(a)} vs {len(b)})"
 
 
@@ -338,11 +392,8 @@ def _sim_findings(
             summaries[engine] = validate_walk(
                 machine, walk, delays, simulator_factory=factory
             )
-        payloads = {
-            engine: _cycle_payloads(summary)
-            for engine, summary in summaries.items()
-        }
-        engines_agree = payloads["compiled"] == payloads["ring"]
+        compiled, ring = summaries["compiled"].cycles, summaries["ring"].cycles
+        engines_agree = compiled == ring
         # A pinned anomaly is only "known" while both kernels tell the
         # same story — a kernel disagreement is always a hard finding.
         known = pinned and engines_agree
@@ -351,9 +402,7 @@ def _sim_findings(
                 Finding(
                     key,
                     "trace",
-                    _first_difference(
-                        payloads["compiled"], payloads["ring"]
-                    ),
+                    _first_difference(compiled, ring),
                     fingerprint,
                     model=model,
                     walk=tuple(walk),
@@ -438,6 +487,7 @@ def selftest_divergence(
     walk: list[int],
     model: str = "unit",
     walk_seed: int = 0,
+    clean_machine=None,
 ) -> tuple[str, str, str] | None:
     """Observed-output divergence between clean and perturbed machines.
 
@@ -447,12 +497,15 @@ def selftest_divergence(
     perturbation is impossible or (unexpectedly) unobservable.  State
     names cannot be compared across the two machines (their state
     reductions differ), so the comparison is the per-cycle
-    ``(column, observed_outputs)`` stream.
+    ``(column, observed_outputs)`` stream.  ``clean_machine`` is the
+    timed FANTOM machine of ``table`` when the caller already built it
+    (:func:`fuzz_table` has); otherwise it is synthesised here.
     """
     perturbed_table = perturb_table(table)
     if perturbed_table is None:
         return None
-    clean_machine = build_timed_fantom(synthesize(table))
+    if clean_machine is None:
+        clean_machine = build_timed_fantom(synthesize(table))
     perturbed_machine = build_timed_fantom(synthesize(perturbed_table))
     streams = []
     for machine in (clean_machine, perturbed_machine):
@@ -492,11 +545,14 @@ def selftest_divergence(
 def _selftest_findings(
     key: str,
     table: FlowTable,
+    machine,
     walk: list[int],
     walk_seed: int,
     fingerprint: str,
 ) -> list[Finding]:
-    outcome = selftest_divergence(table, walk, walk_seed=walk_seed)
+    outcome = selftest_divergence(
+        table, walk, walk_seed=walk_seed, clean_machine=machine
+    )
     if outcome is None:
         return [
             Finding(
@@ -546,8 +602,14 @@ def fuzz_table(
         selftest = selftest_enabled()
     fingerprint = corpus_fingerprint(table)
     result = synthesize(table)
-    findings = _logic_findings(key, result, fingerprint)
-    findings += _huffman_findings(key, table, fingerprint)
+    # The logic and Huffman legs share one derivation per distinct
+    # function; the map lives only as long as this machine.
+    derivations: _Derivations = {}
+    findings = _logic_findings(key, result, fingerprint, derivations)
+    baseline = huffman_from_assignment(
+        table, result.table, result.assignment
+    )
+    findings += _huffman_findings(key, baseline, fingerprint, derivations)
     machine = build_timed_fantom(result)
     walk = random_legal_walk(table, steps, seed=walk_seed)
     findings += _sim_findings(
@@ -555,7 +617,7 @@ def fuzz_table(
     )
     if selftest:
         findings += _selftest_findings(
-            key, table, walk, walk_seed, fingerprint
+            key, table, machine, walk, walk_seed, fingerprint
         )
     return findings
 

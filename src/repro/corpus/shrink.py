@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..api import synthesize
+from ..baselines.huffman import huffman_from_assignment
 from ..core.serialize import table_from_dict, table_to_dict
 from ..flowtable.table import FlowTable
 from ..flowtable.validation import validate
@@ -240,9 +241,15 @@ def finding_predicate(
             )
         fingerprint = corpus_fingerprint(table)
         if check.startswith("logic-"):
-            found = _logic_findings("shrink", synthesize(table), fingerprint)
+            found = _logic_findings(
+                "shrink", synthesize(table), fingerprint, {}
+            )
         elif check == "huffman-cover":
-            found = _huffman_findings("shrink", table, fingerprint)
+            result = synthesize(table)
+            baseline = huffman_from_assignment(
+                table, result.table, result.assignment
+            )
+            found = _huffman_findings("shrink", baseline, fingerprint, {})
         else:  # trace / dirty-cell
             machine = build_timed_fantom(synthesize(table))
             walk = random_legal_walk(table, steps, seed=walk_seed)

@@ -3,14 +3,19 @@
 import pytest
 
 from repro.api import synthesize
-from repro.baselines.huffman import sic_walk_is_legal, synthesize_huffman
+from repro.baselines.huffman import (
+    huffman_from_assignment,
+    sic_walk_is_legal,
+    synthesize_huffman,
+)
 from repro.baselines.stg_expansion import (
     comparison_row,
     fantom_expansion_cost,
     stg_expansion_cost,
     stg_expansion_cost_from_stg,
 )
-from repro.bench import benchmark
+from repro.bench import benchmark, benchmark_names
+from repro.corpus import build_corpus, generate
 from repro.flowtable.stg import Stg
 from repro.hazards.logic_hazards import is_sic_hazard_free
 from repro.logic.expr import expr_truth
@@ -51,6 +56,39 @@ class TestHuffmanBaseline:
     def test_describe(self):
         text = synthesize_huffman(benchmark("lion")).describe()
         assert "single-input changes only" in text
+
+
+def _baseline_bytes(result) -> tuple:
+    return (
+        result.describe(),
+        repr(result.next_state),
+        repr(result.outputs),
+        repr(
+            {name: expr.to_string() for name, expr in result.equations.items()}
+        ),
+    )
+
+
+class TestFromFantomFrontEnd:
+    """The baseline built on FANTOM's reduction and assignment is the
+    standalone baseline, byte for byte: the paper's SIC machine uses the
+    same reduced table and Tracey assignment, only its covers differ."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [benchmark(name) for name in benchmark_names()]
+        + [generate(key) for key in build_corpus(count=20)],
+        ids=lambda table: table.name,
+    )
+    def test_same_as_standalone(self, table):
+        fantom = synthesize(table)
+        shared = huffman_from_assignment(
+            table, fantom.table, fantom.assignment
+        )
+        assert shared.source is table
+        assert _baseline_bytes(shared) == _baseline_bytes(
+            synthesize_huffman(table)
+        )
 
 
 class TestSicWalk:

@@ -131,6 +131,146 @@ class TestSelftestAcceptance:
         # The fixture doubles as an ordinary table file.
         assert api.load_table(str(path)).num_states == loaded.num_states
 
+    def test_armed_machine_is_synthesised_once(self, monkeypatch):
+        """The self-test reuses the clean machine the walks ran on:
+        one synthesis for it and one for the perturbed table."""
+        from repro.corpus import fuzz
+
+        tables = []
+
+        def counting(table):
+            tables.append(table.name)
+            return api.synthesize(table)
+
+        monkeypatch.setattr(fuzz, "synthesize", counting)
+        table = generate("corpus:random-flow:3")
+        findings = fuzz_table(table, models=("unit",), selftest=True)
+        assert [f.check for f in findings] == ["selftest"]
+        assert tables == [table.name, f"{table.name}#selftest"]
+
+
+class TestLegsStillCompare:
+    """Injected logic-engine faults must surface through the fuzz legs.
+
+    Every perfbench digest of a fuzz run means "zero findings", so a leg
+    that silently stopped comparing would still pass the benchmark.
+    Each test breaks one engine function and requires its finding.  The
+    FANTOM synthesis runs before the fault goes in, so only the legs
+    under test see it.
+    """
+
+    KEY = "corpus:random-flow:2"
+
+    @staticmethod
+    def _checks(monkeypatch, key, owner, name, fault) -> dict[str, list]:
+        from repro.corpus import fuzz
+
+        table = generate(key)
+        result = api.synthesize(table)
+        monkeypatch.setattr(fuzz, "synthesize", lambda _table: result)
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+        found: dict[str, list] = {}
+        for finding in fuzz_table(
+            table, models=("unit",), steps=4, selftest=False
+        ):
+            found.setdefault(finding.check, []).append(finding.detail)
+        return found
+
+    def test_clean_without_a_fault(self, monkeypatch):
+        from repro.logic import quine_mccluskey
+
+        found = self._checks(
+            monkeypatch,
+            self.KEY,
+            quine_mccluskey,
+            "prime_implicants",
+            lambda real: real,
+        )
+        assert found == {}
+
+    def test_dropped_bitset_prime(self, monkeypatch):
+        from repro.logic import quine_mccluskey
+
+        found = self._checks(
+            monkeypatch,
+            self.KEY,
+            quine_mccluskey,
+            "prime_implicants",
+            lambda real: lambda on, dc, width: real(on, dc, width)[1:],
+        )
+        assert "logic-primes" in found
+        assert "huffman-cover" in found
+
+    def test_dropped_reference_useful_prime(self, monkeypatch):
+        from repro.logic import _reference
+
+        found = self._checks(
+            monkeypatch,
+            self.KEY,
+            _reference,
+            "useful_primes_reference",
+            lambda real: lambda primes, on: real(primes, on)[:-1],
+        )
+        assert "logic-useful" in found
+
+    def test_different_bitset_cover(self, monkeypatch):
+        import dataclasses
+
+        from repro.corpus import fuzz
+
+        def fault(real):
+            def minimal_cover(fn, **kwargs):
+                cover = real(fn, **kwargs)
+                return dataclasses.replace(cover, cubes=cover.cubes[:-1])
+
+            return minimal_cover
+
+        found = self._checks(
+            monkeypatch, self.KEY, fuzz, "minimal_cover", fault
+        )
+        assert set(found) == {"logic-cover"}
+
+    def test_huffman_leg_derives_functions_the_logic_leg_never_saw(
+        self, monkeypatch
+    ):
+        """An ``as_specified`` output function is the baseline's alone.
+
+        The fault hits only that function's reference primes, so only
+        a Huffman leg that derives and compares it on its own can
+        report it.
+        """
+        from repro.logic import _reference
+
+        key = "corpus:protocol-ring:0"
+        spec = api.synthesize(generate(key)).spec
+        index = 0  # g1: its unstable points carry specified values
+        target = spec.output_function(index, policy="as_specified")
+
+        def identity(fn):
+            return (fn.on, fn.dc, fn.width)
+
+        logic_leg = [identity(fn) for fn in spec.excitations()] + [
+            identity(spec.output_function(k))
+            for k in range(len(spec.table.outputs))
+        ]
+        assert identity(target) not in logic_leg
+
+        def fault(real):
+            def prime_implicants_reference(on, dc, width):
+                primes = real(on, dc, width)
+                if (set(on), set(dc), width) == identity(target):
+                    return primes[1:]
+                return primes
+
+            return prime_implicants_reference
+
+        found = self._checks(
+            monkeypatch, key, _reference, "prime_implicants_reference", fault
+        )
+        assert list(found) == ["huffman-cover"]
+        name = spec.table.outputs[index]
+        assert [d.split(":")[0] for d in found["huffman-cover"]] == [name]
+
 
 class TestRunFuzz:
     CORPUS = [make_key("random-flow", s) for s in range(4)] + [
