@@ -67,6 +67,7 @@ from ..sim.campaign import delay_model
 from ..sim.delays import RandomDelay
 from ..sim.harness import (
     build_timed_fantom,
+    expected_walk,
     export_walk_vcd,
     random_legal_walk,
     validate_walk,
@@ -385,13 +386,20 @@ def _sim_findings(
     findings: list[Finding] = []
     family = parse_key(key).family if is_corpus_key(key) else None
     pinned = key in KNOWN_DIRTY or family in KNOWN_DIRTY_FAMILIES
+    # Set up once per machine and model: the reference step stream is
+    # shared by every walk, and one delay model by both kernels' walks
+    # (a model draws each instance's delay once and caches it, so the
+    # second kernel resolves the very vector the first one drew).
+    expected = expected_walk(machine.result.table, walk)
     for model in models:
-        summaries = {}
-        for engine, factory in _ENGINES:
-            delays = _delays_for(model, walk_seed, machine)
-            summaries[engine] = validate_walk(
-                machine, walk, delays, simulator_factory=factory
+        delays = _delays_for(model, walk_seed, machine)
+        summaries = {
+            engine: validate_walk(
+                machine, walk, delays, simulator_factory=factory,
+                expected=expected,
             )
+            for engine, factory in _ENGINES
+        }
         compiled, ring = summaries["compiled"].cycles, summaries["ring"].cycles
         engines_agree = compiled == ring
         # A pinned anomaly is only "known" while both kernels tell the

@@ -38,6 +38,23 @@ class FantomHarness:
     :class:`~repro.sim._reference.ReferenceSimulator` for equivalence
     pinning and benchmarking (both take the same constructor arguments
     and expose the same driving surface).
+
+    **Cycle replay.**  A hand-shake cycle is a pure function of the
+    kernel's exact state and the column, and a walk revisits the same
+    few (state, column) pairs over and over.  On a kernel that exposes
+    ``cycle_key`` (the ring kernel; see :mod:`repro.sim.ring`), a cycle
+    that starts keyed with nothing carried over in the trace, and ends
+    drained with nothing carried out, is memoised on this harness with
+    its judgement; a cycle that raises is never stored.  A revisit is
+    a memo hit: its report is rebuilt with no ``run``, ``schedule`` or
+    trace scan.  Each capture names the state it exits to, so a run of
+    consecutive hits follows the memo from capture to capture and only
+    adds up the clock advance, events and replay count, checking each
+    hit against the kernel's event budget and exactness horizon
+    (``cycle_admits``).  The kernel is restored once per run, from its
+    last capture: before the next live cycle, and before
+    :meth:`scored_apply_expected` or :func:`validate_walk` returns, so
+    no caller ever sees a kernel with replays still pending.
     """
 
     #: Environment think-time between observing an edge and reacting.
@@ -52,64 +69,71 @@ class FantomHarness:
         simulator_factory=Simulator,
     ):
         self.machine = machine
-        self.simulator = simulator_factory(
+        self.simulator = sim = simulator_factory(
             machine.netlist,
             delays=delays,
             initial_values=machine.initial_values(),
         )
-        self.simulator.watch(
-            machine.vom, machine.g, *machine.output_nets
-        )
-        self._read_state = self.simulator.values_reader(machine.state_nets)
-        self._read_outputs = self.simulator.values_reader(
-            machine.output_nets
-        )
-        # Pre-resolved single-net readers: the hand-shake polls VOM and
-        # the pins every cycle, and resolving net names per poll is pure
-        # overhead on the campaign's hot path.
-        self._read_vom = self.simulator.net_reader(machine.vom)
+        sim.watch(machine.vom, machine.g, *machine.output_nets)
+        self._read_state = sim.values_reader(machine.state_nets)
+        self._read_outputs = sim.values_reader(machine.output_nets)
+        # Decode the state bank straight from its bit tuple (net ``n``
+        # carries code bit ``n``); an unused code decodes to ``None``.
+        width = len(machine.state_nets)
+        self._state_of = {
+            tuple(code >> n & 1 for n in range(width)): state
+            for state, code in machine.result.spec.encoding.codes.items()
+        }
+        # The driving surface, bound once: the hand-shake calls these
+        # several times a cycle.  (The ring kernel's grid wrappers stay
+        # valid after it migrates to the heap loop.)
+        self._run = sim.run
+        self._schedule = sim.schedule
+        self._run_until_quiet = sim.run_until_quiet
+        self._read_vom = sim.net_reader(machine.vom)
         self._pin_readers = [
-            (net, self.simulator.net_reader(net))
-            for net in machine.external_inputs
+            (net, sim.net_reader(net)) for net in machine.external_inputs
         ]
         self._output_net_list = list(machine.output_nets)
+        self._trace = sim.trace
         self.cycle_count = 0
-        # The cycle memo of :meth:`scored_apply_expected`:
-        # (state, column) -> (kernel capture, judgement).
-        self._cycle_key = getattr(self.simulator, "cycle_key", None)
+        # The cycle memo: (state, column) -> (kernel capture, judgement).
+        self._cycle_key = getattr(sim, "cycle_key", None)
+        if self._cycle_key is not None:
+            self._cycle_admits = sim.cycle_admits
+            self._cycle_restore = sim.cycle_restore
         self._cycles: dict = {}
+        # The pending run of memo hits: its last capture (``None``: no
+        # run pending), the clock and event count it ends on, its length.
+        self._chain = None
+        self._chain_now = 0.0
+        self._chain_events = 0
+        self._chain_replays = 0
 
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         return self.simulator.now
 
-    def state_code(self) -> int:
-        code = 0
-        for n, bit in enumerate(self._read_state()):
-            code |= bit << n
-        return code
-
     def observed_state(self) -> str | None:
-        return self.machine.result.spec.encoding.state_of(self.state_code())
+        return self._state_of.get(self._read_state())
 
     def outputs(self) -> tuple[int, ...]:
         return self._read_outputs()
 
     # ------------------------------------------------------------------
-    def _wait_for(self, net: str, value: int) -> None:
-        # The hand-shake only ever waits on VOM; the pre-resolved
-        # reader skips the per-poll net-name lookup on this hot path.
-        read = self._read_vom if net == self.machine.vom else (
-            lambda: self.simulator.value(net)
-        )
-        if read() == value:
+    def _wait_for_vom(self, value: int) -> None:
+        if self._read_vom() == value:
             return
-        deadline = self.now + self.WAIT_BUDGET
-        self.simulator.run(until=deadline, stop_net=net, stop_value=value)
-        if read() != value:
+        vom = self.machine.vom
+        self._run(
+            until=self.simulator.now + self.WAIT_BUDGET,
+            stop_net=vom,
+            stop_value=value,
+        )
+        if self._read_vom() != value:
             raise SimulationError(
-                f"timeout waiting for {net}={value} "
+                f"timeout waiting for {vom}={value} "
                 f"(machine {self.machine.netlist.name!r})"
             )
 
@@ -119,26 +143,28 @@ class FantomHarness:
         Returns the decoded state and the latched outputs after VOM
         re-asserts.
         """
-        machine = self.machine
+        vi = self.machine.vi
         sim = self.simulator
-        self._wait_for(machine.vom, 1)
-        sim.run_until_quiet(self.WAIT_BUDGET)
+        schedule = self._schedule
+        wait_for_vom = self._wait_for_vom
+        wait_for_vom(1)
+        self._run_until_quiet(self.WAIT_BUDGET)
 
-        start = self.now
+        start = sim.now
         for i, (net, read) in enumerate(self._pin_readers):
             bit = column >> i & 1
             # The pins are quiet here (the queue just drained), so a
             # pin already at its target level needs no event — walks
             # re-apply like-successive columns constantly.
             if read() != bit:
-                sim.schedule(net, bit, at=start + self.ENV_DELAY)
-        sim.schedule(machine.vi, 1, at=start + 2 * self.ENV_DELAY)
-        self._wait_for(machine.vom, 0)
-        sim.schedule(machine.vi, 0, at=self.now + self.ENV_DELAY)
-        self._wait_for(machine.vom, 1)
-        sim.run_until_quiet(self.WAIT_BUDGET)
+                schedule(net, bit, start + self.ENV_DELAY)
+        schedule(vi, 1, start + 2 * self.ENV_DELAY)
+        wait_for_vom(0)
+        schedule(vi, 0, sim.now + self.ENV_DELAY)
+        wait_for_vom(1)
+        self._run_until_quiet(self.WAIT_BUDGET)
         self.cycle_count += 1
-        return self.observed_state(), self.outputs()
+        return self.observed_state(), self._read_outputs()
 
     # ------------------------------------------------------------------
     def scored_apply(
@@ -164,44 +190,69 @@ class FantomHarness:
         judged and then dropped (only changes stamped at the window's
         end survive, as the next window counts them), so a long walk's
         trace stays one cycle long.  Output changes count over
-        ``[start, end)``, ``VOM`` rises over ``(start, end]``.
-
-        **Cycle replay.**  A hand-shake cycle is a pure function of the
-        kernel's exact state and the column, and a walk revisits the
-        same few (state, column) pairs over and over.  On a kernel that
-        exposes ``cycle_key`` (the ring kernel; see
-        :meth:`~repro.sim.ring.RingSimulator.cycle_key`), a cycle that
-        starts keyed with nothing carried over in the trace, and ends
-        drained with nothing carried out, is memoised on this harness
-        with its judgement.  A revisit restores the kernel from the memo
-        and rebuilds the report with no ``run``, ``schedule`` or trace
-        scan.  A cycle that raises is never stored.
+        ``[start, end)``, ``VOM`` rises over ``(start, end]``.  A
+        revisited cycle is served from the memo (see the class docs),
+        and the kernel is restored before this returns.
         """
-        sim = self.simulator
-        key = hit = None
-        if not sim.trace and self._cycle_key is not None:
+        report = self._scored_step(column, expected, index)
+        self._flush()
+        return report
+
+    def _scored_step(self, column: int, expected, index: int) -> CycleReport:
+        """One scored cycle: a memo hit joins the pending run of hits,
+        anything else lands that run and runs the cycle live."""
+        chain = self._chain
+        key = entry = None
+        if chain is not None:
+            key = (chain[0], column)
+            entry = self._cycles.get(key)
+        elif self._cycle_key is not None and not self._trace:
             state = self._cycle_key()
             if state is not None:
                 key = (state, column)
-                hit = self._cycles.get(key)
-        if hit is not None and sim.cycle_restore(hit[0]):
-            self.cycle_count += 1
-            _, observed_state, observed_outputs, changes, vom_rises = hit
-            changes = dict(changes)
-        else:
-            observed_state, observed_outputs, changes, vom_rises = (
-                self._judged_apply(column, key)
-            )
-        return CycleReport(
-            index=index,
-            column=column,
-            expected_state=expected.state,
-            observed_state=observed_state,
-            expected_outputs=expected.outputs,
-            observed_outputs=observed_outputs,
-            output_changes=changes,
-            vom_rises=vom_rises,
+                entry = self._cycles.get(key)
+        if entry is not None:
+            capture = entry[0]
+            if chain is None:
+                sim = self.simulator
+                now = sim.now + capture[1]
+                processed = sim.events_processed + capture[2]
+            else:
+                now = self._chain_now + capture[1]
+                processed = self._chain_events + capture[2]
+            if self._cycle_admits(now, processed):
+                self._chain = capture
+                self._chain_now = now
+                self._chain_events = processed
+                self._chain_replays += 1
+                self.cycle_count += 1
+                _, observed_state, observed_outputs, changes, vom_rises = (
+                    entry
+                )
+                return CycleReport(
+                    index, column, expected.state, observed_state,
+                    expected.outputs, observed_outputs, dict(changes),
+                    vom_rises,
+                )
+        self._flush()
+        observed_state, observed_outputs, changes, vom_rises = (
+            self._judged_apply(column, key)
         )
+        return CycleReport(
+            index, column, expected.state, observed_state,
+            expected.outputs, observed_outputs, changes, vom_rises,
+        )
+
+    def _flush(self) -> None:
+        """Restore the kernel from the pending run of memo hits, if any."""
+        chain = self._chain
+        if chain is not None:
+            self._chain = None
+            self._cycle_restore(
+                chain, self._chain_now, self._chain_events,
+                self._chain_replays,
+            )
+            self._chain_replays = 0
 
     def _judged_apply(self, column: int, key) -> tuple:
         """Run one cycle live and judge its trace window.
@@ -211,11 +262,11 @@ class FantomHarness:
         them under it with the kernel's capture of the cycle.
         """
         sim = self.simulator
-        trace = sim.trace
-        window_start = self.now
+        trace = self._trace
+        window_start = sim.now
         events = sim.events_processed
         observed_state, observed_outputs = self.apply(column)
-        window_end = self.now
+        window_end = sim.now
         vom = self.machine.vom
         changes = dict.fromkeys(self._output_net_list, 0)
         vom_rises = 0
@@ -478,13 +529,13 @@ def validate_walk(
     failed cycle and ends the walk, exactly as before.  The walk's
     kernel telemetry is folded into the summary's ``kernel`` aggregate.
 
-    Every cycle goes through
-    :meth:`FantomHarness.scored_apply_expected`, so the walk keeps only
-    the current cycle's trace, and on the ring kernel a revisited
-    (state, column) pair is replayed whole from the walk's cycle memo
-    (counted as ``cycle_replays`` in the kernel's ``kernel_stats``,
-    never in the summary).  :func:`export_walk_vcd` re-runs a walk with
-    its full trace.
+    Every cycle is scored as :meth:`FantomHarness.scored_apply_expected`
+    scores it, so the walk keeps only the current cycle's trace, and on the ring kernel a revisited
+    (state, column) pair is replayed whole from the walk's cycle memo,
+    each run of such replays landing on the kernel at once (counted as
+    ``cycle_replays`` in the kernel's ``kernel_stats``, never in the
+    summary).  :func:`export_walk_vcd` re-runs a walk with its full
+    trace.
     """
     summary = into if into is not None else ValidationSummary()
     harness = FantomHarness(
@@ -492,23 +543,22 @@ def validate_walk(
     )
     if expected is None:
         expected = expected_walk(machine.result.table, walk)
-    for index, column in enumerate(walk):
-        step = expected[index]
-        try:
-            report = harness.scored_apply_expected(column, step, index)
-        except SimulationError:
-            report = CycleReport(
-                index=index,
-                column=column,
-                expected_state=step.state,
-                observed_state=None,
-                expected_outputs=(),
-                observed_outputs=(),
-                output_changes={},
-                vom_rises=0,
-            )
-            summary.add(report)
-            break
-        summary.add(report)
+    # One scored step per column; a run of memo hits stays pending on
+    # the harness across steps and lands once the walk ends.
+    scored_step = harness._scored_step
+    add = summary.add
+    try:
+        for index, column in enumerate(walk):
+            step = expected[index]
+            try:
+                report = scored_step(column, step, index)
+            except SimulationError:
+                add(CycleReport(
+                    index, column, step.state, None, (), (), {}, 0
+                ))
+                break
+            add(report)
+    finally:
+        harness._flush()
     summary.merge_kernel(kernel_snapshot(harness.simulator))
     return summary

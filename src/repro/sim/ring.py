@@ -17,12 +17,17 @@ the kernel drained: nothing queued and ``now`` on the time grid.  There
 the net values alone fix every later event, so the whole cycle is a
 pure function of (values, column), and an 800-step Monte-Carlo walk
 visits only a few dozen such pairs.  :meth:`RingSimulator.cycle_key`,
-:meth:`~RingSimulator.cycle_capture` and
-:meth:`~RingSimulator.cycle_restore` let the harness memoise whole
+:meth:`~RingSimulator.cycle_capture`, :meth:`~RingSimulator.cycle_admits`
+and :meth:`~RingSimulator.cycle_restore` let the harness memoise whole
 cycles without writing a kernel field; the memo itself is per walk and
 lives, with each cycle's judgement, in
-:meth:`~repro.sim.harness.FantomHarness.scored_apply_expected`.
-``cycle_replays`` counts restores, and their events form
+:class:`~repro.sim.harness.FantomHarness`.  A capture names the state
+it exits to, so the harness follows a run of consecutive memo hits
+from capture to capture without touching the kernel, checks each hit
+with :meth:`~RingSimulator.cycle_admits` against the run's accumulated
+clock and event count, and restores the kernel once, from the run's
+last capture, before the next live cycle or when it hands the kernel
+back.  ``cycle_replays`` counts replayed cycles, and their events form
 ``replayed_events`` and join ``events_processed``, which therefore
 still agrees with the compiled kernel.
 
@@ -169,8 +174,15 @@ class RingSimulator(Simulator):
         return self._heap_run(until, stop_when, stop_net, stop_value)
 
     def _migrate_to_heap(self, reason: str) -> None:
-        """Turn replay off: the plain heap loop from here on."""
+        """Turn replay off: the plain heap loop from here on.
+
+        Idempotent: a caller that bound ``run``/``schedule`` before the
+        migration keeps calling the grid wrappers, which then pass
+        straight through to the heap loop without recounting.
+        """
         stats = self.kernel_stats
+        if stats["path"] == "heap":
+            return
         stats["path"] = "heap"
         migrations = stats["migrations"]
         migrations[reason] = migrations.get(reason, 0) + 1
@@ -205,40 +217,55 @@ class RingSimulator(Simulator):
 
         Call after a live cycle that began at ``now == start`` with
         ``events`` processed, from a state :meth:`cycle_key` keyed.
-        ``None`` when the cycle did not end drained on the grid (it left
-        events queued, or replay was turned off on the way).
+        Returns ``(exit key, clock advance, event count, values,
+        counts)``: the first three let a caller chain replays without
+        the kernel.  ``None`` when the cycle did not end drained on the
+        grid (it left events queued, or replay was turned off on the
+        way).
         """
         key = self.cycle_key()
         if key is None:
             return None
         return (
-            list(self._values), list(self._counts), self.now - start,
-            self._events_processed - events, key,
+            key, self.now - start, self._events_processed - events,
+            list(self._values), list(self._counts),
         )
 
-    def cycle_restore(self, capture: tuple) -> bool:
-        """Replay a captured cycle from a state with the same key.
+    def cycle_admits(self, now: float, processed: int) -> bool:
+        """Whether a replayed cycle may end at ``now`` with ``processed``
+        events in all.
 
-        Restores the exit values, advances the clock and the event count
-        and counts a cycle replay; nothing is queued or traced, as the
-        live cycle left nothing queued and its scoring was captured with
-        it.  Returns ``False``, changing nothing, when the live cycle
-        could end differently here: it would exceed ``max_events`` or
-        cross the exactness horizon — the caller then runs it live.
+        ``False`` when the live cycle could end differently: it would
+        exceed ``max_events`` or cross the exactness horizon.  The
+        caller then runs it live.  A run of replays is checked hit by
+        hit, on its accumulated clock and event count.
         """
-        values, counts, advance, events, key = capture
-        processed = self._events_processed + events
-        now = self.now + advance
-        if processed > self.max_events or now * self._up >= self._tick_safe:
-            return False
+        return (
+            processed <= self.max_events
+            and now * self._up < self._tick_safe
+        )
+
+    def cycle_restore(
+        self, capture: tuple, now: float, processed: int, replays: int
+    ) -> int:
+        """Land a run of ``replays`` admitted cycle replays at once.
+
+        ``capture`` is the run's last cycle; ``now`` and ``processed``
+        are the clock and event count the run ends on, each hit checked
+        by :meth:`cycle_admits`.  Restores the exit values, sets the
+        clock and the event count and counts the replays; nothing is
+        queued or traced, as every live cycle left nothing queued and
+        its scoring was captured with it.  Returns ``replays``.
+        """
+        key, _, _, values, counts = capture
         # Slice-assign so the list identities survive (the heap loop's
         # closure and values_reader closures hold these very lists).
         self._values[:] = values
         self._counts[:] = counts
         self._key = key
+        stats = self.kernel_stats
+        stats["cycle_replays"] += replays
+        stats["replayed_events"] += processed - self._events_processed
         self._events_processed = processed
         self.now = now
-        stats = self.kernel_stats
-        stats["cycle_replays"] += 1
-        stats["replayed_events"] += events
-        return True
+        return replays

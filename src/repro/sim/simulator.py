@@ -44,7 +44,7 @@ snapshot property, not the live store.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import SimulationError
 from ..netlist.netlist import Netlist
@@ -100,9 +100,13 @@ def plan_cache_put(cache: dict, key, entry) -> None:
     cache[key] = entry
 
 
-@dataclass(frozen=True)
-class NetChange:
-    """One recorded transition on a net."""
+class NetChange(NamedTuple):
+    """One recorded transition on a net.
+
+    An immutable tuple record (fields by name, ``==``, ``repr`` and
+    pickling field-wise): the kernels append one per watched transition
+    on their hot loop, where a tuple is the cheapest record to build.
+    """
 
     time: float
     net: str

@@ -2,13 +2,13 @@
 
 Every blob is a JSON **envelope**::
 
-    {
-      "format": 1,
-      "key": {"kind": ..., "table": ..., "spec": ..., "workload": ...},
-      "payload": { ... }
-    }
+    {"format": 1,
+     "key": {"kind": ..., "table": ..., "spec": ..., "workload": ...},
+     "payload": { ... }}
 
-and every read is verified: the blob must parse as JSON, carry the
+written compact (sorted keys, no whitespace, one trailing newline) and
+read as any JSON text, so blobs written in the older indented layout
+still read.  Every read is verified: the blob must parse as JSON, carry the
 supported format version, and its recorded key must equal the key the
 caller asked for, **component by component**.  A truncated blob, a blob
 written by an incompatible version, or a blob whose content belongs to a
@@ -102,8 +102,13 @@ class StoredSynthesis:
 
 def _encode(envelope: dict) -> bytes:
     # sort_keys + a fixed separator style: identical envelopes are
-    # identical bytes, whichever process wrote them.
-    return (json.dumps(envelope, indent=2, sort_keys=True) + "\n").encode()
+    # identical bytes, whichever process wrote them.  Compact, because
+    # ``indent`` forces CPython's pure-Python encoder: on corpus
+    # synthesis envelopes that is about six times slower and writes
+    # about four times the bytes.
+    return (
+        json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode()
 
 
 class ResultStore:

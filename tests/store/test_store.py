@@ -273,3 +273,65 @@ class TestConcurrentWriters:
         stop.set()
         thread.join()
         assert not poisoned
+
+
+# ----------------------------------------------------------------------
+# Blob encoding: compact on write, any JSON layout on read
+# ----------------------------------------------------------------------
+class TestEnvelopeEncoding:
+    def seeded(self, store):
+        table = benchmark("lion")
+        spec = PipelineSpec()
+        result = cached_synthesize(table)
+        store.put_synthesis(table, spec, result)
+        path = blob_path(store, synthesis_key(table, spec))
+        return table, spec, result, path
+
+    def test_blobs_are_written_compact(self, store):
+        *_, path = self.seeded(store)
+        blob = path.read_bytes()
+        envelope = json.loads(blob)
+        assert blob == (
+            json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+            + "\n"
+        ).encode()
+
+    def test_two_encodes_of_one_envelope_are_identical(self):
+        from repro.store.store import _encode
+
+        result = cached_synthesize(benchmark("lion"))
+        envelope = {
+            "format": STORE_FORMAT_VERSION,
+            "key": synthesis_key(benchmark("lion"), PipelineSpec()).to_dict(),
+            "payload": {"ok": True, "result": result.to_dict()},
+        }
+        copy = json.loads(json.dumps(envelope))
+        assert _encode(envelope) == _encode(envelope) == _encode(copy)
+
+    def test_an_indented_blob_still_reads_and_verifies(
+        self, tmp_path, capsys
+    ):
+        """Blobs written before the compact encoding stay hits."""
+        from repro.cli import main
+
+        store = ResultStore(tmp_path / "store")
+        table, spec, result, path = self.seeded(store)
+        envelope = json.loads(path.read_bytes())
+        path.write_bytes(
+            (json.dumps(envelope, indent=2, sort_keys=True) + "\n").encode()
+        )
+        reader = ResultStore(tmp_path / "store")
+        stored = reader.get_synthesis(table, spec)
+        assert stored is not None and stored.ok
+        assert stored.result.table1_row() == result.table1_row()
+        assert (reader.hits, reader.rejected) == (1, 0)
+        assert main(["store", "verify", "--store", str(path.parents[1])]) == 0
+        assert "1 ok, 0 rejected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keep", [0.25, 0.5, 0.99])
+    def test_a_truncated_compact_blob_is_rejected(self, store, keep):
+        table, spec, _, path = self.seeded(store)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * keep)])
+        assert store.get_synthesis(table, spec) is None
+        assert store.rejected == 1
