@@ -32,10 +32,10 @@ compiled campaign regresses more than 2x against the committed
 ``BENCH_sim.json`` baseline or the speedup collapses below
 ``CHECK_SPEEDUP_FLOOR``x.
 
-The **ring tier** measures the event-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
-hand-shake cycle replay from each walk's cycle memo) against the
-compiled kernel on the campaign-scale regime it targets: unit-delay
+The **ring tier** measures the ``ring`` engine
+(:class:`repro.sim.simulator.Simulator` with hand-shake cycle replay
+from each walk's cycle memo) against the ``compiled`` engine (the same
+kernel with replay off) on the campaign-scale regime it targets: unit-delay
 Monte-Carlo sweeps with long walks on the two largest paper machines,
 >10\N{SUPERSCRIPT SIX} kernel events per campaign.  Cell outcomes are
 asserted identical before a timing is accepted; the acceptance floor is
@@ -368,7 +368,7 @@ def _count_cell_events(machine, steps):
     sims = []
 
     def factory(*a, **kw):
-        sim = Simulator(*a, **kw)
+        sim = Simulator(*a, replay=False, **kw)
         sims.append(sim)
         return sim
 

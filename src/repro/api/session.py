@@ -181,8 +181,10 @@ class Session:
         :class:`~repro.sim.campaign.ValidationCampaign` sweeps ``sweep``
         seeded random walks under each named delay model (see
         :data:`~repro.sim.campaign.DELAY_MODELS`).  ``engine`` selects
-        the kernel (``"compiled"``, ``"ring"``, ``"reference"``; the
-        default follows :func:`~repro.sim.campaign.default_engine`).
+        the kernel (``"ring"``, the event kernel with cycle replay;
+        ``"compiled"``, the same kernel with replay off; or
+        ``"reference"``; the default follows
+        :func:`~repro.sim.campaign.default_engine`).
         Returns the
         deterministic :class:`~repro.sim.campaign.CampaignResult`::
 

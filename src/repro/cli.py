@@ -721,9 +721,9 @@ def _add_matrix_arguments(
         "--engine",
         choices=_engine_choices(),
         default=None,
-        help="[campaign] simulation kernel: ring (default; the heap "
-        "loop plus cycle replay), compiled (the heap loop alone) or "
-        "reference (the seed interpreter)",
+        help="[campaign] simulation kernel: ring (default; the event "
+        "kernel with cycle replay), compiled (the same kernel with "
+        "replay off) or reference (the seed interpreter)",
     )
 
 
@@ -1096,11 +1096,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=_engine_choices(),
         default=None,
-        help="simulation kernel (ring = the fast event kernel: exact "
-        "fixed-point ticks for fractional delays, heap fallback for "
-        "off-grid ones, hand-shake cycle replay; compiled = the heap "
-        "kernel; reference = the retained seed interpreter, for "
-        "benchmarking; default ring)",
+        help="simulation kernel (ring = the event kernel with "
+        "hand-shake cycle replay: exact fixed-point ticks for "
+        "fractional delays, heap fallback for off-grid ones; compiled "
+        "= the same kernel with replay off; reference = the retained "
+        "seed interpreter, for benchmarking; default ring)",
     )
     val.add_argument(
         "--skewed",

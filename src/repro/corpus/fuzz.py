@@ -2,7 +2,8 @@
 
 The library keeps three deliberately redundant implementations of its
 hot paths — the packed-bitset logic engine vs ``logic/_reference``, the
-compiled simulation kernel vs the event-ring kernel (tick *and* heap
+event kernel with its cycle memo off vs on (memo-off vs memo-on of one
+kernel, the ``compiled`` and ``ring`` engines, in the tick *and* heap
 regimes), and the FANTOM synthesis vs the SIC Huffman baseline
 — plus a flow-table interpreter as the behavioural oracle.  This module
 drives generated corpus machines (:mod:`repro.corpus.families`) through
@@ -17,8 +18,10 @@ all of them and treats *any* disagreement as a finding:
     engine) differs from the reference engine's useful primes of the
     same function.
 ``trace``
-    The compiled and ring kernels score the same walk on the same
-    silicon differently (cycle-by-cycle ``CycleReport`` lists).
+    The ``compiled`` (memo-off) and ``ring`` (memo-on) engines score
+    the same walk on the same silicon differently (cycle-by-cycle
+    ``CycleReport`` lists): a cycle replay that is not the live cycle
+    it stands for.
 ``dirty-cell``
     A machine diverges from its own flow table under some delay model —
     both kernels agree, so this is a synthesis/timing anomaly, not an
@@ -63,7 +66,7 @@ from ..logic.cover import minimal_cover
 from ..logic.cube import Cube
 from ..logic.function import BooleanFunction
 from ..logic.quine_mccluskey import primes_of, useful_primes
-from ..sim.campaign import delay_model
+from ..sim.campaign import ENGINES, delay_model
 from ..sim.delays import RandomDelay
 from ..sim.harness import (
     build_timed_fantom,
@@ -72,8 +75,6 @@ from ..sim.harness import (
     random_legal_walk,
     validate_walk,
 )
-from ..sim.ring import RingSimulator
-from ..sim.simulator import Simulator
 from ..store.keys import fuzz_key, table_digest
 from .families import corpus_fingerprint, generate
 from .keys import CorpusKey, is_corpus_key, parse_key
@@ -82,7 +83,7 @@ from .keys import CorpusKey, is_corpus_key, parse_key
 SELFTEST_ENV = "REPRO_FUZZ_SELFTEST"
 
 #: Delay models every machine is walked under: ``unit`` and
-#: ``loop-safe`` exercise the ring kernel's tick path, the off-grid
+#: ``loop-safe`` exercise the replaying kernel's tick path, the off-grid
 #: ``loop-safe-offgrid`` variant forces the heap path.
 DEFAULT_MODELS = ("unit", "loop-safe", "loop-safe-offgrid")
 
@@ -117,7 +118,8 @@ KNOWN_DIRTY_FAMILIES: dict[str, str] = {
     ),
 }
 
-_ENGINES = (("compiled", Simulator), ("ring", RingSimulator))
+#: The ``trace`` leg's engine pair, ``compiled`` (memo off) first.
+_ENGINES = tuple(ENGINES.items())
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,7 @@ def dirty_cell_vcd_pair(
 
     delays = _delays_for(model, walk_seed, machine)
     summary = validate_walk(
-        machine, walk, delays, simulator_factory=Simulator
+        machine, walk, delays, simulator_factory=ENGINES["compiled"]
     )
     outputs = list(machine.result.table.outputs)
     nets = outputs + ["state_correct"]
@@ -519,7 +521,7 @@ def selftest_divergence(
     for machine in (clean_machine, perturbed_machine):
         delays = _delays_for(model, walk_seed, machine)
         summary = validate_walk(
-            machine, walk, delays, simulator_factory=Simulator
+            machine, walk, delays, simulator_factory=ENGINES["compiled"]
         )
         streams.append(
             [

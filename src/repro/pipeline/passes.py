@@ -406,8 +406,9 @@ class VerifyPass:
     The pass assembles the gate-level FANTOM machine from the pipeline
     artifacts and runs a small :class:`~repro.sim.campaign.
     ValidationCampaign` (``SWEEP`` seeded walks under each of
-    ``MODELS``) on the default simulation kernel (the event ring of
-    :mod:`repro.sim.ring`).  A dirty machine
+    ``MODELS``) on the default simulation engine (``ring``: the event
+    kernel of :mod:`repro.sim.simulator` with cycle replay).  A dirty
+    machine
     raises :class:`~repro.errors.ValidationError`, failing the run; a
     clean one stores the :class:`~repro.sim.campaign.CampaignResult`
     as the ``validation`` artifact.

@@ -29,7 +29,6 @@ from .harness import (
 )
 from .monitors import CycleReport, ValidationSummary, count_changes
 from .reference import FlowTableInterpreter, ReferenceStep
-from .ring import RingSimulator
 from .simulator import NetChange, Simulator
 from .vcd import trace_to_vcd, write_vcd
 
@@ -47,7 +46,6 @@ __all__ = [
     "RandomDelay",
     "ReferenceSimulator",
     "ReferenceStep",
-    "RingSimulator",
     "Simulator",
     "UnitDelay",
     "ValidationCampaign",

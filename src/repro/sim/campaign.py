@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import SimulationError
 from ..netlist.fantom import FantomMachine
@@ -64,7 +65,6 @@ from .harness import (
     validate_walk,
 )
 from .monitors import ValidationSummary
-from .ring import RingSimulator
 from .simulator import Simulator
 
 
@@ -99,8 +99,11 @@ DELAY_MODELS = {
     "corner": _corner_model,
 }
 
-#: Simulation kernels a campaign can drive, by name (picklable).
-ENGINES = {"compiled": Simulator, "ring": RingSimulator}
+#: Simulation kernels a campaign can drive, by name (picklable): one
+#: kernel with its cycle memo off (``compiled``) or on (``ring``).  The
+#: names are kept from when these were two classes, as every stored
+#: validation key and the pinned fuzz findings carry them.
+ENGINES = {"compiled": partial(Simulator, replay=False), "ring": Simulator}
 
 
 def _reference_engine():
@@ -377,10 +380,10 @@ class ValidationCampaign:
         phase (pass variants, options, stage cache).
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
-        event-ring kernel of :mod:`repro.sim.ring`: the compiled heap
-        loop plus hand-shake cycle replay, exact on the dyadic time
-        grid every built-in delay model draws on (off-grid delays run
-        the plain heap loop); ``"compiled"`` — the heap kernel; or
+        event kernel of :mod:`repro.sim.simulator` with hand-shake
+        cycle replay, exact on the dyadic time grid every built-in
+        delay model draws on (off-grid delays run the plain heap
+        loop); ``"compiled"`` — the same kernel with replay off; or
         ``"reference"`` — the retained seed kernel, for benchmarking and
         distrust.  All three are pinned trace-equivalent.
     store:

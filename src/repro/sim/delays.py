@@ -24,8 +24,8 @@ Every built-in model snaps its delays onto the dyadic grid
 physically meaningless at the model ranges in play).  On that grid every
 float the event kernels compute — sums and comparisons of event times —
 is *exact* IEEE arithmetic as long as times stay below
-``2**(53 - TIME_GRID_BITS)``, so the ring kernel (:mod:`repro.sim.ring`)
-can record a hand-shake cycle's clock advance and replay it at another
+``2**(53 - TIME_GRID_BITS)``, so the event kernel
+(:mod:`repro.sim.simulator`) can record a hand-shake cycle's clock advance and replay it at another
 start time bit for bit.  :func:`negotiate_time_quantum` is that
 negotiation: given a resolved delay vector it returns the shared shift,
 or ``None`` when no practical quantum exists (hand-annotated off-grid

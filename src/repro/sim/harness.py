@@ -33,16 +33,17 @@ from .simulator import Simulator
 class FantomHarness:
     """Owns one machine instance, one simulator, and the hand-shake.
 
-    ``simulator_factory`` selects the event kernel — the compiled
-    :class:`~repro.sim.simulator.Simulator` by default, or the retained
-    :class:`~repro.sim._reference.ReferenceSimulator` for equivalence
-    pinning and benchmarking (both take the same constructor arguments
-    and expose the same driving surface).
+    ``simulator_factory`` selects the event kernel — the
+    :class:`~repro.sim.simulator.Simulator` by default (cycle replay
+    on; ``partial(Simulator, replay=False)`` runs every cycle live), or
+    the retained :class:`~repro.sim._reference.ReferenceSimulator` for
+    equivalence pinning and benchmarking (both take the same
+    constructor arguments and expose the same driving surface).
 
     **Cycle replay.**  A hand-shake cycle is a pure function of the
     kernel's exact state and the column, and a walk revisits the same
     few (state, column) pairs over and over.  On a kernel that exposes
-    ``cycle_key`` (the ring kernel; see :mod:`repro.sim.ring`), a cycle
+    ``cycle_key`` with replay on (see :mod:`repro.sim.simulator`), a cycle
     that starts keyed with nothing carried over in the trace, and ends
     drained with nothing carried out, is memoised on this harness with
     its judgement; a cycle that raises is never stored.  A revisit is
@@ -85,8 +86,8 @@ class FantomHarness:
             for state, code in machine.result.spec.encoding.codes.items()
         }
         # The driving surface, bound once: the hand-shake calls these
-        # several times a cycle.  (The ring kernel's grid wrappers stay
-        # valid after it migrates to the heap loop.)
+        # several times a cycle.  (A path migration rebinds nothing, so
+        # these stay valid.)
         self._run = sim.run
         self._schedule = sim.schedule
         self._run_until_quiet = sim.run_until_quiet
@@ -530,8 +531,8 @@ def validate_walk(
     kernel telemetry is folded into the summary's ``kernel`` aggregate.
 
     Every cycle is scored as :meth:`FantomHarness.scored_apply_expected`
-    scores it, so the walk keeps only the current cycle's trace, and on the ring kernel a revisited
-    (state, column) pair is replayed whole from the walk's cycle memo,
+    scores it, so the walk keeps only the current cycle's trace, and
+    with cycle replay on a revisited (state, column) pair is replayed whole from the walk's cycle memo,
     each run of such replays landing on the kernel at once (counted as
     ``cycle_replays`` in the kernel's ``kernel_stats``, never in the
     summary).  :func:`export_walk_vcd` re-runs a walk with its full

@@ -39,16 +39,65 @@ values are normalised to 0/1 (the reference would carry any truthy
 object through), and :meth:`Simulator.schedule` rejects unknown nets
 (the reference silently accepted them).  ``Simulator.values`` is a
 snapshot property, not the live store.
+
+Cycle replay
+------------
+A FANTOM hand-shake cycle
+(:meth:`~repro.sim.harness.FantomHarness.apply`) starts and ends with
+the kernel drained: nothing queued and ``now`` on the time grid.  There
+the net values alone fix every later event, so the whole cycle is a
+pure function of (values, column), and an 800-step Monte-Carlo walk
+visits only a few dozen such pairs.  :meth:`Simulator.cycle_key`,
+:meth:`~Simulator.cycle_capture`, :meth:`~Simulator.cycle_admits` and
+:meth:`~Simulator.cycle_restore` let the harness memoise whole cycles
+and land runs of replays on the kernel without writing a kernel field
+(the memo and its chaining live in
+:class:`~repro.sim.harness.FantomHarness`).  Replayed cycles count in
+``cycle_replays`` and their events in ``replayed_events`` and in
+``events_processed``, which so agrees with a replay-off run.  The
+``ring`` engine is this kernel; ``compiled`` is it with
+``replay=False``, and the fuzz loop's ``trace`` leg compares the two.
+
+Exactness comes from the resolved delay vector's time quantum
+(:func:`~repro.sim.delays.negotiate_time_quantum`): when every delay is
+a multiple of ``2**-k`` (``k <= TICK_SHIFT_LIMIT``), so is every event
+time, and below the horizon ``2**(53 - k)`` float sums and differences
+of event times are exact, so a cycle restored at another start time is
+bit-for-bit the live cycle it stands for.  The built-in random sweep
+models draw on the :data:`~repro.sim.delays.TIME_GRID_BITS` grid
+precisely so their campaign cells keep replay on.  The ``path`` in
+:attr:`Simulator.kernel_stats` names the regime:
+
+* ``ring`` — integral delays (``k = 0``), replay on;
+* ``ticks`` — dyadic delays (``k > 0``), replay on;
+* ``heap`` — replay off: the plain heap loop, for arbitrary stimuli.
+
+``replay=False``, or a vector with no practical quantum (off-grid
+delays, a :class:`~repro.sim.delays.RandomDelay` with
+``grid_bits=None``), starts on ``heap``.  An off-grid external
+``schedule()`` (``off-grid-stimulus``) or event times approaching the
+horizon (``overflow``) leave the grid for good, counted in
+``kernel_stats["migrations"]`` and surfaced through
+:class:`~repro.sim.monitors.ValidationSummary` and ``seance validate
+--json``, so a silent fast-path loss is visible.  Live events run on
+the one heap loop whatever the path.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..errors import SimulationError
 from ..netlist.netlist import Netlist
-from .delays import DelayModel, UnitDelay
+from .delays import (
+    TICK_SHIFT_LIMIT,
+    DelayModel,
+    UnitDelay,
+    negotiate_time_quantum,
+)
 
 #: Entries kept in a compiled program's plan cache.  Campaign sweeps
 #: cycle through one plan set per (model, seed) — an LRU keeps the live
@@ -114,7 +163,13 @@ class NetChange(NamedTuple):
 
 
 class Simulator:
-    """Event-driven simulation of one netlist instance."""
+    """Event-driven simulation of one netlist instance.
+
+    With ``replay`` on (the default) and the delays on a time grid, the
+    cycle methods replay whole drained-to-drained hand-shake cycles
+    (see the module docs); anything off the grid just turns replay off.
+    ``replay=False`` runs every event live on the same heap loop.
+    """
 
     def __init__(
         self,
@@ -123,6 +178,8 @@ class Simulator:
         initial_values: dict[str, int] | None = None,
         max_events: int = 200_000,
         inertial: bool = True,
+        *,
+        replay: bool = True,
     ):
         self.netlist = netlist
         self.delays = delays or UnitDelay()
@@ -142,7 +199,6 @@ class Simulator:
         #: live sequence number per net id (0 = none pending).
         self._pending = [0] * num_nets
         self._watched_flags = [False] * num_nets
-        self._watched: set[str] = set()
 
         self._values = [0] * num_nets
         #: initial values for nets the netlist does not know (kept so
@@ -183,42 +239,57 @@ class Simulator:
         plan_key = (tuple(self._gate_delays), tuple(self._dff_delays))
         cached = plan_cache_get(prog.plan_cache, plan_key)
         if cached is None:
-            gate_delays = self._gate_delays
-            plans: list[tuple | None] = []
-            for readers in prog.fan_gates:
-                if len(set(readers)) != len(readers):
-                    plans.append(None)
-                else:
-                    plans.append(
-                        tuple(
-                            (
-                                g,
-                                prog.gate_output[g],
-                                gate_delays[g],
-                                prog.gate_tt[g],
-                            )
-                            for g in readers
-                        )
-                    )
-            dff_delays = self._dff_delays
+            out, tt, delay = prog.gate_output, prog.gate_tt, self._gate_delays
+            plans = [
+                None if len(set(readers)) != len(readers)
+                else tuple((g, out[g], delay[g], tt[g]) for g in readers)
+                for readers in prog.fan_gates
+            ]
+            d, q, delay = prog.dff_d, prog.dff_q, self._dff_delays
             dff_plans = [
-                tuple(
-                    (prog.dff_d[f], prog.dff_q[f], dff_delays[f])
-                    for f in fans
-                )
+                tuple((d[f], q[f], delay[f]) for f in fans)
                 for fans in prog.fan_dffs
             ]
             cached = (plans, dff_plans)
             plan_cache_put(prog.plan_cache, plan_key, cached)
         self._plans, self._dff_plans = cached
-        #: Engine-path provenance; the ring kernel replaces this with its
-        #: full telemetry dict.  The compiled kernel *is* the heap path.
-        self.kernel_stats = {"path": "heap", "migrations": {}}
-        self._run_events = self._make_runner()
-        # Shadow the class methods with generated closures: one frame,
-        # zero rebinding, per harness wait / input-pin edge.
-        self.run = self._run_events
-        self.schedule = self._make_scheduler()
+
+        #: ``bytes(values)`` of the current drained state, once built;
+        #: ``None`` after any ``run`` or ``schedule``.
+        self._key: bytes | None = None
+        resolved = [*self._gate_delays, *self._dff_delays]
+        shift = (
+            negotiate_time_quantum(resolved, limit=TICK_SHIFT_LIMIT)
+            if replay else None
+        )
+        #: Kernel telemetry: current engine path, the negotiated tick
+        #: shift, cycle-replay counts, and any path migrations
+        #: (reason -> count).  Deterministic for a deterministic workload.
+        self.kernel_stats = {
+            "path": "heap",
+            "shift": 0 if shift is None else shift,
+            "cycle_replays": 0,
+            "replayed_events": 0,
+            "migrations": {},
+        }
+        #: Whether cycle replay is on (the path is not ``heap``).
+        self._replay = shift is not None
+        if self._replay:
+            self.kernel_stats["path"] = "ring" if shift == 0 else "ticks"
+            #: grid scale: ``at * _up`` is integral exactly on the grid.
+            up = self._up = float(1 << shift)
+            # Exactness horizon, in ticks: every tick must stay below
+            # 2**53 for the relative-time arithmetic to be exact.  The
+            # guard is conservative — one run can extend the queue by at
+            # most the remaining event budget times the largest delay,
+            # so checking at run/schedule entry suffices.
+            max_delay = max((int(d * up) for d in resolved), default=1)
+            self._tick_safe = float(
+                2**53 - (max_events + 2) * (max_delay + 1)
+            )
+        #: The generated event loop (see :meth:`_make_runner`): one
+        #: frame, zero rebinding, per harness wait.
+        self.run = self._make_runner()
 
     # ------------------------------------------------------------------
     # Driving
@@ -237,7 +308,6 @@ class Simulator:
 
     def watch(self, *nets: str) -> None:
         """Record every transition of the given nets into the trace."""
-        self._watched.update(nets)
         ids = self._ids
         for net in nets:
             nid = ids.get(net)
@@ -248,69 +318,49 @@ class Simulator:
         """Schedule an externally driven net change (primary inputs).
 
         External schedules are never cancelled by inertial semantics —
-        the environment's waveform is what it is.  (As with :meth:`run`,
-        the constructor shadows this with a generated closure.)
+        the environment's waveform is what it is.  A time off the grid
+        or beyond the exactness horizon turns cycle replay off for good.
         """
         if not self.now <= at < _INF:
             raise schedule_time_error(net, at, self.now)
         nid = self._ids.get(net)
         if nid is None:
             raise SimulationError(f"unknown net {net!r}")
-        self._sequence += 1
-        heapq.heappush(
-            self._queue, (at, self._sequence, nid, 1 if value else 0)
-        )
+        if self._replay:
+            self._key = None
+            scaled = at * self._up
+            if scaled >= self._tick_safe:
+                self._migrate_to_heap("overflow")
+            elif not scaled.is_integer():
+                self._migrate_to_heap("off-grid-stimulus")
+        self._sequence = seq = self._sequence + 1
+        heapq.heappush(self._queue, (at, seq, nid, 1 if value else 0))
+
+    def _migrate_to_heap(self, reason: str) -> None:
+        """Turn cycle replay off: the plain heap loop from here on."""
+        self._replay = False
+        self._key = None
+        stats = self.kernel_stats
+        stats["path"] = "heap"
+        migrations = stats["migrations"]
+        migrations[reason] = migrations.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: float | None = None,
-        stop_when: "callable | None" = None,
-        stop_net: str | None = None,
-        stop_value: int = 1,
-    ) -> float:
-        """Process events up to ``until`` (or until the queue drains).
+    def _make_runner(self):
+        """Build this instance's event loop, bound as ``self.run``.
 
-        ``stop_when(sim)`` is evaluated after each processed event; when
-        it returns True execution pauses (the queue keeps its remaining
-        events).  ``stop_net``/``stop_value`` is the same pause as
+        ``run(until=None, stop_when=None, stop_net=None, stop_value=1)``
+        processes events up to ``until`` (or until the queue drains) and
+        returns the simulation time reached.  ``stop_when(sim)`` is
+        evaluated after each processed event; when it returns True
+        execution pauses (the queue keeps its remaining events).
+        ``stop_net``/``stop_value`` is the same pause as
         ``stop_when=lambda sim: sim.value(stop_net) == stop_value`` but
         checked inline — the 4-phase harness waits on a net level after
         nearly every hand-shake edge, and a Python callback per event
-        would tax the compiled kernel's whole margin.  Returns the
-        simulation time reached.
-
-        (The constructor shadows this method with the instance's
-        generated event loop — see :meth:`_make_runner`; this body only
-        serves subclasses that bypass ``__init__``.)
-        """
-        return self._run_events(until, stop_when, stop_net, stop_value)
-
-    def _make_scheduler(self):
-        sim = self
-
-        def schedule(
-            net,
-            value,
-            at,
-            ids=self._ids,
-            queue=self._queue,
-            heappush=heapq.heappush,
-        ):
-            if not sim.now <= at < _INF:
-                raise schedule_time_error(net, at, sim.now)
-            nid = ids.get(net)
-            if nid is None:
-                raise SimulationError(f"unknown net {net!r}")
-            sim._sequence = seq = sim._sequence + 1
-            heappush(queue, (at, seq, nid, 1 if value else 0))
-
-        return schedule
-
-    def _make_runner(self):
-        """Build this instance's event loop.
+        would tax the kernel's whole margin.
 
         Every loop invariant — the compiled program's arrays, this
         simulator's state lists, the heap primitives — is bound as a
@@ -346,6 +396,12 @@ class Simulator:
             max_events=self.max_events,
             inf=float("inf"),
         ):
+            if sim._replay:
+                sim._key = None
+                if sim.now * sim._up >= sim._tick_safe:
+                    # The run could push event times past the
+                    # exactness horizon: turn replay off.
+                    sim._migrate_to_heap("overflow")
             if until is None:
                 deadline = inf
             elif until >= sim.now:
@@ -534,7 +590,13 @@ class Simulator:
                 raise SimulationError(f"unknown net {net!r}")
             ids.append(nid)
         values = self._values
-        return lambda: tuple(values[nid] for nid in ids)
+        if not ids:
+            return tuple
+        if len(ids) == 1:
+            # ``itemgetter`` of one index returns the bare item.
+            (nid,) = ids
+            return lambda: (values[nid],)
+        return partial(itemgetter(*ids), values)
 
     def net_reader(self, net: str):
         """A zero-argument reader of one net's current value.
@@ -562,3 +624,84 @@ class Simulator:
 
     def trace_of(self, net: str) -> list[NetChange]:
         return [change for change in self.trace if change.net == net]
+
+    # ------------------------------------------------------------------
+    # Cycle replay (see module docs)
+    # ------------------------------------------------------------------
+    def cycle_key(self) -> bytes | None:
+        """The exact state a hand-shake cycle would start from.
+
+        ``None`` unless the kernel is drained on the grid (replay on,
+        nothing queued, ``now`` on the grid below the horizon): then the
+        net values alone determine every later event, and they are
+        returned as hashable ``bytes``, cached until the next ``run`` or
+        ``schedule``.
+        """
+        key = self._key
+        if key is None and self._replay:
+            scaled = self.now * self._up
+            if (
+                not self._queue
+                and scaled < self._tick_safe
+                and scaled.is_integer()
+            ):
+                self._key = key = bytes(self._values)
+        return key
+
+    def cycle_capture(self, start: float, events: int) -> tuple | None:
+        """What :meth:`cycle_restore` needs to replay the cycle just run.
+
+        Call after a live cycle that began at ``now == start`` with
+        ``events`` processed, from a state :meth:`cycle_key` keyed.
+        Returns ``(exit key, clock advance, event count, values,
+        counts)``: the first three let a caller chain replays without
+        the kernel.  ``None`` when the cycle did not end drained on the
+        grid (it left events queued, or replay was turned off on the
+        way).
+        """
+        key = self.cycle_key()
+        if key is None:
+            return None
+        return (
+            key, self.now - start, self._events_processed - events,
+            list(self._values), list(self._counts),
+        )
+
+    def cycle_admits(self, now: float, processed: int) -> bool:
+        """Whether a replayed cycle may end at ``now`` with ``processed``
+        events in all.
+
+        ``False`` when the live cycle could end differently: it would
+        exceed ``max_events`` or cross the exactness horizon.  The
+        caller then runs it live.  A run of replays is checked hit by
+        hit, on its accumulated clock and event count.
+        """
+        return (
+            processed <= self.max_events
+            and now * self._up < self._tick_safe
+        )
+
+    def cycle_restore(
+        self, capture: tuple, now: float, processed: int, replays: int
+    ) -> int:
+        """Land a run of ``replays`` admitted cycle replays at once.
+
+        ``capture`` is the run's last cycle; ``now`` and ``processed``
+        are the clock and event count the run ends on, each hit checked
+        by :meth:`cycle_admits`.  Restores the exit values, sets the
+        clock and the event count and counts the replays; nothing is
+        queued or traced, as every live cycle left nothing queued and
+        its scoring was captured with it.  Returns ``replays``.
+        """
+        key, _, _, values, counts = capture
+        # Slice-assign so the list identities survive (the event loop's
+        # defaults and the value readers hold these very lists).
+        self._values[:] = values
+        self._counts[:] = counts
+        self._key = key
+        stats = self.kernel_stats
+        stats["cycle_replays"] += replays
+        stats["replayed_events"] += processed - self._events_processed
+        self._events_processed = processed
+        self.now = now
+        return replays

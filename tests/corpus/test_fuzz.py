@@ -150,7 +150,7 @@ class TestSelftestAcceptance:
 
 
 class TestLegsStillCompare:
-    """Injected logic-engine faults must surface through the fuzz legs.
+    """Injected engine faults must surface through the fuzz legs.
 
     Every perfbench digest of a fuzz run means "zero findings", so a leg
     that silently stopped comparing would still pass the benchmark.
@@ -270,6 +270,37 @@ class TestLegsStillCompare:
         assert list(found) == ["huffman-cover"]
         name = spec.table.outputs[index]
         assert [d.split(":")[0] for d in found["huffman-cover"]] == [name]
+
+    def test_memo_fault_is_a_trace_finding(self, monkeypatch):
+        """A cycle replay that lands a wrong state is a ``trace`` finding.
+
+        The ``compiled`` engine is the kernel with its cycle memo off,
+        so it runs every cycle live and never restores: the fault reaches
+        only the ``ring`` leg, which alone reads dirty for it.
+        """
+        from repro.sim.harness import build_timed_fantom
+        from repro.sim.simulator import Simulator
+
+        table = generate(self.KEY)
+        net = build_timed_fantom(api.synthesize(table)).state_nets[0]
+        restores = []
+        real = Simulator.cycle_restore
+
+        def cycle_restore(self, *args):
+            replays = real(self, *args)
+            restores.append(replays)
+            self._values[self.compiled.net_ids[net]] ^= 1
+            return replays
+
+        monkeypatch.setattr(Simulator, "cycle_restore", cycle_restore)
+        findings = fuzz_table(
+            table, key=self.KEY, models=("unit",), steps=18, selftest=False
+        )
+        assert len(restores) > 1  # a run of hits landed before a live cycle
+        assert [f.check for f in findings].count("trace") == 1
+        assert {
+            (f.check, f.engine) for f in findings if f.check != "trace"
+        } == {("dirty-cell", "ring")}
 
 
 class TestRunFuzz:

@@ -3,19 +3,19 @@
 :class:`~repro.sim.harness.FantomHarness` follows a run of consecutive
 cycle-memo hits from capture to capture without touching the kernel,
 then restores it once from the run's last capture (see the harness's
-class docs).  The compiled kernel, which has no memo, runs every cycle
-live; so wherever the harness hands the kernel back — at the end of a
-walk, after every :meth:`~repro.sim.harness.FantomHarness.
-scored_apply_expected` call — the ring kernel's net values, clock and
-event count must equal the compiled kernel's, and an event budget must
-run out at the same cycle on both.
+class docs).  The compiled engine, the same kernel with its memo off,
+runs every cycle live; so wherever the harness hands the kernel back —
+at the end of a walk, after every :meth:`~repro.sim.harness.
+FantomHarness.scored_apply_expected` call — the replaying kernel's net
+values, clock and event count must equal the compiled engine's, and an
+event budget must run out at the same cycle on both.
 """
 
 import pytest
 
 from repro.bench import benchmark
 from repro.netlist.fantom import build_fantom
-from repro.sim.campaign import delay_model
+from repro.sim.campaign import ENGINES, delay_model
 from repro.sim.delays import UnitDelay
 from repro.sim.harness import (
     FantomHarness,
@@ -23,7 +23,6 @@ from repro.sim.harness import (
     random_legal_walk,
     validate_walk,
 )
-from repro.sim.ring import RingSimulator
 from repro.sim.simulator import Simulator
 
 from ..strategies import cached_synthesize
@@ -32,6 +31,8 @@ TABLES = ("lion9", "train11")
 MODELS = ("loop-safe", "skewed", "hostile", "corner")
 SEEDS = (0, 1)
 STEPS = 240
+#: The one kernel with cycle replay off: every cycle runs live.
+COMPILED = ENGINES["compiled"]
 
 
 def _machine(name):
@@ -42,18 +43,18 @@ def _kernel_state(sim):
     return sim.values, sim.now, sim.events_processed
 
 
-def _walk(machine, walk, delays, kernel, expected):
+def _walk(machine, walk, delays, replay, expected):
     """(cycle payloads, simulator, live cycles, restores) of one walk."""
     sims = []
     restores = []
 
-    class Counted(kernel):
+    class Counted(Simulator):
         def cycle_restore(self, *args, **kwargs):
             restores.append(args)
             return super().cycle_restore(*args, **kwargs)
 
     def factory(*args, **kwargs):
-        sims.append(Counted(*args, **kwargs))
+        sims.append(Counted(*args, replay=replay, **kwargs))
         return sims[-1]
 
     live = []
@@ -89,9 +90,9 @@ def walks():
                 cells[f"{name}/{model}/s{seed}"] = tuple(
                     _walk(
                         machine, walk, delay_model(model, seed, machine),
-                        kernel, expected,
+                        replay, expected,
                     )
-                    for kernel in (RingSimulator, Simulator)
+                    for replay in (True, False)
                 )
     return cells
 
@@ -136,7 +137,7 @@ class TestSteppedReplay:
                 machine, delays=delay_model("skewed", 1, machine),
                 simulator_factory=kernel,
             )
-            for kernel in (RingSimulator, Simulator)
+            for kernel in (Simulator, COMPILED)
         ]
         ring, live = harnesses
         stats = ring.simulator.kernel_stats
@@ -166,7 +167,7 @@ class TestEventBudget:
         walk = random_legal_walk(table, 200, seed=1)
         expected = expected_walk(table, walk)
         ring = FantomHarness(
-            machine, delays=UnitDelay(), simulator_factory=RingSimulator
+            machine, delays=UnitDelay(), simulator_factory=Simulator
         )
         hit = []
         events_after = []
@@ -184,7 +185,7 @@ class TestEventBudget:
         budget = events_after[fail_at] - 1
         outcomes = []
         sims = []
-        for kernel in (RingSimulator, Simulator):
+        for kernel in (Simulator, COMPILED):
 
             def factory(*args, kernel=kernel, **kwargs):
                 sims.append(kernel(*args, max_events=budget, **kwargs))

@@ -1,10 +1,10 @@
 """Cycle replay is pinned to the compiled kernel's live cycles.
 
-On the ring kernel, :func:`repro.sim.harness.validate_walk` serves a
+With replay on, :func:`repro.sim.harness.validate_walk` serves a
 revisited (exact state, column) hand-shake cycle from the walk's cycle
 memo instead of running it.  A memo hit must be indistinguishable from
-the live cycle it stands for: the compiled kernel, which has no memo,
-runs every cycle live, and the two must emit byte-identical cycle
+the live cycle it stands for: the compiled engine (the same kernel with
+``replay=False``) runs every cycle live, and the two must emit byte-identical cycle
 reports and process the same number of events.  The fallbacks (no key
 off the grid or on the heap path, no hit past the event budget) must
 keep that identity while running live.
@@ -17,11 +17,10 @@ import pytest
 from repro.bench import benchmark
 from repro.netlist.fantom import build_fantom
 from repro.sim import harness as harness_mod
-from repro.sim.campaign import delay_model
+from repro.sim.campaign import ENGINES, delay_model
 from repro.sim.delays import RandomDelay, UnitDelay
 from repro.sim.harness import expected_walk, random_legal_walk, validate_walk
 from repro.sim.monitors import CycleReport
-from repro.sim.ring import RingSimulator
 from repro.sim.simulator import Simulator
 
 from ..strategies import cached_synthesize
@@ -30,6 +29,8 @@ TABLES = ("lion9", "train11")
 MODELS = ("loop-safe", "skewed", "hostile", "corner")
 SEEDS = (0, 1, 2)
 STEPS = 400
+#: The one kernel with cycle replay off: every cycle runs live.
+COMPILED = ENGINES["compiled"]
 #: The characterised anomalies (the lion9 fsv/G oscillation and the
 #: train11 hostile-skew failure), pinned at 800 steps by perfbench and
 #: reached within the first 400 too.
@@ -72,7 +73,7 @@ def campaign():
                         machine, walk, delay_model(model, seed, machine),
                         kernel, expected,
                     )
-                    for kernel in (RingSimulator, Simulator)
+                    for kernel in (Simulator, COMPILED)
                 )
     return cells
 
@@ -112,14 +113,14 @@ class TestCycleMemoFallbacks:
     def test_event_budget_runs_out_at_the_same_cycle(self):
         machine = _machine("lion9")
         walk = random_legal_walk(machine.result.table, STEPS, seed=1)
-        _, full = _run(machine, walk, UnitDelay(), Simulator)
+        _, full = _run(machine, walk, UnitDelay(), COMPILED)
         budget = full.events_processed // 2
         ring, ring_sim = _run(
             machine, walk, UnitDelay(),
-            partial(RingSimulator, max_events=budget),
+            partial(Simulator, max_events=budget),
         )
         live, _ = _run(
-            machine, walk, UnitDelay(), partial(Simulator, max_events=budget)
+            machine, walk, UnitDelay(), partial(COMPILED, max_events=budget)
         )
         assert ring == live
         assert len(live) < len(walk)  # the walk ended on the budget
@@ -130,8 +131,8 @@ class TestCycleMemoFallbacks:
         machine = _machine("lion9")
         walk = random_legal_walk(machine.result.table, 60, seed=1)
         delays = partial(RandomDelay, 1, grid_bits=None)
-        ring, ring_sim = _run(machine, walk, delays(), RingSimulator)
-        live, _ = _run(machine, walk, delays(), Simulator)
+        ring, ring_sim = _run(machine, walk, delays(), Simulator)
+        live, _ = _run(machine, walk, delays(), COMPILED)
         assert ring == live
         assert ring_sim.kernel_stats["path"] == "heap"
         assert ring_sim.kernel_stats["cycle_replays"] == 0
@@ -140,8 +141,8 @@ class TestCycleMemoFallbacks:
         monkeypatch.setattr(harness_mod.FantomHarness, "ENV_DELAY", 2.1)
         machine = _machine("lion9")
         walk = random_legal_walk(machine.result.table, 60, seed=1)
-        ring, ring_sim = _run(machine, walk, UnitDelay(), RingSimulator)
-        live, _ = _run(machine, walk, UnitDelay(), Simulator)
+        ring, ring_sim = _run(machine, walk, UnitDelay(), Simulator)
+        live, _ = _run(machine, walk, UnitDelay(), COMPILED)
         assert ring == live
         stats = ring_sim.kernel_stats
         assert stats["migrations"] == {"off-grid-stimulus": 1}
@@ -179,13 +180,13 @@ class TestCycleMemoFallbacks:
         sims = []
 
         def proxied(*args, **kwargs):
-            sims.append(RingSimulator(*args, **kwargs))
+            sims.append(Simulator(*args, **kwargs))
             return ReadThrough(sims[-1])
 
         summary = validate_walk(
             machine, walk, delays=delays(), simulator_factory=proxied
         )
-        live, _ = _run(machine, walk, delays(), Simulator)
+        live, _ = _run(machine, walk, delays(), COMPILED)
         assert [cycle.to_dict() for cycle in summary.cycles] == live
         assert sims[0].kernel_stats["cycle_replays"] > 0
 
@@ -194,7 +195,7 @@ class TestCycleKey:
     def test_every_key_is_the_live_state(self):
         """A cached key never outlives the state it names.
 
-        The ring caches ``bytes(values)`` between ``run``/``schedule``
+        The kernel caches ``bytes(values)`` between ``run``/``schedule``
         calls and sets it on every restore; a key left stale across a
         live cycle would file that cycle's capture under the wrong
         state.  Every non-``None`` key a walk asks for must equal the
@@ -202,7 +203,7 @@ class TestCycleKey:
         """
         keyed = []
 
-        class Checked(RingSimulator):
+        class Checked(Simulator):
             def cycle_key(self):
                 key = super().cycle_key()
                 if key is not None:

@@ -13,12 +13,15 @@ compiled kernel filters no-op re-evaluations at push time.)
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.errors import SimulationError
 from repro.sim._reference import ReferenceSimulator
+from repro.sim.campaign import ENGINES
 from repro.sim.delays import CornerDelay, RandomDelay, UnitDelay
 from repro.sim.simulator import Simulator
 
@@ -110,6 +113,42 @@ class TestKernelEquivalence:
         assert compiled[0] == reference[0]  # NetChange streams
         assert compiled[1] == reference[1]  # final values
         assert compiled[2] == reference[2]  # simulation time
+
+
+class TestValueReaders:
+    """Bank readers are live tuple snapshots, as the oracle's are."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_banks_read_like_the_reference(self, engine):
+        nl = Netlist("banks")
+        nl.add_input("a")
+        nl.add_gate("inv", GateType.NOR, ("a",), "n0")
+        nl.add_gate("buf", GateType.BUF, ("n0",), "n1")
+        banks = [(), ("n1",), ("a", "n0", "n1"), ("n1", "a", "n1")]
+        sims = [
+            kernel(nl, UnitDelay(), initial_values={"n0": 1, "n1": 1})
+            for kernel in (ENGINES[engine], ReferenceSimulator)
+        ]
+        readers = [[sim.values_reader(bank) for bank in banks] for sim in sims]
+        snapshots = []
+        for sim, bank_readers in zip(sims, readers):
+            before = [read() for read in bank_readers]
+            sim.schedule("a", 1, at=1.0)
+            sim.run(until=10.0)
+            snapshots.append((before, [read() for read in bank_readers]))
+        assert snapshots[0] == snapshots[1]
+        before, after = snapshots[0]
+        assert before == [(), (1,), (0, 1, 1), (1, 0, 1)]
+        assert after == [(), (0,), (1, 0, 0), (0, 1, 0)]
+        assert all(type(bank) is tuple for bank in before + after)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_unknown_net_is_refused(self, engine):
+        nl = Netlist("banks")
+        nl.add_input("a")
+        sim = ENGINES[engine](nl)
+        with pytest.raises(SimulationError, match="unknown net"):
+            sim.values_reader(("a", "nope"))
 
 
 class TestMachineEquivalence:

@@ -15,7 +15,7 @@ per-cell engine-path provenance that :class:`CampaignResult` and
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.campaign import DELAY_MODELS, delay_model
+from repro.sim.campaign import DELAY_MODELS, ENGINES, delay_model
 from repro.sim.delays import (
     TICK_SHIFT_LIMIT,
     TIME_GRID_BITS,
@@ -24,12 +24,14 @@ from repro.sim.delays import (
     negotiate_time_quantum,
     snap_to_grid,
 )
-from repro.sim.ring import RingSimulator
 from repro.sim.simulator import Simulator
 
 from .test_equivalence import netlists, run_one, stimuli
 
 SETTINGS = settings(max_examples=40, deadline=None)
+
+#: The one kernel with cycle replay off: the heap-loop baseline.
+COMPILED = ENGINES["compiled"]
 
 #: Engine paths a built-in-model workload may legitimately end on; the
 #: heap appears only through an off-grid stimulus or the documented
@@ -110,7 +112,7 @@ def _model_factory(name, seed):
 
 def _run_ring(nl, schedule, delays_factory, inertial):
     """Like :func:`run_one` but also returns the kernel telemetry."""
-    sim = RingSimulator(nl, delays=delays_factory(), inertial=inertial)
+    sim = Simulator(nl, delays=delays_factory(), inertial=inertial)
     sim.watch(*sorted(nl.nets()))
     for at, net, value in schedule:
         sim.schedule(net, value, at=at)
@@ -147,7 +149,7 @@ class TestFastPathEquivalence:
         schedule = data.draw(grid_stimuli(nl))
         factory = _model_factory(name, seed)
         ring, stats = _run_ring(nl, schedule, factory, inertial)
-        compiled = run_one(Simulator, nl, schedule, factory, inertial)
+        compiled = run_one(COMPILED, nl, schedule, factory, inertial)
         assert ring[0] == compiled[0]  # NetChange streams
         assert ring[1] == compiled[1]  # final values
         assert ring[2] == compiled[2]  # simulation time
@@ -158,12 +160,12 @@ class TestFastPathEquivalence:
     def test_ungridded_silicon_runs_on_the_heap(
         self, data, seed, inertial
     ):
-        """No practical quantum → the inherited heap, still pinned."""
+        """No practical quantum → the plain heap loop, still pinned."""
         nl = data.draw(netlists())
         schedule = data.draw(stimuli(nl))
         factory = lambda: RandomDelay(seed=seed, grid_bits=None)
         ring, stats = _run_ring(nl, schedule, factory, inertial)
-        compiled = run_one(Simulator, nl, schedule, factory, inertial)
+        compiled = run_one(COMPILED, nl, schedule, factory, inertial)
         assert ring[0] == compiled[0]
         assert ring[1] == compiled[1]
         assert ring[2] == compiled[2]
@@ -182,7 +184,7 @@ class TestFastPathEquivalence:
         schedule = data.draw(stimuli(nl))
         factory = _model_factory("loop-safe", seed)
         ring, stats = _run_ring(nl, schedule, factory, inertial)
-        compiled = run_one(Simulator, nl, schedule, factory, inertial)
+        compiled = run_one(COMPILED, nl, schedule, factory, inertial)
         assert ring[0] == compiled[0]
         assert ring[1] == compiled[1]
         assert ring[2] == compiled[2]
@@ -207,7 +209,7 @@ class TestOverflowFallback:
         # 2**53 time units overflows the tick horizon at any shift.
         schedule = [(1.0, "a", 1), (2.0**53, "a", 0)]
         ring, stats = _run_ring(nl, schedule, factory, True)
-        compiled = run_one(Simulator, nl, schedule, factory, True)
+        compiled = run_one(COMPILED, nl, schedule, factory, True)
         # run_one stops at until=60.0; the far event stays queued, but
         # the migration must already have happened at schedule time.
         assert ring[0] == compiled[0]
@@ -247,8 +249,8 @@ class TestCallbackStimulus:
             values = {net: sim.value(net) for net in nl.nets()}
             return (sim.trace, values, end), sim.kernel_stats
 
-        ring, stats = drive(RingSimulator)
-        compiled, _ = drive(Simulator)
+        ring, stats = drive(Simulator)
+        compiled, _ = drive(COMPILED)
         assert ring == compiled
         assert [change.value for change in ring[0] if change.net == "a"] \
             == [1, 0]

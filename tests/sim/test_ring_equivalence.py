@@ -1,27 +1,31 @@
-"""The ring-buffer event kernel is pinned to the compiled kernel.
+"""The kernel with cycle replay on is pinned to the kernel with it off.
 
-Same pattern as the compiled-kernel engine swap: the event-ring kernel
-(:class:`repro.sim.ring.RingSimulator` — the compiled heap loop plus
-hand-shake cycle replay, replay off for stimuli off the time grid) must be
-observably indistinguishable from the compiled kernel — identical
+Same pattern as the compiled-kernel engine swap: the ``ring`` engine
+(:class:`repro.sim.simulator.Simulator` — the heap loop plus hand-shake
+cycle replay, replay off for stimuli off the time grid) must be
+observably indistinguishable from the ``compiled`` engine (the same
+kernel built with ``replay=False``) — identical
 :class:`NetChange` traces, identical final net values, identical
 simulation time — on random netlists under random stimuli across every
 delay model, and identical campaign outcomes (including the failing
-cells of ablated machines) over the golden machines.  Its live events
-run on the compiled kernel's own loop and a cycle replay adds its
-recorded count, so ``events_processed`` agrees too (pinned on
+cells of ablated machines) over the golden machines.  Live events run
+on the one heap loop and a cycle replay adds its recorded count, so
+``events_processed`` agrees too (pinned on
 unit-delay machine walks below).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.ring import RingSimulator
+from repro.sim.campaign import ENGINES
 from repro.sim.simulator import Simulator
 
 from .test_equivalence import delay_model_for, netlists, run_one, stimuli
 
 SETTINGS = settings(max_examples=40, deadline=None)
+
+#: The one kernel with cycle replay off: the heap-loop baseline.
+COMPILED = ENGINES["compiled"]
 
 
 @st.composite
@@ -47,8 +51,8 @@ class TestRingKernelEquivalence:
         nl = data.draw(netlists())
         schedule = data.draw(stimuli(nl))
         delays_factory = delay_model_for(model)
-        ring = run_one(RingSimulator, nl, schedule, delays_factory, inertial)
-        compiled = run_one(Simulator, nl, schedule, delays_factory, inertial)
+        ring = run_one(Simulator, nl, schedule, delays_factory, inertial)
+        compiled = run_one(COMPILED, nl, schedule, delays_factory, inertial)
         assert ring[0] == compiled[0]  # NetChange streams
         assert ring[1] == compiled[1]  # final values
         assert ring[2] == compiled[2]  # simulation time
@@ -60,8 +64,8 @@ class TestRingKernelEquivalence:
         nl = data.draw(netlists())
         schedule = data.draw(integral_stimuli(nl))
         delays_factory = delay_model_for(0)  # unit: integral delays
-        ring = run_one(RingSimulator, nl, schedule, delays_factory, inertial)
-        compiled = run_one(Simulator, nl, schedule, delays_factory, inertial)
+        ring = run_one(Simulator, nl, schedule, delays_factory, inertial)
+        compiled = run_one(COMPILED, nl, schedule, delays_factory, inertial)
         assert ring[0] == compiled[0]
         assert ring[1] == compiled[1]
         assert ring[2] == compiled[2]
@@ -77,11 +81,9 @@ class TestRingKernelEquivalence:
         nl.add_gate("g0", GateType.BUF, ["a"], "w0")
         nl.add_gate("g1", GateType.NOR, ["w0", "w1"], "w1")
         schedule = [(1.0, "a", 1), (2.5, "a", 0), (4.0, "a", 1)]
-        ring = run_one(
-            RingSimulator, nl, schedule, lambda: UnitDelay(), True
-        )
+        ring = run_one(Simulator, nl, schedule, lambda: UnitDelay(), True)
         compiled = run_one(
-            Simulator, nl, schedule, lambda: UnitDelay(), True
+            COMPILED, nl, schedule, lambda: UnitDelay(), True
         )
         assert ring == compiled
 
@@ -120,10 +122,10 @@ class TestRingMachineEquivalence:
                 machine,
                 steps=25,
                 seeds=(0, 1),
-                simulator_factory=RingSimulator,
+                simulator_factory=Simulator,
             )
             compiled = validate_against_reference(
-                machine, steps=25, seeds=(0, 1)
+                machine, steps=25, seeds=(0, 1), simulator_factory=COMPILED
             )
             assert ring.cycles == compiled.cycles
             assert ring.total > 0
@@ -156,9 +158,11 @@ class TestRingMachineEquivalence:
                 steps=15, seeds=(0, 1, 2), delays_factory=delays_factory
             )
             ring = validate_against_reference(
-                machine, simulator_factory=RingSimulator, **kwargs
+                machine, simulator_factory=Simulator, **kwargs
             )
-            compiled = validate_against_reference(machine, **kwargs)
+            compiled = validate_against_reference(
+                machine, simulator_factory=COMPILED, **kwargs
+            )
             assert ring.cycles == compiled.cycles
             assert ring.failures == compiled.failures
             saw_failure = saw_failure or not compiled.all_clean
@@ -180,7 +184,7 @@ class TestRingFastPaths:
             steps=20,
             seeds=(0,),
             delays_factory=lambda seed: UnitDelay(),
-            simulator_factory=RingSimulator,
+            simulator_factory=Simulator,
         )
 
     def test_replay_path_engages(self, monkeypatch):
@@ -190,17 +194,15 @@ class TestRingFastPaths:
         a lost replay changes no trace, so only this probe (not the
         equivalence pins) notices when restores stop firing.
         """
-        import repro.sim.ring as ring_mod
-
         restores = []
-        orig_restore = ring_mod.RingSimulator.cycle_restore
+        orig_restore = Simulator.cycle_restore
 
         def restore(self, *a, **kw):
             replayed = orig_restore(self, *a, **kw)
             restores.append(replayed)
             return replayed
 
-        monkeypatch.setattr(ring_mod.RingSimulator, "cycle_restore", restore)
+        monkeypatch.setattr(Simulator, "cycle_restore", restore)
         summary = self._walk("lion9")
         assert summary.total > 0
         assert sum(restores) > 0, restores
@@ -220,8 +222,6 @@ class TestRingFastPaths:
             random_legal_walk,
             validate_walk,
         )
-        from repro.sim.simulator import Simulator
-
         from ..strategies import cached_synthesize
 
         for name in ("lion9", "train11"):
@@ -230,7 +230,7 @@ class TestRingFastPaths:
             processed = []
             scored = []
             sims = []
-            for kernel in (RingSimulator, Simulator):
+            for kernel in (Simulator, COMPILED):
                 harness = FantomHarness(
                     machine, delays=UnitDelay(), simulator_factory=kernel
                 )

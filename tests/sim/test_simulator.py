@@ -6,8 +6,8 @@ from repro.errors import SimulationError
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.sim._reference import ReferenceSimulator
+from repro.sim.campaign import ENGINES
 from repro.sim.delays import RandomDelay, UnitDelay, loop_safe_random
-from repro.sim.ring import RingSimulator
 from repro.sim.simulator import Simulator
 
 
@@ -75,7 +75,7 @@ class TestCombinational:
     @pytest.mark.parametrize("at", [float("nan"), float("inf")],
                              ids=["nan", "inf"])
     @pytest.mark.parametrize(
-        "kernel", [Simulator, RingSimulator, ReferenceSimulator],
+        "kernel", [ENGINES["compiled"], Simulator, ReferenceSimulator],
         ids=["compiled", "ring", "reference"],
     )
     def test_non_finite_schedule_time_rejected(self, kernel, at):
@@ -103,7 +103,7 @@ class TestCombinational:
         ids=["until-before-now", "until-nan", "negative-timeout"],
     )
     @pytest.mark.parametrize(
-        "kernel", [Simulator, RingSimulator, ReferenceSimulator],
+        "kernel", [ENGINES["compiled"], Simulator, ReferenceSimulator],
         ids=["compiled", "ring", "reference"],
     )
     def test_clock_never_runs_backwards(self, kernel, call):
