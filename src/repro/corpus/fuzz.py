@@ -2,9 +2,8 @@
 
 The library keeps three deliberately redundant implementations of its
 hot paths — the packed-bitset logic engine vs ``logic/_reference``, the
-event kernel with its cycle memo off vs on (memo-off vs memo-on of one
-kernel, the ``compiled`` and ``ring`` engines, in the tick *and* heap
-regimes), and the FANTOM synthesis vs the SIC Huffman baseline
+event kernel with its cycle memo off vs on (the ``compiled`` and
+``ring`` engines), and the FANTOM synthesis vs the SIC Huffman baseline
 — plus a flow-table interpreter as the behavioural oracle.  This module
 drives generated corpus machines (:mod:`repro.corpus.families`) through
 all of them and treats *any* disagreement as a finding:
@@ -21,7 +20,12 @@ all of them and treats *any* disagreement as a finding:
     The ``compiled`` (memo-off) and ``ring`` (memo-on) engines score
     the same walk on the same silicon differently (cycle-by-cycle
     ``CycleReport`` lists): a cycle replay that is not the live cycle
-    it stands for.
+    it stands for.  Under ``unit`` (``ring`` path) and ``loop-safe``
+    (``ticks`` path) the ``ring`` leg replays cycles.  Under
+    ``loop-safe-offgrid`` its delays have no time quantum, so it runs
+    on the ``heap`` path with replay off: there the comparison is
+    memo-off vs memo-off of one kernel and checks that path, not
+    replay.
 ``dirty-cell``
     A machine diverges from its own flow table under some delay model —
     both kernels agree, so this is a synthesis/timing anomaly, not an
@@ -43,12 +47,17 @@ only its covers differ) through
 is reduced and assigned once.  Each distinct Boolean function — keyed
 on its exact ``(on_mask, dc_mask, width)`` — has its bitset and
 reference primes and useful primes derived once per machine, in a map
-the logic and Huffman legs share.  The logic leg compares all four and
-selects each engine's cover from its own useful primes; the Huffman
-leg compares the covers the baseline actually ships against the
-reference useful primes.  Every comparison still runs on every
-function; only the repeated derivations are gone.  The armed self-test
-reuses the clean machine the simulation leg already walked.
+the logic and Huffman legs share.  The reference engine, the oracle,
+derives a function once per :func:`run_fuzz` run: a function that
+recurs on a later machine (about a fifth of them on the 100-machine
+corpus) takes its reference half from the run's bounded memo, while
+the bitset engine under test derives it again.  The logic leg compares
+all four and selects each engine's cover from its own useful primes;
+the Huffman leg compares the covers the baseline actually ships
+against the reference useful primes.  Every comparison still runs on
+every function of every machine; only the repeated derivations are
+gone.  The armed self-test reuses the clean machine the simulation leg
+already walked.
 """
 
 from __future__ import annotations
@@ -82,9 +91,12 @@ from .keys import CorpusKey, is_corpus_key, parse_key
 #: Environment variable that arms the self-test leg.
 SELFTEST_ENV = "REPRO_FUZZ_SELFTEST"
 
-#: Delay models every machine is walked under: ``unit`` and
-#: ``loop-safe`` exercise the replaying kernel's tick path, the off-grid
-#: ``loop-safe-offgrid`` variant forces the heap path.
+#: Delay models every machine is walked under.  ``unit`` and
+#: ``loop-safe`` put the ``ring`` leg on a replaying path (``ring`` and
+#: ``ticks``).  The off-grid ``loop-safe-offgrid`` variant puts both legs
+#: on the ``heap`` path with replay off, so its ``trace`` comparison is
+#: memo-off vs memo-off of one kernel: it checks the heap path, not
+#: replay.
 DEFAULT_MODELS = ("unit", "loop-safe", "loop-safe-offgrid")
 
 #: Corpus machines with pinned, characterised anomalies — the
@@ -241,34 +253,68 @@ class _Derivation:
     slow_useful: list[Cube]
 
 
-#: One machine's derivations, keyed on the exact function
-#: ``(on_mask, dc_mask, width)``.  The logic and Huffman legs share it,
-#: so a function both legs see (every excitation, and each output whose
-#: ``as_specified`` and ``stable_only`` readings coincide) is derived
-#: once per machine.
-_Derivations = dict[tuple[int, int, int], _Derivation]
+#: A function's identity for derivation: ``(on_mask, dc_mask, width)``.
+_FunctionKey = tuple[int, int, int]
+
+#: One run's reference derivations (primes, useful primes) per exact
+#: function.  The reference engine is the oracle, a pure function of the
+#: exact function, so a function that recurs across a run's machines is
+#: derived by it once; the bitset engine under test still derives it on
+#: every machine.  Bounded: beyond :data:`REFERENCE_MEMO_LIMIT` entries
+#: the oldest goes.
+_References = dict[_FunctionKey, tuple[list[Cube], list[Cube]]]
+
+#: Distinct functions a run's reference memo keeps (a 100-machine corpus
+#: run has about 300).
+REFERENCE_MEMO_LIMIT = 4096
 
 
-def _derive(fn: BooleanFunction, derivations: _Derivations) -> _Derivation:
-    key = (fn.on_mask, fn.dc_mask, fn.width)
-    entry = derivations.get(key)
-    if entry is None:
-        fast_primes = primes_of(fn)
-        slow_primes = ref.prime_implicants_reference(fn.on, fn.dc, fn.width)
-        entry = derivations[key] = _Derivation(
-            fast_primes,
-            slow_primes,
-            useful_primes(fast_primes, fn.on_mask),
-            ref.useful_primes_reference(slow_primes, fn.on),
-        )
-    return entry
+class _Deriver:
+    """Both engines' derivations of one machine's functions.
+
+    The logic and Huffman legs share it, so a function both legs see
+    (every excitation, and each output whose ``as_specified`` and
+    ``stable_only`` readings coincide) is derived once per machine; the
+    reference half comes from the run's memo when an earlier machine
+    had the same function.
+    """
+
+    def __init__(self, references: _References):
+        self._derivations: dict[_FunctionKey, _Derivation] = {}
+        self._references = references
+
+    def __call__(self, fn: BooleanFunction) -> _Derivation:
+        key = (fn.on_mask, fn.dc_mask, fn.width)
+        entry = self._derivations.get(key)
+        if entry is None:
+            references = self._references
+            slow = references.get(key)
+            if slow is None:
+                slow_primes = ref.prime_implicants_reference(
+                    fn.on, fn.dc, fn.width
+                )
+                slow = (
+                    slow_primes,
+                    ref.useful_primes_reference(slow_primes, fn.on),
+                )
+                if len(references) >= REFERENCE_MEMO_LIMIT:
+                    del references[next(iter(references))]
+                references[key] = slow
+            fast_primes = primes_of(fn)
+            entry = self._derivations[key] = _Derivation(
+                fast_primes,
+                slow[0],
+                useful_primes(fast_primes, fn.on_mask),
+                slow[1],
+            )
+        return entry
 
 
 def _logic_findings(
     key: str,
     result,
     fingerprint: str,
-    derivations: _Derivations,
+    derive: _Deriver,
 ) -> list[Finding]:
     """Packed-bitset vs reference engine over every synthesised function."""
     findings: list[Finding] = []
@@ -281,7 +327,7 @@ def _logic_findings(
         for k, name in enumerate(result.table.outputs)
     ]
     for name, fn in functions:
-        derived = _derive(fn, derivations)
+        derived = derive(fn)
         if derived.fast_primes != derived.slow_primes:
             findings.append(
                 Finding(
@@ -332,7 +378,7 @@ def _huffman_findings(
     key: str,
     baseline: HuffmanResult,
     fingerprint: str,
-    derivations: _Derivations,
+    derive: _Deriver,
 ) -> list[Finding]:
     """The SIC baseline's shipped covers must equal the reference's.
 
@@ -355,7 +401,7 @@ def _huffman_findings(
         for k, name in enumerate(baseline.table.outputs)
     ]
     for name, fn, shipped in functions:
-        slow = _derive(fn, derivations).slow_useful
+        slow = derive(fn).slow_useful
         if shipped != tuple(slow):
             findings.append(
                 Finding(
@@ -389,9 +435,10 @@ def _sim_findings(
     family = parse_key(key).family if is_corpus_key(key) else None
     pinned = key in KNOWN_DIRTY or family in KNOWN_DIRTY_FAMILIES
     # Set up once per machine and model: the reference step stream is
-    # shared by every walk, and one delay model by both kernels' walks
-    # (a model draws each instance's delay once and caches it, so the
-    # second kernel resolves the very vector the first one drew).
+    # shared by every walk, and one delay model by both kernels' walks.
+    # The kernel memoises its set-up on the machine's compiled program:
+    # the initial gate counts once per machine, and each model's
+    # resolved vector, fanout plans and time quantum once per model.
     expected = expected_walk(machine.result.table, walk)
     for model in models:
         delays = _delays_for(model, walk_seed, machine)
@@ -607,19 +654,37 @@ def fuzz_table(
     flag through the CLI.
     """
     _check_steps(steps)
-    key = key if key is not None else table.name
     if selftest is None:
         selftest = selftest_enabled()
+    return _fuzz_machine(
+        table,
+        key if key is not None else table.name,
+        models,
+        steps,
+        walk_seed,
+        selftest,
+        {},
+    )
+
+
+def _fuzz_machine(
+    table: FlowTable,
+    key: str,
+    models: tuple[str, ...],
+    steps: int,
+    walk_seed: int,
+    selftest: bool,
+    references: _References,
+) -> list[Finding]:
+    """:func:`fuzz_table` with the run's reference memo."""
     fingerprint = corpus_fingerprint(table)
     result = synthesize(table)
-    # The logic and Huffman legs share one derivation per distinct
-    # function; the map lives only as long as this machine.
-    derivations: _Derivations = {}
-    findings = _logic_findings(key, result, fingerprint, derivations)
+    derive = _Deriver(references)
+    findings = _logic_findings(key, result, fingerprint, derive)
     baseline = huffman_from_assignment(
         table, result.table, result.assignment
     )
-    findings += _huffman_findings(key, baseline, fingerprint, derivations)
+    findings += _huffman_findings(key, baseline, fingerprint, derive)
     machine = build_timed_fantom(result)
     walk = random_legal_walk(table, steps, seed=walk_seed)
     findings += _sim_findings(
@@ -692,6 +757,7 @@ def run_fuzz(
     if selftest is None:
         selftest = selftest_enabled()
     report = FuzzReport()
+    references: _References = {}
     spec = PipelineSpec()
     started = time.perf_counter()
     for source in sources:
@@ -721,13 +787,8 @@ def run_fuzz(
             ]
             report.store_hits += 1
         else:
-            findings = fuzz_table(
-                table,
-                key=key,
-                models=models,
-                steps=steps,
-                walk_seed=walk_seed,
-                selftest=selftest,
+            findings = _fuzz_machine(
+                table, key, models, steps, walk_seed, selftest, references
             )
             if store is not None:
                 import json

@@ -105,6 +105,12 @@ class CompiledNetlist:
     #: ``(tuple(gate_delays), tuple(dff_delays))``; see
     #: :meth:`repro.sim.simulator.Simulator._make_runner`.
     plan_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    #: simulator set-up memoised per initial state and per delay-model
+    #: object (``("counts", bytes(values))`` -> per-gate ones counts,
+    #: ``("model", id(model))`` -> the model's resolution), so the walks
+    #: of one machine and model share it; bounded like ``plan_cache``.
+    #: See :class:`repro.sim.simulator.Simulator`.
+    setup_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @property

@@ -22,6 +22,7 @@ aggregate.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from ..errors import SimulationError
 from ..netlist.fantom import FantomMachine
@@ -29,6 +30,11 @@ from .delays import DelayModel, loop_safe_random
 from .monitors import CycleReport, ValidationSummary
 from .reference import FlowTableInterpreter
 from .simulator import Simulator
+
+#: A :class:`CycleReport` built straight from its field tuple, skipping
+#: the generated ``__new__`` frame: every scored cycle builds one.
+_report = partial(tuple.__new__, CycleReport)
+
 
 class FantomHarness:
     """Owns one machine instance, one simulator, and the hand-shake.
@@ -91,6 +97,8 @@ class FantomHarness:
         self._run = sim.run
         self._schedule = sim.schedule
         self._run_until_quiet = sim.run_until_quiet
+        self._vi = machine.vi
+        self._vom = machine.vom
         self._read_vom = sim.net_reader(machine.vom)
         self._pin_readers = [
             (net, sim.net_reader(net)) for net in machine.external_inputs
@@ -124,17 +132,16 @@ class FantomHarness:
 
     # ------------------------------------------------------------------
     def _wait_for_vom(self, value: int) -> None:
-        if self._read_vom() == value:
+        """One ``run`` that stops on the ``VOM`` edge to ``value``."""
+        read_vom = self._read_vom
+        if read_vom() == value:
             return
-        vom = self.machine.vom
         self._run(
-            until=self.simulator.now + self.WAIT_BUDGET,
-            stop_net=vom,
-            stop_value=value,
+            self.simulator.now + self.WAIT_BUDGET, None, self._vom, value
         )
-        if self._read_vom() != value:
+        if read_vom() != value:
             raise SimulationError(
-                f"timeout waiting for {vom}={value} "
+                f"timeout waiting for {self._vom}={value} "
                 f"(machine {self.machine.netlist.name!r})"
             )
 
@@ -144,7 +151,6 @@ class FantomHarness:
         Returns the decoded state and the latched outputs after VOM
         re-asserts.
         """
-        vi = self.machine.vi
         sim = self.simulator
         schedule = self._schedule
         wait_for_vom = self._wait_for_vom
@@ -152,20 +158,22 @@ class FantomHarness:
         self._run_until_quiet(self.WAIT_BUDGET)
 
         start = sim.now
+        at = start + self.ENV_DELAY
         for i, (net, read) in enumerate(self._pin_readers):
             bit = column >> i & 1
             # The pins are quiet here (the queue just drained), so a
             # pin already at its target level needs no event — walks
             # re-apply like-successive columns constantly.
             if read() != bit:
-                schedule(net, bit, start + self.ENV_DELAY)
+                schedule(net, bit, at)
+        vi = self._vi
         schedule(vi, 1, start + 2 * self.ENV_DELAY)
         wait_for_vom(0)
         schedule(vi, 0, sim.now + self.ENV_DELAY)
         wait_for_vom(1)
         self._run_until_quiet(self.WAIT_BUDGET)
         self.cycle_count += 1
-        return self.observed_state(), self._read_outputs()
+        return self._state_of.get(self._read_state()), self._read_outputs()
 
     # ------------------------------------------------------------------
     def scored_apply(
@@ -230,19 +238,14 @@ class FantomHarness:
                 _, observed_state, observed_outputs, changes, vom_rises = (
                     entry
                 )
-                return CycleReport(
+                return _report((
                     index, column, expected.state, observed_state,
                     expected.outputs, observed_outputs, dict(changes),
                     vom_rises,
-                )
-        self._flush()
-        observed_state, observed_outputs, changes, vom_rises = (
-            self._judged_apply(column, key)
-        )
-        return CycleReport(
-            index, column, expected.state, observed_state,
-            expected.outputs, observed_outputs, changes, vom_rises,
-        )
+                ))
+        if chain is not None:
+            self._flush()
+        return self._judged_apply(column, expected, index, key)
 
     def _flush(self) -> None:
         """Restore the kernel from the pending run of memo hits, if any."""
@@ -255,12 +258,15 @@ class FantomHarness:
             )
             self._chain_replays = 0
 
-    def _judged_apply(self, column: int, key) -> tuple:
+    def _judged_apply(
+        self, column: int, expected, index: int, key
+    ) -> CycleReport:
         """Run one cycle live and judge its trace window.
 
-        Returns (state, outputs, per-output changes, ``VOM`` rises) and,
-        when ``key`` is set and the cycle carried nothing out, memoises
-        them under it with the kernel's capture of the cycle.
+        Returns the cycle's report and, when ``key`` is set and the
+        cycle carried nothing out, memoises its (state, outputs,
+        per-output changes, ``VOM`` rises) under it with the kernel's
+        capture of the cycle.
         """
         sim = self.simulator
         trace = self._trace
@@ -268,7 +274,7 @@ class FantomHarness:
         events = sim.events_processed
         observed_state, observed_outputs = self.apply(column)
         window_end = sim.now
-        vom = self.machine.vom
+        vom = self._vom
         changes = dict.fromkeys(self._output_net_list, 0)
         vom_rises = 0
         for change in trace:
@@ -293,7 +299,10 @@ class FantomHarness:
                     capture, observed_state, observed_outputs,
                     dict(changes), vom_rises,
                 )
-        return observed_state, observed_outputs, changes, vom_rises
+        return _report((
+            index, column, expected.state, observed_state,
+            expected.outputs, observed_outputs, changes, vom_rises,
+        ))
 
 
 def kernel_snapshot(sim) -> dict | None:

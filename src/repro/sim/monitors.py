@@ -44,25 +44,26 @@ class CycleReport(NamedTuple):
 
     @property
     def outputs_correct(self) -> bool:
-        return all(
-            expected is None or expected == observed
-            for expected, observed in zip(
-                self.expected_outputs, self.observed_outputs
-            )
+        expected, observed = self.expected_outputs, self.observed_outputs
+        # Fully specified and matching is the common case: one tuple
+        # compare instead of a per-bit walk.
+        return expected == observed or all(
+            want is None or want == got
+            for want, got in zip(expected, observed)
         )
 
     @property
     def soc_respected(self) -> bool:
         """Each output bit changed at most once during the cycle."""
-        return all(count <= 1 for count in self.output_changes.values())
+        return max(self.output_changes.values(), default=0) <= 1
 
     @property
     def clean(self) -> bool:
         return (
-            self.state_correct
+            self.vom_rises == 1
+            and self.observed_state == self.expected_state
             and self.outputs_correct
             and self.soc_respected
-            and self.vom_rises == 1
         )
 
     # ------------------------------------------------------------------
@@ -155,7 +156,7 @@ class ValidationSummary:
 
     @property
     def all_clean(self) -> bool:
-        return not self.failures
+        return all(cycle.clean for cycle in self.cycles)
 
     def describe(self) -> str:
         return (

@@ -26,8 +26,13 @@ are ``(time, sequence, net_id, value)`` int tuples, gate evaluation is
 one bit-index into a precomputed truth-table int (the ones-count among
 a gate's inputs is maintained incrementally per fanout edge), and every
 per-instance delay is resolved through the
-:class:`~repro.sim.delays.DelayModel` exactly once at construction — no
-per-event dict lookups, string hashing, or virtual delay calls.  The
+:class:`~repro.sim.delays.DelayModel` before the first event — no
+per-event dict lookups, string hashing, or virtual delay calls.
+Set-up is memoised on the compiled program (a bounded LRU beside its
+plan cache): the initial ones-counts once per initial state, and a
+model object's resolved vector, fanout plans and time quantum once per
+model, so the walks of one machine under one model, on either engine,
+resolve it once.  The
 original object-graph interpreter is retained as
 :class:`repro.sim._reference.ReferenceSimulator` and pinned
 trace-equivalent by the Hypothesis suite in ``tests/sim/``; event
@@ -200,7 +205,7 @@ class Simulator:
         self._pending = [0] * num_nets
         self._watched_flags = [False] * num_nets
 
-        self._values = [0] * num_nets
+        self._values = values = [0] * num_nets
         #: initial values for nets the netlist does not know (kept so
         #: ``value()`` answers for them, as the reference kernel did).
         self._extra: dict[str, int] = {}
@@ -211,57 +216,48 @@ class Simulator:
                 if nid is None:
                     self._extra[net] = value
                 else:
-                    self._values[nid] = 1 if value else 0
+                    values[nid] = 1 if value else 0
 
-        #: per-gate count of inputs currently 1 (the truth-table index).
-        values = self._values
-        self._counts = [
-            sum(values[nid] for nid in inputs) for inputs in prog.gate_inputs
-        ]
+        # Set-up memoised on the compiled program (bounded LRUs, like
+        # the plan cache): every walk of one machine starts from one
+        # initial state, and the walks of one delay model on both
+        # engines resolve one vector.
+        setup = prog.setup_cache
+        #: per-gate count of inputs currently 1 (the truth-table index),
+        #: a function of the program and the initial values.
+        counts_key = ("counts", bytes(values))
+        counts = plan_cache_get(setup, counts_key)
+        if counts is None:
+            counts = tuple(
+                sum(values[nid] for nid in inputs)
+                for inputs in prog.gate_inputs
+            )
+            plan_cache_put(setup, counts_key, counts)
+        self._counts = list(counts)
 
         # Delay models assign a *fixed* delay per instance (their stated
-        # contract), so resolve them all once here instead of per event.
-        self._gate_delays = [
-            self.delays.gate_delay(gate) for gate in netlist.gates
-        ]
-        self._dff_delays = [self.delays.clk_to_q(dff) for dff in netlist.dffs]
-
-        # Per-net fanout plans, fusing everything one event touches into
-        # one tuple walk: (gate, output id, delay, truth table) per
-        # reading gate.  For duplicate-free nets (the normal case) the
-        # count update and the evaluation run in a single pass — a gate
-        # sees its count fully updated because this net moves it exactly
-        # once.  A net feeding one gate twice keeps ``None`` here and
-        # takes the generic two-phase path.  Plans depend only on the
-        # program and the resolved delays, so they are memoised on the
-        # compiled program — every unit-delay (or same-seed) cell of a
-        # campaign shares them.
-        plan_key = (tuple(self._gate_delays), tuple(self._dff_delays))
-        cached = plan_cache_get(prog.plan_cache, plan_key)
-        if cached is None:
-            out, tt, delay = prog.gate_output, prog.gate_tt, self._gate_delays
-            plans = [
-                None if len(set(readers)) != len(readers)
-                else tuple((g, out[g], delay[g], tt[g]) for g in readers)
-                for readers in prog.fan_gates
-            ]
-            d, q, delay = prog.dff_d, prog.dff_q, self._dff_delays
-            dff_plans = [
-                tuple((d[f], q[f], delay[f]) for f in fans)
-                for fans in prog.fan_dffs
-            ]
-            cached = (plans, dff_plans)
-            plan_cache_put(prog.plan_cache, plan_key, cached)
-        self._plans, self._dff_plans = cached
+        # contract), so a model object is resolved once per program and
+        # its vector, plans and time quantum are shared by every
+        # simulator built on it.  The entry holds the model itself (so
+        # its id cannot pass to another object while the entry lives)
+        # and serves only that object (a copied program's keys name
+        # objects of another process).
+        model = self.delays
+        model_key = ("model", id(model))
+        entry = plan_cache_get(setup, model_key)
+        if entry is None or entry[0] is not model:
+            entry = (model, *self._resolve(model))
+            plan_cache_put(setup, model_key, entry)
+        (
+            _, self._gate_delays, self._dff_delays,
+            self._plans, self._dff_plans, shift, max_delay,
+        ) = entry
+        if not replay:
+            shift = None
 
         #: ``bytes(values)`` of the current drained state, once built;
         #: ``None`` after any ``run`` or ``schedule``.
         self._key: bytes | None = None
-        resolved = [*self._gate_delays, *self._dff_delays]
-        shift = (
-            negotiate_time_quantum(resolved, limit=TICK_SHIFT_LIMIT)
-            if replay else None
-        )
         #: Kernel telemetry: current engine path, the negotiated tick
         #: shift, cycle-replay counts, and any path migrations
         #: (reason -> count).  Deterministic for a deterministic workload.
@@ -277,19 +273,75 @@ class Simulator:
         if self._replay:
             self.kernel_stats["path"] = "ring" if shift == 0 else "ticks"
             #: grid scale: ``at * _up`` is integral exactly on the grid.
-            up = self._up = float(1 << shift)
+            self._up = float(1 << shift)
             # Exactness horizon, in ticks: every tick must stay below
             # 2**53 for the relative-time arithmetic to be exact.  The
             # guard is conservative — one run can extend the queue by at
             # most the remaining event budget times the largest delay,
             # so checking at run/schedule entry suffices.
-            max_delay = max((int(d * up) for d in resolved), default=1)
             self._tick_safe = float(
                 2**53 - (max_events + 2) * (max_delay + 1)
             )
         #: The generated event loop (see :meth:`_make_runner`): one
         #: frame, zero rebinding, per harness wait.
         self.run = self._make_runner()
+
+    def _resolve(self, model: DelayModel) -> tuple:
+        """One delay model's resolution over this netlist's instances.
+
+        Returns ``(gate delays, dff delays, fanout plans, dff plans, tick
+        shift, largest delay in ticks)``; the shift is ``None`` when the
+        vector has no practical time quantum (replay stays off).
+        """
+        prog = self._prog
+        gate_delays = [model.gate_delay(gate) for gate in self.netlist.gates]
+        dff_delays = [model.clk_to_q(dff) for dff in self.netlist.dffs]
+        # Per-net fanout plans, fusing everything one event touches into
+        # one tuple walk: (gate, output id, delay, truth table) per
+        # reading gate.  For duplicate-free nets (the normal case) the
+        # count update and the evaluation run in a single pass — a gate
+        # sees its count fully updated because this net moves it exactly
+        # once.  A net feeding one gate twice, or clocking a flip-flop,
+        # keeps ``None`` here and takes the generic path, which also
+        # samples the flip-flops it clocks.  Plans depend only on the
+        # program and the resolved delays, so they are memoised on the
+        # compiled program — every unit-delay (or same-seed) cell of a
+        # campaign shares them.
+        plan_key = (tuple(gate_delays), tuple(dff_delays))
+        plans = plan_cache_get(prog.plan_cache, plan_key)
+        if plans is None:
+            out, tt = prog.gate_output, prog.gate_tt
+            gate_step = [
+                (g, out[g], delay, tt[g])
+                for g, delay in enumerate(gate_delays)
+            ].__getitem__
+            # A net reads each gate once exactly when its aggregated
+            # (gate, multiplicity) plan is as long as its reader list.
+            fanout = [
+                tuple(map(gate_step, readers))
+                if len(readers) == len(counted) and not fans else None
+                for readers, counted, fans in zip(
+                    prog.fan_gates, prog.fan_counts, prog.fan_dffs
+                )
+            ]
+            d, q = prog.dff_d, prog.dff_q
+            dff_step = [
+                (d[f], q[f], delay) for f, delay in enumerate(dff_delays)
+            ].__getitem__
+            dff_fanout = [
+                tuple(map(dff_step, fans)) if fans else ()
+                for fans in prog.fan_dffs
+            ]
+            plans = (fanout, dff_fanout)
+            plan_cache_put(prog.plan_cache, plan_key, plans)
+        resolved = [*gate_delays, *dff_delays]
+        shift = negotiate_time_quantum(resolved, limit=TICK_SHIFT_LIMIT)
+        max_delay = 1
+        if shift is not None and resolved:
+            # Scaling by a power of two is exact, so the largest delay
+            # scales to the largest tick count.
+            max_delay = int(max(resolved) * float(1 << shift))
+        return gate_delays, dff_delays, *plans, shift, max_delay
 
     # ------------------------------------------------------------------
     # Driving
@@ -395,6 +447,9 @@ class Simulator:
             inertial=self.inertial,
             max_events=self.max_events,
             inf=float("inf"),
+            # ``NetChange`` built straight from its field tuple, skipping
+            # the generated ``__new__`` frame.
+            change=partial(tuple.__new__, NetChange),
         ):
             if sim._replay:
                 sim._key = None
@@ -420,16 +475,14 @@ class Simulator:
             now = sim.now
             try:
                 while queue:
-                    event = heappop(queue)
-                    at = event[0]
+                    at, eseq, nid, value = heappop(queue)
                     if at > deadline:
                         # Past the horizon: put it back (the heap pop
                         # order is a total order on (time, seq), so a
                         # re-push changes nothing observable).
-                        heappush(queue, event)
+                        heappush(queue, (at, eseq, nid, value))
                         now = until
                         return now
-                    _, eseq, nid, value = event
                     events += 1
                     if events > max_events:
                         raise SimulationError(
@@ -439,16 +492,15 @@ class Simulator:
                         )
                     now = at
                     live = pending[nid]
-                    if live:
-                        if inertial and live != eseq:
-                            continue  # superseded by a re-evaluation
-                        if live == eseq:
-                            pending[nid] = 0  # the in-flight event landed
+                    if live == eseq:
+                        pending[nid] = 0  # the in-flight event landed
+                    elif live and inertial:
+                        continue  # superseded by a re-evaluation
                     if values[nid] == value:
                         continue
                     values[nid] = value
                     if watched[nid]:
-                        trace.append(NetChange(at, net_names[nid], value))
+                        trace.append(change((at, net_names[nid], value)))
                     # Push-time no-op filtering: a re-evaluation that
                     # confirms the target net's current value, with no
                     # in-flight event to supersede (pending == 0), would
@@ -460,9 +512,10 @@ class Simulator:
                     # processed-event count differs from the reference.
                     plan = plans[nid]
                     if plan is None:
-                        # A net feeding some gate more than once: update
-                        # every count fully, then evaluate (the fused
-                        # single pass would see half-updated counts).
+                        # A net feeding some gate more than once, or
+                        # clocking a flip-flop: update every count fully,
+                        # then evaluate (the fused single pass would see
+                        # half-updated counts), then sample.
                         if value:
                             for g, mult in fan_counts[nid]:
                                 counts[g] += mult
@@ -479,6 +532,18 @@ class Simulator:
                                     queue,
                                     (at + gate_delays[g], seq, out_nid, out),
                                 )
+                        if value == 1:
+                            # rising clock edges sample D now, drive Q
+                            # later
+                            for d_nid, q_nid, delay in dff_plans[nid]:
+                                sampled = values[d_nid]
+                                if pending[q_nid] or sampled != values[q_nid]:
+                                    seq += 1
+                                    pending[q_nid] = seq
+                                    heappush(
+                                        queue,
+                                        (at + delay, seq, q_nid, sampled),
+                                    )
                     elif value:
                         for g, out_nid, delay, table in plan:
                             ones = counts[g] + 1
@@ -501,17 +566,9 @@ class Simulator:
                                 heappush(
                                     queue, (at + delay, seq, out_nid, out)
                                 )
-                    if value == 1:
-                        # rising clock edges sample D now, drive Q later
-                        for d_nid, q_nid, delay in dff_plans[nid]:
-                            sampled = values[d_nid]
-                            if pending[q_nid] or sampled != values[q_nid]:
-                                seq += 1
-                                pending[q_nid] = seq
-                                heappush(
-                                    queue, (at + delay, seq, q_nid, sampled)
-                                )
-                    if stop_nid >= 0 and values[stop_nid] == stop_value:
+                    # The stop net was off ``stop_value`` on entry, so
+                    # only its own event can bring it there.
+                    if nid == stop_nid and value == stop_value:
                         return now
                     if stop_when is not None:
                         # Sync state out (and the sequence back in) so a
@@ -542,11 +599,14 @@ class Simulator:
         deadline = self.now + timeout
         if not timeout >= 0:
             raise run_time_error(deadline, self.now)
-        if not self.pending_events():  # already quiet: just advance time
+        queue = self._queue
+        if not queue:  # already quiet: just advance time
             self.now = deadline
             return deadline
-        reached = self.run(until=deadline)
-        if self.has_live_events():
+        reached = self.run(deadline)
+        # A drained queue holds no live event (the common case: the run
+        # only stops early at its deadline).
+        if queue and self.has_live_events():
             raise SimulationError(
                 f"netlist {self.netlist.name!r} did not quiesce within "
                 f"{timeout} time units"
@@ -555,13 +615,13 @@ class Simulator:
 
     def has_live_events(self) -> bool:
         """True when the queue holds any non-superseded event."""
+        if not self.inertial:
+            return bool(self._queue)
         pending = self._pending
         for _, seq, nid, _ in self._queue:
-            if self.inertial:
-                live = pending[nid]
-                if live and live != seq:
-                    continue
-            return True
+            live = pending[nid]
+            if not live or live == seq:
+                return True
         return False
 
     # ------------------------------------------------------------------
@@ -653,18 +713,18 @@ class Simulator:
 
         Call after a live cycle that began at ``now == start`` with
         ``events`` processed, from a state :meth:`cycle_key` keyed.
-        Returns ``(exit key, clock advance, event count, values,
-        counts)``: the first three let a caller chain replays without
-        the kernel.  ``None`` when the cycle did not end drained on the
-        grid (it left events queued, or replay was turned off on the
-        way).
+        Returns ``(exit key, clock advance, event count, counts)``: the
+        first three let a caller chain replays without the kernel, and
+        the exit key is the exit values.  ``None`` when the cycle did
+        not end drained on the grid (it left events queued, or replay
+        was turned off on the way).
         """
         key = self.cycle_key()
         if key is None:
             return None
         return (
             key, self.now - start, self._events_processed - events,
-            list(self._values), list(self._counts),
+            list(self._counts),
         )
 
     def cycle_admits(self, now: float, processed: int) -> bool:
@@ -693,10 +753,11 @@ class Simulator:
         queued or traced, as every live cycle left nothing queued and
         its scoring was captured with it.  Returns ``replays``.
         """
-        key, _, _, values, counts = capture
+        key, _, _, counts = capture
         # Slice-assign so the list identities survive (the event loop's
-        # defaults and the value readers hold these very lists).
-        self._values[:] = values
+        # defaults and the value readers hold these very lists); the
+        # key is ``bytes(values)``.
+        self._values[:] = key
         self._counts[:] = counts
         self._key = key
         stats = self.kernel_stats

@@ -303,6 +303,191 @@ class TestLegsStillCompare:
         } == {("dirty-cell", "ring")}
 
 
+class TestReferenceMemo:
+    """The oracle derives a function once per run; every check still runs.
+
+    Two identical machines in one run share every function: the second
+    takes the reference half of each derivation from the run's memo,
+    while the bitset engine under test derives it again and is compared
+    again.
+    """
+
+    KEY = "corpus:random-flow:2"
+
+    def _run(self, monkeypatch, copies, fault=None):
+        from repro.corpus import fuzz
+        from repro.logic import _reference, quine_mccluskey
+
+        table = generate(self.KEY)
+        result = api.synthesize(table)
+        monkeypatch.setattr(fuzz, "synthesize", lambda _table: result)
+        calls = {"reference": 0, "bitset": 0}
+        real_reference = _reference.prime_implicants_reference
+        real_bitset = quine_mccluskey.prime_implicants
+
+        def reference(on, dc, width):
+            calls["reference"] += 1
+            return real_reference(on, dc, width)
+
+        def bitset(on, dc, width):
+            calls["bitset"] += 1
+            primes = real_bitset(on, dc, width)
+            return primes if fault is None else fault(primes)
+
+        monkeypatch.setattr(
+            _reference, "prime_implicants_reference", reference
+        )
+        monkeypatch.setattr(quine_mccluskey, "prime_implicants", bitset)
+        report = run_fuzz([table] * copies, models=("unit",), steps=4)
+        monkeypatch.undo()
+        return report, calls
+
+    def test_recurring_functions_skip_only_the_oracle(self, monkeypatch):
+        one, once = self._run(monkeypatch, 1)
+        two, twice = self._run(monkeypatch, 2)
+        assert one.findings == two.findings == []
+        assert twice["reference"] == once["reference"] > 0
+        assert twice["bitset"] == 2 * once["bitset"]
+
+    def test_each_machine_still_compares(self, monkeypatch):
+        one, _ = self._run(monkeypatch, 1, fault=lambda primes: primes[1:])
+        two, _ = self._run(monkeypatch, 2, fault=lambda primes: primes[1:])
+        per_machine = [f.check for f in one.findings]
+        assert "logic-primes" in per_machine
+        assert [f.check for f in two.findings] == per_machine * 2
+
+
+class TestSimLeg:
+    """The simulation leg's walks: shared set-up and kernel regimes."""
+
+    KEY = "corpus:random-flow:2"
+
+    @staticmethod
+    def _machine_and_walk(key):
+        from repro.sim.harness import random_legal_walk
+
+        table = generate(key)
+        result = api.synthesize(table)
+        walk = random_legal_walk(table, 18, seed=0)
+        return result, walk
+
+    def test_each_delay_model_is_resolved_once_per_machine(
+        self, monkeypatch
+    ):
+        """Both engines' walks of one model share one resolution."""
+        from collections import Counter
+
+        from repro.corpus import fuzz
+        from repro.sim.delays import DelayModel
+        from repro.sim.harness import build_timed_fantom
+
+        class Counting(DelayModel):
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = Counter()
+
+            def gate_delay(self, gate):
+                self.calls["g", gate.name] += 1
+                return self.inner.gate_delay(gate)
+
+            def clk_to_q(self, dff):
+                self.calls["f", dff.name] += 1
+                return self.inner.clk_to_q(dff)
+
+        real = fuzz._delays_for
+        models = []
+
+        def counting(model, seed, machine):
+            models.append(Counting(real(model, seed, machine)))
+            return models[-1]
+
+        monkeypatch.setattr(fuzz, "_delays_for", counting)
+        result, walk = self._machine_and_walk(self.KEY)
+        machine = build_timed_fantom(result)
+        findings = fuzz._sim_findings(
+            self.KEY, machine, walk, fuzz.DEFAULT_MODELS, 0, "fp"
+        )
+        assert findings == []
+        netlist = machine.netlist
+        instances = {("g", gate.name) for gate in netlist.gates}
+        instances |= {("f", dff.name) for dff in netlist.dffs}
+        assert len(models) == len(fuzz.DEFAULT_MODELS)
+        for model in models:
+            assert set(model.calls) == instances
+            assert set(model.calls.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "model", ["unit", "loop-safe", "loop-safe-offgrid"]
+    )
+    def test_shared_set_up_leaves_the_reports_unchanged(self, model):
+        """A walk on a warm program equals one on a freshly built machine.
+
+        On the warm machine, each engine's walk after the first reuses
+        the initial counts, and the second engine's walk of a model
+        reuses the first one's resolution, while a second seed's model
+        must get its own.  A freshly built machine has a new compiled
+        program, so its walk computes everything anew.
+        """
+        from repro.corpus import fuzz
+        from repro.sim.harness import (
+            build_timed_fantom,
+            export_walk_vcd,
+            validate_walk,
+        )
+
+        def observe(machine, delays, factory):
+            # The reports, and the timed waveform of every hand-shake
+            # net (which a wrongly shared delay vector would move).
+            summary = validate_walk(
+                machine, walk, delays, simulator_factory=factory
+            )
+            vcd = export_walk_vcd(
+                machine, walk, delays, simulator_factory=factory
+            )
+            return summary.to_dict(), vcd
+
+        result, walk = self._machine_and_walk(self.KEY)
+        warm_machine = build_timed_fantom(result)
+        for seed in (0, 1):
+            shared = fuzz._delays_for(model, seed, warm_machine)
+            for _engine, factory in fuzz._ENGINES:
+                cold_machine = build_timed_fantom(result)
+                cold_delays = fuzz._delays_for(model, seed, cold_machine)
+                assert observe(warm_machine, shared, factory) == observe(
+                    cold_machine, cold_delays, factory
+                )
+
+    def test_models_pin_their_kernel_regimes(self):
+        """``unit``/``loop-safe`` replay on the ring leg; off-grid is heap.
+
+        The ``compiled`` leg is the memo-off kernel, always on the heap
+        path.  Under ``loop-safe-offgrid`` the ``ring`` leg has no time
+        quantum either, so there both legs run the heap path and the
+        ``trace`` comparison checks that path, not replay.
+        """
+        from repro.corpus import fuzz
+        from repro.sim.harness import build_timed_fantom, validate_walk
+
+        result, walk = self._machine_and_walk(self.KEY)
+        machine = build_timed_fantom(result)
+        expected = {
+            "unit": {"compiled": {"heap"}, "ring": {"ring"}},
+            "loop-safe": {"compiled": {"heap"}, "ring": {"ticks"}},
+            "loop-safe-offgrid": {"compiled": {"heap"}, "ring": {"heap"}},
+        }
+        assert set(expected) == set(fuzz.DEFAULT_MODELS)
+        for model, paths in expected.items():
+            delays = fuzz._delays_for(model, 0, machine)
+            for engine, factory in fuzz._ENGINES:
+                summary = validate_walk(
+                    machine, walk, delays, simulator_factory=factory
+                )
+                assert set(summary.kernel["paths"]) == paths[engine], (
+                    model, engine,
+                )
+                assert summary.kernel["migrations"] == {}
+
+
 class TestRunFuzz:
     CORPUS = [make_key("random-flow", s) for s in range(4)] + [
         make_key("hazard-dense", s) for s in range(2)

@@ -60,10 +60,33 @@ def cube_functions(draw, min_width=9, max_width=12):
     return BooleanFunction.from_cubes(names, on_cubes, dc_cubes)
 
 
+@st.composite
+def row_functions(draw):
+    """Seeded random on/dc sets of any density, straddling the row width.
+
+    The bitset tabulation slices a function into rows of
+    ``2**ROW_BITS`` minterms (one row up to width 8), so widths 7-10
+    cover the one-row case and the joins across rows.  Hypothesis' own
+    sets stay sparse at these widths; a drawn density fills the space.
+    """
+    width = draw(st.integers(min_value=7, max_value=10))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    density = draw(st.sampled_from((0.05, 0.3, 0.6, 0.9)))
+    rng = random.Random(seed)
+    on, dc = set(), set()
+    for m in range(1 << width):
+        roll = rng.random()
+        if roll < density:
+            (on if roll < density * 0.7 else dc).add(m)
+    names = tuple(f"v{i}" for i in range(width))
+    return BooleanFunction(names, frozenset(on), frozenset(dc))
+
+
 def assert_same_primes(f):
-    fast = prime_implicants(f.on, f.dc, f.width)
+    """Both input forms of the bitset engine equal the reference."""
     slow = ref.prime_implicants_reference(f.on, f.dc, f.width)
-    assert fast == slow
+    assert prime_implicants(f.on, f.dc, f.width) == slow
+    assert prime_implicants(f.on_mask, f.dc_mask, f.width) == slow
 
 
 def assert_same_useful(f):
@@ -93,6 +116,18 @@ def test_primes_identical_dense(f):
 @given(cube_functions())
 @settings(max_examples=25, deadline=None)
 def test_primes_identical_wide(f):
+    assert_same_primes(f)
+
+
+@given(row_functions())
+@settings(max_examples=30, deadline=None)
+def test_primes_identical_across_the_row_boundary(f):
+    assert_same_primes(f)
+
+
+@given(cube_functions(min_width=13, max_width=16))
+@settings(max_examples=15, deadline=None)
+def test_primes_identical_many_rows(f):
     assert_same_primes(f)
 
 

@@ -149,3 +149,64 @@ class TestInputValidation:
     def test_negative_minterm_rejected(self):
         with pytest.raises(ValueError):
             prime_implicants({-1}, set(), 2)
+
+
+class TestPackedInput:
+    """``prime_implicants`` takes packed bitset ints as well as sets."""
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_same_primes_as_iterables(self, width):
+        on = {0, 1, 3, (1 << width) - 1}
+        dc = {2}
+        packed_on = sum(1 << m for m in on)
+        assert prime_implicants(packed_on, 0b100, width) == prime_implicants(
+            on, dc, width
+        )
+        assert prime_implicants(on, 0b100, width) == prime_implicants(
+            on, dc, width
+        )
+
+    def test_empty_masks(self):
+        assert prime_implicants(0, 0, 3) == []
+
+    def test_full_space_mask(self):
+        assert prime_implicants(0b1111, 0, 2) == [Cube.universe(2)]
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_overlap_rejected(self, width):
+        with pytest.raises(ValueError, match="overlap"):
+            prime_implicants(0b0110, 0b0011, width)
+        with pytest.raises(ValueError, match="overlap"):
+            prime_implicants({1, 2}, 0b0010, width)
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_out_of_range_rejected(self, width):
+        beyond = 1 << (1 << width)
+        with pytest.raises(ValueError, match="outside"):
+            prime_implicants(beyond | 1, 0, width)
+        with pytest.raises(ValueError, match="outside"):
+            prime_implicants(0, beyond, width)
+
+    @pytest.mark.parametrize("width", [2, 9])
+    def test_negative_rejected(self, width):
+        with pytest.raises(ValueError, match="negative"):
+            prime_implicants(-1, 0, width)
+        with pytest.raises(ValueError, match="negative"):
+            prime_implicants(0b1, -4, width)
+
+    def test_primes_of_passes_the_packed_masks(self, monkeypatch):
+        from repro.logic import quine_mccluskey
+
+        seen = []
+        real = quine_mccluskey.prime_implicants
+
+        def recording(on, dc, width):
+            seen.append((on, dc, width))
+            return real(on, dc, width)
+
+        monkeypatch.setattr(quine_mccluskey, "prime_implicants", recording)
+        f = BooleanFunction(
+            ("a", "b"), on=frozenset({0b01}), dc=frozenset({0b11})
+        )
+        assert primes_of(f) == [Cube.from_string("1-")]
+        assert seen == [(f.on_mask, f.dc_mask, 2)]

@@ -147,3 +147,55 @@ class TestValidation:
         assert summary.total == 5
         assert summary.state_errors == 0
         assert "5 cycles" in summary.describe()
+
+
+class TestPhaseBoundaries:
+    """Every hand-shake phase lands at its pinned time, on either engine.
+
+    A 24-step walk's clock, event count and full hand-shake waveform
+    (pins, ``VI``, ``G``, ``VOM``, state and outputs, as VCD) are
+    pinned.  They fix where the harness drives the pins, raises and
+    drops ``VI`` and waits, so a leaner hand-shake that moved any phase
+    boundary fails here; memo-off and memo-on must agree.
+    """
+
+    #: (machine, delay model) -> (final clock, events, VCD sha256 prefix)
+    PINNED = {
+        ("hazard_demo", "unit"): (29104.0, 622, "dced4f58b0edea71"),
+        ("hazard_demo", "loop-safe"): (
+            29260.873497486115, 632, "70eb9bb929dfb9fc",
+        ),
+        ("lion", "unit"): (29154.0, 721, "ccdf69a2307b0939"),
+        ("lion", "loop-safe"): (29325.10052907467, 716, "0016a1115f27417c"),
+    }
+
+    @pytest.mark.parametrize("engine", ["compiled", "ring"])
+    @pytest.mark.parametrize("name,model", sorted(PINNED))
+    def test_pinned_walk(self, name, model, engine):
+        import hashlib
+
+        from repro.sim.campaign import ENGINES
+        from repro.sim.delays import UnitDelay
+        from repro.sim.harness import (
+            build_timed_fantom,
+            expected_walk,
+            export_walk_vcd,
+        )
+
+        table = benchmark(name)
+        machine = build_timed_fantom(synthesize(table))
+        walk = random_legal_walk(table, 24, seed=3)
+        delays = UnitDelay() if model == "unit" else loop_safe_random(0)
+        harness = FantomHarness(machine, delays, ENGINES[engine])
+        for index, (column, step) in enumerate(
+            zip(walk, expected_walk(table, walk))
+        ):
+            assert harness.scored_apply_expected(column, step, index).clean
+        sim = harness.simulator
+        vcd = export_walk_vcd(machine, walk, delays, ENGINES[engine])
+        digest = hashlib.sha256(vcd.encode()).hexdigest()[:16]
+        assert (sim.now, sim.events_processed, digest) == self.PINNED[
+            name, model
+        ]
+        replays = sim.kernel_stats["cycle_replays"]
+        assert (replays > 0) == (engine == "ring")

@@ -278,3 +278,38 @@ class TestDelayModels:
     def test_nonpositive_delay_rejected(self):
         with pytest.raises(ValueError):
             RandomDelay(seed=0, gate_range=(0.0, 1.0))
+
+
+class TestSharedSetUp:
+    """Set-up memoised on the compiled program never leaks between keys."""
+
+    @staticmethod
+    def _and_gate():
+        nl = Netlist("and")
+        nl.add_input("a")
+        nl.add_input("b")
+        nl.add_gate("g", GateType.AND, ("a", "b"), "y")
+        return nl
+
+    @pytest.mark.parametrize("engine", ["compiled", "ring"])
+    def test_other_initial_values_get_their_own_counts(self, engine):
+        nl = self._and_gate()
+        factory = ENGINES[engine]
+        factory(nl, initial_values={"a": 1, "b": 1, "y": 1})
+        sim = factory(nl, initial_values={"a": 0, "b": 1, "y": 0})
+        sim.watch("y")
+        sim.schedule("a", 1, at=1.0)
+        sim.run(until=10.0)
+        assert sim.trace == [(2.0, "y", 1)]
+
+    @pytest.mark.parametrize("engine", ["compiled", "ring"])
+    def test_each_model_object_gets_its_own_resolution(self, engine):
+        nl = self._and_gate()
+        factory = ENGINES[engine]
+        initial = {"a": 0, "b": 1, "y": 0}
+        for unit in (1.0, 3.0, 1.0):
+            sim = factory(nl, UnitDelay(unit), initial_values=initial)
+            sim.watch("y")
+            sim.schedule("a", 1, at=1.0)
+            sim.run(until=10.0)
+            assert sim.trace == [(1.0 + unit, "y", 1)]
