@@ -47,17 +47,12 @@ only its covers differ) through
 is reduced and assigned once.  Each distinct Boolean function — keyed
 on its exact ``(on_mask, dc_mask, width)`` — has its bitset and
 reference primes and useful primes derived once per machine, in a map
-the logic and Huffman legs share.  The reference engine, the oracle,
-derives a function once per :func:`run_fuzz` run: a function that
-recurs on a later machine (about a fifth of them on the 100-machine
-corpus) takes its reference half from the run's bounded memo, while
-the bitset engine under test derives it again.  The logic leg compares
-all four and selects each engine's cover from its own useful primes;
-the Huffman leg compares the covers the baseline actually ships
-against the reference useful primes.  Every comparison still runs on
-every function of every machine; only the repeated derivations are
-gone.  The armed self-test reuses the clean machine the simulation leg
-already walked.
+the logic and Huffman legs share.  The logic leg compares all four and
+selects each engine's cover from its own useful primes; the Huffman
+leg compares the covers the baseline actually ships against the
+reference useful primes.  Every comparison still runs on every
+function; only the repeated derivations are gone.  The armed self-test
+reuses the clean machine the simulation leg already walked.
 """
 
 from __future__ import annotations
@@ -253,68 +248,34 @@ class _Derivation:
     slow_useful: list[Cube]
 
 
-#: A function's identity for derivation: ``(on_mask, dc_mask, width)``.
-_FunctionKey = tuple[int, int, int]
-
-#: One run's reference derivations (primes, useful primes) per exact
-#: function.  The reference engine is the oracle, a pure function of the
-#: exact function, so a function that recurs across a run's machines is
-#: derived by it once; the bitset engine under test still derives it on
-#: every machine.  Bounded: beyond :data:`REFERENCE_MEMO_LIMIT` entries
-#: the oldest goes.
-_References = dict[_FunctionKey, tuple[list[Cube], list[Cube]]]
-
-#: Distinct functions a run's reference memo keeps (a 100-machine corpus
-#: run has about 300).
-REFERENCE_MEMO_LIMIT = 4096
+#: One machine's derivations, keyed on the exact function
+#: ``(on_mask, dc_mask, width)``.  The logic and Huffman legs share it,
+#: so a function both legs see (every excitation, and each output whose
+#: ``as_specified`` and ``stable_only`` readings coincide) is derived
+#: once per machine.
+_Derivations = dict[tuple[int, int, int], _Derivation]
 
 
-class _Deriver:
-    """Both engines' derivations of one machine's functions.
-
-    The logic and Huffman legs share it, so a function both legs see
-    (every excitation, and each output whose ``as_specified`` and
-    ``stable_only`` readings coincide) is derived once per machine; the
-    reference half comes from the run's memo when an earlier machine
-    had the same function.
-    """
-
-    def __init__(self, references: _References):
-        self._derivations: dict[_FunctionKey, _Derivation] = {}
-        self._references = references
-
-    def __call__(self, fn: BooleanFunction) -> _Derivation:
-        key = (fn.on_mask, fn.dc_mask, fn.width)
-        entry = self._derivations.get(key)
-        if entry is None:
-            references = self._references
-            slow = references.get(key)
-            if slow is None:
-                slow_primes = ref.prime_implicants_reference(
-                    fn.on, fn.dc, fn.width
-                )
-                slow = (
-                    slow_primes,
-                    ref.useful_primes_reference(slow_primes, fn.on),
-                )
-                if len(references) >= REFERENCE_MEMO_LIMIT:
-                    del references[next(iter(references))]
-                references[key] = slow
-            fast_primes = primes_of(fn)
-            entry = self._derivations[key] = _Derivation(
-                fast_primes,
-                slow[0],
-                useful_primes(fast_primes, fn.on_mask),
-                slow[1],
-            )
-        return entry
+def _derive(fn: BooleanFunction, derivations: _Derivations) -> _Derivation:
+    key = (fn.on_mask, fn.dc_mask, fn.width)
+    entry = derivations.get(key)
+    if entry is None:
+        fast_primes = primes_of(fn)
+        slow_primes = ref.prime_implicants_reference(fn.on, fn.dc, fn.width)
+        entry = derivations[key] = _Derivation(
+            fast_primes,
+            slow_primes,
+            useful_primes(fast_primes, fn.on_mask),
+            ref.useful_primes_reference(slow_primes, fn.on),
+        )
+    return entry
 
 
 def _logic_findings(
     key: str,
     result,
     fingerprint: str,
-    derive: _Deriver,
+    derivations: _Derivations,
 ) -> list[Finding]:
     """Packed-bitset vs reference engine over every synthesised function."""
     findings: list[Finding] = []
@@ -327,7 +288,7 @@ def _logic_findings(
         for k, name in enumerate(result.table.outputs)
     ]
     for name, fn in functions:
-        derived = derive(fn)
+        derived = _derive(fn, derivations)
         if derived.fast_primes != derived.slow_primes:
             findings.append(
                 Finding(
@@ -378,7 +339,7 @@ def _huffman_findings(
     key: str,
     baseline: HuffmanResult,
     fingerprint: str,
-    derive: _Deriver,
+    derivations: _Derivations,
 ) -> list[Finding]:
     """The SIC baseline's shipped covers must equal the reference's.
 
@@ -401,7 +362,7 @@ def _huffman_findings(
         for k, name in enumerate(baseline.table.outputs)
     ]
     for name, fn, shipped in functions:
-        slow = derive(fn).slow_useful
+        slow = _derive(fn, derivations).slow_useful
         if shipped != tuple(slow):
             findings.append(
                 Finding(
@@ -654,37 +615,19 @@ def fuzz_table(
     flag through the CLI.
     """
     _check_steps(steps)
+    key = key if key is not None else table.name
     if selftest is None:
         selftest = selftest_enabled()
-    return _fuzz_machine(
-        table,
-        key if key is not None else table.name,
-        models,
-        steps,
-        walk_seed,
-        selftest,
-        {},
-    )
-
-
-def _fuzz_machine(
-    table: FlowTable,
-    key: str,
-    models: tuple[str, ...],
-    steps: int,
-    walk_seed: int,
-    selftest: bool,
-    references: _References,
-) -> list[Finding]:
-    """:func:`fuzz_table` with the run's reference memo."""
     fingerprint = corpus_fingerprint(table)
     result = synthesize(table)
-    derive = _Deriver(references)
-    findings = _logic_findings(key, result, fingerprint, derive)
+    # The logic and Huffman legs share one derivation per distinct
+    # function; the map lives only as long as this machine.
+    derivations: _Derivations = {}
+    findings = _logic_findings(key, result, fingerprint, derivations)
     baseline = huffman_from_assignment(
         table, result.table, result.assignment
     )
-    findings += _huffman_findings(key, baseline, fingerprint, derive)
+    findings += _huffman_findings(key, baseline, fingerprint, derivations)
     machine = build_timed_fantom(result)
     walk = random_legal_walk(table, steps, seed=walk_seed)
     findings += _sim_findings(
@@ -757,7 +700,6 @@ def run_fuzz(
     if selftest is None:
         selftest = selftest_enabled()
     report = FuzzReport()
-    references: _References = {}
     spec = PipelineSpec()
     started = time.perf_counter()
     for source in sources:
@@ -787,8 +729,13 @@ def run_fuzz(
             ]
             report.store_hits += 1
         else:
-            findings = _fuzz_machine(
-                table, key, models, steps, walk_seed, selftest, references
+            findings = fuzz_table(
+                table,
+                key=key,
+                models=models,
+                steps=steps,
+                walk_seed=walk_seed,
+                selftest=selftest,
             )
             if store is not None:
                 import json

@@ -50,11 +50,32 @@ def popcount(bits: int) -> int:
     return bits.bit_count()
 
 
+#: Members below this fold straight into one int (at most 64 words to
+#: copy per member); higher ones are packed through a byte bitmap.
+_FOLD_LIMIT = 1 << 12
+
+
 def mask_of(members: Iterable[int]) -> int:
-    """Pack an iterable of non-negative ints into one bitset int."""
+    """Pack an iterable of non-negative ints into one bitset int.
+
+    Folding ``1 << m`` into one growing int copies that int per member,
+    quadratic on a wide space, so members at or above
+    :data:`_FOLD_LIMIT` are set in a byte bitmap that becomes an int
+    once: the packing is linear in the members and the space.  A
+    negative member raises :class:`ValueError`.
+    """
     bits = 0
+    high = []
     for m in members:
-        bits |= 1 << m
+        if m < _FOLD_LIMIT:
+            bits |= 1 << m
+        else:
+            high.append(m)
+    if high:
+        bitmap = bytearray((max(high) >> 3) + 1)
+        for m in high:
+            bitmap[m >> 3] |= 1 << (m & 7)
+        bits |= int.from_bytes(bitmap, "little")
     return bits
 
 

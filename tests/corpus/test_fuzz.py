@@ -201,6 +201,24 @@ class TestLegsStillCompare:
         assert "logic-primes" in found
         assert "huffman-cover" in found
 
+    @pytest.mark.parametrize("check", ["logic-useful", "huffman-cover"])
+    def test_shrink_predicates_run_the_legs(self, monkeypatch, check):
+        # The shrinker re-runs the logic and Huffman legs on their own,
+        # with fresh derivation maps.
+        from repro.corpus.shrink import finding_predicate
+        from repro.logic import _reference
+
+        table = generate(self.KEY)
+        predicate = finding_predicate(check)
+        assert not predicate(table)
+        real = _reference.useful_primes_reference
+        monkeypatch.setattr(
+            _reference,
+            "useful_primes_reference",
+            lambda primes, on: real(primes, on)[:-1],
+        )
+        assert predicate(table)
+
     def test_dropped_reference_useful_prime(self, monkeypatch):
         from repro.logic import _reference
 
@@ -301,60 +319,6 @@ class TestLegsStillCompare:
         assert {
             (f.check, f.engine) for f in findings if f.check != "trace"
         } == {("dirty-cell", "ring")}
-
-
-class TestReferenceMemo:
-    """The oracle derives a function once per run; every check still runs.
-
-    Two identical machines in one run share every function: the second
-    takes the reference half of each derivation from the run's memo,
-    while the bitset engine under test derives it again and is compared
-    again.
-    """
-
-    KEY = "corpus:random-flow:2"
-
-    def _run(self, monkeypatch, copies, fault=None):
-        from repro.corpus import fuzz
-        from repro.logic import _reference, quine_mccluskey
-
-        table = generate(self.KEY)
-        result = api.synthesize(table)
-        monkeypatch.setattr(fuzz, "synthesize", lambda _table: result)
-        calls = {"reference": 0, "bitset": 0}
-        real_reference = _reference.prime_implicants_reference
-        real_bitset = quine_mccluskey.prime_implicants
-
-        def reference(on, dc, width):
-            calls["reference"] += 1
-            return real_reference(on, dc, width)
-
-        def bitset(on, dc, width):
-            calls["bitset"] += 1
-            primes = real_bitset(on, dc, width)
-            return primes if fault is None else fault(primes)
-
-        monkeypatch.setattr(
-            _reference, "prime_implicants_reference", reference
-        )
-        monkeypatch.setattr(quine_mccluskey, "prime_implicants", bitset)
-        report = run_fuzz([table] * copies, models=("unit",), steps=4)
-        monkeypatch.undo()
-        return report, calls
-
-    def test_recurring_functions_skip_only_the_oracle(self, monkeypatch):
-        one, once = self._run(monkeypatch, 1)
-        two, twice = self._run(monkeypatch, 2)
-        assert one.findings == two.findings == []
-        assert twice["reference"] == once["reference"] > 0
-        assert twice["bitset"] == 2 * once["bitset"]
-
-    def test_each_machine_still_compares(self, monkeypatch):
-        one, _ = self._run(monkeypatch, 1, fault=lambda primes: primes[1:])
-        two, _ = self._run(monkeypatch, 2, fault=lambda primes: primes[1:])
-        per_machine = [f.check for f in one.findings]
-        assert "logic-primes" in per_machine
-        assert [f.check for f in two.findings] == per_machine * 2
 
 
 class TestSimLeg:

@@ -1,5 +1,7 @@
 """Unit tests for the packed-bitset substrate of the logic engine."""
 
+import random
+
 import pytest
 
 from repro.logic.bitset import (
@@ -18,6 +20,26 @@ class TestRawHelpers:
     def test_mask_of_round_trips_through_iter_bits(self):
         members = {0, 3, 17, 64, 200}
         assert set(iter_bits(mask_of(members))) == members
+
+    @pytest.mark.parametrize("space", [1, 64, 4096, 4097, 1 << 16, 1 << 22])
+    def test_mask_of_equals_the_plain_fold(self, space):
+        # Both sides of the fold/bitmap split, in any order, repeats and
+        # a one-shot generator included.
+        rng = random.Random(space)
+        for count in (0, 1, 5, 300):
+            members = [rng.randrange(space) for _ in range(count)]
+            members += members[: count // 3]
+            fold = 0
+            for m in members:
+                fold |= 1 << m
+            assert mask_of(members) == fold
+            assert mask_of(iter(members)) == fold
+            assert mask_of(frozenset(members)) == fold
+
+    @pytest.mark.parametrize("members", [[-1], [5, -3], [1 << 20, -1]])
+    def test_mask_of_rejects_negative_members(self, members):
+        with pytest.raises(ValueError):
+            mask_of(members)
 
     def test_iter_bits_is_increasing(self):
         assert list(iter_bits(mask_of([5, 1, 9, 2]))) == [1, 2, 5, 9]
