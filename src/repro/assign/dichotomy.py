@@ -17,22 +17,27 @@ Two facts drive the algorithm:
   whole (unions of lefts and rights stay disjoint), so maximal merged
   dichotomies are maximal cliques of the pairwise-compatibility graph.
 
-Two more facts make the clique enumeration cheap:
+Two more facts make the clique search cheap:
 
-* **Mirror pairs.**  Reversing every orientation maps the graph onto
-  itself, and a seed is never compatible with its own reverse.  So the
-  maximal cliques come in mirror pairs with the same canonical merge,
-  and it is enough to enumerate the cliques whose lowest seed appears in
-  its given orientation.
-* **Coverage by maximality.**  A maximal clique with merge ``(L; R)``
-  holds every orientation whose blocks lie inside ``L`` and ``R`` — any
-  such orientation is compatible with all its members.  So the merge
-  covers a seed exactly when the clique holds one of its orientations,
-  and the coverage needs no pass over candidates and seeds.
+* **A merge is fixed by its blocks.**  A maximal clique with merge
+  ``(L; R)`` holds exactly the orientations whose blocks lie inside
+  ``L`` and ``R`` — any such orientation is compatible with all its
+  members.  So the search runs over *states* (17 on the largest chain
+  table in the benchmarks) rather than seed orientations (296 there):
+  each state goes into ``L``, ``R`` or neither, the first one placed
+  into ``L`` (the canonical side, so each mirror pair is met once),
+  and exact cuts on maximality, support and weight prune the tree
+  (:func:`heaviest_merges`).
+* **Coverage by maximality.**  The same fact gives the coverage: the
+  merge covers a seed exactly when the clique holds one of its
+  orientations, and it needs no pass over candidates and seeds.
 
+The set-up's pair tests (which orientations merge, which seed holds
+another) are ANDs and ORs over :func:`state_incidence` rows, so the
+set-up is linear in the blocks rather than quadratic in the seeds.
 Past a few dozen seeds there are thousands of maximal merges, and the
 greedy cover keeps a handful; :func:`greedy_merge_cover` finds those
-with one maximum-weight clique search per chosen merge instead.
+with one maximum-weight search per chosen merge instead.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import StateAssignmentError
-from ..logic.bitset import iter_bits
+from ..logic.bitset import iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -148,11 +153,9 @@ def merged_dichotomy_masks(
     the blocks sort.
     """
     # With no vertex weighted, every maximal clique is a heaviest one.
-    found = heaviest_merges(
+    return heaviest_merges(
         orientation_graph(seeds, bit_of), 0, roots=(1 << 2 * len(seeds)) - 1
     )
-    found.sort(key=merge_key)
-    return found
 
 
 def merge_key(merge: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -170,6 +173,9 @@ def orientation_graph(
     blocks packed by :func:`block_mask`.  ``compatible[v]`` is the
     vertex bitset of the orientations that merge with ``v``: their left
     block avoids ``v``'s right block and their right block ``v``'s left.
+    It is the complement of the :func:`state_incidence` rows of ``v``'s
+    states, so the graph costs one pass over the blocks, not one test
+    per vertex pair.
     """
     lefts: list[int] = []
     rights: list[int] = []
@@ -178,15 +184,41 @@ def orientation_graph(
         right = block_mask(seed.right, bit_of)
         lefts += (left, right)
         rights += (right, left)
-    n = len(lefts)
-    compatible = [0] * n
-    for i in range(n):
-        li, ri = lefts[i], rights[i]
-        for j in range(i + 1, n):
-            if not (li & rights[j]) and not (ri & lefts[j]):
-                compatible[i] |= 1 << j
-                compatible[j] |= 1 << i
+    on_left, on_right = state_incidence(lefts, rights)
+    every = (1 << len(lefts)) - 1
+    compatible = []
+    for v, (left, right) in enumerate(zip(lefts, rights)):
+        clash = 1 << v
+        for s in iter_bits(right):
+            clash |= on_left[s]
+        for s in iter_bits(left):
+            clash |= on_right[s]
+        compatible.append(every ^ clash)
     return lefts, rights, compatible
+
+
+def state_incidence(
+    lefts: list[int], rights: list[int]
+) -> tuple[list[int], list[int]]:
+    """``(on_left, on_right)``: per state, the bitset of the blocks that
+    hold it.
+
+    Bit ``v`` of ``on_left[s]`` is set when state ``s`` lies in
+    ``lefts[v]``, and of ``on_right[s]`` when it lies in ``rights[v]``.
+    Both lists run over every state bit up to the highest one used.
+    """
+    top = 0
+    for left, right in zip(lefts, rights):
+        top |= left | right
+    on_left = [0] * top.bit_length()
+    on_right = [0] * top.bit_length()
+    for v, (left, right) in enumerate(zip(lefts, rights)):
+        bit = 1 << v
+        for s in iter_bits(left):
+            on_left[s] |= bit
+        for s in iter_bits(right):
+            on_right[s] |= bit
+    return on_left, on_right
 
 
 def heaviest_merges(
@@ -194,7 +226,8 @@ def heaviest_merges(
     weighted: int,
     roots: int,
 ) -> list[tuple[int, int, int]]:
-    """The canonical maximal merges of greatest weight, unsorted.
+    """The canonical maximal merges of greatest weight, in
+    :func:`merge_key` order.
 
     A clique weighs the number of its vertices in the bitset
     ``weighted``.  Of the canonical maximal cliques that hold a vertex
@@ -206,85 +239,94 @@ def heaviest_merges(
     root, that is every maximal clique, each in the orientation that
     holds its lowest vertex.
 
-    The search is Bron-Kerbosch with Tomita pivots on vertex bitsets,
-    started once per root seed ``k`` at vertex ``2k`` with the lower
-    roots' vertices excluded, so each clique is found once per mirror
-    pair.  It is pruned as in Tomita & Seki's MCQ: a node whose clique
-    weight plus a bound on what its candidate set can still add falls
-    *strictly* below the best weight so far is cut, so every tie
-    survives.  The bound is the size of a greedy colouring of the
-    weighted candidates: a clique takes at most one vertex per colour
-    class.
+    The search branches on states, not vertices: a maximal clique is
+    the set of orientations that lie *inside* its merge ``(L; R)``, so
+    it is fixed by its two blocks, and a table has far fewer states
+    than orientations.  States are decided in bit order, each put into
+    ``L``, ``R`` or neither; the first state placed goes to ``L``, the
+    canonical side, so each mirror pair is met once.  A node carries
+    ``dead``, the orientations with a decided state outside its block
+    (they can no longer lie inside), and ``clash``, the orientations
+    whose blocks meet the opposite blocks placed so far (they can no
+    longer merge).  Three exact cuts prune it:
+
+    1. **Maximality.**  An orientation whose states are all decided,
+       that merges with ``(L; R)`` but is not inside, would extend the
+       clique.
+    2. **Support.**  A state placed in ``L`` (or ``R``) needs an
+       orientation that is not dead and holds it on that side, or no
+       inside block reaches it.
+    3. **Weight.**  A node whose weighted seeds with an orientation not
+       yet dead fall *strictly* below the best weight so far is cut,
+       so every tie survives.
+
+    A leaf is a maximal merge when its inside set is non-empty, holds a
+    root, and its blocks' union is exactly ``(L; R)`` (closure: a state
+    can lose its support after it is placed).
     """
-    lefts, rights, compatible = graph
+    lefts, rights, _ = graph
+    on_left, on_right = state_incidence(lefts, rights)
+    last = len(on_left)
+    every = (1 << len(lefts)) - 1
+    even = every // 3  # bit 2k for every seed k
+    # decided[s]: the orientations whose states all lie below state s.
+    decided = [0] * (last + 1)
+    for v, (left, right) in enumerate(zip(lefts, rights)):
+        decided[(left | right).bit_length()] |= 1 << v
+    for s in range(last):
+        decided[s + 1] |= decided[s]
     found: list[tuple[int, int, int]] = []
     best = 0
 
-    def colours(p: int, need: int) -> int:
-        """Greedy colour classes of ``p``, counted up to ``need``."""
-        count = 0
-        while p:
-            count += 1
-            if count >= need:
-                break
-            q = p
-            while q:
-                low = q & -q
-                q &= ~(compatible[low.bit_length() - 1] | low)
-                p ^= low
-        return count
-
-    def expand(
-        clique: int, left: int, right: int, weight: int, p: int, x: int
+    def place(
+        s: int, left: tuple[int, ...], right: tuple[int, ...],
+        dead: int, clash: int,
     ) -> None:
         nonlocal best
-        if not p:
-            if not x and weight >= best:  # maximal and heavy enough
-                if weight > best:
-                    best = weight
-                    found.clear()
-                # Canonical puts the lowest state on the left.
-                if left & -left > right & -right:
-                    left, right = right, left
-                found.append((left, right, clique))
+        if dead & ~clash & decided[s]:  # cut 1
             return
-        need = best - weight
-        if need > 0 and colours(p & weighted, need) < need:
-            return
-        # Tomita pivot: the vertex of P | X with most neighbours in P.
-        # One in X adjacent to all of P leaves nothing to branch on.
-        size = p.bit_count()
-        most = -1
-        pool = p | x
-        while pool:
-            low = pool & -pool
-            nbrs = compatible[low.bit_length() - 1]
-            count = (nbrs & p).bit_count()
-            if count > most:
-                most, skip = count, nbrs
-                if count == size:
+        if best:  # cut 3
+            alive = weighted & ~dead
+            if ((alive | alive >> 1) & even).bit_count() < best:
+                return
+        if s == last:
+            inside = every ^ dead
+            if not inside & roots:
+                return
+            for t in left:
+                if not on_left[t] & inside:
                     return
-            pool ^= low
-        branch = p & ~skip
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            nbrs = compatible[v]
-            expand(clique | low, left | lefts[v], right | rights[v],
-                   weight + (weighted >> v & 1), p & nbrs, x & nbrs)
-            p ^= low
-            x |= low
-            branch ^= low
+            for t in right:
+                if not on_right[t] & inside:
+                    return
+            # Cut 3 let no lighter leaf through.
+            heavy = inside & weighted
+            weight = ((heavy | heavy >> 1) & even).bit_count()
+            if weight > best:
+                best = weight
+                found.clear()
+            lowest = inside & roots
+            if not lowest & -lowest & even:  # hold the root's even vertex
+                inside = (inside & even) << 1 | (inside >> 1) & even
+            found.append((left, right, inside))
+            return
+        into_left, into_right = on_left[s], on_right[s]
+        # Cut 2 on each placement; "neither" kills both rows.
+        gone = dead | into_right
+        if into_left & ~gone:
+            place(s + 1, left + (s,), right, gone, clash | into_right)
+        if left:
+            gone = dead | into_left
+            if into_right & ~gone:
+                place(s + 1, left, right + (s,), gone, clash | into_left)
+        place(s + 1, left, right, dead | into_left | into_right, clash)
 
-    # A clique and its mirror image have the same canonical merge, so
-    # each root seed starts in its given orientation only.
-    even = (1 << len(lefts)) // 3  # bit 2k for every seed k
-    for v in iter_bits(roots & even):
-        nbrs = compatible[v]
-        lower = nbrs & roots & ((1 << v) - 1)
-        expand(1 << v, lefts[v], rights[v], weighted >> v & 1,
-               nbrs ^ lower, lower)
-    return found
+    place(0, (), (), 0, 0)
+    found.sort()  # state positions sort as merge_key's do
+    return [
+        (mask_of(left), mask_of(right), clique)
+        for left, right, clique in found
+    ]
 
 
 def greedy_merge_cover(
@@ -353,10 +395,11 @@ def greedy_merge_cover(
     while uncovered:
         weighted = uncovered | uncovered << 1
         heaviest = heaviest_merges(graph, weighted, weighted)
-        # Lowest key per distinct useful mask; the first key whose mask
-        # has no strict superset among the others is undominated.
+        # Lowest key per distinct useful mask (the merges come in key
+        # order); the first key whose mask has no strict superset among
+        # the others is undominated.
         first: dict[int, tuple[int, int, int]] = {}
-        for merge in sorted(heaviest, key=merge_key):
+        for merge in heaviest:
             first.setdefault(seeds_of(merge[2]) & core, merge)
         masks = list(first)
         for mask, merge in first.items():

@@ -13,7 +13,10 @@ The algorithm, following Tracey (1966) as the paper cites:
 
 2. **Merged dichotomies.**  Maximal merges of compatible seed
    orientations (:func:`~repro.assign.dichotomy.merged_dichotomy_masks`)
-   are the candidate state variables; each covers the seeds its clique holds.
+   are the candidate state variables; each covers the seeds its clique
+   holds.  A maximal merge is fixed by its blocks ``(L; R)``, so they
+   are found by branch-and-bound over the states, each put into ``L``,
+   ``R`` or neither (:func:`~repro.assign.dichotomy.heaviest_merges`).
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
@@ -23,7 +26,9 @@ The algorithm, following Tracey (1966) as the paper cites:
    greedily otherwise.  Above :data:`SEARCH_ABOVE_SEEDS` seeds the merges
    are not enumerated at all:
    :func:`~repro.assign.dichotomy.greedy_merge_cover` finds the same
-   greedy cover one maximum-weight clique search per chosen merge.
+   greedy cover with one state search per chosen merge, which keeps
+   only the merges of greatest weight (seeds still uncovered) and cuts
+   every branch that cannot reach it.
 
 4. **Code construction.**  Chosen dichotomy ``i`` becomes variable
    ``y{i+1}``: 0 on its left block, 1 on its right block.  States in
@@ -47,6 +52,7 @@ from .dichotomy import (
     greedy_merge_cover,
     merged_dichotomy_masks,
     state_bits,
+    state_incidence,
 )
 from .encoding import StateEncoding
 
@@ -120,15 +126,23 @@ def absorb_seeds(seeds: list[Dichotomy]) -> list[Dichotomy]:
     for d in seeds:
         left, right = block_mask(d.left, bit_of), block_mask(d.right, bit_of)
         first.setdefault(min((left, right), (right, left)), d)
+    # Seed j holds seed i when i's blocks lie in j's, in the same
+    # orientation (``same``) or swapped (``opposite``): one AND of
+    # incidence rows per state of i.
+    on_left, on_right = state_incidence(
+        [left for left, _ in first], [right for _, right in first]
+    )
+    every = (1 << len(first)) - 1
     kept: list[Dichotomy] = []
-    for (al, ar), d in first.items():
-        for bl, br in first:
-            inside = (al | bl == bl and ar | br == br) or (
-                al | br == br and ar | bl == bl
-            )
-            if inside and (al, ar) != (bl, br):
-                break
-        else:
+    for i, ((left, right), d) in enumerate(first.items()):
+        same = opposite = every
+        for s in iter_bits(left):
+            same &= on_left[s]
+            opposite &= on_right[s]
+        for s in iter_bits(right):
+            same &= on_right[s]
+            opposite &= on_left[s]
+        if same | opposite == 1 << i:  # only seed i holds seed i
             kept.append(d)
     return kept
 
@@ -146,14 +160,16 @@ def assign_states(
     The cover is built one of two ways, by a rule on the input: a table
     with more than :data:`SEARCH_ABOVE_SEEDS` (64) seeds after
     :func:`absorb_seeds` takes
-    :func:`~repro.assign.dichotomy.greedy_merge_cover`, which searches
-    the greedy cover clique by clique and reports ``exact`` false unless
-    the essential merges alone cover every seed.  Every other table
-    enumerates all maximal merges and covers them with
-    :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
+    :func:`~repro.assign.dichotomy.greedy_merge_cover`, which finds
+    the greedy cover merge by merge, each by a weighted branch-and-bound
+    over the states, and reports ``exact`` false unless the essential
+    merges alone cover every seed.  Every other table enumerates all
+    maximal merges with the unweighted state search and covers them
+    with :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
     cover goes greedy, the search chooses the same merges; the search
-    never runs the exact branch-and-bound.  For scale: lion9 has 42
-    seeds, train11 58, the 13- to 17-state chain tables 80-148.
+    never runs the set cover's exact branch-and-bound.  For scale:
+    lion9 has 42 seeds, train11 58, the 13- to 17-state chain tables
+    80-148.
 
     A single-state table degenerates to one variable constant 0 (some
     feedback signal must exist for the architecture to instantiate).

@@ -121,7 +121,7 @@ class TestEndToEnd:
 
         machine = build_fantom(synthesize(benchmark("hazard_demo")))
         harness = FantomHarness(machine, delays=loop_safe_random(0))
-        harness.simulator.watch("fsv", "SSD", *machine.state_nets)
+        harness.simulator.watch("G", "fsv", "SSD", *machine.state_nets)
         table = machine.result.table
         harness.apply(table.column_of("01"))
         harness.apply(table.column_of("11"))
