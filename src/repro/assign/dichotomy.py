@@ -27,7 +27,7 @@ Two more facts make the clique search cheap:
   each state goes into ``L``, ``R`` or neither, the first one placed
   into ``L`` (the canonical side, so each mirror pair is met once),
   and exact cuts on maximality, support and weight prune the tree
-  (:func:`heaviest_merges`).
+  (:meth:`StateSearch.heaviest`).
 * **Coverage by maximality.**  The same fact gives the coverage: the
   merge covers a seed exactly when the clique holds one of its
   orientations, and it needs no pass over candidates and seeds.
@@ -35,9 +35,24 @@ Two more facts make the clique search cheap:
 The set-up's pair tests (which orientations merge, which seed holds
 another) are ANDs and ORs over :func:`state_incidence` rows, so the
 set-up is linear in the blocks rather than quadratic in the seeds.
+
 Past a few dozen seeds there are thousands of maximal merges, and the
-greedy cover keeps a handful; :func:`greedy_merge_cover` finds those
-with one maximum-weight search per chosen merge instead.
+greedy cover keeps a handful; :func:`greedy_merge_cover` finds each
+without listing the others (:meth:`StateSearch.greedy_round`), by two
+more facts:
+
+* **A. A maximal merge is fixed by its left block.**  ``R`` is the
+  union of the right blocks of the orientations whose left block lies
+  in ``L`` and whose right block avoids it.  Walking the left blocks in
+  lexicographic order of their sorted states meets the merges in
+  :func:`merge_key` order.
+* **B. Superset masks are heaviest too.**  A merge whose seeds strictly
+  contain a heaviest merge's is itself a heaviest merge, so "is this
+  merge dominated?" is one search for a clique covering its seeds and
+  one more.
+
+So a round finds the greatest weight, walks the left blocks in key
+order, and stops at the first heaviest merge that no clique dominates.
 """
 
 from __future__ import annotations
@@ -152,10 +167,9 @@ def merged_dichotomy_masks(
     the list is sorted by :func:`merge_key`, as the state-name lists of
     the blocks sort.
     """
+    search = StateSearch(*orientation_blocks(seeds, bit_of))
     # With no vertex weighted, every maximal clique is a heaviest one.
-    return heaviest_merges(
-        orientation_graph(seeds, bit_of), 0, roots=(1 << 2 * len(seeds)) - 1
-    )
+    return search.heaviest(0, search.every)
 
 
 def merge_key(merge: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -164,19 +178,12 @@ def merge_key(merge: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_bits(merge[0])), tuple(iter_bits(merge[1]))
 
 
-def orientation_graph(
+def orientation_blocks(
     seeds: list[Dichotomy], bit_of: dict[str, int]
-) -> tuple[list[int], list[int], list[int]]:
-    """``(lefts, rights, compatible)`` of the seed-orientation graph.
-
-    Vertex ``2k`` is ``seeds[k]`` and vertex ``2k+1`` its reverse, with
-    blocks packed by :func:`block_mask`.  ``compatible[v]`` is the
-    vertex bitset of the orientations that merge with ``v``: their left
-    block avoids ``v``'s right block and their right block ``v``'s left.
-    It is the complement of the :func:`state_incidence` rows of ``v``'s
-    states, so the graph costs one pass over the blocks, not one test
-    per vertex pair.
-    """
+) -> tuple[list[int], list[int]]:
+    """``(lefts, rights)`` of the seed orientations: vertex ``2k`` is
+    ``seeds[k]`` and vertex ``2k+1`` its reverse, with blocks packed by
+    :func:`block_mask`."""
     lefts: list[int] = []
     rights: list[int] = []
     for seed in seeds:
@@ -184,17 +191,20 @@ def orientation_graph(
         right = block_mask(seed.right, bit_of)
         lefts += (left, right)
         rights += (right, left)
-    on_left, on_right = state_incidence(lefts, rights)
-    every = (1 << len(lefts)) - 1
-    compatible = []
-    for v, (left, right) in enumerate(zip(lefts, rights)):
-        clash = 1 << v
-        for s in iter_bits(right):
-            clash |= on_left[s]
-        for s in iter_bits(left):
-            clash |= on_right[s]
-        compatible.append(every ^ clash)
-    return lefts, rights, compatible
+    return lefts, rights
+
+
+def orientation_graph(
+    seeds: list[Dichotomy], bit_of: dict[str, int]
+) -> tuple[list[int], list[int], list[int]]:
+    """``(lefts, rights, compatible)`` of the seed-orientation graph.
+
+    The blocks are :func:`orientation_blocks`, and ``compatible[v]`` is
+    the vertex bitset of the orientations that merge with ``v``
+    (:meth:`StateSearch.compatible`).
+    """
+    lefts, rights = orientation_blocks(seeds, bit_of)
+    return lefts, rights, StateSearch(lefts, rights).compatible()
 
 
 def state_incidence(
@@ -221,112 +231,282 @@ def state_incidence(
     return on_left, on_right
 
 
-def heaviest_merges(
-    graph: tuple[list[int], list[int], list[int]],
-    weighted: int,
-    roots: int,
-) -> list[tuple[int, int, int]]:
-    """The canonical maximal merges of greatest weight, in
-    :func:`merge_key` order.
+class StateSearch:
+    """The state-level merge searches over one family of orientations.
 
-    A clique weighs the number of its vertices in the bitset
-    ``weighted``.  Of the canonical maximal cliques that hold a vertex
-    of ``roots``, returns every one of the greatest weight, as ``(left,
-    right, clique)`` in the form of :func:`merged_dichotomy_masks`,
-    except that ``clique`` is the mirror image that holds the even
-    vertex of its lowest root seed.  Both bitsets hold both orientations
-    of a seed or neither.  With ``weighted == 0`` and every vertex a
-    root, that is every maximal clique, each in the orientation that
-    holds its lowest vertex.
-
-    The search branches on states, not vertices: a maximal clique is
-    the set of orientations that lie *inside* its merge ``(L; R)``, so
-    it is fixed by its two blocks, and a table has far fewer states
-    than orientations.  States are decided in bit order, each put into
-    ``L``, ``R`` or neither; the first state placed goes to ``L``, the
-    canonical side, so each mirror pair is met once.  A node carries
-    ``dead``, the orientations with a decided state outside its block
-    (they can no longer lie inside), and ``clash``, the orientations
-    whose blocks meet the opposite blocks placed so far (they can no
-    longer merge).  Three exact cuts prune it:
-
-    1. **Maximality.**  An orientation whose states are all decided,
-       that merges with ``(L; R)`` but is not inside, would extend the
-       clique.
-    2. **Support.**  A state placed in ``L`` (or ``R``) needs an
-       orientation that is not dead and holds it on that side, or no
-       inside block reaches it.
-    3. **Weight.**  A node whose weighted seeds with an orientation not
-       yet dead fall *strictly* below the best weight so far is cut,
-       so every tie survives.
-
-    A leaf is a maximal merge when its inside set is non-empty, holds a
-    root, and its blocks' union is exactly ``(L; R)`` (closure: a state
-    can lose its support after it is placed).
+    ``lefts[v]`` and ``rights[v]`` are the block masks of orientation
+    ``v``; vertex ``2k`` is a seed and ``2k+1`` its reverse, as
+    :func:`orientation_blocks` lays them out.  The per-state
+    :func:`state_incidence` rows and the tables derived from them are
+    built once here, so every round of a greedy cover shares them.
     """
-    lefts, rights, _ = graph
-    on_left, on_right = state_incidence(lefts, rights)
-    last = len(on_left)
-    every = (1 << len(lefts)) - 1
-    even = every // 3  # bit 2k for every seed k
-    # decided[s]: the orientations whose states all lie below state s.
-    decided = [0] * (last + 1)
-    for v, (left, right) in enumerate(zip(lefts, rights)):
-        decided[(left | right).bit_length()] |= 1 << v
-    for s in range(last):
-        decided[s + 1] |= decided[s]
-    found: list[tuple[int, int, int]] = []
-    best = 0
 
-    def place(
-        s: int, left: tuple[int, ...], right: tuple[int, ...],
-        dead: int, clash: int,
-    ) -> None:
-        nonlocal best
-        if dead & ~clash & decided[s]:  # cut 1
-            return
-        if best:  # cut 3
+    def __init__(self, lefts: list[int], rights: list[int]) -> None:
+        self.lefts, self.rights = lefts, rights
+        on_left, on_right = state_incidence(lefts, rights)
+        self.on_left, self.on_right = on_left, on_right
+        self.last = last = len(on_left)
+        self.every = (1 << len(lefts)) - 1
+        self.even = self.every // 3  # bit 2k for every seed k
+        # decided[s]: the orientations whose states all lie below state s;
+        # left_from[s]: the orientations with a left-block state at or
+        # above s.
+        decided = [0] * (last + 1)
+        for v, (left, right) in enumerate(zip(lefts, rights)):
+            decided[(left | right).bit_length()] |= 1 << v
+        for s in range(last):
+            decided[s + 1] |= decided[s]
+        left_from = [0] * (last + 1)
+        for s in reversed(range(last)):
+            left_from[s] = left_from[s + 1] | on_left[s]
+        self.decided, self.left_from = decided, left_from
+
+    def compatible(self) -> list[int]:
+        """Per orientation ``v``, the bitset of the orientations that
+        merge with it: their left block avoids ``v``'s right block and
+        their right block ``v``'s left.
+
+        It is the complement of the incidence rows of ``v``'s states,
+        so the graph costs one pass over the blocks, not one test per
+        vertex pair.
+        """
+        on_left, on_right, every = self.on_left, self.on_right, self.every
+        rows = []
+        for v, (left, right) in enumerate(zip(self.lefts, self.rights)):
+            clash = 1 << v
+            for s in iter_bits(right):
+                clash |= on_left[s]
+            for s in iter_bits(left):
+                clash |= on_right[s]
+            rows.append(every ^ clash)
+        return rows
+
+    def heaviest(
+        self, weighted: int, roots: int, ties: bool = True
+    ) -> list[tuple[int, int, int]]:
+        """The canonical maximal merges of greatest weight, in
+        :func:`merge_key` order.
+
+        A clique weighs the number of its vertices' seeds in the bitset
+        ``weighted``.  Of the canonical maximal cliques that hold a
+        vertex of ``roots``, returns every one of the greatest weight, as
+        ``(left, right, clique)`` in the form of
+        :func:`merged_dichotomy_masks`, except that ``clique`` is the
+        mirror image that holds the even vertex of its lowest root seed.
+        Both bitsets hold both orientations of a seed or neither.  With
+        ``weighted == 0`` and every vertex a root, that is every maximal
+        clique, each in the orientation that holds its lowest vertex.
+        With ``ties`` false, returns one merge of the greatest weight
+        and cuts every branch that cannot beat the best so far.
+
+        The search branches on states, not vertices: a maximal clique is
+        the set of orientations that lie *inside* its merge ``(L; R)``,
+        so it is fixed by its two blocks, and a table has far fewer
+        states than orientations.  States are decided in bit order, each
+        put into ``L``, ``R`` or neither; the first state placed goes to
+        ``L``, the canonical side, so each mirror pair is met once.  A
+        node carries ``dead``, the orientations with a decided state
+        outside its block (they can no longer lie inside), and
+        ``clash``, the orientations whose blocks meet the opposite
+        blocks placed so far (they can no longer merge).  Three exact
+        cuts prune it:
+
+        1. **Maximality.**  An orientation whose states are all decided,
+           that merges with ``(L; R)`` but is not inside, would extend
+           the clique.
+        2. **Support.**  A state placed in ``L`` (or ``R``) needs an
+           orientation that is not dead and holds it on that side, or no
+           inside block reaches it.
+        3. **Weight.**  A node whose weighted seeds with an orientation
+           not yet dead fall *strictly* below the best weight so far is
+           cut, so every tie survives (with ``ties`` false, a node that
+           cannot exceed the best is cut too).
+
+        A leaf is a maximal merge when its inside set is non-empty, holds
+        a root, and its blocks' union is exactly ``(L; R)`` (closure: a
+        state can lose its support after it is placed).
+        """
+        on_left, on_right, decided = self.on_left, self.on_right, self.decided
+        last, every, even = self.last, self.every, self.even
+        beat = 0 if ties else 1
+        found: list[tuple[int, int, int]] = []
+        best = 0
+
+        def place(
+            s: int, left: tuple[int, ...], right: tuple[int, ...],
+            dead: int, clash: int,
+        ) -> None:
+            nonlocal best
+            if dead & ~clash & decided[s]:  # cut 1
+                return
+            if best:  # cut 3
+                alive = weighted & ~dead
+                if ((alive | alive >> 1) & even).bit_count() < best + beat:
+                    return
+            if s == last:
+                inside = every ^ dead
+                if not inside & roots:
+                    return
+                for t in left:
+                    if not on_left[t] & inside:
+                        return
+                for t in right:
+                    if not on_right[t] & inside:
+                        return
+                # Cut 3 let no lighter leaf through.
+                heavy = inside & weighted
+                weight = ((heavy | heavy >> 1) & even).bit_count()
+                if weight > best:
+                    best = weight
+                    found.clear()
+                lowest = inside & roots
+                if not lowest & -lowest & even:  # hold the root's even vertex
+                    inside = (inside & even) << 1 | (inside >> 1) & even
+                found.append((left, right, inside))
+                return
+            into_left, into_right = on_left[s], on_right[s]
+            # Cut 2 on each placement; "neither" kills both rows.
+            gone = dead | into_right
+            if into_left & ~gone:
+                place(s + 1, left + (s,), right, gone, clash | into_right)
+            if left:
+                gone = dead | into_left
+                if into_right & ~gone:
+                    place(s + 1, left, right + (s,), gone, clash | into_left)
+            place(s + 1, left, right, dead | into_left | into_right, clash)
+
+        place(0, (), (), 0, 0)
+        found.sort()  # state positions sort as merge_key's do
+        return [
+            (mask_of(left), mask_of(right), clique)
+            for left, right, clique in found
+        ]
+
+    def greedy_round(self, weighted: int, core: int) -> tuple[int, int, int]:
+        """The merge a round of :func:`greedy_merge_cover` takes.
+
+        Of the canonical maximal merges of greatest weight (a vertex
+        weighs 1 when its seed's bits are in ``weighted``), returns the
+        lowest in :func:`merge_key` order whose seeds in ``core`` (seed
+        ``k`` as bit ``2k``) are no strict subset of another's, as
+        ``(left, right, clique)`` with ``clique`` the orientations inside
+        ``(left; right)``.  ``weighted`` must be non-zero and hold both
+        orientations of its seeds.
+
+        It finds that merge without listing the ties, by two facts:
+
+        * **A. A maximal merge is fixed by its left block.**  Its right
+          block is the union of the right blocks of the orientations
+          whose left block lies in ``L`` and whose right block avoids
+          it: each of them merges with every member of the clique, so
+          maximality puts it inside.  :func:`merge_key` compares left
+          blocks first, so the left blocks, walked as sorted tuples in
+          lexicographic order (a block before its extensions, each
+          extension by one state above its last), meet the merges in
+          key order.
+        * **B. A superset mask is heaviest too.**  A merge whose core
+          seeds strictly contain a heaviest merge's weighs at least as
+          much (the weighted seeds lie in ``core``), so it is a heaviest
+          merge itself; and any clique extends to a maximal one.
+
+        So the round takes the greatest weight from
+        :meth:`heaviest` without ties, walks the left blocks in key
+        order (cut where the weighted seeds still alive fall below it,
+        or where the state just added has no orientation left to hold
+        it), and at each heaviest maximal merge asks
+        :meth:`extends` whether a clique covers its core seeds and one
+        more.  The first merge for which none does is the answer.
+        """
+        on_left, on_right = self.on_left, self.on_right
+        last, every, even = self.last, self.every, self.even
+        left_from = self.left_from
+        dominated: dict[int, bool] = {}
+
+        def weight(dead: int) -> int:
+            """The weighted seeds with an orientation not in ``dead``."""
             alive = weighted & ~dead
-            if ((alive | alive >> 1) & even).bit_count() < best:
-                return
-        if s == last:
-            inside = every ^ dead
-            if not inside & roots:
-                return
-            for t in left:
-                if not on_left[t] & inside:
-                    return
-            for t in right:
-                if not on_right[t] & inside:
-                    return
-            # Cut 3 let no lighter leaf through.
-            heavy = inside & weighted
-            weight = ((heavy | heavy >> 1) & even).bit_count()
-            if weight > best:
-                best = weight
-                found.clear()
-            lowest = inside & roots
-            if not lowest & -lowest & even:  # hold the root's even vertex
-                inside = (inside & even) << 1 | (inside >> 1) & even
-            found.append((left, right, inside))
-            return
-        into_left, into_right = on_left[s], on_right[s]
-        # Cut 2 on each placement; "neither" kills both rows.
-        gone = dead | into_right
-        if into_left & ~gone:
-            place(s + 1, left + (s,), right, gone, clash | into_right)
-        if left:
-            gone = dead | into_left
-            if into_right & ~gone:
-                place(s + 1, left, right + (s,), gone, clash | into_left)
-        place(s + 1, left, right, dead | into_left | into_right, clash)
+            return ((alive | alive >> 1) & even).bit_count()
 
-    place(0, (), (), 0, 0)
-    found.sort()  # state positions sort as merge_key's do
-    return [
-        (mask_of(left), mask_of(right), clique)
-        for left, right, clique in found
-    ]
+        [top] = self.heaviest(weighted, weighted, ties=False)
+        best = weight(every ^ top[2])
+
+        def walk(
+            start: int, left: tuple[int, ...], dead: int
+        ) -> tuple[int, int, int] | None:
+            # ``left`` so far, every state below ``start`` decided, and
+            # ``dead`` the orientations that can no longer lie inside.
+            if left:
+                # The leaf: ``left`` is all of ``L``.
+                out = dead | left_from[start]
+                inside = every & ~out
+                if weight(out) == best and all(
+                    on_left[t] & inside for t in left
+                ):
+                    # Fact A gives R; then no merging orientation may
+                    # lie outside.
+                    right = clash = 0
+                    for t in left:
+                        clash |= on_right[t]
+                    for s in range(left[0] + 1, last):
+                        if on_right[s] & inside:
+                            right |= 1 << s
+                            clash |= on_left[s]
+                    if not every & ~clash & ~inside:
+                        mask = (inside | inside >> 1) & even & core
+                        if mask not in dominated:
+                            dominated[mask] = self.extends(mask, core)
+                        if not dominated[mask]:
+                            return mask_of(left), right, inside
+            for t in range(start, last):
+                into = dead | on_right[t]
+                if on_left[t] & ~into and weight(into) >= best:
+                    merge = walk(t + 1, left + (t,), into)
+                    if merge:
+                        return merge
+                # A state left out of L kills the orientations it would
+                # hold on the left; one below L's lowest state would
+                # also break canonical form on the right.
+                dead |= on_left[t] if left else on_left[t] | on_right[t]
+                if weight(dead) < best:
+                    break
+            return None
+
+        # Finitely many heaviest masks: one has no strict superset.
+        return walk(0, (), 0)
+
+    def extends(self, need: int, core: int) -> bool:
+        """Whether one clique covers every seed of ``need`` and at least
+        one more seed of ``core`` (seed ``k`` as bit ``2k``).
+
+        A state search like :meth:`heaviest`'s with no maximality or
+        weight: a node is cut once a seed of ``need``, or every other
+        seed of ``core``, has no orientation left alive, so a leaf is a
+        witness and the first one ends the search.
+        """
+        on_left, on_right = self.on_left, self.on_right
+        last, every, even = self.last, self.every, self.even
+        extra = core & ~need
+
+        def place(s: int, placed: bool, dead: int) -> bool:
+            alive = every & ~dead
+            alive = (alive | alive >> 1) & even
+            if need & ~alive or not extra & alive:
+                return False
+            if s == last:
+                return True
+            into_left, into_right = on_left[s], on_right[s]
+            # A mirror image covers the same seeds: the first state
+            # placed goes to the left.
+            gone = dead | into_right
+            if into_left & ~gone and place(s + 1, True, gone):
+                return True
+            if placed:
+                gone = dead | into_left
+                if into_right & ~gone and place(s + 1, True, gone):
+                    return True
+            return place(s + 1, placed, dead | into_left | into_right)
+
+        return place(0, False, 0)
 
 
 def greedy_merge_cover(
@@ -351,18 +531,23 @@ def greedy_merge_cover(
        they cover every seed the cover is minimum.
     2. **Greedy with dominance and ties.**  Each greedy round takes the
        largest gain among the undominated candidates, lowest candidate
-       index (that is, lowest :func:`merge_key`) first.  That is: let
-       ``M`` be every canonical maximal clique of the greatest weight,
-       where a vertex weighs 1 while its seed is uncovered
-       (:func:`heaviest_merges`).  Drop each member of ``M`` another
-       member dominates, by the static ``useful`` masks and the set
-       cover's predicate ``ui | uj == uj and (ui != uj or j < i)``, and
-       take the lowest key left.  ``M`` is enough: a dominator of a
-       largest-gain candidate gains at least as much, so it is in ``M``.
+       index (that is, lowest :func:`merge_key`) first.  That is: of
+       the canonical maximal merges of the greatest weight, where a
+       vertex weighs 1 while its seed is uncovered, drop each one whose
+       static ``useful`` mask another's strictly contains (a merge
+       with an equal mask and a lower key is taken before it), and take
+       the lowest key left.  A dominator of a largest-gain candidate
+       gains at least as much, so it is among them.
+       :meth:`StateSearch.greedy_round` finds that merge by walking
+       the left blocks in key order and stopping at the first
+       undominated one, without listing the ties.
+
+    The orientations' incidence rows and search tables are built once
+    (one :class:`StateSearch`) and every round reads them.
     """
-    graph = orientation_graph(seeds, bit_of)
-    lefts, rights, compatible = graph
-    even = (1 << len(compatible)) // 3
+    search = StateSearch(*orientation_blocks(seeds, bit_of))
+    lefts, rights, even = search.lefts, search.rights, search.even
+    compatible = search.compatible()
 
     def seeds_of(clique: int) -> int:
         """Seed ``k`` of the clique as bit ``2k``."""
@@ -390,23 +575,15 @@ def greedy_merge_cover(
         uncovered &= ~seeds_of(clique)
     exact = not uncovered
 
-    # Fact 2, one round per chosen merge.
-    core = uncovered  # the seeds the static ``useful`` masks keep
+    # Fact 2, one round per chosen merge; ``core`` is the seeds the
+    # static ``useful`` masks keep.
+    core = uncovered
     while uncovered:
-        weighted = uncovered | uncovered << 1
-        heaviest = heaviest_merges(graph, weighted, weighted)
-        # Lowest key per distinct useful mask (the merges come in key
-        # order); the first key whose mask has no strict superset among
-        # the others is undominated.
-        first: dict[int, tuple[int, int, int]] = {}
-        for merge in heaviest:
-            first.setdefault(seeds_of(merge[2]) & core, merge)
-        masks = list(first)
-        for mask, merge in first.items():
-            if not any(mask | m == m and m != mask for m in masks):
-                break
-        chosen.append(merge[:2])
-        uncovered &= ~seeds_of(merge[2])
+        left, right, clique = search.greedy_round(
+            uncovered | uncovered << 1, core
+        )
+        chosen.append((left, right))
+        uncovered &= ~seeds_of(clique)
 
     chosen.sort(key=merge_key)
     return chosen, exact

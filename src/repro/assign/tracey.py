@@ -16,7 +16,7 @@ The algorithm, following Tracey (1966) as the paper cites:
    are the candidate state variables; each covers the seeds its clique
    holds.  A maximal merge is fixed by its blocks ``(L; R)``, so they
    are found by branch-and-bound over the states, each put into ``L``,
-   ``R`` or neither (:func:`~repro.assign.dichotomy.heaviest_merges`).
+   ``R`` or neither (:meth:`~repro.assign.dichotomy.StateSearch.heaviest`).
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
@@ -26,9 +26,9 @@ The algorithm, following Tracey (1966) as the paper cites:
    greedily otherwise.  Above :data:`SEARCH_ABOVE_SEEDS` seeds the merges
    are not enumerated at all:
    :func:`~repro.assign.dichotomy.greedy_merge_cover` finds the same
-   greedy cover with one state search per chosen merge, which keeps
-   only the merges of greatest weight (seeds still uncovered) and cuts
-   every branch that cannot reach it.
+   greedy cover merge by merge: each round finds the greatest weight
+   (seeds still uncovered), walks the left blocks of the merges in key
+   order and stops at the first heaviest merge no other dominates.
 
 4. **Code construction.**  Chosen dichotomy ``i`` becomes variable
    ``y{i+1}``: 0 on its left block, 1 on its right block.  States in
@@ -161,11 +161,15 @@ def assign_states(
     with more than :data:`SEARCH_ABOVE_SEEDS` (64) seeds after
     :func:`absorb_seeds` takes
     :func:`~repro.assign.dichotomy.greedy_merge_cover`, which finds
-    the greedy cover merge by merge, each by a weighted branch-and-bound
-    over the states, and reports ``exact`` false unless the essential
-    merges alone cover every seed.  Every other table enumerates all
-    maximal merges with the unweighted state search and covers them
-    with :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
+    the greedy cover merge by merge and reports ``exact`` false unless
+    the essential merges alone cover every seed.  Each of its rounds
+    takes the greatest weight from a branch-and-bound over the states,
+    then walks the merges' left blocks in key order (a maximal merge
+    is fixed by its left block) and stops at the first heaviest merge
+    that no clique dominates, so it never lists the tied merges.
+    Every other table enumerates all maximal merges with the
+    unweighted state search and covers them with
+    :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
     cover goes greedy, the search chooses the same merges; the search
     never runs the set cover's exact branch-and-bound.  For scale:
     lion9 has 42 seeds, train11 58, the 13- to 17-state chain tables

@@ -1,16 +1,19 @@
 """Pairwise and Bron-Kerbosch oracles for the Tracey state search.
 
 :mod:`repro.assign.dichotomy` finds maximal merges by branch-and-bound
-over states and builds its orientation graph (and
+over states, builds its orientation graph (and
 :func:`~repro.assign.tracey.absorb_seeds` its containment test) from
-per-state incidence rows.  These are the independent searches the
-differential tests and the CI step hold it against: the pairwise loops
-over seeds and orientations, and a Bron-Kerbosch clique search over
-orientation vertices.  They are slow on purpose and live only here.
+per-state incidence rows, and finds each greedy round's merge by a
+key-ordered walk over left blocks.  These are the independent searches
+the differential tests and the CI step hold it against: the pairwise
+loops over seeds and orientations, a Bron-Kerbosch clique search over
+orientation vertices, and the set cover's greedy over every merge that
+search enumerates.  They are slow on purpose and live only here.
 """
 
-from repro.assign.dichotomy import block_mask, state_bits
+from repro.assign.dichotomy import block_mask, merge_key, state_bits
 from repro.logic.bitset import iter_bits
+from repro.util.setcover import minimum_set_cover
 
 
 def pairwise_graph(seeds, bit_of):
@@ -54,7 +57,8 @@ def pairwise_absorb(seeds):
 
 
 def bron_kerbosch_merges(graph, weighted, roots):
-    """``heaviest_merges`` by a clique search over orientation vertices.
+    """``StateSearch.heaviest`` by a clique search over orientation
+    vertices.
 
     Same contract, unsorted.  Bron-Kerbosch with Tomita pivots on
     vertex bitsets, started once per root seed ``k`` at vertex ``2k``
@@ -130,3 +134,27 @@ def bron_kerbosch_merges(graph, weighted, roots):
         expand(1 << v, lefts[v], rights[v], weighted >> v & 1,
                nbrs ^ lower, lower)
     return found
+
+
+def oracle_merges(graph, weighted, roots):
+    """The Bron-Kerbosch merges in the search's (``merge_key``) order."""
+    return sorted(bron_kerbosch_merges(graph, weighted, roots), key=merge_key)
+
+
+def oracle_candidates(seeds, bit_of):
+    """Every canonical maximal merge, by Bron-Kerbosch over the
+    pairwise graph: ``merged_dichotomy_masks`` with no state search."""
+    every = (1 << 2 * len(seeds)) - 1
+    return oracle_merges(pairwise_graph(seeds, bit_of), 0, every)
+
+
+def enumerated_greedy(seeds, candidates):
+    """The set cover's greedy cover of the seeds by ``candidates``
+    (``(left, right, clique)`` in ``merge_key`` order), as
+    ``greedy_merge_cover`` returns it."""
+    cover = minimum_set_cover(
+        set(range(len(seeds))),
+        [frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates],
+        exact=False,
+    )
+    return [candidates[i][:2] for i in cover.chosen], cover.exact

@@ -1,10 +1,10 @@
 """Differential pins for the searched Tracey greedy cover.
 
 :func:`~repro.assign.dichotomy.greedy_merge_cover` builds the greedy
-cover one maximum-weight clique search per chosen merge, without
-enumerating the maximal merges.  These tests hold it against the
-enumerate-then-cover path, check the two facts its docstring rests on,
-and pin the encoding of a chain table only the search makes cheap.
+cover one key-ordered search per chosen merge, without enumerating the
+maximal merges.  These tests hold it against the enumerate-then-cover
+path, check the two facts its docstring rests on, and pin the
+encodings of chain tables only the search makes cheap.
 """
 
 import hashlib
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assign.dichotomy import (
+    StateSearch,
     greedy_merge_cover,
-    heaviest_merges,
     merged_dichotomy_masks,
     orientation_graph,
     state_bits,
@@ -27,9 +27,9 @@ from repro.bench.suite import random_flow_table
 from repro.core.serialize import assignment_to_dict
 from repro.logic.bitset import iter_bits
 from repro.store.canonical import canonical_json
-from repro.util.setcover import minimum_set_cover
 
 from ..strategies import normal_mode_tables
+from .oracle import enumerated_greedy
 
 #: Tables on both sides of the search rule, all cheap to enumerate.
 NAMED = {
@@ -38,17 +38,6 @@ NAMED = {
     "rand13": lambda: random_flow_table(13),
     "rand14": lambda: random_flow_table(14),
 }
-
-
-def enumerated_greedy(seeds, bit_of):
-    """The greedy cover of every enumerated maximal merge."""
-    candidates = merged_dichotomy_masks(seeds, bit_of)
-    cover = minimum_set_cover(
-        set(range(len(seeds))),
-        [frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates],
-        exact=False,
-    )
-    return [candidates[i][:2] for i in cover.chosen], cover.exact
 
 
 def essential_seeds(seeds, bit_of):
@@ -78,7 +67,9 @@ def check(table, uniqueness=True):
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
     bit_of = state_bits(seeds)
     searched = greedy_merge_cover(seeds, bit_of)
-    assert searched == enumerated_greedy(seeds, bit_of)
+    assert searched == enumerated_greedy(
+        seeds, merged_dichotomy_masks(seeds, bit_of)
+    )
     assert closed_neighbourhood_cliques(seeds, bit_of) == essential_seeds(
         seeds, bit_of
     )
@@ -96,18 +87,21 @@ def test_search_matches_enumeration_on_named_tables(name):
 
 
 def test_heaviest_merges_are_the_heaviest_enumerated():
-    """Fact 2's ``M``: every canonical maximal merge of greatest weight."""
+    """Every canonical maximal merge of greatest weight, and without
+    ties one of them."""
     seeds = seed_dichotomies(random_flow_table(13))
     bit_of = state_bits(seeds)
-    graph = orientation_graph(seeds, bit_of)
+    search = StateSearch(*orientation_graph(seeds, bit_of)[:2])
     candidates = merged_dichotomy_masks(seeds, bit_of)
     for uncovered in (range(len(seeds)), range(20, 28), [7]):
         weighted = sum(3 << 2 * k for k in uncovered)
         weights = [(c & weighted).bit_count() for _, _, c in candidates]
-        heaviest = heaviest_merges(graph, weighted, weighted)
+        heaviest = search.heaviest(weighted, weighted)
         assert sorted(m[:2] for m in heaviest) == sorted(
             c[:2] for c, w in zip(candidates, weights) if w == max(weights)
         )
+        [top] = search.heaviest(weighted, weighted, ties=False)
+        assert top[:2] in {m[:2] for m in heaviest}
 
 
 def test_only_tables_above_64_seeds_take_the_search(monkeypatch):
@@ -134,4 +128,17 @@ def test_rand16_encoding_is_pinned():
     payload = canonical_json(assignment_to_dict(result)).encode()
     assert hashlib.sha256(payload).hexdigest() == (
         "4bb4bb9dd8117735ea652d08f6d38f9f7422acfd3db7755afd5978bbd9617556"
+    )
+
+
+def test_rand21_encoding_is_pinned():
+    """The 21-state chain's assignment, as the greedy round that listed
+    every tie gave it (about 1.5 s there)."""
+    result = assign_states(random_flow_table(21))
+    assert len(result.seeds) == 242
+    assert result.encoding.num_variables == 6
+    assert not result.exact
+    payload = canonical_json(assignment_to_dict(result)).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "f2079a5668ecb0abc08cd11cf39cc840079e215af613616d43d0b8e4918c121a"
     )
