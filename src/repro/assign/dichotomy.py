@@ -194,19 +194,6 @@ def orientation_blocks(
     return lefts, rights
 
 
-def orientation_graph(
-    seeds: list[Dichotomy], bit_of: dict[str, int]
-) -> tuple[list[int], list[int], list[int]]:
-    """``(lefts, rights, compatible)`` of the seed-orientation graph.
-
-    The blocks are :func:`orientation_blocks`, and ``compatible[v]`` is
-    the vertex bitset of the orientations that merge with ``v``
-    (:meth:`StateSearch.compatible`).
-    """
-    lefts, rights = orientation_blocks(seeds, bit_of)
-    return lefts, rights, StateSearch(lefts, rights).compatible()
-
-
 def state_incidence(
     lefts: list[int], rights: list[int]
 ) -> tuple[list[int], list[int]]:
@@ -282,22 +269,22 @@ class StateSearch:
         return rows
 
     def heaviest(
-        self, weighted: int, roots: int, ties: bool = True
+        self, weighted: int, roots: int
     ) -> list[tuple[int, int, int]]:
-        """The canonical maximal merges of greatest weight, in
+        """Canonical maximal merges of greatest weight, in
         :func:`merge_key` order.
 
         A clique weighs the number of its vertices' seeds in the bitset
         ``weighted``.  Of the canonical maximal cliques that hold a
-        vertex of ``roots``, returns every one of the greatest weight, as
+        vertex of ``roots``, returns ones of the greatest weight, as
         ``(left, right, clique)`` in the form of
         :func:`merged_dichotomy_masks`, except that ``clique`` is the
         mirror image that holds the even vertex of its lowest root seed.
-        Both bitsets hold both orientations of a seed or neither.  With
+        Both bitsets hold both orientations of a seed or neither.  When
+        that weight is positive, returns one merge of it (the first the
+        search meets); when it is zero, returns every one.  So with
         ``weighted == 0`` and every vertex a root, that is every maximal
         clique, each in the orientation that holds its lowest vertex.
-        With ``ties`` false, returns one merge of the greatest weight
-        and cuts every branch that cannot beat the best so far.
 
         The search branches on states, not vertices: a maximal clique is
         the set of orientations that lie *inside* its merge ``(L; R)``,
@@ -317,10 +304,9 @@ class StateSearch:
         2. **Support.**  A state placed in ``L`` (or ``R``) needs an
            orientation that is not dead and holds it on that side, or no
            inside block reaches it.
-        3. **Weight.**  A node whose weighted seeds with an orientation
-           not yet dead fall *strictly* below the best weight so far is
-           cut, so every tie survives (with ``ties`` false, a node that
-           cannot exceed the best is cut too).
+        3. **Weight.**  Once a leaf of positive weight is found, a node
+           whose weighted seeds with an orientation not yet dead cannot
+           exceed the best weight so far is cut.
 
         A leaf is a maximal merge when its inside set is non-empty, holds
         a root, and its blocks' union is exactly ``(L; R)`` (closure: a
@@ -328,7 +314,6 @@ class StateSearch:
         """
         on_left, on_right, decided = self.on_left, self.on_right, self.decided
         last, every, even = self.last, self.every, self.even
-        beat = 0 if ties else 1
         found: list[tuple[int, int, int]] = []
         best = 0
 
@@ -341,7 +326,7 @@ class StateSearch:
                 return
             if best:  # cut 3
                 alive = weighted & ~dead
-                if ((alive | alive >> 1) & even).bit_count() < best + beat:
+                if ((alive | alive >> 1) & even).bit_count() <= best:
                     return
             if s == last:
                 inside = every ^ dead
@@ -353,7 +338,8 @@ class StateSearch:
                 for t in right:
                     if not on_right[t] & inside:
                         return
-                # Cut 3 let no lighter leaf through.
+                # Cut 3 let no leaf through unless it is heavier, or
+                # every leaf so far weighs 0.
                 heavy = inside & weighted
                 weight = ((heavy | heavy >> 1) & even).bit_count()
                 if weight > best:
@@ -409,8 +395,8 @@ class StateSearch:
           much (the weighted seeds lie in ``core``), so it is a heaviest
           merge itself; and any clique extends to a maximal one.
 
-        So the round takes the greatest weight from
-        :meth:`heaviest` without ties, walks the left blocks in key
+        So the round takes the greatest weight from the one merge
+        :meth:`heaviest` returns, walks the left blocks in key
         order (cut where the weighted seeds still alive fall below it,
         or where the state just added has no orientation left to hold
         it), and at each heaviest maximal merge asks
@@ -427,7 +413,7 @@ class StateSearch:
             alive = weighted & ~dead
             return ((alive | alive >> 1) & even).bit_count()
 
-        [top] = self.heaviest(weighted, weighted, ties=False)
+        [top] = self.heaviest(weighted, weighted)
         best = weight(every ^ top[2])
 
         def walk(

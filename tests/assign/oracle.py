@@ -17,7 +17,9 @@ from repro.util.setcover import minimum_set_cover
 
 
 def pairwise_graph(seeds, bit_of):
-    """``orientation_graph`` by one compatibility test per vertex pair."""
+    """``(lefts, rights, compatible)`` of the seed-orientation graph:
+    ``orientation_blocks`` and ``StateSearch.compatible`` by one
+    compatibility test per vertex pair."""
     lefts: list[int] = []
     rights: list[int] = []
     for seed in seeds:
@@ -57,10 +59,12 @@ def pairwise_absorb(seeds):
 
 
 def bron_kerbosch_merges(graph, weighted, roots):
-    """``StateSearch.heaviest`` by a clique search over orientation
-    vertices.
+    """Every canonical maximal merge of greatest weight, by a clique
+    search over orientation vertices.
 
-    Same contract, unsorted.  Bron-Kerbosch with Tomita pivots on
+    ``StateSearch.heaviest``'s contract, unsorted, except that every
+    tie is returned (the state search returns one merge when the
+    greatest weight is positive).  Bron-Kerbosch with Tomita pivots on
     vertex bitsets, started once per root seed ``k`` at vertex ``2k``
     with the lower roots' vertices excluded, so each clique is found
     once per mirror pair.  A node whose clique weight plus the size of

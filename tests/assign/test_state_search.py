@@ -22,7 +22,7 @@ from repro.assign.dichotomy import (
     StateSearch,
     greedy_merge_cover,
     merged_dichotomy_masks,
-    orientation_graph,
+    orientation_blocks,
     state_bits,
     state_incidence,
 )
@@ -42,9 +42,13 @@ from .oracle import (
 
 
 def setup(table, uniqueness=True):
+    """The seeds, their state bits and ``(lefts, rights, compatible)``
+    of the orientation graph, in :func:`pairwise_graph`'s form."""
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
     bit_of = state_bits(seeds)
-    return seeds, bit_of, orientation_graph(seeds, bit_of)
+    lefts, rights = orientation_blocks(seeds, bit_of)
+    compatible = StateSearch(lefts, rights).compatible()
+    return seeds, bit_of, (lefts, rights, compatible)
 
 
 @given(normal_mode_tables(max_states=6), st.booleans())
@@ -60,6 +64,8 @@ def test_every_merge_matches_the_oracle(table, uniqueness):
 @given(normal_mode_tables(max_states=6), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_weighted_rounds_match_the_oracle(table, uniqueness, data):
+    """A weighted search returns one of the oracle's heaviest merges,
+    or every one of them when they weigh 0."""
     seeds, _, graph = setup(table, uniqueness)
     assume(seeds)
     indices = st.sets(st.integers(0, len(seeds) - 1), min_size=1)
@@ -71,9 +77,12 @@ def test_weighted_rounds_match_the_oracle(table, uniqueness, data):
             indices.map(lambda ks: sum(3 << 2 * k for k in ks)),
         )
     )
-    assert StateSearch(*graph[:2]).heaviest(weighted, roots) == oracle_merges(
-        graph, weighted, roots
-    )
+    found = StateSearch(*graph[:2]).heaviest(weighted, roots)
+    expected = oracle_merges(graph, weighted, roots)
+    if (expected[0][2] & weighted).bit_count():
+        assert len(found) == 1 and found[0] in expected
+    else:
+        assert found == expected
 
 
 def seeds_of(clique, even):
@@ -133,9 +142,8 @@ def test_every_merge_is_fixed_by_its_left_block(table, uniqueness):
 @given(normal_mode_tables(max_states=6), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_set_up_matches_the_pairwise_loops(table, uniqueness):
-    seeds = seed_dichotomies(table, uniqueness=uniqueness)
-    bit_of = state_bits(seeds)
-    assert orientation_graph(seeds, bit_of) == pairwise_graph(seeds, bit_of)
+    seeds, bit_of, graph = setup(table, uniqueness)
+    assert graph == pairwise_graph(seeds, bit_of)
     # Blocks repeat, nest and mirror each other before absorption.
     doubled = seeds + [seed.reversed() for seed in seeds]
     assert absorb_seeds(doubled) == pairwise_absorb(doubled)
