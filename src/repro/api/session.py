@@ -172,7 +172,6 @@ class Session:
         delay_models: tuple[str, ...] = ("loop-safe",),
         seed: int = 0,
         use_fsv: bool = True,
-        jobs: int = 1,
         engine: str | None = None,
     ):
         """Synthesise, build the FANTOM machine, run a validation campaign.
@@ -202,7 +201,6 @@ class Session:
             delay_models=delay_models,
             base_seed=seed,
             use_fsv=use_fsv,
-            jobs=jobs,
             spec=self._spec,
             engine=engine,
             store=self._store,

@@ -18,8 +18,8 @@ reproducible from a spec file alone.
 
 ``seance validate SPEC.kiss2``
     Build the gate-level FANTOM machine and dynamically validate it
-    against the flow-table semantics under randomised delays;
-    ``--jobs`` spreads the campaign's cells over worker processes.
+    against the flow-table semantics under randomised delays.  The
+    cells run serially; ``seance shard`` and ``seance work`` scale out.
 
 ``seance batch NAME|FILE ...``
     Synthesise many machines serially through the pass pipeline, with
@@ -230,7 +230,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def _build_campaign(args: argparse.Namespace, **settings):
     """The ValidationCampaign of a ``validate``, ``shard --campaign`` or
     ``queue publish --campaign`` command line; ``settings`` carries the
-    verb's own extras (``jobs``, ``store``, ``spec``)."""
+    verb's own extras (``store``, ``spec``)."""
     from .sim.campaign import ValidationCampaign
 
     requested = list(args.delay_models or [])
@@ -249,9 +249,7 @@ def _build_campaign(args: argparse.Namespace, **settings):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     tables = [_load_table(spec) for spec in args.specs]
-    campaign = _build_campaign(
-        args, jobs=args.jobs, store=_open_store(args)
-    )
+    campaign = _build_campaign(args, store=_open_store(args))
     report = campaign.run(tables)
     if args.json:
         from .store import canonical_campaign_payload, canonical_json
@@ -1083,14 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="delay model to sweep (repeatable): unit, loop-safe, "
         "skewed, hostile, corner (default loop-safe)",
-    )
-    val.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the validation cells (synthesis "
-        "runs serially)",
     )
     val.add_argument(
         "--engine",

@@ -80,6 +80,7 @@ from ..sim.harness import (
     validate_walk,
 )
 from ..store.keys import fuzz_key, table_digest
+from ..store.sharding import check_shard
 from .families import corpus_fingerprint, generate
 from .keys import CorpusKey, is_corpus_key, parse_key
 
@@ -690,13 +691,17 @@ def run_fuzz(
     :class:`~repro.flowtable.table.FlowTable` objects.  ``shard=(i,
     n)`` keeps only the machines whose table digest lands on shard
     ``i`` — the store's partitioning rule, so a fleet of workers
-    covers a corpus disjointly with no coordination.  With a
+    covers a corpus disjointly with no coordination; a shard outside
+    ``0 <= i < n`` raises :class:`~repro.errors.StoreError`.  With a
     ``store``, each machine's report is archived under its
     :func:`~repro.store.keys.fuzz_key` and warm machines are skipped.
     Findings on :data:`KNOWN_DIRTY` machines land in
     ``known_findings`` unless ``strict``.
     """
     _check_steps(steps)
+    if shard is not None:
+        index, count = shard
+        check_shard(count, index)
     if selftest is None:
         selftest = selftest_enabled()
     report = FuzzReport()
@@ -705,7 +710,6 @@ def run_fuzz(
     for source in sources:
         key, family, table = _resolve_source(source)
         if shard is not None:
-            index, count = shard
             if int(table_digest(table), 16) % count != index:
                 continue
         machine_started = time.perf_counter()

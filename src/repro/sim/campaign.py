@@ -8,7 +8,7 @@ handful of random walks under one delay model.  A
 compiled simulation kernel, and aggregates the per-cell
 :class:`~repro.sim.monitors.ValidationSummary` streams deterministically
 (cells are ordered table-major, then model, then seed — identical output
-for identical input regardless of ``jobs``).
+for identical input).
 
 Delay models are named (:data:`DELAY_MODELS`) so a campaign is
 reproducible from its textual configuration alone:
@@ -32,12 +32,12 @@ A campaign is a plan run by the one unit executor:
 :func:`~repro.store.sharding.execute_units` (as shards and queue workers
 do), and :meth:`~ValidationCampaign.assemble` builds the
 :class:`CampaignResult` from the units' outcomes — ``shard merge`` feeds
-it store reads instead.  Every cell runs through :func:`run_cells`,
-serially or, with ``jobs > 1``, over the one campaign process pool;
-that loop generates each (table, steps, seed) walk once and replays it
-under every delay model — fresh silicon per cell, same stimulus.
+it store reads instead.  Every cell runs serially through
+:func:`run_cells`, which generates each (table, steps, seed) walk once
+and replays it under every delay model — fresh silicon per cell, same
+stimulus.  Shards and queue workers are the way to scale out.
 
-Entry points: ``seance validate --sweep N --delay-model M --jobs J``,
+Entry points: ``seance validate --sweep N --delay-model M``,
 :meth:`repro.api.Session.validate`, and the ``verify`` pipeline pass
 (:mod:`repro.pipeline.passes`), which fails synthesis outright on a
 dirty machine.
@@ -99,10 +99,10 @@ DELAY_MODELS = {
     "corner": _corner_model,
 }
 
-#: Simulation kernels a campaign can drive, by name (picklable): one
-#: kernel with its cycle memo off (``compiled``) or on (``ring``).  The
-#: names are kept from when these were two classes, as every stored
-#: validation key and the pinned fuzz findings carry them.
+#: Simulation kernels a campaign can drive, by name: one kernel with its
+#: cycle memo off (``compiled``) or on (``ring``).  The names are kept
+#: from when these were two classes, as every stored validation key and
+#: the pinned fuzz findings carry them.
 ENGINES = {"compiled": partial(Simulator, replay=False), "ring": Simulator}
 
 
@@ -156,12 +156,12 @@ class Cell:
     use_fsv: bool
 
 
-def run_cells(build_machine, cells, store=None, models=None) -> list:
+def run_cells(build_machine, cells, store, models) -> list:
     """Run one machine's campaign cells, in order — the one cell loop.
 
     ``cells`` is a sequence of ``(cell, key)`` pairs: a :class:`Cell`
     and its validation :class:`~repro.store.keys.StoreKey` (``None``
-    without a ``store``).  For each cell:
+    when ``store`` is ``None``).  For each cell:
 
     1. a cell the store holds is replayed, not simulated;
     2. the walk and its reference step stream are computed once per
@@ -182,7 +182,6 @@ def run_cells(build_machine, cells, store=None, models=None) -> list:
     the first cell the store does not hold.  Returns one ``(summary,
     seconds, store_hit)`` triple per cell.
     """
-    models = {} if models is None else models
     machine = None
     walks: dict[tuple[int, int], tuple] = {}
     outcomes = []
@@ -267,9 +266,10 @@ class CampaignResult:
     """Deterministic aggregate of a whole campaign.
 
     ``cells`` is ordered table-major, then by delay model, then by seed
-    — the same stream for the same configuration no matter how many
-    worker processes ran it.  ``errors`` carries synthesis failures
-    (a failing table never aborts the campaign).
+    — the same stream for the same configuration, whether it ran
+    locally, over shards or through queue workers.  ``errors``
+    carries synthesis failures (a failing table never aborts the
+    campaign).
     """
 
     models: tuple[str, ...]
@@ -370,11 +370,6 @@ class ValidationCampaign:
         ``(tables, spec, sweep, steps, delay_models, base_seed)``.
     use_fsv:
         ``False`` builds the unprotected machines (hazard ablation).
-    jobs:
-        Worker processes for the validation cells, at least 1; 1 runs
-        them serially in-process.  Synthesis is always serial.  A pool
-        needs a store its workers can re-open (a directory or URL), so
-        with an in-memory store the cells run serially.
     spec:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
         phase (pass variants, options, stage cache).
@@ -405,7 +400,6 @@ class ValidationCampaign:
         delay_models: tuple[str, ...] = ("loop-safe",),
         base_seed: int = 0,
         use_fsv: bool = True,
-        jobs: int = 1,
         spec=None,
         engine: str | None = None,
         store=None,
@@ -416,8 +410,6 @@ class ValidationCampaign:
             raise SimulationError(f"sweep must be >= 1, got {sweep}")
         if steps < 1:
             raise SimulationError(f"steps must be >= 1, got {steps}")
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
         if not delay_models:
             raise SimulationError("a campaign needs at least one delay model")
         for model in delay_models:
@@ -432,7 +424,6 @@ class ValidationCampaign:
         self.delay_models = tuple(delay_models)
         self.base_seed = base_seed
         self.use_fsv = use_fsv
-        self.jobs = jobs
         self.spec = spec
         self.engine = engine
         from ..store.store import open_store
@@ -453,10 +444,10 @@ class ValidationCampaign:
 
     def run(self, tables) -> CampaignResult:
         """Plan ``tables``, execute the plan, assemble the result."""
-        from ..store.sharding import _execute
+        from ..store.sharding import execute_units
 
         units = self.units(tables)
-        stats = _execute(list(units), self.store, self.jobs)
+        stats = execute_units(units, self.store)
         return self.assemble(units, stats.outcomes)
 
     def run_names(self, names) -> CampaignResult:
@@ -486,9 +477,7 @@ class ValidationCampaign:
             )
             for index, machine in enumerate(machines)
         ]
-        return self.assemble(
-            units, _validate_machines(groups, self.store, self.jobs)
-        )
+        return self.assemble(units, _validate_machines(groups, self.store))
 
     def assemble(self, units, outcomes) -> CampaignResult:
         """The :class:`CampaignResult` of a plan and its outcomes.

@@ -38,7 +38,6 @@ CLI: ``seance shard plan | run --shard i/N | merge`` (see
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 from collections import Counter
@@ -54,10 +53,18 @@ from .keys import StoreKey, synthesis_key, validation_key
 from .store import ResultStore
 
 
-def shard_of(key: StoreKey, shards: int) -> int:
-    """The shard a key's work lands on (content-hash partition)."""
+def check_shard(shards: int, shard: int = 0) -> None:
+    """Reject a shard count below 1 or a shard index outside
+    ``0..shards - 1`` with :class:`~repro.errors.StoreError`."""
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
+    if not 0 <= shard < shards:
+        raise StoreError(f"shard index {shard} out of range 0..{shards - 1}")
+
+
+def shard_of(key: StoreKey, shards: int) -> int:
+    """The shard a key's work lands on (content-hash partition)."""
+    check_shard(shards)
     return int(key.digest, 16) % shards
 
 
@@ -134,14 +141,10 @@ class ShardPlan:
     units: tuple[WorkUnit, ...]
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise StoreError(f"shard count must be >= 1, got {self.shards}")
+        check_shard(self.shards)
 
     def shard_units(self, shard: int) -> tuple[WorkUnit, ...]:
-        if not 0 <= shard < self.shards:
-            raise StoreError(
-                f"shard index {shard} out of range 0..{self.shards - 1}"
-            )
+        check_shard(self.shards, shard)
         return tuple(
             unit
             for unit in self.units
@@ -240,16 +243,13 @@ def execute_units(units, store: ResultStore | None = None) -> UnitStats:
     each machine's cells to :func:`~repro.sim.campaign.run_cells`.  A
     cell whose table failed synthesis counts as failed and stays absent
     from the store (the merger reads the recorded synthesis error
-    instead).  The cells run serially here; a campaign's ``jobs``
-    reaches the same executor through
-    :meth:`~repro.sim.campaign.ValidationCampaign.run`.
+    instead).  Every cell runs serially, through the one cell loop; a
+    local campaign, a shard run and a queue worker all reach it here.
     """
-    return _execute(list(units), store, jobs=1)
-
-
-def _execute(units: list[WorkUnit], store, jobs: int) -> UnitStats:
     from ..netlist.fantom import build_fantom
     from ..pipeline.batch import BatchRunner
+
+    units = list(units)
 
     needs: dict[tuple[str, str], WorkUnit] = {}
     for unit in units:
@@ -285,9 +285,7 @@ def _execute(units: list[WorkUnit], store, jobs: int) -> UnitStats:
             (result.table.name, build, [units[p] for p in positions])
         )
     positions = [p for group in machines.values() for p in group]
-    for position, outcome in zip(
-        positions, _validate_machines(groups, store, jobs)
-    ):
+    for position, outcome in zip(positions, _validate_machines(groups, store)):
         stats.outcomes[position] = outcome
 
     for unit, outcome in zip(units, stats.outcomes):
@@ -304,73 +302,22 @@ def _execute(units: list[WorkUnit], store, jobs: int) -> UnitStats:
     return stats
 
 
-#: Per-worker state, installed once by `_init_worker` so machines cross
-#: the process boundary once, not per task: the machine list, the
-#: re-opened result store (or None) and the shared delay models.
-_WORKER: tuple | None = None
-
-
-def _init_worker(machines, store_location: str | None) -> None:
-    global _WORKER
-    from .store import open_store
-
-    _WORKER = (machines, open_store(store_location), {})
-
-
-def _run_worker_cells(machine_index: int, cells) -> list:
-    """Pool task: :func:`run_cells` over one machine's cells in this
-    worker; module-level for pickling."""
-    machines, store, models = _WORKER
-    return run_cells(
-        lambda: machines[machine_index], cells, store=store, models=models
-    )
-
-
-def _validate_machines(groups, store, jobs: int) -> list[UnitOutcome]:
+def _validate_machines(groups, store) -> list[UnitOutcome]:
     """The executor's validation leg: every group's cell outcomes, in
     order.  ``groups`` holds one ``(table name, build_machine, cell
-    units)`` triple per machine.  With ``jobs > 1`` and no store or one
-    the workers can re-open (a directory or URL), the cells fan out over
-    a process pool, one task per (machine, seed), so each walk is still
-    generated once; otherwise they run serially, sharing delay models.
+    units)`` triple per machine; the machines' cells run serially
+    through :func:`run_cells`, sharing delay models.
     """
-    grids = [
-        [(unit.cell, None if store is None else unit.key) for unit in units]
-        for _name, _build, units in groups
+    models: dict = {}
+    triples = [
+        run_cells(
+            build,
+            [(u.cell, None if store is None else u.key) for u in units],
+            store,
+            models,
+        )
+        for _name, build, units in groups
     ]
-    tasks = [
-        (mi, [i for i, (cell, _) in enumerate(grid) if cell.seed == seed])
-        for mi, grid in enumerate(grids)
-        for seed in dict.fromkeys(cell.seed for cell, _ in grid)
-    ]
-    shareable = store is None or store.location is not None
-    if jobs > 1 and shareable and len(tasks) > 1:
-        triples = [[None] * len(grid) for grid in grids]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            initializer=_init_worker,
-            initargs=(
-                [build() for _name, build, _units in groups],
-                None if store is None else store.location,
-            ),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _run_worker_cells, mi, [grids[mi][i] for i in positions]
-                )
-                for mi, positions in tasks
-            ]
-            # Input order, not completion order — the result stream is
-            # deterministic no matter which worker finishes first.
-            for (mi, positions), future in zip(tasks, futures):
-                for i, outcome in zip(positions, future.result()):
-                    triples[mi][i] = outcome
-    else:
-        models: dict = {}
-        triples = [
-            run_cells(build, grid, store, models)
-            for (_name, build, _units), grid in zip(groups, grids)
-        ]
     return [
         UnitOutcome(name, summary=summary, seconds=seconds, store_hit=hit)
         for (name, _build, _units), group in zip(groups, triples)

@@ -274,16 +274,6 @@ class ResultStore:
         return self.backend.read(self.artifact_name(key, suffix))
 
     # ------------------------------------------------------------------
-    @property
-    def location(self) -> str | None:
-        """A re-openable location string — the directory path or the
-        backend URL — or None for in-memory/unaddressable backends.
-        Campaign pool workers re-open the store from this."""
-        path = getattr(self.backend, "path", None)
-        if path is not None:
-            return str(path)
-        return getattr(self.backend, "url", None)
-
     def describe(self) -> str:
         return (
             f"ResultStore({self.backend.describe()}: "

@@ -25,7 +25,7 @@ from repro.corpus import (
     selftest_enabled,
     write_finding_fixture,
 )
-from repro.errors import CorpusError
+from repro.errors import CorpusError, StoreError
 
 
 class TestKeys:
@@ -481,6 +481,14 @@ class TestRunFuzz:
         assert sorted(seen[0] + seen[1]) == sorted(
             str(key) for key in self.CORPUS
         )
+
+    @pytest.mark.parametrize(
+        "shard, message",
+        [((0, 0), "shard count must be >= 1"), ((5, 2), "out of range 0..1")],
+    )
+    def test_impossible_shards_are_rejected(self, shard, message):
+        with pytest.raises(StoreError, match=message):
+            run_fuzz(self.CORPUS, shard=shard)
 
     def test_flow_tables_fuzz_under_their_own_name(self):
         report = run_fuzz([api.load_table("hazard_demo")])

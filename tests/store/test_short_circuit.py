@@ -155,13 +155,13 @@ class TestCampaignShortCircuit:
         ]
 
     def test_parallel_campaign_fills_a_directory_store(self, tmp_path):
-        """Pool workers re-open a directory store and write every cell;
-        a serial rerun then replays them all."""
+        """A campaign over a directory store writes every cell; a rerun
+        through a freshly opened store then replays them all."""
         tables = [benchmark("lion"), benchmark("hazard_demo")]
         store_dir = tmp_path / "store"
         cold = ValidationCampaign(
             sweep=2, steps=6, delay_models=("unit", "loop-safe"),
-            jobs=2, store=store_dir,
+            store=store_dir,
         ).run(tables)
         assert cold.store_hits == 0
         warm = self.campaign(ResultStore(store_dir)).run(tables)
@@ -169,15 +169,6 @@ class TestCampaignShortCircuit:
         assert [c.summary.cycles for c in warm.cells] == [
             c.summary.cycles for c in cold.cells
         ]
-
-    def test_parallel_campaign_keeps_a_memory_store_in_process(self):
-        store = ResultStore()
-        tables = [benchmark("lion"), benchmark("hazard_demo")]
-        ValidationCampaign(
-            sweep=2, steps=6, delay_models=("unit", "loop-safe"),
-            jobs=2, store=store,
-        ).run(tables)
-        assert self.campaign(store).run(tables).store_hits == 8
 
     def test_session_validate_uses_the_store(self):
         store = ResultStore()
