@@ -233,25 +233,6 @@ def check(args) -> int:
     #    (plus an absolute floor so machine jitter cannot fail the gate).
     suite_seconds = measure_suite(args.rounds)
 
-    # The rows measured *on this runner* are the trendable telemetry —
-    # CI uploads the file as a workflow artifact, so engine_seconds can
-    # be charted across commits (the committed BENCH_logic.json only
-    # moves when regenerated).
-    if args.check_out:
-        Path(args.check_out).write_text(
-            json.dumps(
-                {
-                    "widths": rows,
-                    "suite_seconds": round(suite_seconds, 6),
-                    "baseline_suite_seconds": baseline["suite_seconds"],
-                    "generated_by": "benchmarks/bench_logic.py --check",
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        print(f"check: wrote measured rows to {args.check_out}")
-
     if speedup < 2.0:
         print("FAIL: wide-function speedup collapsed below 2x")
         return 1
@@ -280,12 +261,6 @@ def main() -> int:
     parser.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_logic.json"),
-    )
-    parser.add_argument(
-        "--check-out",
-        default="bench-logic-check.json",
-        help="where --check writes the rows it measured "
-        "(CI uploads this as a trend artifact; empty string disables)",
     )
     args = parser.parse_args()
 

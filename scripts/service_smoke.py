@@ -29,8 +29,8 @@ a TCP chaos proxy (drop / delay / truncate / reset) in front of the
 store for every subprocess, protocol-level faults (500 / delay / stale)
 on the fake itself, and ``?retry=&timeout=`` knobs on the store URL so
 the transport policy absorbs all of it.  ``--timing OUT.json`` writes
-the wall clock plus the chaos/transport telemetry (the CI trend and
-chaos artifacts).
+the wall clock plus the chaos/transport telemetry (the CI smoke
+artifacts).
 
 Stdlib only; run from the repo root:
 

@@ -122,23 +122,42 @@ def _store_policy(args: argparse.Namespace):
     return RetryPolicy().merged(retries=retry, timeout=timeout)
 
 
-def _open_store(args: argparse.Namespace):
+def _open_store(args: argparse.Namespace, existing: bool = False):
     """The ResultStore of a ``--store LOC`` flag (None when absent).
 
     ``LOC`` is anything :func:`~repro.store.backend.resolve_backend`
     accepts: a directory path or an ``http(s)://`` object store.
     Networked locations run under the transport
-    policy of ``--retry``/``--timeout`` when given.
+    policy of ``--retry``/``--timeout`` when given.  A directory is
+    created on first use unless ``existing`` is set: the sweeps over a
+    store refuse a directory that is not there, since a typo would
+    otherwise create an empty store and report it clean.
     """
     from .store import ResultStore
 
     if not getattr(args, "store", None):
         return None
+    local = "://" not in args.store
+    if existing and local and not Path(args.store).is_dir():
+        raise ReproError(
+            f"no store at --store {args.store!r}: not a directory"
+        )
     try:
         return ResultStore(args.store, policy=_store_policy(args))
     except OSError as error:
         raise ReproError(
             f"cannot use --store {args.store!r}: {error}"
+        ) from error
+
+
+def _write_output(flag: str, path: str, text: str) -> None:
+    """Write an output file an option names; an unwritable path is a
+    CLI error, not a traceback."""
+    try:
+        Path(path).write_text(text)
+    except OSError as error:
+        raise ReproError(
+            f"cannot write {flag} {path!r}: {error}"
         ) from error
 
 
@@ -275,7 +294,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     machine = build_fantom(result, use_fsv=not args.no_fsv)
     text = machine_to_verilog(machine)
     if args.output:
-        Path(args.output).write_text(text)
+        _write_output("--output", args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text, end="")
@@ -586,7 +605,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_store_verify(args: argparse.Namespace) -> int:
     from .store import verify_store
 
-    report = verify_store(_open_store(args))
+    report = verify_store(_open_store(args, existing=True))
     print(report.describe())
     return 0 if report.clean else 1
 
@@ -622,7 +641,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
     from .store import gc_store
 
     report = gc_store(
-        _open_store(args),
+        _open_store(args, existing=True),
         max_age_seconds=(
             args.max_age_hours * 3600.0
             if args.max_age_hours is not None
@@ -840,8 +859,10 @@ def cmd_corpus_build(args: argparse.Namespace) -> int:
             }
         )
     if args.manifest:
-        Path(args.manifest).write_text(
-            "".join(row["key"] + "\n" for row in rows)
+        _write_output(
+            "--manifest",
+            args.manifest,
+            "".join(row["key"] + "\n" for row in rows),
         )
         print(
             f"wrote {len(rows)} key(s) to {args.manifest}",
@@ -912,7 +933,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.timing:
         import json
 
-        Path(args.timing).write_text(
+        _write_output(
+            "--timing",
+            args.timing,
             json.dumps(
                 {
                     "corpus_fuzz_seconds": round(report.seconds, 6),

@@ -2,14 +2,14 @@
 
 A lease is a small JSON blob under ``<prefix>/<key>.json`` claimed with
 the backend's conditional put (``O_CREAT|O_EXCL`` on a directory,
-``If-None-Match: *`` on the object store, ``ADD`` on the cache
-protocol), renewed by heartbeat, and **stolen** once it lapses: delete
-the stale blob, conditional-put ours, then read back and verify the
-stored lease names us.  PR 7 built this once for the work-stealing
-queue's unit claims; this module factors it out so the front door can
-run the *same* mechanics over ``inflight/`` intent markers — two
-``seance serve`` processes against one store deduplicate each other's
-synthesis with no new machinery and no new failure modes.
+``If-None-Match: *`` on the object store), renewed by heartbeat, and
+**stolen** once it lapses: delete the stale blob, conditional-put ours,
+then read back and verify the stored lease names us.  PR 7 built this
+once for the work-stealing queue's unit claims; this module factors it
+out so the front door can run the *same* mechanics over ``inflight/``
+intent markers — two ``seance serve`` processes against one store
+deduplicate each other's synthesis with no new machinery and no new
+failure modes.
 
 The payload::
 

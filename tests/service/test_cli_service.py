@@ -194,6 +194,18 @@ class TestStoreLifecycleCli:
         assert "1 rejected" in capsys.readouterr().out
         assert not blob.exists()
 
+    @pytest.mark.parametrize("verb", ["verify", "gc"])
+    def test_sweep_refuses_a_missing_directory(self, tmp_path, capsys, verb):
+        store = tmp_path / "typo"
+        assert main(["store", verb, "--store", str(store)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: no store at --store ")
+        assert not store.exists()
+        store.mkdir()
+        assert main(["store", verb, "--store", str(store)]) == 0
+        assert "0 rejected" in capsys.readouterr().out
+
     @pytest.mark.parametrize("hours", ["-1", "nan"])
     def test_gc_rejects_a_negative_max_age(self, tmp_path, capsys, hours):
         store = str(tmp_path / "store")

@@ -269,6 +269,28 @@ class TestExport:
         assert "assign fsv = 1'b0;" in out
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "lion", "-o", "{missing}/x.v"],
+            ["corpus", "build", "--count", "1", "--manifest",
+             "{missing}/m.txt"],
+            ["fuzz", "corpus:random-flow:0", "--steps", "5",
+             "--delay-model", "unit", "--timing", "{missing}/t.json"],
+        ],
+        ids=["export", "corpus-build", "fuzz"],
+    )
+    def test_unwritable_output_is_a_cli_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no-such-dir")
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot write ")
+        assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestStoreFlags:
     def test_batch_store_hit_in_json_telemetry(self, tmp_path, capsys):
         import json
