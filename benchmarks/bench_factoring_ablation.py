@@ -1,15 +1,14 @@
 """Experiment F5 — the Figure-5 factoring, and what it costs.
 
-Two ablations around the paper's Step 7, both expressed as *registry
-pass substitutions* (the ``factor:joint`` variant replacing the default
-``factor`` stage — no option flags):
+Two ablations around the paper's Step 7 (the joint run sets the
+``reduce_mode="joint"`` option; the paper default is ``"split"``):
 
 * **split vs joint reduction** — the paper reduces the ``f̄sv`` and
   ``fsv`` halves separately (the canonical form its worked example
   factors from); letting the minimiser merge across the boundary gives
   smaller but shallower logic.  Both must compute the same functions;
   the bench reports the depth/literal trade *and* the per-pass
-  wall-clock diff of the substituted ``factor`` stage (from the
+  wall-clock diff of the ``factor`` stage in each mode (from the
   :class:`~repro.pipeline.manager.PipelineReport` of each run).
 * **Hackbart & Dietmeyer's remark** — "the possible slowed response of a
   network using a hazard detection variable ... the levels of state
@@ -36,7 +35,7 @@ def test_factoring_ablation(benchmark, name):
     split = benchmark(api.synthesize, table)
     split_cold, split_report = cold_report(table)
     joint, joint_report = cold_report(
-        table, substitutions=("factor:joint",)
+        table, options=api.SynthesisOptions(reduce_mode="joint")
     )
     sic = synthesize_huffman(table)
 
@@ -68,7 +67,7 @@ def test_factoring_ablation(benchmark, name):
         )
     )
 
-    # the two pipelines must agree everywhere upstream of the swap
+    # the two modes must agree everywhere upstream of Step 7
     assert split_cold.table1_row() == split.table1_row()
     assert joint.assignment.encoding == split.assignment.encoding
     # both modes factor the same functions, so the depth ordering is the
@@ -83,16 +82,16 @@ def test_print_factoring(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     if _rows:
         print_table(
-            "Figure 5 — factoring ablation via pass substitution "
-            "(factor vs factor:joint; SIC = two-level baseline)",
+            "Figure 5 — factoring ablation via reduce_mode "
+            "(split vs joint; SIC = two-level baseline)",
             ["Benchmark", "split depth", "split lits", "joint depth",
              "joint lits", "SIC depth"],
             _rows,
         )
     if _timing_rows:
         print_table(
-            "factor-stage wall clock, default vs factor:joint "
+            "factor-stage wall clock, split vs joint reduce_mode "
             "(cold runs, per-pass PipelineReport timings)",
-            ["Benchmark", "factor ms", "factor:joint ms", "diff ms"],
+            ["Benchmark", "split ms", "joint ms", "diff ms"],
             _timing_rows,
         )

@@ -4,35 +4,36 @@ Section 2: FANTOM is "free from all possible types of hazards" under
 multiple-input changes; the fantom state variable "marks potentially
 hazardous states, and prevents output during them".
 
-The ablation — expressed as a registry *pass substitution*
-(``fsv:unprotected`` replacing the default ``fsv`` stage; the Figure-4
-hazard search still runs and is reported, so the result records the
-hazards knowingly left in): gate-level simulation of each benchmark
+The ablation — the ``hazard_correction=False`` option (Step 6 builds
+``fsv`` and the next-state equations from an empty hazard list; the
+Figure-4 hazard search still runs and is reported, so the result
+records the hazards knowingly left in): gate-level simulation of each
+benchmark
 under hostile input skew (the FFX bank's per-bit clock-to-Q spread is
 several gate delays wide), on random legal walks favouring
 multiple-input changes, scored against the flow-table oracle —
 
 * the FANTOM machine must come back **clean** (states, latched outputs
   and the single-output-change rule all verified);
-* the same machine with the hazard correction substituted away (plain
+* the same machine with the hazard correction switched off (plain
   reduced excitation, ``fsv = 0``) exhibits the function M-hazards:
   wrong settled states, wrong latched outputs.
 
-Because the substitution keeps the table and options identical, both
-machines share every pipeline stage upstream of ``fsv`` in the shared
-stage cache, and the per-pass timing diff isolates exactly what the
-correction costs (the fsv + factor stages of each run).
+The option changes only what Step 6 builds, so the per-pass timing diff
+of the fsv + factor stages isolates what the correction costs.
 """
 
 import pytest
 
 from conftest import cold_report, pass_seconds, pipeline_synth, print_table
+from repro.api import SynthesisOptions
 from repro.bench import benchmark as load_bench
 from repro.netlist.fantom import build_fantom
 from repro.sim.delays import hostile_random
 from repro.sim.harness import validate_against_reference
 
 MACHINES = ("hazard_demo", "lion", "traffic", "lion9")
+UNPROTECTED = SynthesisOptions(hazard_correction=False)
 STEPS = 20
 SEEDS = (0, 1, 2)
 
@@ -50,9 +51,7 @@ def run_validation(machine):
 def test_hazard_ablation(benchmark, name):
     table = load_bench(name)
     protected = build_fantom(pipeline_synth(table))
-    naive = build_fantom(
-        pipeline_synth(table, substitutions=("fsv:unprotected",))
-    )
+    naive = build_fantom(pipeline_synth(table, options=UNPROTECTED))
 
     summary = benchmark.pedantic(
         run_validation, args=(protected,), rounds=1, iterations=1
@@ -71,7 +70,7 @@ def test_hazard_ablation(benchmark, name):
     )
     # Per-pass cost of the correction itself, from cold-run reports.
     _, report = cold_report(table)
-    _, naive_report = cold_report(table, substitutions=("fsv:unprotected",))
+    _, naive_report = cold_report(table, options=UNPROTECTED)
     corrected_ms = (
         pass_seconds(report, "fsv") + pass_seconds(report, "factor")
     ) * 1000
@@ -109,7 +108,7 @@ def test_print_ablation(benchmark):
         print_table(
             "Section 2 claim — hazard-freedom under multiple-input "
             "changes (hostile skew, random legal walks; ablation = "
-            "fsv:unprotected pass substitution)",
+            "hazard_correction=False)",
             ["Benchmark", "cycles/machine", "FANTOM state err",
              "FANTOM output err", "naive state err", "naive output err"],
             _rows,
@@ -117,7 +116,7 @@ def test_print_ablation(benchmark):
     if _timing_rows:
         print_table(
             "hazard-correction cost — fsv+factor wall clock, default "
-            "vs fsv:unprotected (cold per-pass timings)",
+            "vs hazard_correction=False (cold per-pass timings)",
             ["Benchmark", "corrected ms", "unprotected ms", "diff ms"],
             _timing_rows,
         )

@@ -17,9 +17,9 @@ from repro.pipeline import StageCache
 #: One stage cache shared by every bench module: set-up synthesis of the
 #: same (table, options, pass-prefix) — the hazard ablation building its
 #: protected machine, the cover ablation inspecting the same spec — runs
-#: each pass once per session.  Because ablations are *pass
-#: substitutions*, an ablated run still shares every stage upstream of
-#: the swapped pass with the paper-default run.
+#: each pass once per session.  A pass substitution (``substitutions=``)
+#: still shares every stage upstream of the swapped pass with the
+#: paper-default run; an option change (``options=``) re-runs them all.
 _CACHE = StageCache()
 
 

@@ -7,11 +7,12 @@ synthesis lives here, under names rather than live objects:
   JSON file, an :class:`~repro.flowtable.stg.Stg` or
   :class:`~repro.flowtable.burst.BurstSpec` — with :func:`load`.
 * **Configure** with a declarative :class:`PipelineSpec` (registry pass
-  names + :class:`SynthesisOptions` + :class:`CacheSpec`); ablations are
-  pass substitutions (``spec.substitute("factor:joint")``), and specs
+  names + :class:`SynthesisOptions` + :class:`CacheSpec`); ablations
+  are options (``spec.with_options(reduce_mode="joint")``) or pass
+  substitutions (``spec.substitute("hazards:off")``), and specs
   round-trip through JSON for reproducible, shareable runs.
 * **Run** through the fluent :class:`Session`
-  (``api.load("lion").with_pass("fsv:unprotected").run()``), the
+  (``api.load("lion").with_options(hazard_correction=False).run()``), the
   one-shot :func:`synthesize`, or :func:`batch`.
 * **Serialise** results: :class:`SynthesisResult` round-trips through
   ``to_dict``/``from_dict`` byte-identically — the wire format for

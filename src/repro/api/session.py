@@ -4,14 +4,16 @@ A :class:`Session` binds a loaded flow table to a
 :class:`~repro.pipeline.spec.PipelineSpec` and a live
 :class:`~repro.pipeline.cache.StageCache`.  Sessions are immutable: the
 ``with_*`` builders derive new sessions, and every session in one
-derivation chain *shares the same cache object*, so an ablation sweep —
+derivation chain *shares the same cache object*, so a pass
+substitution —
 
     base = api.load("lion")
     paper = base.run()
-    joint = base.with_pass("factor:joint").run()
+    no_search = base.with_pass("hazards:off").run()
 
-— re-executes only the substituted stage (the upstream stage-cache
-entries carry over; see :mod:`repro.pipeline.registry`).
+— re-executes only the substituted stage and its successors (the
+upstream stage-cache entries carry over; see
+:mod:`repro.pipeline.registry`).
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Session:
         return self._derive(self._spec.with_passes(*passes))
 
     def with_pass(self, *overrides: str) -> "Session":
-        """Substitute stages by base name (``"factor:joint"`` → factor)."""
+        """Substitute stages by base name (``"hazards:off"`` → hazards)."""
         return self._derive(self._spec.substitute(*overrides))
 
     def with_cache(self, cache: StageCache | None) -> "Session":

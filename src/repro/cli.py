@@ -90,6 +90,7 @@ from .bench import kiss_source, synthesize_suite
 from .errors import ReproError
 from .netlist.fantom import build_fantom
 from .pipeline import BatchRunner, PipelineSpec
+from .pipeline.options import OPTION_CHOICES
 from .pipeline.registry import DEFAULT_PIPELINE, base_name, registered_passes
 
 
@@ -159,6 +160,20 @@ def _write_output(flag: str, path: str, text: str) -> None:
         raise ReproError(
             f"cannot write {flag} {path!r}: {error}"
         ) from error
+
+
+def _check_output(flag: str, path: str | None) -> None:
+    """Fail before any work starts when an output file cannot be
+    written: open it for append, and remove it again if that made it."""
+    if not path:
+        return
+    existed = Path(path).exists()
+    try:
+        Path(path).open("a").close()
+    except OSError as error:
+        raise ReproError(f"cannot write {flag} {path!r}: {error}") from error
+    if not existed:
+        Path(path).unlink()
 
 
 def _read_token_file(path: str | None) -> str | None:
@@ -289,6 +304,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from .netlist.verilog import machine_to_verilog
 
+    _check_output("--output", args.output)
     table = _load_table(args.spec)
     result = api.synthesize(table)
     machine = build_fantom(result, use_fsv=not args.no_fsv)
@@ -672,7 +688,8 @@ def cmd_passes(args: argparse.Namespace) -> int:
         marker = "*" if key in default else " "
         print(f"{marker} {key:20s} (stage: {base_name(key)})")
     print("(* = the paper's default pipeline; substitute variants "
-          "with --pass)")
+          "with --pass; --no-minimize, --no-fsv and --reduce-mode set "
+          "the options)")
     return 0
 
 
@@ -696,21 +713,6 @@ def _add_matrix_arguments(
         action="store_true",
         help="a validation-campaign cell grid instead of a batch "
         "matrix",
-    )
-    p.add_argument(
-        "--no-minimize", action="store_true", help="skip Step 2"
-    )
-    p.add_argument(
-        "--no-fsv",
-        action="store_true",
-        help="batch: skip the hazard correction; campaign: sweep "
-        "the unprotected machines",
-    )
-    p.add_argument(
-        "--reduce-mode",
-        choices=["split", "joint"],
-        default=None,
-        help="Step-7 reduction style",
     )
     _add_spec_arguments(p)
     p.add_argument(
@@ -781,6 +783,22 @@ def _add_store_arguments(
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """The pipeline configuration flags :func:`_build_spec` reads."""
+    parser.add_argument(
+        "--no-minimize", action="store_true", help="skip Step 2"
+    )
+    parser.add_argument(
+        "--no-fsv",
+        action="store_true",
+        help="skip the hazard correction (unprotected machines)",
+    )
+    parser.add_argument(
+        "--reduce-mode",
+        choices=OPTION_CHOICES["reduce_mode"],
+        default=None,
+        help="Step-7 reduction style (paper: split; explicit values "
+        "override a --spec file)",
+    )
     parser.add_argument(
         "--spec",
         dest="pipeline_spec",
@@ -840,6 +858,7 @@ def _parse_corpus_params(pairs) -> dict[str, int] | None:
 def cmd_corpus_build(args: argparse.Namespace) -> int:
     from .corpus import build_corpus, corpus_fingerprint, generate
 
+    _check_output("--manifest", args.manifest)
     keys = build_corpus(
         args.family or None,
         args.count,
@@ -898,6 +917,7 @@ def cmd_corpus_list(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .corpus import DEFAULT_MODELS, build_corpus, run_fuzz
 
+    _check_output("--timing", args.timing)
     sources: list = [_load_table(spec) for spec in args.specs]
     if args.manifest:
         try:
@@ -1031,21 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="synthesise a FANTOM machine")
     synth.add_argument("spec", help="KISS2 file or benchmark name")
     synth.add_argument(
-        "--no-minimize", action="store_true", help="skip Step 2"
-    )
-    synth.add_argument(
-        "--no-fsv",
-        action="store_true",
-        help="skip the hazard correction (unprotected machine)",
-    )
-    synth.add_argument(
-        "--reduce-mode",
-        choices=["split", "joint"],
-        default=None,
-        help="Step-7 reduction style (paper: split; explicit values "
-        "override a --spec file)",
-    )
-    synth.add_argument(
         "--hazards", action="store_true", help="print the hazard lists"
     )
     synth.add_argument(
@@ -1157,21 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "specs",
         nargs="*",
         help="KISS2 files or benchmark names (default: the whole suite)",
-    )
-    batch.add_argument(
-        "--no-minimize", action="store_true", help="skip Step 2"
-    )
-    batch.add_argument(
-        "--no-fsv",
-        action="store_true",
-        help="skip the hazard correction (unprotected machines)",
-    )
-    batch.add_argument(
-        "--reduce-mode",
-        choices=["split", "joint"],
-        default=None,
-        help="Step-7 reduction style (paper: split; explicit values "
-        "override a --spec file)",
     )
     batch.add_argument(
         "--json", action="store_true",
@@ -1415,20 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--client-id",
         default=None,
         help="X-Client-Id rate-limit identity (default: peer address)",
-    )
-    submit.add_argument(
-        "--no-minimize", action="store_true", help="skip Step 2"
-    )
-    submit.add_argument(
-        "--no-fsv",
-        action="store_true",
-        help="skip the hazard correction (unprotected machines)",
-    )
-    submit.add_argument(
-        "--reduce-mode",
-        choices=["split", "joint"],
-        default=None,
-        help="Step-7 reduction style",
     )
     _add_spec_arguments(submit)
     submit.add_argument(

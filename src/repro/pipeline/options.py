@@ -10,6 +10,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+#: The values each string option takes; every other option is a bool.
+OPTION_CHOICES: dict[str, tuple[str, ...]] = {
+    "output_policy": ("stable_only", "as_specified"),
+    "ssd_dc_policy": ("unspecified", "strict"),
+    "reduce_mode": ("split", "joint"),
+}
+
 
 @dataclass(frozen=True)
 class SynthesisOptions:

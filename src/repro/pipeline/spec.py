@@ -33,7 +33,7 @@ from pathlib import Path
 from ..errors import SynthesisError
 from .cache import MAX_ENTRIES, StageCache
 from .manager import PassManager
-from .options import SynthesisOptions
+from .options import OPTION_CHOICES, SynthesisOptions
 from .registry import DEFAULT_PIPELINE, registered_passes, resolve_passes
 from .registry import substitute as _substitute
 
@@ -113,16 +113,23 @@ def _options_to_dict(options: SynthesisOptions) -> dict:
 
 
 def _options_from_dict(payload: dict) -> SynthesisOptions:
+    """Options from a spec file, queue unit or ``/submit`` body.  Each
+    value must have its field's type and be one of its choices (``0``
+    would equal ``false`` yet fingerprint apart from it)."""
     if not isinstance(payload, dict):
         raise SynthesisError(
             f"options must be an object, got {type(payload).__name__}"
         )
-    fields = {f.name for f in dataclasses.fields(SynthesisOptions)}
-    _require_keys(payload, fields, "options")
-    try:
-        return SynthesisOptions(**payload)
-    except TypeError as error:
-        raise SynthesisError(f"bad options: {error}") from error
+    defaults = _options_to_dict(SynthesisOptions())
+    _require_keys(payload, set(defaults), "options")
+    for name, value in payload.items():
+        choices = OPTION_CHOICES.get(name, (False, True))
+        if type(value) is not type(defaults[name]) or value not in choices:
+            raise SynthesisError(
+                f"option {name!r} must be one of {json.dumps(choices)}, "
+                f"got {json.dumps(value, default=repr)}"
+            )
+    return SynthesisOptions(**payload)
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ class PipelineSpec:
         return dataclasses.replace(self, passes=tuple(passes))
 
     def substitute(self, *overrides: str) -> "PipelineSpec":
-        """Swap stages by base name (``spec.substitute("factor:joint")``)."""
+        """Swap stages by base name (``spec.substitute("hazards:off")``)."""
         return dataclasses.replace(
             self, passes=_substitute(self.passes, *overrides)
         )

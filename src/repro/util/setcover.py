@@ -1,9 +1,9 @@
 """Generic minimum set cover with exact branch-and-bound, on packed bitsets.
 
-Several SEANCE stages reduce to set covering — choosing prime implicants,
-choosing merged dichotomies for the Tracey state assignment — over
-universes of at most a few dozen elements.  This module provides one
-careful implementation: iterated essential extraction, dominated-candidate
+Its one synthesis caller is :func:`~repro.assign.tracey.assign_states`,
+choosing merged dichotomies for tables of at most 64 seeds; prime
+implicant selection has its own solver in :mod:`repro.logic.cover`.  The
+implementation: iterated essential extraction, dominated-candidate
 elimination, exact branch-and-bound on the cyclic core, and a greedy
 fallback above a size threshold.
 

@@ -78,23 +78,23 @@ class TestSession:
 
     def test_builders_are_immutable_derivations(self):
         base = api.load("lion")
-        derived = base.with_options(minimize=False).with_pass("factor:joint")
-        assert base.spec.passes[-1] == "factor"
-        assert derived.spec.passes[-1] == "factor:joint"
+        derived = base.with_options(minimize=False).with_pass("hazards:off")
+        assert base.spec.passes[4] == "hazards"
+        assert derived.spec.passes[4] == "hazards:off"
         assert derived.spec.options.minimize is False
         assert base.spec.options.minimize is True
 
     def test_derived_sessions_share_the_cache(self):
         base = api.load("lion")
         assert base.cache is not None
-        assert base.with_pass("factor:joint").cache is base.cache
+        assert base.with_pass("hazards:off").cache is base.cache
 
     def test_substitution_reuses_upstream_stages(self):
         base = api.load("lion")
         base.run()  # warm
-        _, report = base.with_pass("factor:joint").run_with_report()
+        _, report = base.with_pass("hazards:off").run_with_report()
         assert report.cache_hits == (
-            "validate", "reduce", "assign", "outputs", "hazards", "fsv",
+            "validate", "reduce", "assign", "outputs",
         )
 
     def test_with_cache_none_disables(self):
@@ -111,7 +111,7 @@ class TestSession:
     def test_with_spec_keeps_cache_when_config_unchanged(self):
         base = api.load("lion")
         assert base.with_spec(
-            base.spec.substitute("factor:joint")
+            base.spec.substitute("hazards:off")
         ).cache is base.cache
         rebuilt = base.with_spec(base.spec.with_cache(None))
         assert rebuilt.cache is None
@@ -127,7 +127,9 @@ class TestSession:
         assert "lion" in text and "hazards:off" in text
 
     def test_unprotected_substitution_drops_fsv(self):
-        result = api.load("hazard_demo").with_pass("fsv:unprotected").run()
+        result = (
+            api.load("hazard_demo").with_options(hazard_correction=False).run()
+        )
         assert result.fsv.expr.to_string() == "0"
         # the hazard search still ran and reported
         assert result.analysis.hazard_count() > 0
@@ -146,7 +148,7 @@ class TestOneShots:
         assert result.table1_row()[0] == "lion"
 
     def test_synthesize_accepts_spec(self):
-        spec = api.PipelineSpec().substitute("factor:joint")
+        spec = api.PipelineSpec().substitute("hazards:off")
         result = api.synthesize("lion", spec=spec)
         assert result.table1_row()[0] == "lion"
 
@@ -168,6 +170,6 @@ class TestOneShots:
         assert all(len(item.events) == 7 for item in items)
 
     def test_batch_with_spec_substitution(self):
-        spec = api.PipelineSpec().substitute("fsv:unprotected")
+        spec = api.PipelineSpec().substitute("hazards:off")
         items = api.batch(["hazard_demo"], spec=spec)
         assert items[0].result.fsv.expr.to_string() == "0"

@@ -19,7 +19,7 @@ from repro.pipeline import (
     registered_passes,
     substitute,
 )
-from repro.pipeline.passes import JointFactorPass
+from repro.pipeline.passes import SkipHazardsPass
 
 
 class TestRegistry:
@@ -29,32 +29,33 @@ class TestRegistry:
             assert key in registered
 
     def test_create_pass_stamps_registry_key(self):
-        p = create_pass("factor:joint")
-        assert isinstance(p, JointFactorPass)
-        assert p.registry_key == "factor:joint"
-        assert p.name == "factor"
+        p = create_pass("hazards:off")
+        assert isinstance(p, SkipHazardsPass)
+        assert p.registry_key == "hazards:off"
+        assert p.name == "hazards"
 
     def test_unknown_key_lists_registered_passes(self):
         with pytest.raises(SynthesisError, match="registered passes"):
             create_pass("no_such_pass")
 
     def test_base_name(self):
-        assert base_name("factor:joint") == "factor"
+        assert base_name("hazards:off") == "hazards"
         assert base_name("factor") == "factor"
 
     def test_substitute_replaces_by_base_name(self):
-        swapped = substitute(DEFAULT_PIPELINE, "factor:joint", "hazards:off")
-        assert swapped[-1] == "factor:joint"
-        assert "hazards:off" in swapped
+        swapped = substitute(
+            DEFAULT_PIPELINE, "outputs:all-primes", "hazards:off"
+        )
+        assert swapped[3:5] == ("outputs:all-primes", "hazards:off")
         assert len(swapped) == len(DEFAULT_PIPELINE)
 
     def test_substitute_unmatched_stage_is_an_error(self):
         with pytest.raises(SynthesisError, match="matches no pipeline"):
-            substitute(("validate", "reduce"), "factor:joint")
+            substitute(("validate", "reduce"), "hazards:off")
 
     def test_reregistration_is_an_error(self):
         with pytest.raises(SynthesisError, match="already registered"):
-            register_pass("factor:joint")(JointFactorPass)
+            register_pass("hazards:off")(SkipHazardsPass)
 
     def test_variants_must_keep_their_base_name(self):
         @register_pass("_bogus_stage:variant")
@@ -97,8 +98,8 @@ class TestPipelineSpec:
             PipelineSpec(passes=())
 
     def test_substitute_builder(self):
-        spec = PipelineSpec().substitute("fsv:unprotected")
-        assert "fsv:unprotected" in spec.passes
+        spec = PipelineSpec().substitute("hazards:off")
+        assert "hazards:off" in spec.passes
         assert PipelineSpec().passes == DEFAULT_PIPELINE  # immutable
 
     def test_with_options_overrides_fields(self):
@@ -138,7 +139,7 @@ class TestPipelineSpec:
         base = PipelineSpec()
         assert base.fingerprint() == PipelineSpec().fingerprint()
         assert (
-            base.substitute("factor:joint").fingerprint()
+            base.substitute("hazards:off").fingerprint()
             != base.fingerprint()
         )
         assert (
@@ -155,12 +156,12 @@ class TestSpecRoundTrip:
     def specs(self):
         return [
             PipelineSpec(),
-            PipelineSpec().substitute("factor:joint", "hazards:off"),
+            PipelineSpec().substitute("outputs:all-primes", "hazards:off"),
             PipelineSpec(
-                passes=("validate:off", "reduce", "assign", "outputs",
-                        "hazards", "fsv:unprotected", "factor:split"),
+                passes=(*DEFAULT_PIPELINE, "verify"),
                 options=SynthesisOptions(
-                    minimize=False, reduce_mode="joint",
+                    minimize=False, validate_input=False,
+                    reduce_mode="joint", hazard_correction=False,
                     output_policy="as_specified",
                 ),
                 cache=CacheSpec(enabled=False),
@@ -185,7 +186,7 @@ class TestSpecRoundTrip:
             assert PipelineSpec.from_json(spec.to_json()) == spec
 
     def test_save_load(self, tmp_path):
-        spec = PipelineSpec().substitute("factor:joint")
+        spec = PipelineSpec().substitute("hazards:off")
         path = tmp_path / "spec.json"
         spec.save(path)
         assert PipelineSpec.load(path) == spec
@@ -201,6 +202,33 @@ class TestSpecRoundTrip:
         payload["options"]["surprise"] = 1
         with pytest.raises(SynthesisError, match="unknown options"):
             PipelineSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("minimize", "no"),
+            ("validate_input", None),
+            ("verify_assignment", 1),
+            ("hazard_correction", 0),
+            ("reduce_mode", "bogus"),
+            ("output_policy", True),
+            ("ssd_dc_policy", "loose"),
+        ],
+    )
+    def test_ill_typed_option_fails_at_load(
+        self, tmp_path, capsys, option, value
+    ):
+        from repro.cli import main
+
+        payload = PipelineSpec().to_dict()
+        payload["options"][option] = value
+        with pytest.raises(SynthesisError, match=f"option {option!r}"):
+            PipelineSpec.from_dict(payload)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert main(["synth", "lion", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: option ")
 
     def test_unknown_cache_key_is_strictly_rejected(self):
         payload = PipelineSpec().to_dict()

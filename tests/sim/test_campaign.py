@@ -137,7 +137,7 @@ class TestVerifyPass:
             assert "verify" in result.stage_seconds
 
     def test_unprotected_machine_fails_the_pipeline(self):
-        spec = self.spec_with_verify().substitute("fsv:unprotected")
+        spec = self.spec_with_verify().with_options(hazard_correction=False)
         with pytest.raises(ValidationError) as err:
             api.synthesize("hazard_demo", spec=spec)
         assert "failed dynamic validation" in str(err.value)
@@ -159,7 +159,7 @@ class TestSessionValidate:
     def test_session_validate_respects_spec(self):
         report = (
             api.load("hazard_demo")
-            .with_pass("fsv:unprotected")
+            .with_options(hazard_correction=False)
             .validate(sweep=2, steps=15, delay_models=("skewed",))
         )
         assert not report.all_clean

@@ -100,7 +100,7 @@ class TestKeys:
             table, PipelineSpec().with_options(hazard_correction=False)
         )
         substituted = synthesis_key(
-            table, PipelineSpec().substitute("factor:joint")
+            table, PipelineSpec().substitute("hazards:off")
         )
         assert len({base.digest, ablated.digest, substituted.digest}) == 3
 

@@ -147,11 +147,12 @@ class TestSpecWorkflow:
 
         assert main([
             "synth", "lion", "--emit-spec", "--no-minimize",
-            "--pass", "factor:joint",
+            "--reduce-mode", "joint", "--pass", "hazards:off",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["options"]["minimize"] is False
-        assert payload["passes"][-1] == "factor:joint"
+        assert payload["options"]["reduce_mode"] == "joint"
+        assert payload["passes"][4] == "hazards:off"
 
     def test_spec_file_reproduces_an_ablation_run(self, tmp_path, capsys):
         """The acceptance criterion: an ablation run is reproducible
@@ -159,8 +160,7 @@ class TestSpecWorkflow:
         import json
 
         assert main([
-            "synth", "hazard_demo", "--emit-spec",
-            "--pass", "fsv:unprotected",
+            "synth", "hazard_demo", "--emit-spec", "--no-fsv",
         ]) == 0
         spec_path = tmp_path / "unprotected.json"
         spec_path.write_text(capsys.readouterr().out)
@@ -170,7 +170,7 @@ class TestSpecWorkflow:
         ]) == 0
         from_spec = json.loads(capsys.readouterr().out)
         assert main([
-            "synth", "hazard_demo", "--pass", "fsv:unprotected", "--json",
+            "synth", "hazard_demo", "--no-fsv", "--json",
         ]) == 0
         from_flags = json.loads(capsys.readouterr().out)
         from_spec.pop("stage_seconds")
@@ -183,15 +183,37 @@ class TestSpecWorkflow:
         assert main(["synth", "lion", "--pass", "factor:typo"]) == 2
         assert "registered passes" in capsys.readouterr().err
 
+    def test_spec_naming_a_removed_variant_is_a_cli_error(
+        self, tmp_path, capsys
+    ):
+        # The Step-7 style is the reduce_mode option; no pass selects it.
+        import json
+
+        from repro.pipeline import DEFAULT_PIPELINE
+
+        removed = "factor:joint"
+        path = tmp_path / "joint.json"
+        path.write_text(
+            json.dumps({"passes": [*DEFAULT_PIPELINE[:-1], removed]})
+        )
+        assert main(["synth", "lion", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown pass name(s) [{removed!r}]")
+        assert "registered passes: " in err and "hazards:off" in err
+
     def test_unreadable_spec_is_a_cli_error(self, capsys):
         assert main(["synth", "lion", "--spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_passes_subcommand_lists_registry(self, capsys):
         assert main(["passes"]) == 0
-        out = capsys.readouterr().out
-        assert "factor:joint" in out
-        assert "fsv:unprotected" in out
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line[2:].split()[0] for line in lines[:-1]]
+        assert listed == [
+            "validate", "reduce", "assign", "outputs",
+            "outputs:all-primes", "hazards", "hazards:off", "fsv",
+            "factor", "verify",
+        ]
 
     def test_batch_json_emits_per_pass_telemetry(self, capsys):
         import json
@@ -219,7 +241,7 @@ class TestSpecWorkflow:
         assert all(e["cached"] for e in payload[1]["passes"])
 
     def test_batch_with_substitution(self, capsys):
-        assert main(["batch", "lion", "--pass", "factor:joint"]) == 0
+        assert main(["batch", "lion", "--pass", "hazards:off"]) == 0
         assert "lion" in capsys.readouterr().out
 
     def test_synth_json_round_trips(self, capsys):
@@ -271,17 +293,26 @@ class TestExport:
 
 class TestOutputFiles:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,work",
         [
-            ["export", "lion", "-o", "{missing}/x.v"],
-            ["corpus", "build", "--count", "1", "--manifest",
-             "{missing}/m.txt"],
-            ["fuzz", "corpus:random-flow:0", "--steps", "5",
-             "--delay-model", "unit", "--timing", "{missing}/t.json"],
+            (["export", "lion", "-o", "{missing}/x.v"],
+             "repro.api.synthesize"),
+            (["corpus", "build", "--count", "1", "--manifest",
+              "{missing}/m.txt"], "repro.corpus.generate"),
+            (["fuzz", "corpus:random-flow:0", "--steps", "5",
+              "--delay-model", "unit", "--timing", "{missing}/t.json"],
+             "repro.corpus.run_fuzz"),
         ],
         ids=["export", "corpus-build", "fuzz"],
     )
-    def test_unwritable_output_is_a_cli_error(self, tmp_path, capsys, argv):
+    def test_unwritable_output_is_a_cli_error(
+        self, tmp_path, monkeypatch, capsys, argv, work
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output check")
+
+        # The output path is checked before any work starts.
+        monkeypatch.setattr(work, no_work)
         missing = str(tmp_path / "no-such-dir")
         argv = [arg.format(missing=missing) for arg in argv]
         assert main(argv) == 2
