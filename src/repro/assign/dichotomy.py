@@ -295,7 +295,7 @@ class StateSearch:
         node carries ``dead``, the orientations with a decided state
         outside its block (they can no longer lie inside), and
         ``clash``, the orientations whose blocks meet the opposite
-        blocks placed so far (they can no longer merge).  Three exact
+        blocks placed so far (they can no longer merge).  Four exact
         cuts prune it:
 
         1. **Maximality.**  An orientation whose states are all decided,
@@ -307,6 +307,8 @@ class StateSearch:
         3. **Weight.**  Once a leaf of positive weight is found, a node
            whose weighted seeds with an orientation not yet dead cannot
            exceed the best weight so far is cut.
+        4. **Roots.**  A node whose roots are all dead is cut: ``dead``
+           only grows, and a leaf must hold a root.
 
         A leaf is a maximal merge when its inside set is non-empty, holds
         a root, and its blocks' union is exactly ``(L; R)`` (closure: a
@@ -316,6 +318,8 @@ class StateSearch:
         last, every, even = self.last, self.every, self.even
         found: list[tuple[int, int, int]] = []
         best = 0
+        # With every vertex a root, cut 4 fires only once all are dead.
+        rooted = roots != every
 
         def place(
             s: int, left: tuple[int, ...], right: tuple[int, ...],
@@ -323,6 +327,8 @@ class StateSearch:
         ) -> None:
             nonlocal best
             if dead & ~clash & decided[s]:  # cut 1
+                return
+            if rooted and not roots & ~dead:  # cut 4
                 return
             if best:  # cut 3
                 alive = weighted & ~dead
@@ -496,7 +502,9 @@ class StateSearch:
 
 
 def greedy_merge_cover(
-    seeds: list[Dichotomy], bit_of: dict[str, int]
+    seeds: list[Dichotomy],
+    bit_of: dict[str, int],
+    search: StateSearch | None = None,
 ) -> tuple[list[tuple[int, int]], bool]:
     """The greedy cover of the seeds by maximal merges, without
     enumerating the merges.
@@ -529,9 +537,11 @@ def greedy_merge_cover(
        undominated one, without listing the ties.
 
     The orientations' incidence rows and search tables are built once
-    (one :class:`StateSearch`) and every round reads them.
+    (one :class:`StateSearch`, or ``search`` when the caller built it
+    over the same seeds) and every round reads them.
     """
-    search = StateSearch(*orientation_blocks(seeds, bit_of))
+    if search is None:
+        search = StateSearch(*orientation_blocks(seeds, bit_of))
     lefts, rights, even = search.lefts, search.rights, search.even
     compatible = search.compatible()
 

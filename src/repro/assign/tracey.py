@@ -20,11 +20,14 @@ The algorithm, following Tracey (1966) as the paper cites:
 
 3. **Covering.**  A minimum family of merged dichotomies covering every
    seed gives the fewest state variables — the paper's "general algorithm
-   that will generate the smallest number of state variables".
-   :func:`~repro.util.setcover.minimum_set_cover` solves it exactly when
-   its cyclic core is small (every paper table but lion9 and train11) and
-   greedily otherwise.  Above :data:`SEARCH_ABOVE_SEEDS` seeds the merges
-   are not enumerated at all:
+   that will generate the smallest number of state variables".  The
+   rule is three-way.  Up to :data:`SEARCH_ABOVE_SEEDS` seeds the merges
+   are enumerated, and
+   :func:`~repro.util.setcover.minimum_set_cover` solves the cover
+   exactly when its cyclic core is small (every paper table but lion9
+   and train11).  Where it would go greedy
+   (:func:`~repro.util.setcover.goes_greedy`), and above
+   :data:`SEARCH_ABOVE_SEEDS` seeds without enumerating,
    :func:`~repro.assign.dichotomy.greedy_merge_cover` finds the same
    greedy cover merge by merge: each round finds the greatest weight
    (seeds still uncovered), walks the left blocks of the merges in key
@@ -44,13 +47,14 @@ from itertools import combinations
 from ..errors import StateAssignmentError
 from ..flowtable.table import FlowTable
 from ..logic.bitset import iter_bits
-from ..util.setcover import minimum_set_cover
+from ..util.setcover import goes_greedy, minimum_set_cover
 from .dichotomy import (
     Dichotomy,
+    StateSearch,
     block_mask,
     dichotomy_of,
     greedy_merge_cover,
-    merged_dichotomy_masks,
+    orientation_blocks,
     state_bits,
     state_incidence,
 )
@@ -157,23 +161,31 @@ def assign_states(
     large for the exact search goes greedy (``exact`` false) and may use
     more; of the paper tables, lion9 and train11 do.
 
-    The cover is built one of two ways, by a rule on the input: a table
-    with more than :data:`SEARCH_ABOVE_SEEDS` (64) seeds after
-    :func:`absorb_seeds` takes
-    :func:`~repro.assign.dichotomy.greedy_merge_cover`, which finds
-    the greedy cover merge by merge and reports ``exact`` false unless
-    the essential merges alone cover every seed.  Each of its rounds
-    takes the greatest weight from a branch-and-bound over the states,
-    then walks the merges' left blocks in key order (a maximal merge
-    is fixed by its left block) and stops at the first heaviest merge
-    that no clique dominates, so it never lists the tied merges.
-    Every other table enumerates all maximal merges with the
-    unweighted state search and covers them with
-    :func:`~repro.util.setcover.minimum_set_cover`.  Whenever that
-    cover goes greedy, the search chooses the same merges; the search
-    never runs the set cover's exact branch-and-bound.  For scale:
-    lion9 has 42 seeds, train11 58, the 13- to 17-state chain tables
-    80-148.
+    The cover is built one of three ways, by a rule on the input:
+
+    * a table with more than :data:`SEARCH_ABOVE_SEEDS` (64) seeds
+      after :func:`absorb_seeds` takes
+      :func:`~repro.assign.dichotomy.greedy_merge_cover` without
+      enumerating the merges;
+    * a smaller one enumerates every maximal merge with the unweighted
+      state search, and asks :func:`~repro.util.setcover.goes_greedy`
+      whether :func:`~repro.util.setcover.minimum_set_cover` over them
+      would go greedy (more than ``EXACT_LIMIT`` undominated merges
+      after the essential ones).  If it would, the table takes
+      :func:`~repro.assign.dichotomy.greedy_merge_cover` too;
+    * otherwise the set cover covers the enumerated merges, exactly.
+
+    :func:`~repro.assign.dichotomy.greedy_merge_cover` finds the set
+    cover's greedy cover merge by merge and reports ``exact`` false
+    unless the essential merges alone cover every seed.  Each of its
+    rounds takes the greatest weight from a branch-and-bound over the
+    states, then walks the merges' left blocks in key order (a maximal
+    merge is fixed by its left block) and stops at the first heaviest
+    merge that no clique dominates, so it never lists the tied merges.
+    All three build one :class:`~repro.assign.dichotomy.StateSearch`.
+    For scale: lion9 has 42 seeds and 86 undominated merges, train11
+    58 and 606 (both take the search), the 13- to 17-state chain
+    tables 80-148 seeds.
 
     A single-state table degenerates to one variable constant 0 (some
     feedback signal must exist for the architecture to instantiate).
@@ -185,11 +197,19 @@ def assign_states(
     seeds = seed_dichotomies(table, uniqueness=uniqueness)
     bit_of = state_bits(seeds)
     states = sorted(bit_of)
-    if len(seeds) > SEARCH_ABOVE_SEEDS:
-        merges, exact = greedy_merge_cover(seeds, bit_of)
+    search = StateSearch(*orientation_blocks(seeds, bit_of))
+    # Every maximal merge, as merged_dichotomy_masks lists them; a merge
+    # covers seed k when its clique holds vertex 2k or 2k+1.
+    candidates = (
+        search.heaviest(0, search.every)
+        if len(seeds) <= SEARCH_ABOVE_SEEDS
+        else None
+    )
+    if candidates is None or goes_greedy(
+        [(c | c >> 1) & search.even for _, _, c in candidates]
+    ):
+        merges, exact = greedy_merge_cover(seeds, bit_of, search)
     else:
-        candidates = merged_dichotomy_masks(seeds, bit_of)
-        # A merge covers seed k when its clique holds vertex 2k or 2k+1.
         covered = [
             frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates
         ]

@@ -8,7 +8,10 @@ it as ``api.SynthesisOptions``.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
+
+from ..errors import SynthesisError
 
 #: The values each string option takes; every other option is a bool.
 OPTION_CHOICES: dict[str, tuple[str, ...]] = {
@@ -62,6 +65,20 @@ class SynthesisOptions:
     verify_assignment: bool = True
     reduce_mode: str = "split"
     hazard_correction: bool = True
+
+    def __post_init__(self) -> None:
+        # Checked here so that every path (Python, spec file, queue
+        # unit, CLI) rejects the same values; ``0`` would equal
+        # ``False`` yet fingerprint apart from it.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            choices = OPTION_CHOICES.get(f.name, (False, True))
+            if type(value) is not type(f.default) or value not in choices:
+                raise SynthesisError(
+                    f"option {f.name!r} must be one of "
+                    f"{json.dumps(choices)}, got "
+                    f"{json.dumps(value, default=repr)}"
+                )
 
     def fingerprint_items(self) -> tuple[tuple[str, object], ...]:
         """Canonical ``(field, value)`` tuple for cache fingerprinting."""

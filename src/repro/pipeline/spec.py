@@ -33,7 +33,7 @@ from pathlib import Path
 from ..errors import SynthesisError
 from .cache import MAX_ENTRIES, StageCache
 from .manager import PassManager
-from .options import OPTION_CHOICES, SynthesisOptions
+from .options import SynthesisOptions
 from .registry import DEFAULT_PIPELINE, registered_passes, resolve_passes
 from .registry import substitute as _substitute
 
@@ -113,22 +113,14 @@ def _options_to_dict(options: SynthesisOptions) -> dict:
 
 
 def _options_from_dict(payload: dict) -> SynthesisOptions:
-    """Options from a spec file, queue unit or ``/submit`` body.  Each
-    value must have its field's type and be one of its choices (``0``
-    would equal ``false`` yet fingerprint apart from it)."""
+    """Options from a spec file, queue unit or ``/submit`` body; the
+    values are checked by :class:`SynthesisOptions` itself."""
     if not isinstance(payload, dict):
         raise SynthesisError(
             f"options must be an object, got {type(payload).__name__}"
         )
-    defaults = _options_to_dict(SynthesisOptions())
-    _require_keys(payload, set(defaults), "options")
-    for name, value in payload.items():
-        choices = OPTION_CHOICES.get(name, (False, True))
-        if type(value) is not type(defaults[name]) or value not in choices:
-            raise SynthesisError(
-                f"option {name!r} must be one of {json.dumps(choices)}, "
-                f"got {json.dumps(value, default=repr)}"
-            )
+    fields = {f.name for f in dataclasses.fields(SynthesisOptions)}
+    _require_keys(payload, fields, "options")
     return SynthesisOptions(**payload)
 
 

@@ -5,7 +5,11 @@ choosing merged dichotomies for tables of at most 64 seeds; prime
 implicant selection has its own solver in :mod:`repro.logic.cover`.  The
 implementation: iterated essential extraction, dominated-candidate
 elimination, exact branch-and-bound on the cyclic core, and a greedy
-fallback above a size threshold.
+fallback above a size threshold.  That fallback is no longer reached
+from ``src/``: ``assign_states`` first asks :func:`goes_greedy`, and
+where the cover would go greedy it takes
+:func:`~repro.assign.dichotomy.greedy_merge_cover`, which chooses the
+same candidates.  The tests' oracles still call it.
 
 Internally every element is numbered (in ``repr``-sorted order, which is
 also the deterministic scan order of the original set-based solver, kept
@@ -20,8 +24,9 @@ bitset.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from math import comb
 
 from ..errors import CoveringError
 from ..logic.bitset import iter_bits
@@ -132,6 +137,59 @@ def minimum_set_cover(
         return SetCoverResult(tuple(sorted(chosen + extra)), True)
     extra = _greedy(remaining, live, useful)
     return SetCoverResult(tuple(sorted(chosen + extra)), False)
+
+
+def goes_greedy(masks: Sequence[int], limit: int = EXACT_LIMIT) -> bool:
+    """Whether :func:`minimum_set_cover` over candidates with these
+    incidence bitsets would go greedy, without its passes.
+
+    ``masks`` covers the universe, in any element numbering: the
+    essentials and the dominance count do not depend on it.  The
+    elements exactly one mask holds force their candidates; past them,
+    the cover goes greedy when more than ``limit`` distinct useful masks
+    are undominated.  So it never does with at most ``limit``
+    candidates.  The undominated masks are an antichain of subsets of
+    the ``c`` elements left, so with ``C(c, c // 2) <= limit``
+    (Sperner) it never does either; otherwise
+    :func:`undominated_count` counts them, up to ``limit + 1``.
+    """
+    if len(masks) <= limit:
+        return False
+    once = twice = 0
+    for bits in masks:
+        twice |= once & bits
+        once |= bits
+    sole = once & ~twice
+    remaining = once
+    for bits in masks:
+        if bits & sole:
+            remaining &= ~bits
+    size = remaining.bit_count()
+    if comb(size, size // 2) <= limit:
+        return False
+    useful = (bits & remaining for bits in masks)
+    return undominated_count(useful, limit + 1) > limit
+
+
+def undominated_count(masks: Iterable[int], cap: int) -> int:
+    """How many distinct non-zero masks no other strictly contains
+    (the candidates :func:`_undominated_indexed` keeps), counted up to
+    ``cap``.
+
+    Largest masks first, a mask is undominated iff no kept one contains
+    it (a strict superset is larger, and domination is transitive), so
+    each test is against at most ``cap`` kept masks.
+    """
+    kept: list[int] = []
+    for bits in sorted(set(masks) - {0}, key=int.bit_count, reverse=True):
+        for other in kept:
+            if bits | other == other:
+                break
+        else:
+            kept.append(bits)
+            if len(kept) == cap:
+                break
+    return len(kept)
 
 
 def _undominated_indexed(

@@ -4,14 +4,24 @@
 over states, builds its orientation graph (and
 :func:`~repro.assign.tracey.absorb_seeds` its containment test) from
 per-state incidence rows, and finds each greedy round's merge by a
-key-ordered walk over left blocks.  These are the independent searches
-the differential tests and the CI step hold it against: the pairwise
-loops over seeds and orientations, a Bron-Kerbosch clique search over
-orientation vertices, and the set cover's greedy over every merge that
-search enumerates.  They are slow on purpose and live only here.
+key-ordered walk over left blocks, and
+:func:`~repro.assign.tracey.assign_states` covers with that search
+wherever the set cover over every merge would go greedy.  These are
+the independent searches the differential tests and the CI step hold
+it against: the pairwise loops over seeds and orientations, a
+Bron-Kerbosch clique search over orientation vertices, and the set
+cover over every merge the state search enumerates.  They are slow on
+purpose and live only here.
 """
 
-from repro.assign.dichotomy import block_mask, merge_key, state_bits
+from repro.assign.dichotomy import (
+    block_mask,
+    dichotomy_of,
+    merge_key,
+    merged_dichotomy_masks,
+    state_bits,
+)
+from repro.assign.tracey import SEARCH_ABOVE_SEEDS, seed_dichotomies
 from repro.logic.bitset import iter_bits
 from repro.util.setcover import minimum_set_cover
 
@@ -152,13 +162,45 @@ def oracle_candidates(seeds, bit_of):
     return oracle_merges(pairwise_graph(seeds, bit_of), 0, every)
 
 
-def enumerated_greedy(seeds, candidates):
-    """The set cover's greedy cover of the seeds by ``candidates``
-    (``(left, right, clique)`` in ``merge_key`` order), as
-    ``greedy_merge_cover`` returns it."""
+def enumerated_cover(seeds, candidates, exact=None):
+    """The set cover of the seeds by ``candidates`` (``(left, right,
+    clique)`` in ``merge_key`` order), as chosen ``(left, right)``
+    blocks and the cover's ``exact`` flag; ``exact`` as
+    ``minimum_set_cover`` takes it."""
     cover = minimum_set_cover(
         set(range(len(seeds))),
         [frozenset(v >> 1 for v in iter_bits(c)) for _, _, c in candidates],
-        exact=False,
+        exact=exact,
     )
     return [candidates[i][:2] for i in cover.chosen], cover.exact
+
+
+def enumerated_greedy(seeds, candidates):
+    """The set cover's greedy cover, as ``greedy_merge_cover`` returns
+    it."""
+    return enumerated_cover(seeds, candidates, exact=False)
+
+
+def enumerated_assignment(table, uniqueness=True):
+    """``assign_states`` by enumerating every maximal merge and covering
+    with ``minimum_set_cover``: ``(seeds, chosen, codes, exact)``.
+
+    The cover is the set cover's own choice (exact when its core is
+    small enough, greedy otherwise) up to ``SEARCH_ABOVE_SEEDS`` seeds,
+    and its greedy cover above.  Codes follow ``assign_states``: a
+    variable is 1 on its dichotomy's right block.
+    """
+    seeds = seed_dichotomies(table, uniqueness=uniqueness)
+    bit_of = state_bits(seeds)
+    states = sorted(bit_of)
+    merges, exact = enumerated_cover(
+        seeds,
+        merged_dichotomy_masks(seeds, bit_of),
+        exact=False if len(seeds) > SEARCH_ABOVE_SEEDS else None,
+    )
+    chosen = [dichotomy_of(left, right, states) for left, right in merges]
+    codes = {
+        state: sum(1 << i for i, d in enumerate(chosen) if state in d.right)
+        for state in table.states
+    }
+    return tuple(seeds), tuple(chosen), codes, exact

@@ -102,18 +102,23 @@ def test_heaviest_merges_are_the_heaviest_enumerated():
         }
 
 
-def test_only_tables_above_64_seeds_take_the_search(monkeypatch):
+def test_greedy_set_covers_take_the_search(monkeypatch):
+    """Tables above 64 seeds, and those whose set cover would go greedy
+    (lion9: 86 undominated merges, train11: 606), take the search;
+    test_example stays on the exact set cover."""
     searched = []
 
-    def spy(seeds, bit_of):
+    def spy(seeds, bit_of, *search):
         searched.append(len(seeds))
-        return greedy_merge_cover(seeds, bit_of)
+        return greedy_merge_cover(seeds, bit_of, *search)
 
     monkeypatch.setattr(tracey, "greedy_merge_cover", spy)
     # Seeds: lion9 42, rand13 82, rand14 80, train11 58.
     for name in sorted(NAMED):
         tracey.assign_states(NAMED[name]())
-    assert searched == [82, 80]
+    assert searched == [42, 82, 80, 58]
+    result = tracey.assign_states(benchmark("test_example"))
+    assert searched == [42, 82, 80, 58] and result.exact
 
 
 def test_rand16_encoding_is_pinned():

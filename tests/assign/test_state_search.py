@@ -217,3 +217,11 @@ def test_search_tree_size_is_pinned():
     every = (1 << 2 * len(seeds)) - 1
     assert count_nodes(StateSearch(*graph[:2]).heaviest, 0, every) <= 11437
     assert count_nodes(greedy_merge_cover, seeds, bit_of) <= 3677
+
+
+def test_root_cut_tree_size_is_pinned():
+    """Cut 4 pays on the 20-state chain: without it, the last rounds'
+    searches walk every merge that can no longer hold an uncovered
+    seed (804,597 nodes)."""
+    seeds, bit_of, _ = setup(random_flow_table(20))
+    assert count_nodes(greedy_merge_cover, seeds, bit_of) <= 55174

@@ -21,6 +21,17 @@ from repro.pipeline import (
 )
 from repro.pipeline.passes import SkipHazardsPass
 
+#: One ill-typed or out-of-range value per option field.
+BAD_OPTIONS = [
+    ("minimize", "no"),
+    ("validate_input", None),
+    ("verify_assignment", 1),
+    ("hazard_correction", 0),
+    ("reduce_mode", "bogus"),
+    ("output_policy", True),
+    ("ssd_dc_policy", "loose"),
+]
+
 
 class TestRegistry:
     def test_default_pipeline_is_registered(self):
@@ -203,18 +214,7 @@ class TestSpecRoundTrip:
         with pytest.raises(SynthesisError, match="unknown options"):
             PipelineSpec.from_dict(payload)
 
-    @pytest.mark.parametrize(
-        "option,value",
-        [
-            ("minimize", "no"),
-            ("validate_input", None),
-            ("verify_assignment", 1),
-            ("hazard_correction", 0),
-            ("reduce_mode", "bogus"),
-            ("output_policy", True),
-            ("ssd_dc_policy", "loose"),
-        ],
-    )
+    @pytest.mark.parametrize("option,value", BAD_OPTIONS)
     def test_ill_typed_option_fails_at_load(
         self, tmp_path, capsys, option, value
     ):
@@ -229,6 +229,37 @@ class TestSpecRoundTrip:
         assert main(["synth", "lion", "--spec", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: option ")
+
+    @pytest.mark.parametrize("option,value", BAD_OPTIONS)
+    def test_bad_option_fails_at_construction(self, option, value):
+        from repro import api
+
+        match = f"option {option!r} must be one of"
+        with pytest.raises(SynthesisError, match=match):
+            SynthesisOptions(**{option: value})
+        with pytest.raises(SynthesisError, match=match):
+            PipelineSpec().with_options(**{option: value})
+        with pytest.raises(SynthesisError, match=match):
+            api.load("lion").with_options(**{option: value})
+
+    @pytest.mark.parametrize("option,value", BAD_OPTIONS)
+    def test_bad_option_fails_in_a_queue_unit(self, option, value):
+        from repro.bench import benchmark
+        from repro.store.sharding import ShardedBatch, WorkUnit
+
+        [unit] = ShardedBatch([benchmark("lion")]).units
+        payload = json.loads(json.dumps(unit.to_payload()))
+        assert WorkUnit.from_payload(payload).key == unit.key
+        payload["spec"]["options"][option] = value
+        with pytest.raises(SynthesisError, match=f"option {option!r}"):
+            WorkUnit.from_payload(payload)
+
+    def test_default_fingerprint_is_pinned(self):
+        # Every store key hashes it: checking options at construction
+        # must leave it byte-identical.
+        assert PipelineSpec().fingerprint() == (
+            "c04502682854e68916543d4aeee215648377b7b4f18300818ae064510b5590ab"
+        )
 
     def test_unknown_cache_key_is_strictly_rejected(self):
         payload = PipelineSpec().to_dict()

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from repro.errors import CoveringError
-from repro.util.setcover import _undominated_indexed, minimum_set_cover
+from repro.util.setcover import (
+    EXACT_LIMIT,
+    _undominated_indexed,
+    goes_greedy,
+    minimum_set_cover,
+    undominated_count,
+)
 
 
 def brute_force_min(universe, candidates):
@@ -161,3 +167,40 @@ class TestGreedy:
             covered |= candidates[i]
         assert universe <= covered
         assert not result.exact
+
+
+class TestGoesGreedy:
+    """``goes_greedy`` and ``undominated_count`` against the solver's own
+    passes, on random instances on both sides of ``EXACT_LIMIT``."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_solver(self, seed):
+        rng = random.Random(seed)
+        universe = list(range(rng.randint(8, 16)))
+        candidates = [frozenset({k}) for k in universe if rng.random() < 0.2]
+        for _ in range(rng.randint(20, 200)):
+            candidates.append(frozenset(rng.sample(universe, rng.randint(1, 5))))
+        covered = set().union(*candidates)
+        candidates += [frozenset({k}) for k in universe if k not in covered]
+        masks = [sum(1 << k for k in c) for c in candidates]
+        cover = minimum_set_cover(set(universe), candidates)
+        assert goes_greedy(masks) == (not cover.exact)
+
+        # The solver's useful masks past its essentials.
+        counts = [sum(k in c for c in candidates) for k in universe]
+        forced = {i for i, c in enumerate(candidates)
+                  if any(counts[k] == 1 for k in c)}
+        remaining = set(universe).difference(*(candidates[i] for i in forced))
+        useful = {
+            i: sum(1 << k for k in c & remaining)
+            for i, c in enumerate(candidates)
+            if i not in forced and c & remaining
+        }
+        count = len(_undominated_indexed(sorted(useful), useful))
+        for cap in (count - 1, count, count + 1, EXACT_LIMIT + 1):
+            if cap >= 1:
+                assert undominated_count(useful.values(), cap) == min(
+                    count, cap
+                )
+            if cap >= 0:
+                assert goes_greedy(masks, cap) == (count > cap)
