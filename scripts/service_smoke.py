@@ -1,36 +1,37 @@
 #!/usr/bin/env python
 """End-to-end service smoke: the CI job behind the service fabric.
 
-Spins up the whole fleet shape as real processes over a real socket:
+Runs the whole fleet shape as real processes over a real socket:
 
 1. an in-process **fake object-store server** (the networked
    ``StoreBackend`` substrate), optionally behind a fault-injecting
    :class:`~repro.service.chaos.ChaosProxy` (``--chaos-seed``);
-2. ``seance serve`` as a subprocess in **queue mode** against it —
-   two of them with ``--two-servers``, sharing one store and queue;
+2. **two concurrent** ``seance queue publish`` runs of one plan — the
+   queue must hold one unit per table;
 3. a unit pre-claimed by a fabricated **crashed worker** (a lease that
-   will never beat again) plus **two worker subprocesses**, one of
-   which is SIGKILLed mid-run — the survivor must steal both ways;
-4. **two concurrent clients** submitting the same table list through
-   the front door(s).
+   will never beat again) plus **two** ``seance work`` **drainers**,
+   one of which is SIGKILLed mid-run — the survivor must steal the
+   crashed worker's unit and drain the queue.
 
 Passes when:
 
-* every submission succeeds and both clients see identical results;
-* the merged canonical stream is **byte-identical** to a single-process
-  ``seance batch --json --canonical`` — including under an adversarial
-  network (the degrade-to-recompute-never-wrong-bytes invariant);
-* a warm resubmission short-circuits to **zero passes**;
+* the queue holds one unit per table despite the racing publishers;
 * the queue fully drains despite the crashed lease and the killed
-  worker (work stealing at the lease layer *and* the process layer).
+  worker (the crashed lease lapses only after the kill, so draining
+  means the survivor stole it);
+* ``seance shard merge --store URL --json`` over the drained store is
+  **byte-identical** to a single-process ``seance batch --json
+  --canonical`` — including under an adversarial network (the
+  degrade-to-recompute-never-wrong-bytes invariant);
+* a warm ``seance batch --store URL --json`` serves every item from the
+  store with **zero passes**.
 
 ``--chaos-seed N`` reruns the same scenario with a seeded fault plan:
 a TCP chaos proxy (drop / delay / truncate / reset) in front of the
 store for every subprocess, protocol-level faults (500 / delay / stale)
 on the fake itself, and ``?retry=&timeout=`` knobs on the store URL so
 the transport policy absorbs all of it.  ``--timing OUT.json`` writes
-the wall clock plus the chaos/transport telemetry (the CI smoke
-artifacts).
+the wall clock plus the chaos telemetry (the CI smoke artifacts).
 
 Stdlib only; run from the repo root:
 
@@ -41,25 +42,20 @@ import argparse
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.bench import benchmark  # noqa: E402
 from repro.service import (  # noqa: E402
     ChaosProxy,
     ChaosSchedule,
     FakeObjectStoreServer,
-    ServiceClient,
     WorkQueue,
 )
-from repro.store import canonical_json  # noqa: E402
 
 TABLES = ["lion", "traffic", "hazard_demo", "lion9"]
 QUEUE = "ci-smoke"
@@ -67,6 +63,9 @@ LEASE_TTL = 2.0
 
 #: Retry/timeout knobs every subprocess rides under chaos.
 STORE_KNOBS = "retry=6&timeout=5"
+
+#: Bound on any one subprocess (the survivor waits out lapsed leases).
+PROCESS_TIMEOUT = 240
 
 
 def parse_args(argv=None):
@@ -85,55 +84,40 @@ def parse_args(argv=None):
         help="total fault budget (bounds the smoke's tail latency)",
     )
     parser.add_argument(
-        "--two-servers", action="store_true",
-        help="run two `seance serve` processes against the shared "
-        "store/queue; each client submits through its own",
-    )
-    parser.add_argument(
         "--timing", metavar="OUT.json", default=None,
-        help="write wall clock + chaos/transport telemetry here",
+        help="write wall clock + chaos telemetry here",
     )
     return parser.parse_args(argv)
 
 
-def spawn(*argv, **kwargs):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def spawn(*argv):
+    """Start ``seance ARGV`` with its stdout captured as text."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", *argv],
-        env=env,
+        env=_env(),
         cwd=ROOT,
-        **kwargs,
+        stdout=subprocess.PIPE,
+        text=True,
     )
 
 
-def await_url(process, pattern, timeout=30.0):
-    """First URL matching ``pattern`` on the process's stdout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            raise SystemExit(
-                f"process exited before announcing a URL "
-                f"(rc={process.poll()})"
-            )
-        match = re.search(pattern, line)
-        if match:
-            return match.group(0)
-    raise SystemExit("timed out waiting for the service URL")
-
-
-def spawn_server(store_url):
-    return spawn(
-        "serve",
-        "--store", store_url,
-        "--queue", QUEUE,
-        "--port", "0",
-        "--lease-ttl", str(LEASE_TTL),
-        stdout=subprocess.PIPE,
+def seance(*argv):
+    """Run ``seance ARGV`` to completion; the CompletedProcess."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=_env(),
+        cwd=ROOT,
+        capture_output=True,
         text=True,
+        timeout=PROCESS_TIMEOUT,
     )
 
 
@@ -146,7 +130,6 @@ def main(argv=None) -> int:
         if not ok:
             failures.append(what)
 
-    client_timeout = 240 if args.chaos_seed is not None else 120
     proxy_schedule = server_schedule = None
     report = {}
     started = time.monotonic()
@@ -154,7 +137,7 @@ def main(argv=None) -> int:
     with FakeObjectStoreServer() as fake:
         print(f"fake object store at {fake.url}", flush=True)
         # The harness's own bookkeeping rides the clean URL — only the
-        # fleet under test gets hurt.
+        # fleet under test goes through the proxy.
         queue = WorkQueue(fake.url, QUEUE, lease_ttl=LEASE_TTL)
 
         if args.chaos_seed is not None:
@@ -183,127 +166,58 @@ def main(argv=None) -> int:
             proxy = None
             store_url = fake.url
 
-        # A worker that claimed a unit and died without a word: publish
-        # the plan up front and take one lease that will never beat.
-        publish = spawn(
-            "queue", "publish", *TABLES,
-            "--store", store_url, "--queue", QUEUE,
-        )
-        publish.wait(timeout=120)
-        check(publish.returncode == 0, "queue publish")
-        pending = queue.pending()
-        check(len(pending) == len(TABLES), "one unit per table published")
-        victim_digest = pending[0][0]
-        check(
-            queue.claim(victim_digest, "crashed-worker", ttl=LEASE_TTL),
-            "crashed worker holds a lease",
-        )
-
-        servers = [spawn_server(store_url)]
-        if args.two_servers:
-            servers.append(spawn_server(store_url))
-        workers = [
-            spawn(
-                "work",
-                "--store", store_url,
-                "--queue", QUEUE,
-                "--worker-id", f"worker-{index}",
-                "--lease-ttl", str(LEASE_TTL),
-                "--poll", "0.1",
-                "--keep-polling",
-                "--timeout", "180",
-            )
-            for index in range(2)
-        ]
+        workers = []
         try:
-            urls = [
-                await_url(server, r"http://[0-9.:]+")
-                for server in servers
-            ]
-            for url in urls:
-                print(f"front door at {url}", flush=True)
-
-            # Two concurrent clients, same submission list — through
-            # separate servers when --two-servers: the fleet dedupes
-            # across processes, the workers execute each unit exactly
-            # once (modulo steals, which are idempotent).
-            outcomes = {}
-
-            tables = [benchmark(name) for name in TABLES]
-
-            def run_client(slot):
-                client = ServiceClient(
-                    urls[slot % len(urls)], timeout=client_timeout
+            # Two publishers race one plan: publication is conditional
+            # on the unit digest, so the queue holds each unit once.
+            publishers = [
+                spawn(
+                    "queue", "publish", *TABLES,
+                    "--store", store_url, "--queue", QUEUE,
                 )
-                outcomes[slot] = client.submit_tables(tables)
-
-            clients = [
-                threading.Thread(target=run_client, args=(slot,))
-                for slot in range(2)
+                for _ in range(2)
             ]
-            for thread in clients:
-                thread.start()
+            published = []
+            for publisher in publishers:
+                out, _ = publisher.communicate(timeout=PROCESS_TIMEOUT)
+                match = re.search(r"published (\d+) new", out)
+                published.append(int(match.group(1)) if match else None)
+            check(
+                all(p.returncode == 0 for p in publishers),
+                "two concurrent queue publishers",
+            )
+            pending = queue.pending()
+            check(len(pending) == len(TABLES), "one unit per table queued")
 
-            # While they work: SIGKILL one worker mid-run.  Its leases
-            # lapse after LEASE_TTL and the survivor steals them.
+            # A worker that claimed a unit and died without a word: one
+            # lease that will never beat.
+            check(
+                queue.claim(pending[0][0], "crashed-worker", ttl=LEASE_TTL),
+                "crashed worker holds a lease",
+            )
+
+            workers = [
+                spawn(
+                    "work",
+                    "--store", store_url,
+                    "--queue", QUEUE,
+                    "--worker-id", f"worker-{index}",
+                    "--lease-ttl", str(LEASE_TTL),
+                    "--poll", "0.1",
+                    "--timeout", "180",
+                )
+                for index in range(2)
+            ]
+            # SIGKILL one drainer mid-run, before the crashed lease
+            # lapses: its own lease (if any) lapses after LEASE_TTL and
+            # the survivor steals both.
             time.sleep(LEASE_TTL / 2)
             workers[0].kill()
             print("killed worker-0", flush=True)
 
-            for thread in clients:
-                thread.join()
-
-            for slot in (0, 1):
-                check(
-                    all(o["ok"] for o in outcomes[slot]),
-                    f"client {slot}: all submissions succeeded",
-                )
-            streams = {
-                slot: canonical_json(
-                    ServiceClient.canonical_items(outcomes[slot])
-                )
-                for slot in (0, 1)
-            }
-            check(
-                streams[0] == streams[1],
-                "both clients saw identical canonical results",
-            )
-
-            # Byte-identity against a clean single process: no store,
-            # no network, no chaos — the reference answer.
-            batch = subprocess.run(
-                [
-                    sys.executable, "-m", "repro", "batch",
-                    *TABLES, "--json", "--canonical",
-                ],
-                env=dict(
-                    os.environ, PYTHONPATH=str(ROOT / "src")
-                ),
-                cwd=ROOT,
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-            check(batch.returncode == 0, "single-process seance batch")
-            check(
-                streams[0] == batch.stdout.rstrip("\n"),
-                "merged service output byte-identical to "
-                "`seance batch --json --canonical`",
-            )
-
-            # Warm resubmission: zero passes, served from the store.
-            # Asked through the *clean* URL — this pins store state,
-            # not transport luck.
-            warm = ServiceClient(
-                urls[0], timeout=client_timeout
-            ).submit_tables(tables)
-            check(
-                all(
-                    o["store_hit"] and o["passes"] == 0 for o in warm
-                ),
-                "warm resubmission short-circuits to zero passes",
-            )
-
+            survivor, _ = workers[1].communicate(timeout=PROCESS_TIMEOUT)
+            print(survivor.rstrip(), flush=True)
+            check(workers[1].returncode == 0, "surviving worker drained")
             stats = queue.stats()
             check(
                 stats.remaining == 0,
@@ -311,32 +225,45 @@ def main(argv=None) -> int:
                 "killed worker",
             )
 
-            # The server-side transport telemetry (faults absorbed on
-            # the way to the verdicts above).
-            server_stats = ServiceClient(
-                urls[0], timeout=30
-            ).stats()
+            # Byte-identity against a clean single process: no store,
+            # no network, no chaos — the reference answer.
+            merged = seance(
+                "shard", "merge", *TABLES, "--store", store_url, "--json"
+            )
+            check(merged.returncode == 0, "shard merge over the store")
+            batch = seance("batch", *TABLES, "--json", "--canonical")
+            check(batch.returncode == 0, "single-process seance batch")
+            check(
+                merged.stdout == batch.stdout,
+                "merged queue output byte-identical to "
+                "`seance batch --json --canonical`",
+            )
+
+            # Warm batch over the drained store: zero passes.
+            warm = seance("batch", *TABLES, "--store", store_url, "--json")
+            items = json.loads(warm.stdout) if warm.returncode == 0 else []
+            check(
+                len(items) == len(TABLES)
+                and all(
+                    item["store_hit"] and item["passes"] == []
+                    for item in items
+                ),
+                "warm batch is all store hits with zero passes",
+            )
+
             report = {
+                "tables": TABLES,
+                "published": published,
                 "units": stats.units,
                 "done": stats.done,
-                "tables": TABLES,
-                "servers": len(servers),
-                "transport": server_stats.get("transport"),
+                "survivor": survivor.strip(),
             }
             print(f"queue report: {json.dumps(report)}", flush=True)
         finally:
-            for server in servers:
-                server.terminate()
             for worker in workers:
                 if worker.poll() is None:
-                    worker.send_signal(signal.SIGTERM)
-            for server in servers:
-                server.wait(timeout=10)
-            for worker in workers:
-                try:
-                    worker.wait(timeout=15)
-                except subprocess.TimeoutExpired:
                     worker.kill()
+                worker.communicate(timeout=15)
             if proxy is not None:
                 proxy.stop()
 
@@ -351,7 +278,6 @@ def main(argv=None) -> int:
     if args.timing:
         payload = {
             "service_smoke_seconds": round(wall, 3),
-            "two_servers": args.two_servers,
             "report": report,
             "chaos": (
                 {

@@ -47,15 +47,6 @@ reproducible from a spec file alone.
     entirely — ``"store_hit"`` in the JSON telemetry, zero pipeline
     passes executed.
 
-``seance serve`` / ``seance submit``
-    The service fabric's front door and its client: ``serve`` accepts
-    table+spec submissions over HTTP, dedupes them against the store
-    (completed work), against each other (in-flight work), and either
-    synthesises misses locally or fans them to a work queue; ``submit``
-    sends tables to a running front door and can emit the canonical
-    stream (``--canonical``) byte-identical to ``seance batch --json
-    --canonical``.
-
 ``seance queue publish|status`` / ``seance work``
     The durable work-stealing queue over a shared store: ``publish``
     enumerates a batch matrix or validation campaign into leased work
@@ -174,22 +165,6 @@ def _check_output(flag: str, path: str | None) -> None:
         raise ReproError(f"cannot write {flag} {path!r}: {error}") from error
     if not existed:
         Path(path).unlink()
-
-
-def _read_token_file(path: str | None) -> str | None:
-    """The submission token a ``--token-file`` names (stripped), or
-    None when the flag is absent."""
-    if not path:
-        return None
-    try:
-        token = Path(path).read_text().strip()
-    except OSError as error:
-        raise ReproError(
-            f"cannot read --token-file {path!r}: {error}"
-        ) from error
-    if not token:
-        raise ReproError(f"--token-file {path!r} is empty")
-    return token
 
 
 def _build_spec(args: argparse.Namespace) -> PipelineSpec:
@@ -481,31 +456,8 @@ def cmd_shard_merge(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# The service fabric: front door, queue, workers, store lifecycle
+# The service fabric: queue, workers, store lifecycle
 # ----------------------------------------------------------------------
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import SynthesisServer
-
-    server = SynthesisServer(
-        store=_open_store(args),
-        host=args.host,
-        port=args.port,
-        queue_id=args.queue,
-        jobs=args.jobs,
-        submit_timeout=args.submit_timeout,
-        lease_ttl=args.lease_ttl,
-        token=_read_token_file(args.token_file),
-        rate=args.rate,
-        burst=args.burst,
-        max_inflight=args.max_inflight,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def cmd_work(args: argparse.Namespace) -> int:
     from .service import QueueWorker
 
@@ -517,11 +469,7 @@ def cmd_work(args: argparse.Namespace) -> int:
         poll=args.poll,
     )
     try:
-        stats = worker.run(
-            max_units=args.max_units,
-            drain=not args.keep_polling,
-            timeout=args.timeout,
-        )
+        stats = worker.run(max_units=args.max_units, timeout=args.timeout)
     except KeyboardInterrupt:
         return 130
     print(f"worker {worker.worker_id}: {stats.describe()}")
@@ -576,46 +524,6 @@ def cmd_queue_status(args: argparse.Namespace) -> int:
             time_module.sleep(args.interval)
     except KeyboardInterrupt:
         return 130
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceClient
-
-    specs = args.specs or list(benchmark_names())
-    tables = [_load_table(spec) for spec in specs]
-    client = ServiceClient(
-        args.server,
-        timeout=args.timeout,
-        token=_read_token_file(args.token_file),
-        client_id=args.client_id,
-    )
-    outcomes = client.submit_tables(tables, spec=_build_spec(args))
-    failures = [outcome for outcome in outcomes if not outcome["ok"]]
-    if args.canonical:
-        from .store import canonical_json
-
-        print(canonical_json(ServiceClient.canonical_items(outcomes)))
-    elif args.json:
-        import json
-
-        print(json.dumps(outcomes, indent=2, sort_keys=True))
-    else:
-        print(f"{'Benchmark':14s} {'source':>7s} {'passes':>7s}")
-        for outcome in outcomes:
-            if not outcome["ok"]:
-                print(f"{outcome['name']:14s} FAILED: {outcome['error']}")
-                continue
-            source = "dedup" if outcome["deduped"] else outcome["source"]
-            print(
-                f"{outcome['name']:14s} {source:>7s} "
-                f"{outcome['passes']:7d}"
-            )
-        hot = sum(1 for o in outcomes if o["store_hit"] or o["deduped"])
-        print(
-            f"{len(outcomes)} submission(s), {len(failures)} failed, "
-            f"{hot} served without a synthesis"
-        )
-    return 1 if failures else 0
 
 
 def cmd_store_verify(args: argparse.Namespace) -> int:
@@ -1235,66 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smerge.set_defaults(func=cmd_shard_merge)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the HTTP job front door (dedup against the store, "
-        "against in-flight work, then synthesise or enqueue)",
-    )
-    _add_store_arguments(
-        serve,
-        required=True,
-        help="result store every submission resolves through",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    serve.add_argument(
-        "--port", type=int, default=8631,
-        help="bind port (default 8631; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--queue",
-        metavar="ID",
-        default=None,
-        help="fan misses to this work queue (drained by `seance "
-        "work`) instead of synthesising locally",
-    )
-    serve.add_argument(
-        "-j", "--jobs", type=int, default=2,
-        help="local synthesis threads (ignored with --queue)",
-    )
-    serve.add_argument(
-        "--submit-timeout", type=float, default=300.0, metavar="SECONDS",
-        help="how long one submission may wait for the fleet",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="SECONDS",
-        help="lease time-to-live: published units (--queue) and the "
-        "fleet's in-flight intent markers",
-    )
-    serve.add_argument(
-        "--token-file",
-        metavar="FILE",
-        default=None,
-        help="require `Authorization: Bearer <token>` on submissions, "
-        "token read from FILE (compared constant-time)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=None, metavar="PER_SECOND",
-        help="per-client submission rate limit (token bucket; the "
-        "client is its X-Client-Id header, else peer address)",
-    )
-    serve.add_argument(
-        "--burst", type=float, default=None, metavar="N",
-        help="[--rate] bucket burst capacity (default max(rate, 1))",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="bound the in-flight table: submissions that would start "
-        "new work past N answer 429 busy (joins always admitted)",
-    )
-    serve.set_defaults(func=cmd_serve)
-
     work = sub.add_parser(
         "work",
         help="run one work-queue worker (claim, heartbeat, steal "
@@ -1330,12 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="hard wall-clock bound on the run",
-    )
-    work.add_argument(
-        "--keep-polling",
-        action="store_true",
-        help="service mode: keep polling for new units until "
-        "--timeout instead of exiting once the queue drains",
     )
     work.set_defaults(func=cmd_work)
 
@@ -1375,49 +1217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="[--watch] refresh interval",
     )
     qstat.set_defaults(func=cmd_queue_status)
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit tables to a running `seance serve` front door",
-    )
-    submit.add_argument(
-        "specs",
-        nargs="*",
-        help="KISS2 files or benchmark names (default: the whole "
-        "built-in suite)",
-    )
-    submit.add_argument(
-        "--server", metavar="URL", required=True,
-        help="front-door endpoint (http://host:port)",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=300.0, metavar="SECONDS",
-        help="per-submission HTTP timeout (also the budget for polite "
-        "retries of 429 throttled/busy answers)",
-    )
-    submit.add_argument(
-        "--token-file",
-        metavar="FILE",
-        default=None,
-        help="submission token for a --token-file'd front door",
-    )
-    submit.add_argument(
-        "--client-id",
-        default=None,
-        help="X-Client-Id rate-limit identity (default: peer address)",
-    )
-    _add_spec_arguments(submit)
-    submit.add_argument(
-        "--json", action="store_true",
-        help="emit the full outcome dicts (incl. provenance telemetry)",
-    )
-    submit.add_argument(
-        "--canonical",
-        action="store_true",
-        help="emit the canonical JSON stream, byte-comparable against "
-        "`seance batch --json --canonical`",
-    )
-    submit.set_defaults(func=cmd_submit)
 
     store_cmd = sub.add_parser(
         "store",

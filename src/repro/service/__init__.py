@@ -3,17 +3,16 @@
 The layer that turns the content-addressed store + shard stack into a
 fleet: an in-process fake object-store server for the networked backend
 (:mod:`~repro.service.fakes`), a durable work-stealing queue of unit
-digests (:mod:`~repro.service.queue`), the worker loop that drains it
-(:mod:`~repro.service.worker`), the asyncio job front door behind
-``seance serve`` (:mod:`~repro.service.server`), and the submitting
-client (:mod:`~repro.service.client`).
+digests (:mod:`~repro.service.queue`), and the worker loop that drains
+it (:mod:`~repro.service.worker`).  ``seance queue publish`` plus
+``seance work`` is the one way to hand work to the fleet.
 
 Hardening lives alongside: the transport policy the networked backend
 runs under (:mod:`~repro.service.resilience` — bounded retries,
 deterministic-jitter backoff, per-backend circuit breaker, telemetry),
-the shared lease tables coordinating queue claims and multi-server
-in-flight dedup (:mod:`~repro.service.leases`), and the fault-injecting
-chaos harness that proves all of it (:mod:`~repro.service.chaos`).
+the lease table coordinating queue claims
+(:mod:`~repro.service.leases`), and the fault-injecting chaos harness
+that proves all of it (:mod:`~repro.service.chaos`).
 
 Everything here inherits the store's correctness story: results are
 verified envelopes addressed by content, so a lost lease, a crashed
@@ -22,7 +21,6 @@ worker, a racing steal, or an injected network fault costs duplicated
 """
 
 from .chaos import ChaosProxy, ChaosSchedule
-from .client import ServiceClient
 from .fakes import FakeObjectStoreServer
 from .leases import LeaseHeartbeat, LeaseTable
 from .queue import QueueStats, WorkQueue
@@ -32,7 +30,6 @@ from .resilience import (
     TransportTelemetry,
     transport_snapshot,
 )
-from .server import SynthesisServer, TokenBucket
 from .worker import QueueWorker
 
 __all__ = [
@@ -45,9 +42,6 @@ __all__ = [
     "QueueStats",
     "QueueWorker",
     "RetryPolicy",
-    "ServiceClient",
-    "SynthesisServer",
-    "TokenBucket",
     "TransportTelemetry",
     "WorkQueue",
     "transport_snapshot",

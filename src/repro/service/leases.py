@@ -4,12 +4,8 @@ A lease is a small JSON blob under ``<prefix>/<key>.json`` claimed with
 the backend's conditional put (``O_CREAT|O_EXCL`` on a directory,
 ``If-None-Match: *`` on the object store), renewed by heartbeat, and
 **stolen** once it lapses: delete the stale blob, conditional-put ours,
-then read back and verify the stored lease names us.  PR 7 built this
-once for the work-stealing queue's unit claims; this module factors it
-out so the front door can run the *same* mechanics over ``inflight/``
-intent markers — two ``seance serve`` processes against one store
-deduplicate each other's synthesis with no new machinery and no new
-failure modes.
+then read back and verify the stored lease names us.  The
+work-stealing queue's unit claims are leases of this table.
 
 The payload::
 
@@ -59,12 +55,12 @@ class LeaseTable:
     """Keyed leases under one blob prefix (see the module docstring).
 
     ``backend`` is any :class:`~repro.store.backend.StoreBackend`;
-    ``prefix`` the namespace (``queue/<qid>/lease`` for unit claims,
-    ``inflight`` for the front door's intent markers); ``ttl`` the
-    default claim lifetime — owners heartbeat at a fraction of it, so
-    it bounds how long a crashed owner's keys stay stuck.  A ``ttl``
-    that is not ``> 0`` raises :class:`~repro.errors.StoreError`: every
-    claim would be written already expired, free for any peer to steal.
+    ``prefix`` the namespace (``queue/<qid>/lease`` for unit claims);
+    ``ttl`` the default claim lifetime — owners heartbeat at a fraction
+    of it, so it bounds how long a crashed owner's keys stay stuck.  A
+    ``ttl`` that is not ``> 0`` raises :class:`~repro.errors.StoreError`:
+    every claim would be written already expired, free for any peer to
+    steal.
     """
 
     def __init__(self, backend, prefix: str, ttl: float = 30.0):

@@ -111,8 +111,7 @@ class WorkQueue:
             raise StoreError(f"invalid queue id {queue_id!r}")
         self.queue_id = queue_id
         self.lease_ttl = float(lease_ttl)
-        #: Unit claims, shared mechanics with the front door's
-        #: ``inflight/`` markers (see :mod:`repro.service.leases`).
+        #: Unit claims (see :mod:`repro.service.leases`).
         self.leases = LeaseTable(
             self.backend, f"queue/{queue_id}/lease", ttl=self.lease_ttl
         )
@@ -179,11 +178,11 @@ class WorkQueue:
         many were new.
 
         Publication is conditional on the digest, so republishing a plan
-        (a restarted server, overlapping campaigns) is free, and units
-        whose result already sits in the store — by the executor's
-        verified read, so a corrupt blob does not count — are marked
-        done outright.  A queue drain and a shard run of the same plan
-        are interchangeable ways of filling the store.
+        (a restarted or racing publisher, overlapping campaigns) is
+        free, and units whose result already sits in the store — by the
+        executor's verified read, so a corrupt blob does not count — are
+        marked done outright.  A queue drain and a shard run of the same
+        plan are interchangeable ways of filling the store.
         """
         published = 0
         for unit in units:

@@ -28,8 +28,7 @@ layer threaded through every networked transport:
 :class:`TransportTelemetry`
     Per-operation counters (ops / faults / retries / short-circuits) —
     the fix for the old silent degradation: every socket error is now
-    counted and surfaced by ``seance store verify`` and the front
-    door's ``GET /stats``.
+    counted and surfaced by ``seance store verify``.
 
 Retrying writes is safe by construction: blob writes are idempotent
 (content-addressed names, atomic backend writes) and *conditional*

@@ -39,8 +39,8 @@ class QueueWorker:
     """One draining worker over a :class:`~repro.service.queue.WorkQueue`.
 
     ``lease_ttl`` bounds crash recovery latency; ``poll`` is the idle
-    re-scan interval (waiting for new units, or for another worker's
-    lease to lapse).
+    re-scan interval (waiting for another worker's unit to finish, or
+    its lease to lapse).
     """
 
     def __init__(
@@ -62,17 +62,14 @@ class QueueWorker:
 
     # ------------------------------------------------------------------
     def run(
-        self,
-        max_units: int | None = None,
-        drain: bool = True,
-        timeout: float | None = None,
+        self, max_units: int | None = None, timeout: float | None = None
     ) -> UnitStats:
-        """Work the queue; returns the run's executor counters.
+        """Drain the queue; returns the run's executor counters.
 
-        ``drain=True`` exits when every published unit is done (the
-        batch-job shape: fleet finishes, everyone goes home);
-        ``drain=False`` keeps polling for new units until ``timeout``
-        (the service shape, behind ``seance serve``).
+        Exits when every published unit is done (the fleet finishes,
+        everyone goes home), after ``max_units`` units, or — when a
+        scan finds nothing it can claim — once ``timeout`` seconds have
+        passed since the start.
         """
         stats = UnitStats()
         # A local deadline: monotonic, unlike the cross-process leases.
@@ -81,7 +78,7 @@ class QueueWorker:
         )
         while True:
             pending = self.queue.pending()
-            if not pending and drain:
+            if not pending:
                 return stats
             progressed = False
             for digest, payload in pending:

@@ -21,7 +21,7 @@ retries, deterministic-jitter backoff, per-operation timeout) behind a
 per-backend :class:`~repro.service.resilience.CircuitBreaker`, with
 every fault, retry, and short-circuit tallied in
 :class:`~repro.service.resilience.TransportTelemetry` (surfaced by
-``seance store verify`` and the front door's ``/stats``).
+``seance store verify``).
 
 Two wrinkles make retrying safe:
 

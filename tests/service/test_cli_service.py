@@ -1,16 +1,15 @@
-"""CLI surface of the service fabric: queue, work, store lifecycle,
-submit.
+"""CLI surface of the service fabric: queue, work, store lifecycle.
 
-The long-running commands (``seance serve``, ``seance store
-serve-fake``) are exercised through their underlying objects elsewhere
+The long-running commands (``seance store serve-fake``, ``seance store
+chaos-proxy``) are exercised through their underlying objects elsewhere
 and end-to-end by the CI service smoke; here we pin the one-shot
-commands and the submit client against an in-process front door.
+commands.
 """
 
 import pytest
 
 from repro.cli import main
-from repro.service import FakeObjectStoreServer, SynthesisServer, WorkQueue
+from repro.service import FakeObjectStoreServer, WorkQueue
 from repro.store import ResultStore
 
 
@@ -38,7 +37,7 @@ class TestQueueCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["work", "--poll", "-1", "--keep-polling", "--timeout", "0.1"],
+            ["work", "--poll", "-1", "--timeout", "0.1"],
             ["queue", "status", "--watch", "--interval", "-1"],
         ],
         ids=["work-poll", "status-interval"],
@@ -312,79 +311,3 @@ class TestTransportCli:
             assert main([
                 "synth", "lion", "--store", f"{server.url}?retry=6",
             ]) == 0
-
-
-class TestSubmitCli:
-    def test_submit_against_a_live_front_door(self, tmp_path, capsys):
-        with SynthesisServer(store=tmp_path / "store") as server:
-            assert main([
-                "submit", "lion", "--server", server.url,
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "lion" in out and "local" in out
-
-            # Warm resubmission: served from the store, zero passes.
-            assert main([
-                "submit", "lion", "--server", server.url,
-            ]) == 0
-            out = capsys.readouterr().out
-            assert "store" in out
-            assert "1 served without a synthesis" in out
-
-    def test_submit_canonical_matches_batch(self, tmp_path, capsys):
-        with SynthesisServer(store=tmp_path / "store") as server:
-            assert main([
-                "submit", "lion", "traffic",
-                "--server", server.url, "--canonical",
-            ]) == 0
-            via_serve = capsys.readouterr().out
-        assert main([
-            "batch", "lion", "traffic", "--json", "--canonical",
-        ]) == 0
-        assert via_serve == capsys.readouterr().out
-
-    def test_submit_with_token_file(self, tmp_path, capsys):
-        token_file = tmp_path / "token"
-        token_file.write_text("hunter2\n")
-        with SynthesisServer(
-            store=tmp_path / "store", token="hunter2"
-        ) as server:
-            # Unauthenticated: rejected cleanly.
-            assert main([
-                "submit", "lion", "--server", server.url,
-            ]) == 2
-            assert "401" in capsys.readouterr().err
-            # With the token file: admitted.
-            assert main([
-                "submit", "lion", "--server", server.url,
-                "--token-file", str(token_file),
-                "--client-id", "ci",
-            ]) == 0
-            assert "lion" in capsys.readouterr().out
-
-    def test_submit_with_missing_token_file_errors(self, tmp_path, capsys):
-        assert main([
-            "submit", "lion", "--server", "http://127.0.0.1:9",
-            "--token-file", str(tmp_path / "absent"),
-        ]) == 2
-        assert "token-file" in capsys.readouterr().err
-
-    def test_submit_to_a_dead_server_errors_cleanly(self, capsys):
-        with SynthesisServer(store="/tmp") as server:
-            url = server.url
-        assert main([
-            "submit", "lion", "--server", url, "--timeout", "0.5",
-        ]) == 2
-        assert "unreachable" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("timeout", ["-1", "0"])
-    def test_submit_out_of_range_timeout_is_a_clean_error(
-        self, tmp_path, capsys, timeout
-    ):
-        with SynthesisServer(store=tmp_path / "store") as server:
-            assert main([
-                "submit", "lion", "--server", server.url,
-                "--timeout", timeout,
-            ]) == 2
-        err = capsys.readouterr().err
-        assert "timeout" in err and "Traceback" not in err

@@ -7,10 +7,11 @@ lapsed lease is stealable, publishing is idempotent, and claim order
 follows archived telemetry weights (longest processing time first).
 """
 
+import json
 import multiprocessing
 import os
 import signal
-import time
+import threading
 
 import pytest
 
@@ -42,6 +43,18 @@ def publish(queue, names=TABLES):
         ShardedBatch(
             [benchmark(name) for name in names], spec=PipelineSpec()
         ).units
+    )
+
+
+def lapse(queue, digest):
+    """Backdate a held lease by one TTL and a second, through the
+    backend: exactly what a crashed holder leaves behind once its TTL
+    has passed — without the test waiting on the wall clock."""
+    lease = queue.read_lease(digest)
+    for stamp in ("claimed", "expires"):
+        lease[stamp] -= queue.lease_ttl + 1.0
+    queue.backend.write(
+        f"{queue.leases.prefix}{digest}.json", json.dumps(lease).encode()
     )
 
 
@@ -139,9 +152,9 @@ class TestLeases:
         unit must become claimable by anyone after the TTL."""
         publish(queue, ("lion",))
         [(digest, _)] = queue.pending()
-        assert queue.claim(digest, "doomed", ttl=0.05) is True
+        assert queue.claim(digest, "doomed") is True
         assert queue.claim(digest, "thief") is False  # still live
-        time.sleep(0.1)
+        lapse(queue, digest)
         assert queue.stats().expired == 1
         assert queue.claim(digest, "thief") is True  # stolen
         assert queue.heartbeat(digest, "doomed") is False
@@ -157,8 +170,8 @@ class TestLeases:
     def test_steal_bumps_the_steal_counter(self, queue):
         publish(queue, ("lion",))
         [(digest, _)] = queue.pending()
-        queue.claim(digest, "doomed", ttl=0.05)
-        time.sleep(0.1)
+        queue.claim(digest, "doomed")
+        lapse(queue, digest)
         queue.claim(digest, "thief")
         lease = queue.read_lease(digest)
         assert lease["worker"] == "thief"
@@ -190,19 +203,20 @@ class TestLeases:
     def test_lease_report_flags_lapsed_rows(self, queue):
         publish(queue, ("lion",))
         [(digest, _)] = queue.pending()
-        queue.claim(digest, "doomed", ttl=0.05)
-        time.sleep(0.1)
+        queue.claim(digest, "doomed")
+        lapse(queue, digest)
         [row] = queue.lease_report()
         assert row["lapsed"] is True
         assert row["expires_in"] <= 0.0
 
 
-def _claim_and_hang(store_path, digest):
-    """Child-process body: take the lease, then never heartbeat again
-    (the parent SIGKILLs us mid-hold)."""
+def _claim_and_hang(store_path, digest, claimed):
+    """Child-process body: take the lease, say so, then never heartbeat
+    again (the parent SIGKILLs us mid-hold)."""
     queue = WorkQueue(ResultStore(store_path), "q", lease_ttl=1.0)
     queue.claim(digest, f"victim-{os.getpid()}")
-    time.sleep(600)
+    claimed.set()
+    signal.pause()
 
 
 class TestSigkillSteal:
@@ -222,17 +236,16 @@ class TestSigkillSteal:
         )
         [(digest, _)] = queue.pending()
 
-        victim = multiprocessing.get_context("fork").Process(
-            target=_claim_and_hang, args=(store_path, digest)
+        context = multiprocessing.get_context("fork")
+        claimed = context.Event()
+        victim = context.Process(
+            target=_claim_and_hang, args=(store_path, digest, claimed)
         )
         victim.start()
         try:
-            deadline = time.monotonic() + 10
-            while queue.read_lease(digest) is None:
-                assert time.monotonic() < deadline, "victim never claimed"
-                time.sleep(0.02)
-            os.kill(victim.pid, signal.SIGKILL)
+            assert claimed.wait(timeout=10), "victim never claimed"
         finally:
+            victim.kill()  # SIGKILL: no release, no heartbeat, no atexit
             victim.join(timeout=10)
 
         # The orphaned lease still names the corpse.
@@ -246,6 +259,54 @@ class TestSigkillSteal:
         assert stats["stolen"] == 1
         assert queue.is_done(digest)
         assert queue.stats().remaining == 0
+
+
+class TestFleetDedup:
+    """Two publishers and two workers racing over one store: the queue
+    alone makes the fleet pay one synthesis per unit."""
+
+    @staticmethod
+    def race(body):
+        """Run ``body(slot)`` on two threads released together."""
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = body(slot)
+
+        threads = [
+            threading.Thread(target=run, args=(slot,)) for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return results
+
+    def test_racing_publishers_and_workers_pay_one_synthesis(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+        units = ShardedBatch(
+            [benchmark(name) for name in TABLES], spec=PipelineSpec()
+        ).units
+
+        published = self.race(
+            lambda slot: WorkQueue(store, "q").publish(units)
+        )
+        assert sum(published) == len(units)
+
+        drained = self.race(
+            lambda slot: QueueWorker(
+                store, "q", worker_id=f"w{slot}", poll=0.01
+            ).run(timeout=60)
+        )
+        assert sum(stats.synthesized for stats in drained) == len(units)
+        for stats in drained:
+            assert stats.failed == 0
+            assert stats.units == stats.synthesized + stats.store_hits
+        assert WorkQueue(store, "q").stats().remaining == 0
 
 
 class TestWeights:

@@ -271,6 +271,21 @@ class TestListing:
     def test_show_unknown(self, capsys):
         assert main(["show", "zzz"]) == 2
 
+    def test_work_is_submitted_through_the_queue_only(self, capsys):
+        """`queue publish` plus `work` is the one way to submit work:
+        there is no HTTP front door verb."""
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        usage = capsys.readouterr().out
+        verbs = set(usage[usage.index("{") + 1:usage.index("}")].split(","))
+        assert {"queue", "work"} <= verbs
+        assert not {"serve", "submit"} & verbs
+        with pytest.raises(SystemExit) as raised:
+            main(["submit", "lion"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'submit'" in capsys.readouterr().err
+
 
 class TestExport:
     def test_export_to_stdout(self, capsys):
