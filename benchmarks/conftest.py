@@ -15,25 +15,21 @@ from repro import api
 from repro.pipeline import StageCache
 
 #: One stage cache shared by every bench module: set-up synthesis of the
-#: same (table, options, pass-prefix) — the hazard ablation building its
-#: protected machine, the cover ablation inspecting the same spec — runs
-#: each pass once per session.  A pass substitution (``substitutions=``)
-#: still shares every stage upstream of the swapped pass with the
-#: paper-default run; an option change (``options=``) re-runs them all.
+#: same (table, options) — the hazard ablation building its protected
+#: machine, the cover ablation inspecting the same spec — runs each pass
+#: once per session; an option change (``options=``) re-runs them all.
 _CACHE = StageCache()
 
 
-def pipeline_session(table, options=None, substitutions=()):
+def pipeline_session(table, options=None):
     """An :class:`repro.api.Session` on the shared stage cache."""
     session = api.load(table).with_cache(_CACHE)
     if options is not None:
         session = session.with_options(options)
-    if substitutions:
-        session = session.with_pass(*substitutions)
     return session
 
 
-def pipeline_synth(table, options=None, substitutions=()):
+def pipeline_synth(table, options=None):
     """Synthesise through the session-shared, stage-cached pipeline.
 
     Use for *set-up* synthesis in benchmarks whose timed section is
@@ -41,13 +37,13 @@ def pipeline_synth(table, options=None, substitutions=()):
     synthesis should call ``repro.api.synthesize`` (or an uncached
     session) so the measurement is never a cache hit.
     """
-    return pipeline_session(table, options, substitutions).run()
+    return pipeline_session(table, options).run()
 
 
-def cold_report(table, options=None, substitutions=()):
+def cold_report(table, options=None):
     """(result, PipelineReport) from an *uncached* run — honest per-pass
     wall-clock numbers for the ablation timing diffs."""
-    session = pipeline_session(table, options, substitutions).with_cache(None)
+    session = pipeline_session(table, options).with_cache(None)
     return session.run_with_report()
 
 

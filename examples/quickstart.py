@@ -46,7 +46,7 @@ def main():
     print()
 
     # The front door: load any table source, run the paper pipeline.
-    # (Sessions are fluent — .with_options(...), .with_pass(...) derive
+    # (Sessions are fluent — .with_options(...), .with_store(...) derive
     # reconfigured sessions sharing one stage cache.)
     session = api.load(table)
     result = session.run()

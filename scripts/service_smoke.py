@@ -186,6 +186,10 @@ def main(argv=None) -> int:
                 all(p.returncode == 0 for p in publishers),
                 "two concurrent queue publishers",
             )
+            check(
+                None not in published and sum(published) == len(TABLES),
+                f"publishers' counts {published} sum to {len(TABLES)}",
+            )
             pending = queue.pending()
             check(len(pending) == len(TABLES), "one unit per table queued")
 

@@ -6,11 +6,11 @@ synthesis lives here, under names rather than live objects:
 * **Load** any table source — a benchmark name, a KISS2 or flow-table
   JSON file, an :class:`~repro.flowtable.stg.Stg` or
   :class:`~repro.flowtable.burst.BurstSpec` — with :func:`load`.
-* **Configure** with a declarative :class:`PipelineSpec` (registry pass
-  names + :class:`SynthesisOptions` + :class:`CacheSpec`); ablations
-  are options (``spec.with_options(reduce_mode="joint")``) or pass
-  substitutions (``spec.substitute("hazards:off")``), and specs
-  round-trip through JSON for reproducible, shareable runs.
+* **Configure** with a declarative :class:`PipelineSpec`
+  (:class:`SynthesisOptions` + :class:`CacheSpec`); the pipeline is
+  always the paper's seven stages (:data:`DEFAULT_PIPELINE`), every
+  ablation is an option (``spec.with_options(reduce_mode="joint")``),
+  and specs round-trip through JSON for reproducible, shareable runs.
 * **Run** through the fluent :class:`Session`
   (``api.load("lion").with_options(hazard_correction=False).run()``), the
   one-shot :func:`synthesize`, or :func:`batch`.
@@ -35,13 +35,7 @@ from ..pipeline.batch import BatchItem, BatchRunner
 from ..pipeline.cache import StageCache
 from ..pipeline.manager import PassEvent, PassManager, PipelineReport
 from ..pipeline.options import SynthesisOptions
-from ..pipeline.registry import (
-    DEFAULT_PIPELINE,
-    create_pass,
-    register_pass,
-    registered_passes,
-    substitute,
-)
+from ..pipeline.registry import DEFAULT_PIPELINE
 from ..pipeline.spec import CacheSpec, PipelineSpec
 from ..store import ResultStore, ShardedBatch, ShardedCampaign
 from ..sim.campaign import (
@@ -75,11 +69,7 @@ __all__ = [
     "SynthesisResult",
     "ValidationCampaign",
     "batch",
-    "create_pass",
     "load",
     "load_table",
-    "register_pass",
-    "registered_passes",
-    "substitute",
     "synthesize",
 ]

@@ -4,16 +4,15 @@ A :class:`Session` binds a loaded flow table to a
 :class:`~repro.pipeline.spec.PipelineSpec` and a live
 :class:`~repro.pipeline.cache.StageCache`.  Sessions are immutable: the
 ``with_*`` builders derive new sessions, and every session in one
-derivation chain *shares the same cache object*, so a pass
-substitution —
+derivation chain *shares the same cache object*, so returning to an
+earlier configuration —
 
     base = api.load("lion")
     paper = base.run()
-    no_search = base.with_pass("hazards:off").run()
+    unprotected = base.with_options(hazard_correction=False).run()
+    again = base.run()
 
-— re-executes only the substituted stage and its successors (the
-upstream stage-cache entries carry over; see
-:mod:`repro.pipeline.registry`).
+— is served from the stage cache (``again`` executes no pass).
 """
 
 from __future__ import annotations
@@ -98,14 +97,6 @@ class Session:
     ) -> "Session":
         """Replace the options or update individual fields."""
         return self._derive(self._spec.with_options(options, **overrides))
-
-    def with_passes(self, *passes: str) -> "Session":
-        """Run exactly this pass list (registry keys, in order)."""
-        return self._derive(self._spec.with_passes(*passes))
-
-    def with_pass(self, *overrides: str) -> "Session":
-        """Substitute stages by base name (``"hazards:off"`` → hazards)."""
-        return self._derive(self._spec.substitute(*overrides))
 
     def with_cache(self, cache: StageCache | None) -> "Session":
         """Attach an existing :class:`StageCache`, or None to disable
@@ -211,7 +202,7 @@ class Session:
 
     def __repr__(self) -> str:
         return (
-            f"Session({self._table.name!r}, passes={list(self._spec.passes)}, "
+            f"Session({self._table.name!r}, options={self._spec.options}, "
             f"cache={'on' if self._cache is not None else 'off'}, "
             f"store={'on' if self._store is not None else 'off'})"
         )

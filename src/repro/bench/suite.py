@@ -400,7 +400,7 @@ def synthesize_suite(names=None, options=None, cache=None, spec=None):
     regression tests: a :func:`repro.api.batch` run over the named
     machines (default: the whole suite) with an optional shared
     :class:`~repro.pipeline.cache.StageCache` and/or a
-    :class:`~repro.pipeline.spec.PipelineSpec` selecting pass variants,
+    :class:`~repro.pipeline.spec.PipelineSpec` selecting the options,
     returning ``{name: SynthesisResult}`` in suite order.  Benchmarks
     are known good, so any synthesis failure is re-raised.
     """

@@ -8,9 +8,8 @@ reproducible from a spec file alone.
 ``seance synth SPEC.kiss2``
     Run the full pipeline on a flow table and print the synthesis
     report (equations, hazard lists, Table-1 depths).  ``--spec
-    SPEC.json`` loads a pipeline spec; ``--pass STAGE:VARIANT``
-    substitutes registered pass variants (repeatable); ``--emit-spec``
-    prints the resolved spec JSON instead of synthesising.
+    SPEC.json`` loads a pipeline spec; ``--emit-spec`` prints the
+    resolved spec JSON instead of synthesising.
 
 ``seance table1``
     Regenerate paper Table 1 over the benchmark suite, side by side with
@@ -28,7 +27,7 @@ reproducible from a spec file alone.
     a repeated table reuses every stage; ``--store`` reuses whole
     results across invocations.  ``--json`` includes the per-pass
     telemetry (wall clock + cache hits) of every run.
-    ``--spec``/``--pass`` work as in ``synth``.
+    ``--spec`` works as in ``synth``.
 
 ``seance shard plan|run|merge``
     Split a batch matrix (default) or a validation campaign
@@ -62,9 +61,6 @@ reproducible from a spec file alone.
 ``http(s)://`` object-store URL; any other ``scheme://``
 location is an error (exit 2).
 
-``seance passes``
-    List the registered pass names a spec or ``--pass`` can use.
-
 ``seance bench-list`` / ``seance show NAME``
     Enumerate the built-in benchmarks / print one as KISS2 text.
 """
@@ -82,7 +78,6 @@ from .errors import ReproError
 from .netlist.fantom import build_fantom
 from .pipeline import BatchRunner, PipelineSpec
 from .pipeline.options import OPTION_CHOICES
-from .pipeline.registry import DEFAULT_PIPELINE, base_name, registered_passes
 
 
 def _engine_choices() -> list[str]:
@@ -173,8 +168,7 @@ def _build_spec(args: argparse.Namespace) -> PipelineSpec:
     Precedence: the ``--spec`` file (or the default spec), then option
     flags *that were actually given* (``--reduce-mode`` defaults to the
     unset sentinel, so an explicit ``--reduce-mode split`` overrides a
-    spec that says joint; the boolean switches can only be raised), then
-    ``--pass`` substitutions.
+    spec that says joint; the boolean switches can only be raised).
     """
     spec = (
         PipelineSpec.load(args.pipeline_spec)
@@ -190,8 +184,6 @@ def _build_spec(args: argparse.Namespace) -> PipelineSpec:
         overrides["reduce_mode"] = args.reduce_mode
     if overrides:
         spec = spec.with_options(**overrides)
-    if args.passes:
-        spec = spec.substitute(*args.passes)
     return spec
 
 
@@ -590,17 +582,6 @@ def cmd_store_serve_fake(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_passes(args: argparse.Namespace) -> int:
-    default = set(DEFAULT_PIPELINE)
-    for key in registered_passes():
-        marker = "*" if key in default else " "
-        print(f"{marker} {key:20s} (stage: {base_name(key)})")
-    print("(* = the paper's default pipeline; substitute variants "
-          "with --pass; --no-minimize, --no-fsv and --reduce-mode set "
-          "the options)")
-    return 0
-
-
 def _add_matrix_arguments(
     p: argparse.ArgumentParser, store_required: bool
 ) -> None:
@@ -713,15 +694,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC.json",
         help="load the pipeline configuration from a PipelineSpec "
         "JSON file (see --emit-spec)",
-    )
-    parser.add_argument(
-        "--pass",
-        dest="passes",
-        action="append",
-        metavar="STAGE[:VARIANT]",
-        default=None,
-        help="substitute a registered pass variant by stage name "
-        "(repeatable; see `seance passes`)",
     )
 
 
@@ -1298,11 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "truncate, reset (default: all)",
     )
     schaos.set_defaults(func=cmd_chaos_proxy)
-
-    passes = sub.add_parser(
-        "passes", help="list the registered pipeline pass names"
-    )
-    passes.set_defaults(func=cmd_passes)
 
     blist = sub.add_parser("bench-list", help="list built-in benchmarks")
     blist.set_defaults(func=cmd_bench_list)

@@ -90,13 +90,3 @@ class StoreError(ReproError):
     and recomputed.
     """
 
-
-class ValidationError(ReproError):
-    """Dynamic validation found a machine that diverges from its table.
-
-    Raised by the ``verify`` pipeline pass when a validation campaign
-    reports state errors, output errors, single-output-change violations
-    or hand-shake breakdowns; the message carries the campaign's
-    aggregate counts and the first failing (model, seed, cycle) point so
-    the failure can be replayed.
-    """

@@ -2,8 +2,8 @@
 
 This package is the engine under :func:`repro.api.synthesize`.
 The paper's seven Figure-3 steps are :class:`Pass` objects
-(:mod:`repro.pipeline.passes`); :class:`PassManager` runs a declarative
-pass list over a :class:`PipelineContext` artifact store with per-pass
+(:mod:`repro.pipeline.passes`); :class:`PassManager` runs them in order
+over a :class:`PipelineContext` artifact store with per-pass
 timing, error wrapping and a content-hash :class:`StageCache`
 (:mod:`repro.pipeline.cache`); :class:`BatchRunner`
 (:mod:`repro.pipeline.batch`) fans a table list out over worker
@@ -41,15 +41,7 @@ from .passes import (
     ValidatePass,
     default_passes,
 )
-from .registry import (
-    DEFAULT_PIPELINE,
-    base_name,
-    create_pass,
-    register_pass,
-    registered_passes,
-    resolve_passes,
-    substitute,
-)
+from .registry import DEFAULT_PIPELINE
 from .spec import SPEC_FORMAT_VERSION, CacheSpec, PipelineSpec
 
 __all__ = [
@@ -75,14 +67,8 @@ __all__ = [
     "StageCache",
     "SynthesisOptions",
     "ValidatePass",
-    "base_name",
-    "create_pass",
     "default_passes",
-    "register_pass",
-    "registered_passes",
-    "resolve_passes",
     "run_fingerprint",
     "stage_key",
-    "substitute",
     "table_fingerprint",
 ]

@@ -92,9 +92,9 @@ class BatchRunner:
         Stage cache shared across the tables and runs of this runner;
         overrides ``spec.cache``.
     spec:
-        A :class:`~repro.pipeline.spec.PipelineSpec` selecting the pass
-        list (and options, and — unless ``cache`` is given — the cache
-        config).  Defaults to the paper pipeline.
+        A :class:`~repro.pipeline.spec.PipelineSpec` selecting the
+        options (and — unless ``cache`` is given — the cache config).
+        Defaults to the paper options.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or a
         directory path / backend to open one over).  Tables whose

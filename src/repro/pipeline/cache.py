@@ -7,17 +7,17 @@ cache therefore keys each stage by
     sha256(cache format version
            ‖ canonical flow-table text (incl. signal/state names)
            ‖ canonical options items
-           ‖ the pass-name prefix up to and including this stage)
+           ‖ the pass lineage up to and including this stage)
 
 and stores the artifacts the stage provided.  Re-synthesising the same
-table — the bench suite re-running, an ablation sharing its prefix with
-the paper-default run, a property test shrinking — skips every stage
-whose key is already present.
+table with the same options — the bench suite re-running, a repeated
+name in one batch, a property test shrinking — skips every stage whose
+key is already present.
 
-The cache lives in one process's memory: it serves ablation sweeps and
-repeat runs inside a process.  Work shared across processes goes
-through the verified result store (:mod:`repro.store`), which keeps
-whole results as JSON envelopes checked against their key on read.
+The cache lives in one process's memory: it serves repeat runs inside a
+process.  Work shared across processes goes through the verified result
+store (:mod:`repro.store`), which keeps whole results as JSON envelopes
+checked against their key on read.
 
 Note the prefix hash means an ablated run (say ``reduce_mode="joint"``)
 shares *no* keys with the paper-default run even though their first

@@ -138,17 +138,12 @@ class PassManager:
         )
         # Lineage entries carry the implementing class, not just the pass
         # name: a custom pass reusing a default name ("reduce") must not
-        # be served the default implementation's cached artifacts.  For
-        # registry-built passes the registry key rides along too, so a
-        # PipelineSpec's pass list is fingerprinted into every stage key
-        # prefix by prefix (substituted stages diverge, shared upstream
-        # stages keep their keys).
+        # be served the default implementation's cached artifacts.
         lineage: list[str] = []
 
         for p in self.passes:
             lineage.append(
-                f"{p.name}={getattr(p, 'registry_key', '')}"
-                f"@{type(p).__module__}.{type(p).__qualname__}"
+                f"{p.name}@{type(p).__module__}.{type(p).__qualname__}"
             )
             start = time.perf_counter()
             cached = None

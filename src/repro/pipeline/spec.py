@@ -2,23 +2,23 @@
 
 A spec is everything a synthesis run is configured by, as plain data:
 
-* the **pass list** — registry keys (:mod:`repro.pipeline.registry`),
 * the **options** — a :class:`~repro.pipeline.options.SynthesisOptions`,
 * the **cache config** — a :class:`CacheSpec`.
 
-Because all three are names and scalars, a spec round-trips through JSON
-(``to_dict``/``from_dict``, strictly: unknown keys are errors, and
-re-serialising a deserialised spec is byte-identical), which is what the
-sharded-batch and remote-store roadmap items need: an ablation run is
-reproducible from a spec file alone (``seance synth --spec SPEC.json``),
-and :meth:`fingerprint` names a configuration content-addressably for
-cross-machine work-splitting.
+The stage list is not part of it: every run is the paper's seven stages
+(:data:`~repro.pipeline.registry.DEFAULT_PIPELINE`), and every ablation
+is an option.  Because both parts are names and scalars, a spec
+round-trips through JSON (``to_dict``/``from_dict``, strictly: unknown
+keys are errors, and re-serialising a deserialised spec is
+byte-identical), which is what the sharded-batch and remote-store
+roadmap items need: an ablation run is reproducible from a spec file
+alone (``seance synth --spec SPEC.json``), and :meth:`fingerprint`
+names a configuration content-addressably for cross-machine
+work-splitting.
 
-Cache interaction: the spec's pass keys are embedded in the stage-cache
-lineage by the :class:`~repro.pipeline.manager.PassManager` (see
-:data:`~repro.pipeline.cache.stage_key`), and the options are hashed
-into the run prefix — so two specs share exactly the stage keys of
-their common (options, pass-prefix) history and nothing else.
+Cache interaction: the options are hashed into the stage-cache run
+prefix (see :func:`~repro.pipeline.cache.run_fingerprint`), so two
+specs share stage keys exactly when their options are equal.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from ..errors import SynthesisError
 from .cache import MAX_ENTRIES, StageCache
 from .manager import PassManager
 from .options import SynthesisOptions
-from .registry import DEFAULT_PIPELINE, registered_passes, resolve_passes
-from .registry import substitute as _substitute
+from .registry import DEFAULT_PIPELINE
 
 #: Bump when the spec dictionary layout changes incompatibly.
 SPEC_FORMAT_VERSION = 1
@@ -128,40 +127,15 @@ def _options_from_dict(payload: dict) -> SynthesisOptions:
 class PipelineSpec:
     """A named, serialisable pipeline configuration.
 
-    Immutable; the ``with_*``/:meth:`substitute` builders derive new
-    specs.  Pass names are validated against the registry on
-    construction, so a typo fails at spec-build time, not mid-run.
+    Immutable; the ``with_*`` builders derive new specs.
     """
 
-    passes: tuple[str, ...] = DEFAULT_PIPELINE
     options: SynthesisOptions = field(default_factory=SynthesisOptions)
     cache: CacheSpec = field(default_factory=CacheSpec)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passes", tuple(self.passes))
-        if not self.passes:
-            raise SynthesisError("a pipeline spec needs at least one pass")
-        known = set(registered_passes())
-        unknown = [key for key in self.passes if key not in known]
-        if unknown:
-            raise SynthesisError(
-                f"unknown pass name(s) {unknown}; registered passes: "
-                f"{', '.join(sorted(known))}"
-            )
 
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------
-    def with_passes(self, *passes: str) -> "PipelineSpec":
-        """A spec running exactly ``passes`` (registry keys, in order)."""
-        return dataclasses.replace(self, passes=tuple(passes))
-
-    def substitute(self, *overrides: str) -> "PipelineSpec":
-        """Swap stages by base name (``spec.substitute("hazards:off")``)."""
-        return dataclasses.replace(
-            self, passes=_substitute(self.passes, *overrides)
-        )
-
     def with_options(
         self, options: SynthesisOptions | None = None, **overrides
     ) -> "PipelineSpec":
@@ -183,19 +157,15 @@ class PipelineSpec:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def resolve(self) -> tuple:
-        """Instantiate the pass list from the registry."""
-        return resolve_passes(self.passes)
-
     def build_manager(self, cache: StageCache | None | object = ...) -> PassManager:
-        """A :class:`PassManager` running this spec's pipeline.
+        """A :class:`PassManager` running the paper pipeline.
 
         ``cache`` overrides the spec's cache config with an existing
         :class:`StageCache` instance (or explicit None); by default the
         configured cache is built fresh.
         """
         built = self.cache.build() if cache is ... else cache
-        return PassManager(passes=self.resolve(), cache=built)
+        return PassManager(cache=built)
 
     def fingerprint(self) -> str:
         """Content hash naming this configuration (cache config excluded).
@@ -203,14 +173,16 @@ class PipelineSpec:
         Two specs with equal fingerprints synthesise identically; the
         cache config only decides where artifacts are stored, so it does
         not participate.  This is the key sharded batch runs partition
-        work by.
+        work by.  The stage list sits in the hash where older specs
+        kept their pass list, so store keys written before the list was
+        fixed stay valid.
         """
         digest = hashlib.sha256()
         digest.update(
             repr(
                 (
                     SPEC_FORMAT_VERSION,
-                    self.passes,
+                    DEFAULT_PIPELINE,
                     self.options.fingerprint_items(),
                 )
             ).encode()
@@ -224,7 +196,6 @@ class PipelineSpec:
         """A JSON-serialisable form; ``from_dict`` round-trips it."""
         return {
             "format": SPEC_FORMAT_VERSION,
-            "passes": list(self.passes),
             "options": _options_to_dict(self.options),
             "cache": self.cache.to_dict(),
         }
@@ -246,14 +217,22 @@ class PipelineSpec:
                 f"unsupported pipeline spec format {version!r} "
                 f"(this build reads format {SPEC_FORMAT_VERSION})"
             )
+        # Spec files and queued units written by older builds carry the
+        # stage list as ``"passes"``; the paper's seven stages stay
+        # readable, and any other list named a variant that is gone.
         passes = payload.get("passes", list(DEFAULT_PIPELINE))
-        if not isinstance(passes, (list, tuple)) or not all(
-            isinstance(key, str) for key in passes
+        if (
+            not isinstance(passes, (list, tuple))
+            or tuple(passes) != DEFAULT_PIPELINE
         ):
-            raise SynthesisError("pipeline spec 'passes' must be a "
-                                 "list of pass names")
+            raise SynthesisError(
+                f"pipeline spec 'passes' {passes!r} is no longer "
+                "supported: the pipeline is always the paper's seven "
+                "stages; for an unprotected machine set options "
+                "'hazard_correction: false', and for dynamic checks run "
+                "`seance validate`"
+            )
         return cls(
-            passes=tuple(passes),
             options=_options_from_dict(payload.get("options", {})),
             cache=CacheSpec.from_dict(payload.get("cache", {})),
         )

@@ -12,7 +12,8 @@ service, and the queue inherits the backend's durability:
     table and pipeline spec needed to compute it anywhere, the campaign
     cell parameters (validation units) — plus an LPT *weight*: archived
     seconds from the telemetry blobs workers leave behind, so heavy
-    tables are claimed first and the fleet finishes together.  The
+    tables are claimed first and the fleet finishes together — and the
+    publishing call's token (see :meth:`WorkQueue.publish`).  The
     queue publishes the same unit plan ``seance shard run`` partitions,
     and workers run it through the same executor
     (:func:`~repro.store.sharding.execute_units`).
@@ -45,6 +46,7 @@ never a wrong or torn result.
 from __future__ import annotations
 
 import json
+import secrets
 import time
 from dataclasses import dataclass
 
@@ -183,7 +185,14 @@ class WorkQueue:
         executor's verified read, so a corrupt blob does not count — are
         marked done outright.  A queue drain and a shard run of the same
         plan are interchangeable ways of filling the store.
+
+        Each call stamps its unit blobs with its own token.  Racing
+        publishers would otherwise write byte-identical blobs, and a
+        retried conditional put that meets the rival's blob (its first
+        response torn) would read it back as its own and count the unit
+        twice.
         """
+        token = secrets.token_hex(8)
         published = 0
         for unit in units:
             digest = unit.key.digest
@@ -196,6 +205,7 @@ class WorkQueue:
             payload["weight"] = self.telemetry_weight(
                 unit.key.table, unit.key.kind
             )
+            payload["publisher"] = token
             if self.backend.write_if_absent(
                 self._unit_name(digest), _encode(payload)
             ):

@@ -37,10 +37,8 @@ it store reads instead.  Every cell runs serially through
 and replays it under every delay model — fresh silicon per cell, same
 stimulus.  Shards and queue workers are the way to scale out.
 
-Entry points: ``seance validate --sweep N --delay-model M``,
-:meth:`repro.api.Session.validate`, and the ``verify`` pipeline pass
-(:mod:`repro.pipeline.passes`), which fails synthesis outright on a
-dirty machine.
+Entry points: ``seance validate --sweep N --delay-model M`` and
+:meth:`repro.api.Session.validate`.
 """
 
 from __future__ import annotations
@@ -372,7 +370,7 @@ class ValidationCampaign:
         ``False`` builds the unprotected machines (hazard ablation).
     spec:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
-        phase (pass variants, options, stage cache).
+        phase (options, stage cache).
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
         event kernel of :mod:`repro.sim.simulator` with hand-shake

@@ -396,7 +396,7 @@ def synthesize_and_validate(
 
     The one-call version of the paper's full loop: synthesise ``table``
     through :func:`repro.api.synthesize` (pass a
-    :class:`~repro.pipeline.spec.PipelineSpec` to select pass variants,
+    :class:`~repro.pipeline.spec.PipelineSpec` to select the options,
     or a cached ``manager`` to skip already-computed stages — the
     ablation benchmarks validate the same table with and without fsv,
     sharing upstream stages), build the gate-level machine, and run
@@ -409,7 +409,7 @@ def synthesize_and_validate(
         if spec is not None:
             raise SimulationError(
                 "pass either a manager or a spec, not both (a manager "
-                "already carries its pass list)"
+                "already carries its cache)"
             )
         result = manager.run(table, options)
     else:

@@ -8,7 +8,7 @@ by where or when it ran:
   synthesise identically share a key and two that differ anywhere —
   including signal names — never collide;
 * ``spec`` — :meth:`repro.pipeline.spec.PipelineSpec.fingerprint`
-  (pass list + options; the cache config deliberately excluded);
+  (the options; the cache config deliberately excluded);
 * ``workload`` — the unit's own parameters: ``"synth"`` for a synthesis
   run, or the full ``(model, seed, steps, engine, fsv)`` tuple of one
   validation-campaign cell.

@@ -234,8 +234,7 @@ class UnitStats:
 def execute_units(units, store: ResultStore | None = None) -> UnitStats:
     """Compute ``units``, through ``store`` when one is given.
 
-    The units share one pass list (true of any plan's units and of a
-    single unit).  The synthesis leg runs every distinct (table, spec)
+    The synthesis leg runs every distinct (table, spec)
     they need through one :class:`~repro.pipeline.batch.BatchRunner`:
     with a store, a stored result is a verified hit, a fresh one —
     failures included — is written back, and a corrupt blob is

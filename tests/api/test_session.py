@@ -10,7 +10,7 @@ from repro.core.serialize import table_to_dict
 from repro.errors import ReproError, SynthesisError
 from repro.flowtable.builder import FlowTableBuilder
 from repro.flowtable.burst import BurstSpec
-from repro.pipeline import StageCache
+from repro.pipeline import DEFAULT_PIPELINE, StageCache
 
 
 class TestLoadTable:
@@ -78,24 +78,29 @@ class TestSession:
 
     def test_builders_are_immutable_derivations(self):
         base = api.load("lion")
-        derived = base.with_options(minimize=False).with_pass("hazards:off")
-        assert base.spec.passes[4] == "hazards"
-        assert derived.spec.passes[4] == "hazards:off"
+        derived = base.with_options(minimize=False).with_options(
+            hazard_correction=False
+        )
         assert derived.spec.options.minimize is False
+        assert derived.spec.options.hazard_correction is False
         assert base.spec.options.minimize is True
+        assert base.spec.options.hazard_correction is True
 
     def test_derived_sessions_share_the_cache(self):
         base = api.load("lion")
         assert base.cache is not None
-        assert base.with_pass("hazards:off").cache is base.cache
+        unprotected = base.with_options(hazard_correction=False)
+        assert unprotected.cache is base.cache
 
-    def test_substitution_reuses_upstream_stages(self):
+    def test_returning_to_a_configuration_hits_every_stage(self):
         base = api.load("lion")
         base.run()  # warm
-        _, report = base.with_pass("hazards:off").run_with_report()
-        assert report.cache_hits == (
-            "validate", "reduce", "assign", "outputs",
-        )
+        _, report = base.with_options(
+            hazard_correction=False
+        ).run_with_report()
+        assert report.cache_hits == ()
+        _, report = base.run_with_report()
+        assert report.cache_hits == DEFAULT_PIPELINE
 
     def test_with_cache_none_disables(self):
         session = api.load("lion").with_cache(None)
@@ -111,7 +116,7 @@ class TestSession:
     def test_with_spec_keeps_cache_when_config_unchanged(self):
         base = api.load("lion")
         assert base.with_spec(
-            base.spec.substitute("hazards:off")
+            base.spec.with_options(hazard_correction=False)
         ).cache is base.cache
         rebuilt = base.with_spec(base.spec.with_cache(None))
         assert rebuilt.cache is None
@@ -122,9 +127,9 @@ class TestSession:
         assert other.table.name == "traffic"
         assert other.spec == session.spec
 
-    def test_repr_mentions_table_and_passes(self):
-        text = repr(api.load("lion").with_pass("hazards:off"))
-        assert "lion" in text and "hazards:off" in text
+    def test_repr_mentions_table_and_options(self):
+        text = repr(api.load("lion").with_options(hazard_correction=False))
+        assert "lion" in text and "hazard_correction=False" in text
 
     def test_unprotected_substitution_drops_fsv(self):
         result = (
@@ -133,11 +138,6 @@ class TestSession:
         assert result.fsv.expr.to_string() == "0"
         # the hazard search still ran and reported
         assert result.analysis.hazard_count() > 0
-
-    def test_hazards_off_substitution_skips_the_search(self):
-        result = api.load("hazard_demo").with_pass("hazards:off").run()
-        assert result.analysis.transitions_examined == 0
-        assert result.fsv.expr.to_string() == "0"
 
 
 class TestOneShots:
@@ -148,7 +148,7 @@ class TestOneShots:
         assert result.table1_row()[0] == "lion"
 
     def test_synthesize_accepts_spec(self):
-        spec = api.PipelineSpec().substitute("hazards:off")
+        spec = api.PipelineSpec().with_options(hazard_correction=False)
         result = api.synthesize("lion", spec=spec)
         assert result.table1_row()[0] == "lion"
 
@@ -169,7 +169,7 @@ class TestOneShots:
         assert all(item.ok for item in items)
         assert all(len(item.events) == 7 for item in items)
 
-    def test_batch_with_spec_substitution(self):
-        spec = api.PipelineSpec().substitute("hazards:off")
+    def test_batch_with_unprotected_spec(self):
+        spec = api.PipelineSpec().with_options(hazard_correction=False)
         items = api.batch(["hazard_demo"], spec=spec)
         assert items[0].result.fsv.expr.to_string() == "0"

@@ -1,4 +1,4 @@
-"""PipelineSpec and the named-pass registry: contracts and round-trips."""
+"""PipelineSpec and the fixed stage list: contracts and round-trips."""
 
 import dataclasses
 import json
@@ -12,14 +12,9 @@ from repro.pipeline import (
     PipelineSpec,
     StageCache,
     SynthesisOptions,
-    base_name,
-    create_pass,
     default_passes,
-    register_pass,
-    registered_passes,
-    substitute,
 )
-from repro.pipeline.passes import SkipHazardsPass
+from repro.pipeline.registry import create_pass
 
 #: One ill-typed or out-of-range value per option field.
 BAD_OPTIONS = [
@@ -33,85 +28,43 @@ BAD_OPTIONS = [
 ]
 
 
+def with_passes(passes) -> dict:
+    """The default spec's dict carrying an older build's pass list."""
+    payload = PipelineSpec().to_dict()
+    payload["passes"] = list(passes)
+    return payload
+
+
 class TestRegistry:
     def test_default_pipeline_is_registered(self):
-        registered = set(registered_passes())
         for key in DEFAULT_PIPELINE:
-            assert key in registered
-
-    def test_create_pass_stamps_registry_key(self):
-        p = create_pass("hazards:off")
-        assert isinstance(p, SkipHazardsPass)
-        assert p.registry_key == "hazards:off"
-        assert p.name == "hazards"
+            assert create_pass(key).name == key
 
     def test_unknown_key_lists_registered_passes(self):
-        with pytest.raises(SynthesisError, match="registered passes"):
+        with pytest.raises(SynthesisError, match="the pipeline is validate"):
             create_pass("no_such_pass")
 
-    def test_base_name(self):
-        assert base_name("hazards:off") == "hazards"
-        assert base_name("factor") == "factor"
-
-    def test_substitute_replaces_by_base_name(self):
-        swapped = substitute(
-            DEFAULT_PIPELINE, "outputs:all-primes", "hazards:off"
-        )
-        assert swapped[3:5] == ("outputs:all-primes", "hazards:off")
-        assert len(swapped) == len(DEFAULT_PIPELINE)
-
-    def test_substitute_unmatched_stage_is_an_error(self):
-        with pytest.raises(SynthesisError, match="matches no pipeline"):
-            substitute(("validate", "reduce"), "hazards:off")
-
-    def test_reregistration_is_an_error(self):
-        with pytest.raises(SynthesisError, match="already registered"):
-            register_pass("hazards:off")(SkipHazardsPass)
-
-    def test_variants_must_keep_their_base_name(self):
-        @register_pass("_bogus_stage:variant")
-        class Misnamed:
-            name = "something_else"
-            requires = ()
-            provides = ()
-            cacheable = True
-
-            def run(self, ctx):
-                pass
-
-        try:
-            with pytest.raises(SynthesisError, match="base name"):
-                create_pass("_bogus_stage:variant")
-        finally:
-            from repro.pipeline import registry
-
-            registry._REGISTRY.pop("_bogus_stage:variant")
-
     def test_default_passes_come_from_the_registry(self):
-        for p, key in zip(default_passes(), DEFAULT_PIPELINE):
-            assert p.registry_key == key
+        assert [type(p) for p in default_passes()] == [
+            type(create_pass(key)) for key in DEFAULT_PIPELINE
+        ]
 
 
 class TestPipelineSpec:
     def test_default_spec_resolves_to_the_paper_pipeline(self):
-        spec = PipelineSpec()
-        assert spec.passes == DEFAULT_PIPELINE
-        assert [type(p) for p in spec.resolve()] == [
-            type(p) for p in default_passes()
-        ]
+        manager = PipelineSpec().build_manager(cache=None)
+        assert tuple(p.name for p in manager.passes) == DEFAULT_PIPELINE
+        assert "passes" not in PipelineSpec().to_dict()
 
     def test_unknown_pass_name_fails_at_construction(self):
-        with pytest.raises(SynthesisError, match="unknown pass name"):
+        with pytest.raises(TypeError):
             PipelineSpec(passes=("validate", "typo"))
+        with pytest.raises(SynthesisError, match="no longer supported"):
+            PipelineSpec.from_dict(with_passes(("validate", "typo")))
 
     def test_empty_pipeline_is_an_error(self):
-        with pytest.raises(SynthesisError, match="at least one pass"):
-            PipelineSpec(passes=())
-
-    def test_substitute_builder(self):
-        spec = PipelineSpec().substitute("hazards:off")
-        assert "hazards:off" in spec.passes
-        assert PipelineSpec().passes == DEFAULT_PIPELINE  # immutable
+        with pytest.raises(SynthesisError, match="no longer supported"):
+            PipelineSpec.from_dict(with_passes(()))
 
     def test_with_options_overrides_fields(self):
         spec = PipelineSpec().with_options(minimize=False)
@@ -146,13 +99,21 @@ class TestPipelineSpec:
         assert manager.cache is cache
         assert PipelineSpec().with_cache(None).build_manager().cache is None
 
-    def test_fingerprint_tracks_passes_and_options_not_cache(self):
+    def test_fingerprint_tracks_passes_and_options_not_cache(
+        self, monkeypatch
+    ):
         base = PipelineSpec()
         assert base.fingerprint() == PipelineSpec().fingerprint()
-        assert (
-            base.substitute("hazards:off").fingerprint()
-            != base.fingerprint()
-        )
+        # The stage list is hashed: a pipeline that grew a stage would
+        # name its results apart from the seven-stage ones.
+        from repro.pipeline import spec as spec_module
+
+        seven = base.fingerprint()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                spec_module, "DEFAULT_PIPELINE", (*DEFAULT_PIPELINE, "extra")
+            )
+            assert PipelineSpec().fingerprint() != seven
         assert (
             base.with_options(minimize=False).fingerprint()
             != base.fingerprint()
@@ -167,9 +128,8 @@ class TestSpecRoundTrip:
     def specs(self):
         return [
             PipelineSpec(),
-            PipelineSpec().substitute("outputs:all-primes", "hazards:off"),
+            PipelineSpec().with_options(hazard_correction=False),
             PipelineSpec(
-                passes=(*DEFAULT_PIPELINE, "verify"),
                 options=SynthesisOptions(
                     minimize=False, validate_input=False,
                     reduce_mode="joint", hazard_correction=False,
@@ -197,7 +157,7 @@ class TestSpecRoundTrip:
             assert PipelineSpec.from_json(spec.to_json()) == spec
 
     def test_save_load(self, tmp_path):
-        spec = PipelineSpec().substitute("hazards:off")
+        spec = PipelineSpec().with_options(hazard_correction=False)
         path = tmp_path / "spec.json"
         spec.save(path)
         assert PipelineSpec.load(path) == spec
@@ -260,6 +220,36 @@ class TestSpecRoundTrip:
         assert PipelineSpec().fingerprint() == (
             "c04502682854e68916543d4aeee215648377b7b4f18300818ae064510b5590ab"
         )
+
+    def test_default_pass_list_still_loads(self):
+        # Older builds wrote the seven stage names into every spec.
+        spec = PipelineSpec.from_dict(with_passes(DEFAULT_PIPELINE))
+        assert spec == PipelineSpec()
+        assert spec.fingerprint() == PipelineSpec().fingerprint()
+
+    def test_default_pass_list_still_loads_in_a_queue_unit(self):
+        from repro.bench import benchmark
+        from repro.store.sharding import ShardedBatch, WorkUnit
+
+        [unit] = ShardedBatch([benchmark("lion")]).units
+        payload = json.loads(json.dumps(unit.to_payload()))
+        assert "passes" not in payload["spec"]
+        payload["spec"]["passes"] = list(DEFAULT_PIPELINE)
+        assert WorkUnit.from_payload(payload).key == unit.key
+
+    @pytest.mark.parametrize(
+        "passes",
+        [
+            (*DEFAULT_PIPELINE, "verify"),
+            (*DEFAULT_PIPELINE[:4], "hazards:off", *DEFAULT_PIPELINE[5:]),
+            tuple(reversed(DEFAULT_PIPELINE)),
+        ],
+    )
+    def test_other_pass_lists_name_the_replacement(self, passes):
+        with pytest.raises(SynthesisError) as error:
+            PipelineSpec.from_dict(with_passes(passes))
+        assert "hazard_correction: false" in str(error.value)
+        assert "seance validate" in str(error.value)
 
     def test_unknown_cache_key_is_strictly_rejected(self):
         payload = PipelineSpec().to_dict()

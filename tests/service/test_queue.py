@@ -309,6 +309,41 @@ class TestFleetDedup:
         assert WorkQueue(store, "q").stats().remaining == 0
 
 
+class TestPublishCounts:
+    def test_torn_conditional_put_does_not_count_a_rivals_unit(self):
+        """Racing publishers write the same units.  When B's conditional
+        put meets A's blob and its response tears, the retry sees 412
+        and reads the blob back: it must read as A's, not B's own."""
+        from repro.service.fakes import FakeObjectStoreServer
+        from repro.service.resilience import RetryPolicy
+        from repro.store.net import ObjectStoreBackend
+
+        policy = RetryPolicy(
+            retries=8, timeout=5.0, backoff_base=0.01, backoff_max=0.05,
+            breaker_threshold=1000,
+        )
+        units = ShardedBatch(
+            [benchmark(name) for name in TABLES], spec=PipelineSpec()
+        ).units
+        with FakeObjectStoreServer() as server:
+            first = WorkQueue(
+                ResultStore(ObjectStoreBackend(server.url, policy=policy)),
+                "q",
+            ).publish(units)
+
+            torn = ObjectStoreBackend(server.url, policy=policy)
+            conditional_put = torn.write_if_absent
+
+            def tear_each_response(name, data):
+                server.fail_next(1, mode="truncate")
+                return conditional_put(name, data)
+
+            torn.write_if_absent = tear_each_response
+            second = WorkQueue(ResultStore(torn), "q").publish(units)
+            assert torn.telemetry.faults >= len(units)
+        assert first + second == len(units)
+
+
 class TestWeights:
     def test_pending_is_lpt_ordered_by_telemetry(self, queue):
         """Archived per-table synthesis seconds decide claim order:

@@ -93,16 +93,20 @@ class TestKeys:
         }
         assert len(keys) == len(benchmark_names())
 
-    def test_spec_options_and_passes_change_the_key(self):
+    def test_spec_options_and_passes_change_the_key(self, monkeypatch):
+        from repro.pipeline import DEFAULT_PIPELINE
+        from repro.pipeline import spec as spec_module
+
         table = benchmark("lion")
         base = synthesis_key(table, PipelineSpec())
-        ablated = synthesis_key(
+        unprotected = synthesis_key(
             table, PipelineSpec().with_options(hazard_correction=False)
         )
-        substituted = synthesis_key(
-            table, PipelineSpec().substitute("hazards:off")
+        monkeypatch.setattr(
+            spec_module, "DEFAULT_PIPELINE", (*DEFAULT_PIPELINE, "extra")
         )
-        assert len({base.digest, ablated.digest, substituted.digest}) == 3
+        grown = synthesis_key(table, PipelineSpec())
+        assert len({base.digest, unprotected.digest, grown.digest}) == 3
 
     def test_cache_config_does_not_change_the_key(self):
         table = benchmark("lion")

@@ -132,27 +132,27 @@ class TestBatch:
 
 
 class TestSpecWorkflow:
-    """`--spec` / `--pass` / `--emit-spec`: declarative pipeline runs."""
+    """`--spec` / `--emit-spec`: declarative pipeline runs."""
 
     def test_emit_spec_prints_default_spec(self, capsys):
         import json
 
         assert main(["synth", "lion", "--emit-spec"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["passes"][-1] == "factor"
+        assert set(payload) == {"format", "options", "cache"}
         assert payload["options"]["minimize"] is True
 
-    def test_emit_spec_reflects_flags_and_substitutions(self, capsys):
+    def test_emit_spec_reflects_flags(self, capsys):
         import json
 
         assert main([
             "synth", "lion", "--emit-spec", "--no-minimize",
-            "--reduce-mode", "joint", "--pass", "hazards:off",
+            "--reduce-mode", "joint", "--no-fsv",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["options"]["minimize"] is False
         assert payload["options"]["reduce_mode"] == "joint"
-        assert payload["passes"][4] == "hazards:off"
+        assert payload["options"]["hazard_correction"] is False
 
     def test_spec_file_reproduces_an_ablation_run(self, tmp_path, capsys):
         """The acceptance criterion: an ablation run is reproducible
@@ -180,40 +180,46 @@ class TestSpecWorkflow:
         assert from_spec["equations"]["fsv"] == "0"
 
     def test_unknown_pass_substitution_is_a_cli_error(self, capsys):
-        assert main(["synth", "lion", "--pass", "factor:typo"]) == 2
-        assert "registered passes" in capsys.readouterr().err
+        # There is no --pass flag: every ablation is an option.
+        for verb in ("synth", "batch"):
+            for variant in ("hazards:off", "factor:typo"):
+                with pytest.raises(SystemExit) as exit_:
+                    main([verb, "lion", "--pass", variant])
+                assert exit_.value.code == 2
+                err = capsys.readouterr().err
+                assert "unrecognized arguments: --pass" in err
+
+    def test_passes_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["passes"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'passes'" in capsys.readouterr().err
 
     def test_spec_naming_a_removed_variant_is_a_cli_error(
         self, tmp_path, capsys
     ):
-        # The Step-7 style is the reduce_mode option; no pass selects it.
+        # Every ablation is an option now; no pass list selects one.
         import json
 
         from repro.pipeline import DEFAULT_PIPELINE
 
-        removed = "factor:joint"
-        path = tmp_path / "joint.json"
-        path.write_text(
-            json.dumps({"passes": [*DEFAULT_PIPELINE[:-1], removed]})
-        )
-        assert main(["synth", "lion", "--spec", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown pass name(s) [{removed!r}]")
-        assert "registered passes: " in err and "hazards:off" in err
+        path = tmp_path / "spec.json"
+        for passes in (
+            [*DEFAULT_PIPELINE[:4], "hazards:off", *DEFAULT_PIPELINE[5:]],
+            [*DEFAULT_PIPELINE, "verify"],
+            [*DEFAULT_PIPELINE[:-1], "factor:joint"],
+        ):
+            path.write_text(json.dumps({"passes": passes}))
+            assert main(["synth", "lion", "--spec", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: pipeline spec 'passes' ")
+            assert "hazard_correction: false" in err[0]
+            assert "seance validate" in err[0]
 
     def test_unreadable_spec_is_a_cli_error(self, capsys):
         assert main(["synth", "lion", "--spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
-
-    def test_passes_subcommand_lists_registry(self, capsys):
-        assert main(["passes"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        listed = [line[2:].split()[0] for line in lines[:-1]]
-        assert listed == [
-            "validate", "reduce", "assign", "outputs",
-            "outputs:all-primes", "hazards", "hazards:off", "fsv",
-            "factor", "verify",
-        ]
 
     def test_batch_json_emits_per_pass_telemetry(self, capsys):
         import json
@@ -240,8 +246,8 @@ class TestSpecWorkflow:
         assert payload[1]["passes"]
         assert all(e["cached"] for e in payload[1]["passes"])
 
-    def test_batch_with_substitution(self, capsys):
-        assert main(["batch", "lion", "--pass", "hazards:off"]) == 0
+    def test_batch_with_no_fsv(self, capsys):
+        assert main(["batch", "lion", "--no-fsv"]) == 0
         assert "lion" in capsys.readouterr().out
 
     def test_synth_json_round_trips(self, capsys):

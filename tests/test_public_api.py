@@ -27,33 +27,26 @@ API_ALL_SNAPSHOT = [
     "SynthesisResult",
     "ValidationCampaign",
     "batch",
-    "create_pass",
     "load",
     "load_table",
-    "register_pass",
-    "registered_passes",
-    "substitute",
     "synthesize",
 ]
 
-#: The pinned pass registry (name -> stage), the vocabulary PipelineSpec
-#: files are written in.  Removing or renaming a key breaks saved specs.
+#: The pinned stage list (name -> pass class).  Older spec files and
+#: queued units carry these names, in this order, as their "passes".
 REGISTRY_SNAPSHOT = {
-    "validate": "validate",
-    "reduce": "reduce",
-    "assign": "assign",
-    "outputs": "outputs",
-    "outputs:all-primes": "outputs",
-    "hazards": "hazards",
-    "hazards:off": "hazards",
-    "fsv": "fsv",
-    "factor": "factor",
-    "verify": "verify",
+    "validate": "ValidatePass",
+    "reduce": "ReducePass",
+    "assign": "AssignPass",
+    "outputs": "OutputsPass",
+    "hazards": "HazardsPass",
+    "fsv": "FsvPass",
+    "factor": "FactorPass",
 }
 
 
 class TestApiSnapshot:
-    """CI tripwire: the typed front door and the registry vocabulary."""
+    """CI tripwire: the typed front door and the stage list."""
 
     def test_api_all_matches_snapshot(self):
         assert sorted(repro.api.__all__) == sorted(API_ALL_SNAPSHOT)
@@ -63,10 +56,13 @@ class TestApiSnapshot:
             assert hasattr(repro.api, name), name
 
     def test_registry_matches_snapshot(self):
-        from repro.pipeline.registry import base_name, registered_passes
+        from repro.pipeline.registry import DEFAULT_PIPELINE, create_pass
 
-        observed = {key: base_name(key) for key in registered_passes()}
+        observed = {
+            key: type(create_pass(key)).__name__ for key in DEFAULT_PIPELINE
+        }
         assert observed == REGISTRY_SNAPSHOT
+        assert tuple(observed) == tuple(REGISTRY_SNAPSHOT)
 
     def test_default_pipeline_snapshot(self):
         assert repro.api.DEFAULT_PIPELINE == (
@@ -81,7 +77,7 @@ class TestApiSnapshot:
         result = (
             api.load("lion")
             .with_options(minimize=False, reduce_mode="joint")
-            .with_pass("hazards:off")
+            .with_options(hazard_correction=False)
             .run()
         )
         assert result.table1_row()[0] == "lion"
