@@ -118,16 +118,23 @@ class TestCampaignRuns:
         ]
 
 
-class TestSmallGateCampaign:
-    """The 2-seed, 12-step unit+corner sweep: small enough to run after
-    every synthesis, and clean on every paper machine (the loop-safe
-    model stays out: lion9 has a pre-existing anomaly under it, see
-    ROADMAP)."""
+class TestVerifyPass:
+    """The verification pass over a synthesized machine: the 2-seed,
+    12-step unit+corner sweep, small enough to run after every synthesis
+    and clean on every paper machine (the loop-safe model stays out:
+    lion9 has a pre-existing anomaly under it, see ROADMAP)."""
 
     GATE = dict(sweep=2, steps=12, delay_models=("unit", "corner"))
 
-    def test_paper_machines_are_clean(self):
-        for name in ("hazard_demo", "lion9", "train11"):
+    def test_clean_machine_passes_and_records_stage(self):
+        report = api.load("hazard_demo").validate(**self.GATE)
+        assert report.all_clean
+        assert {(c.model, c.seed) for c in report.cells} == {
+            (m, s) for m in ("unit", "corner") for s in (0, 1)
+        }
+
+    def test_gate_is_usable_on_the_whole_paper_table(self):
+        for name in ("lion9", "train11"):
             assert api.load(name).validate(**self.GATE).all_clean, name
 
     def test_unprotected_machine_is_dirty(self):
