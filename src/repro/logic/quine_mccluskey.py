@@ -1,4 +1,4 @@
-"""Quine-McCluskey prime-implicant generation on row-sliced bitsets.
+"""Quine-McCluskey prime-implicant generation on ternary row bitsets.
 
 SEANCE's Output Determination stage (paper Section 5.2) and the hazard
 factoring stage (Section 5.3 / Figure 5) both rely on classic
@@ -9,29 +9,35 @@ implicants" to make it free of logic hazards under single-bit changes.
 This module provides the prime-generation half; cover selection lives in
 :mod:`repro.logic.cover`.
 
-The tabulation works on sets of *free variables* rather than on
-individual implicants.  For a free set ``F`` let ``I_F`` be the base
-points of the implicants that leave exactly ``F`` free: the minterms
-``v`` with every ``F`` bit 0 whose whole cube ``(F, v)`` lies in the
-care set.  ``I_{}`` is the care set itself, and ``I_{F+i}`` is the join
-of ``I_F`` along variable ``i``: the points of ``I_F`` whose neighbour
-across ``i`` is in ``I_F`` too.  A cube ``(F, v)`` is prime exactly when
-no join of ``I_F`` reaches ``v``, so the primes of ``F`` are ``I_F``
-minus what each ``I_{F+i}`` covers (the joined points and their
-neighbours across ``i``).
+The tabulation is ternary.  A function is sliced into *rows*: a dict
+from the high minterm bits to an int bitmap of the low ``k =
+min(width, ROW_BITS)`` bits, holding only non-empty rows.  Each row
+becomes one int over its ``3**k`` cubes of the low variables: in the
+ternary digits of a bit position, digit ``i`` is 0 or 1 when variable
+``i`` is bound to that value and 2 when it is free, and the bit is set
+when the cube is an implicant.  The row's minterms are spread onto the
+0/1 positions a byte at a time, and ``k`` shift-AND passes close the set
+under merging, ``t |= (t & t >> 3**i & D0_i) << 2 * 3**i`` (``D0_i``:
+the positions whose digit ``i`` is 0); after pass ``i`` every cube
+whose free variables lie in ``0..i`` is marked.  ``k`` shift-OR passes
+then mark the implicants that merge along a low variable, so what is
+left of a row is its primes.
 
-Each ``I_F`` is stored *row-sliced*: a dict from the high minterm bits
-to an int bitmap of the low ``k = min(width, ROW_BITS)`` bits, holding
-only non-empty rows.  A join along a low variable ``i`` is
-``r & (r >> 2**i)`` masked to the positions whose bit ``i`` is 0, three
-int ops per row; a join along a high variable ANDs two rows.  The
-paper's tables and the fuzz corpus reduce functions of 3 to 7
-variables, which fit in one row, so their whole tabulation is a few int
-ops per (free set, variable); a wide, sparse function touches only its
-non-empty rows instead of one dense ``2**width``-bit int per free set.
-Each free set is reached once, from the set without its highest
-variable, and one level of free sets is kept at a time.  The primes,
-as ``(bound mask, value)`` pairs, are sorted before any
+The ``width - k`` high variables are walked by free sets, level by
+level.  For a free set ``F`` of high variables, the row of base value
+``v`` (``F`` bits 0) holds the low cubes ``c`` for which ``(F, v, c)``
+is an implicant; the rows of ``F + i`` AND two rows of ``F`` across
+``i``.  Such a cube is prime when no low pass and no high join marks
+it.  Each free set is reached once, from the set without its highest
+variable, and one level is kept at a time.  Every width up to 8 is one
+row and one level; the paper's tables and the fuzz corpus reduce
+functions of 3 to 7 variables, so their whole tabulation is ``2k``
+passes of a few int ops on one int, and a wide, sparse function
+touches only its non-empty rows.  The digit masks, the byte spread map and the
+position decode table (free mask and value of each cube) are built
+once per process, on first use.
+
+The primes, as ``(bound mask, value)`` pairs, are sorted before any
 :class:`~repro.logic.cube.Cube` is built, which gives the order the
 reference pins.  The original per-Cube tabulation is retained in
 :mod:`repro.logic._reference` and pinned equal to this one; see
@@ -42,23 +48,68 @@ exponential in the variable count, which is capped by
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .bitset import check_width, mask_of
 from .cube import Cube
 from .function import BooleanFunction
 
-#: Low minterm bits held in one row bitmap (a row spans ``2**ROW_BITS``
-#: minterms, 32 bytes).  Wider functions split into ``2**(width -
+#: Low variables held in one row (a row spans ``2**ROW_BITS`` minterms
+#: and ``3**ROW_BITS`` cubes).  Wider functions split into ``2**(width -
 #: ROW_BITS)`` rows, of which only the non-empty ones are stored.
 ROW_BITS = 8
 
-#: ``_LOW_ZERO[i]``: the row positions whose bit ``i`` is 0 (where a
-#: join along low variable ``i`` may land).
-_LOW_ZERO = tuple(
-    sum(1 << p for p in range(1 << ROW_BITS) if not p >> i & 1)
-    for i in range(ROW_BITS)
-)
+
+class _Tables(NamedTuple):
+    """The kernel's constants for ``ROW_BITS`` low variables."""
+
+    #: ``3**i``: the place of low variable ``i``'s ternary digit.
+    place: tuple[int, ...]
+    #: Positions whose digit ``i`` is 0.
+    digit_zero: tuple[int, ...]
+    #: Positions whose digit ``i`` is 2 (variable ``i`` free).
+    digit_free: tuple[int, ...]
+    #: Byte -> ternary int of its set bits as minterms of variables 0-2.
+    spread: tuple[int, ...]
+    #: Byte index ``j`` of a row -> position of minterm ``8 * j``.
+    offset: tuple[int, ...]
+    #: Position -> mask of the cube's free low variables.
+    free_of: bytes
+    #: Position -> values of the cube's bound low variables.
+    value_of: bytes
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Build the kernel's tables once per process, on first use."""
+    place = tuple(3 ** i for i in range(ROW_BITS))
+    every = (1 << 3 ** ROW_BITS) - 1
+    # Digit i is 0 on the low third of every block of 3**(i + 1).
+    digit_zero = tuple(
+        every // ((1 << 3 * p) - 1) * ((1 << p) - 1) for p in place
+    )
+    digit_free = tuple(d << 2 * p for d, p in zip(digit_zero, place))
+    # Minterm m sits at the position whose digits are m's bits.
+    position = [0]
+    for p in place:
+        position += [t + p for t in position]
+    spread = [0]
+    for m in range(8):
+        spread += [s | 1 << position[m] for s in spread]
+    offset = tuple(position[j << 3] for j in range(1 << (ROW_BITS - 3)))
+    # Digit extension: position t + d * 3**i is cube t with digit d added.
+    # Digits above a narrower row's k are 0, which binds nothing here:
+    # the table records free variables, so its masks need no cut.
+    free_of, value_of = b"\0", b"\0"
+    for i in range(ROW_BITS):
+        with_bit = bytes(x | 1 << i for x in range(256))
+        free_of += free_of + free_of.translate(with_bit)
+        value_of = value_of + value_of.translate(with_bit) + value_of
+    return _Tables(
+        place, digit_zero, digit_free, tuple(spread), offset, free_of, value_of
+    )
 
 
 def _rows(minterms: Iterable[int] | int, width: int, k: int) -> dict:
@@ -92,6 +143,38 @@ def _rows(minterms: Iterable[int] | int, width: int, k: int) -> dict:
         h = m >> k
         rows[h] = rows.get(h, 0) | 1 << (m & low)
     return rows
+
+
+def _implicants(row: int, k: int, tables: _Tables) -> int:
+    """The ternary int of one row's implicants over its ``k`` variables.
+
+    The row's minterms are spread onto their 0/1 positions a byte at a
+    time, then one shift-AND pass per variable closes the set under
+    merging: cube ``t + 2 * 3**i`` is an implicant when ``t`` and
+    ``t + 3**i`` (digit ``i`` 0 and 1) both are.
+    """
+    spread, offset = tables.spread, tables.offset
+    cubes = 0
+    for j, byte in enumerate(row.to_bytes(max(1, 1 << k >> 3), "little")):
+        if byte:
+            cubes |= spread[byte] << offset[j]
+    for p, zero in zip(tables.place[:k], tables.digit_zero):
+        cubes |= (cubes & cubes >> p & zero) << 2 * p
+    return cubes
+
+
+def _merged(cubes: int, k: int, tables: _Tables) -> int:
+    """The cubes of ``cubes`` that merge along one of the ``k`` low variables.
+
+    One shift-OR pass per variable: each implicant with digit ``i`` free
+    marks its two halves (digit ``i`` 0 and 1) as not prime.
+    """
+    marks = 0
+    for p, free in zip(tables.place[:k], tables.digit_free):
+        wide = cubes & free
+        if wide:
+            marks |= wide >> p | wide >> 2 * p
+    return marks
 
 
 def prime_implicants(
@@ -138,53 +221,50 @@ def prime_implicants(
     if len(care) << k == space and all(r == row_full for r in care.values()):
         return [Cube.universe(width)]
 
+    tables = _tables()
+    free_of, value_of = tables.free_of, tables.value_of
     full = space - 1
-    variables = range(width)
+    high = range(width - k)
     primes: list[tuple[int, int]] = []
-    # One level of free sets at a time: free mask -> I_F's rows.
-    level = {0: care}
+    # One level of high free sets at a time: free high mask -> rows of
+    # the ternary ints of the implicants leaving exactly those high
+    # variables free, keyed by the high base value.
+    level = {0: {h: _implicants(r, k, tables) for h, r in care.items()}}
     while level:
         next_level: dict[int, dict] = {}
         for free, rows in level.items():
             top = free.bit_length()
             covered: dict[int, int] = {}
-            for i in variables:
+            for i in high:
                 bit = 1 << i
                 if free & bit:
                     continue
                 joined = {}
-                if i < k:
-                    shift = 1 << i
-                    zero = _LOW_ZERO[i]
-                    for h, r in rows.items():
-                        j = r & (r >> shift) & zero
+                for h, cubes in rows.items():
+                    if not h & bit:
+                        j = cubes & rows.get(h | bit, 0)
                         if j:
                             joined[h] = j
-                            covered[h] = covered.get(h, 0) | j | (j << shift)
-                else:
-                    high = 1 << (i - k)
-                    for h, r in rows.items():
-                        if not h & high:
-                            j = r & rows.get(h | high, 0)
-                            if j:
-                                joined[h] = j
-                                covered[h] = covered.get(h, 0) | j
-                                covered[h | high] = (
-                                    covered.get(h | high, 0) | j
-                                )
+                            covered[h] = covered.get(h, 0) | j
+                            covered[h | bit] = covered.get(h | bit, 0) | j
                 # Every join marks coverage, but F + i is kept only when
                 # i is its highest variable, so each free set is built
                 # once, from the set without that variable.
                 if joined and i >= top:
                     next_level[free | bit] = joined
-            mask = full ^ free
-            for h, r in rows.items():
-                r &= ~covered.get(h, 0)
+            high_free = free << k
+            for h, cubes in rows.items():
+                left = cubes & ~covered.get(h, 0)
+                if left:
+                    left &= ~_merged(cubes, k, tables)
                 base = h << k
-                while r:
-                    lsb = r & -r
-                    r ^= lsb
-                    primes.append((mask, base | (lsb.bit_length() - 1)))
+                while left:
+                    lsb = left & -left
+                    left ^= lsb
+                    t = lsb.bit_length() - 1
+                    primes.append(
+                        (full ^ (high_free | free_of[t]), base | value_of[t])
+                    )
         level = next_level
     primes.sort()
     return [Cube(width, mask, value) for mask, value in primes]

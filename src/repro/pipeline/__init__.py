@@ -6,8 +6,9 @@ The paper's seven Figure-3 steps are :class:`Pass` objects
 over a :class:`PipelineContext` artifact store with per-pass
 timing, error wrapping and a content-hash :class:`StageCache`
 (:mod:`repro.pipeline.cache`); :class:`BatchRunner`
-(:mod:`repro.pipeline.batch`) fans a table list out over worker
-processes with an ordered, deterministic result stream.
+(:mod:`repro.pipeline.batch`) synthesises a table list serially,
+in-process, with an ordered, deterministic result stream (scale-out is
+``seance shard run`` / ``seance work`` over a shared result store).
 
 Typical use::
 

@@ -112,8 +112,8 @@ def _options_to_dict(options: SynthesisOptions) -> dict:
 
 
 def _options_from_dict(payload: dict) -> SynthesisOptions:
-    """Options from a spec file, queue unit or ``/submit`` body; the
-    values are checked by :class:`SynthesisOptions` itself."""
+    """Options from a spec file or a queue unit's payload; the values
+    are checked by :class:`SynthesisOptions` itself."""
     if not isinstance(payload, dict):
         raise SynthesisError(
             f"options must be an object, got {type(payload).__name__}"

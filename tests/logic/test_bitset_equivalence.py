@@ -64,10 +64,11 @@ def cube_functions(draw, min_width=9, max_width=12):
 def row_functions(draw):
     """Seeded random on/dc sets of any density, straddling the row width.
 
-    The bitset tabulation slices a function into rows of
-    ``2**ROW_BITS`` minterms (one row up to width 8), so widths 7-10
-    cover the one-row case and the joins across rows.  Hypothesis' own
-    sets stay sparse at these widths; a drawn density fills the space.
+    The ternary tabulation slices a function into rows of ``ROW_BITS``
+    low variables (one row, closed by shift passes alone, up to width
+    8), so widths 7-10 cover the one-row case and the high-variable
+    joins that AND two rows' ternary ints.  Hypothesis' own sets stay
+    sparse at these widths; a drawn density fills the space.
     """
     width = draw(st.integers(min_value=7, max_value=10))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,9 +1,13 @@
 """Unit tests for repro.logic.quine_mccluskey against brute-force checks."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
+from repro.logic._reference import prime_implicants_reference
+from repro.logic.bitset import coverage_mask, iter_bits, mask_of
 from repro.logic.cube import Cube
 from repro.logic.function import BooleanFunction
 from repro.logic.quine_mccluskey import (
@@ -210,3 +214,87 @@ class TestPackedInput:
         )
         assert primes_of(f) == [Cube.from_string("1-")]
         assert seen == [(f.on_mask, f.dc_mask, 2)]
+
+
+class TestExhaustiveSmallWidths:
+    """Every on/dc/off assignment at widths 0-3 (6,654 functions).
+
+    Pins the kernel's digit order, its position decode, the empty
+    function and the universe shortcut against the retained per-Cube
+    tabulation, for both input forms.
+    """
+
+    @pytest.mark.parametrize("width", range(4))
+    def test_every_function_matches_the_reference(self, width):
+        space = 1 << width
+        for labels in itertools.product((0, 1, 2), repeat=space):
+            on = [m for m in range(space) if labels[m] == 1]
+            dc = [m for m in range(space) if labels[m] == 2]
+            expected = prime_implicants_reference(on, dc, width)
+            assert prime_implicants(on, dc, width) == expected
+            assert (
+                prime_implicants(mask_of(on), mask_of(dc), width) == expected
+            )
+
+
+def wide_masks(width: int, seed: int) -> tuple[int, int]:
+    """Packed on/dc sets of ``benchmarks/bench_logic.wide_function``.
+
+    The same generator, copied so the pin does not depend on the
+    benchmark: unions of random cubes with most variables bound, a large
+    adjacency-rich care set that is far from the full space.
+    """
+    rng = random.Random(seed * 1000 + width)
+
+    def cube() -> tuple[int, int]:
+        bound = rng.randint(max(1, width - 7), width - 1)
+        positions = rng.sample(range(width), bound)
+        mask = sum(1 << p for p in positions)
+        return mask, rng.getrandbits(width) & mask
+
+    on_cubes = [cube() for _ in range(2 * width)]
+    dc_cubes = [cube() for _ in range(width)]
+    on = dc = 0
+    for mask, value in on_cubes:
+        on |= coverage_mask(width, mask, value)
+    for mask, value in dc_cubes:
+        dc |= coverage_mask(width, mask, value)
+    return on, dc & ~on
+
+
+def primes_digest(primes: list[Cube]) -> str:
+    text = ";".join(f"{c.mask:x},{c.value:x}" for c in primes)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestWideWidthsPinned:
+    """Digests of the primes at widths the reference cannot reach quickly.
+
+    The digests were computed with the previous tabulation (one join
+    per free set through a dict per variable, about 30-70 ms a width),
+    before the ternary kernel replaced it; the reference engine takes
+    minutes at these widths.  Seed 20260729 is ``bench_logic``'s default.
+    """
+
+    PINNED = {
+        (20260729, 18): (66, "622b3e3d87b49f76"),
+        (20260729, 20): (64, "060f78dd2ded3f63"),
+        (20260729, 22): (67, "a3948612c7fd701c"),
+        (1, 18): (73, "a55ef1684d3b2e2d"),
+        (1, 20): (69, "58afb52631cbe19a"),
+        (1, 22): (70, "2787f753955897b7"),
+    }
+
+    @pytest.mark.parametrize("seed, width", sorted(PINNED))
+    def test_digest_is_pinned(self, seed, width):
+        on, dc = wide_masks(width, seed)
+        primes = prime_implicants(on, dc, width)
+        assert (len(primes), primes_digest(primes)) == self.PINNED[
+            seed, width
+        ]
+
+    def test_iterable_input_gives_the_same_primes(self):
+        on, dc = wide_masks(18, 20260729)
+        assert prime_implicants(
+            list(iter_bits(on)), list(iter_bits(dc)), 18
+        ) == prime_implicants(on, dc, 18)
