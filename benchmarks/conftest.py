@@ -12,39 +12,29 @@ pytest-benchmark as usual.
 from __future__ import annotations
 
 from repro import api
-from repro.pipeline import StageCache
-
-#: One stage cache shared by every bench module: set-up synthesis of the
-#: same (table, options) — the hazard ablation building its protected
-#: machine, the cover ablation inspecting the same spec — runs each pass
-#: once per session; an option change (``options=``) re-runs them all.
-_CACHE = StageCache()
 
 
 def pipeline_session(table, options=None):
-    """An :class:`repro.api.Session` on the shared stage cache."""
-    session = api.load(table).with_cache(_CACHE)
+    """An :class:`repro.api.Session` on ``table`` under ``options``."""
+    session = api.load(table)
     if options is not None:
         session = session.with_options(options)
     return session
 
 
 def pipeline_synth(table, options=None):
-    """Synthesise through the session-shared, stage-cached pipeline.
+    """Synthesise ``table`` for a benchmark's *set-up*.
 
-    Use for *set-up* synthesis in benchmarks whose timed section is
-    something else (validation walks, cover costing, factoring).  Timed
-    synthesis should call ``repro.api.synthesize`` (or an uncached
-    session) so the measurement is never a cache hit.
+    Use for set-up synthesis in benchmarks whose timed section is
+    something else (validation walks, cover costing, factoring).
     """
     return pipeline_session(table, options).run()
 
 
 def cold_report(table, options=None):
-    """(result, PipelineReport) from an *uncached* run — honest per-pass
+    """(result, PipelineReport) of one fresh run — honest per-pass
     wall-clock numbers for the ablation timing diffs."""
-    session = pipeline_session(table, options).with_cache(None)
-    return session.run_with_report()
+    return pipeline_session(table, options).run_with_report()
 
 
 def pass_seconds(report, stage: str) -> float:
@@ -52,7 +42,8 @@ def pass_seconds(report, stage: str) -> float:
     for event in report.events:
         if event.name == stage:
             return event.seconds
-    raise KeyError(f"no pass {stage!r} in report ({report.cache_hits})")
+    names = [event.name for event in report.events]
+    raise KeyError(f"no pass {stage!r} in report ({names})")
 
 
 def print_table(title: str, headers: list[str], rows: list[tuple]) -> None:

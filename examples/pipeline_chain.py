@@ -10,10 +10,10 @@ follower that watches stage 1's latched output.  The composite is a
 single netlist; the example drives it through several transactions and
 shows the one-transaction pipeline latency the hand-shake implies.
 
-Both stages are synthesised through one `repro.api` session chain
-sharing a stage cache — `api.load(...)` accepts benchmark names and
-programmatic tables alike, and `.with_table(...)` re-targets a session
-without rebuilding its configuration.
+Both stages are synthesised through one `repro.api` session chain —
+`api.load(...)` accepts benchmark names and programmatic tables alike,
+and `.with_table(...)` re-targets a session without rebuilding its
+configuration.
 
 Run:  python examples/pipeline_chain.py
 """
@@ -57,8 +57,8 @@ def run_transaction(sim, pipeline, column, env_delay=2.0, budget=600.0):
 
 
 def main():
-    # One fluent session chain: same configuration (and shared stage
-    # cache), two different machines.
+    # One fluent session chain: same configuration, two different
+    # machines.
     session = api.load("hazard_demo")
     stage1 = build_fantom(session.run())
     stage2 = build_fantom(session.with_table(build_follower()).run())

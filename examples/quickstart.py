@@ -47,7 +47,7 @@ def main():
 
     # The front door: load any table source, run the paper pipeline.
     # (Sessions are fluent — .with_options(...), .with_store(...) derive
-    # reconfigured sessions sharing one stage cache.)
+    # reconfigured sessions; derived sessions share one result store.)
     session = api.load(table)
     result = session.run()
     print(result.describe())

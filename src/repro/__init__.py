@@ -21,9 +21,11 @@ The library covers the full stack the paper describes:
   :mod:`repro.netlist`, :mod:`repro.sim`;
 * the baselines of the paper's comparisons — :mod:`repro.baselines`;
 * the (reconstructed) Table-1 benchmark suite — :mod:`repro.bench`;
-* the pass-manager pipeline the synthesis runs on — declarative pass
-  lists, per-pass timing, a content-hash stage cache, and batch/parallel
-  synthesis — :mod:`repro.pipeline`.
+* the pass-manager pipeline the synthesis runs on — the seven paper
+  stages, per-pass timing, and serial batch synthesis —
+  :mod:`repro.pipeline`;
+* the content-addressed result store that reuses whole results within
+  and across processes — :mod:`repro.store`.
 
 The typed front door is :mod:`repro.api`: ``api.load(...)`` opens a
 fluent :class:`~repro.api.Session`, :class:`~repro.pipeline.spec.
@@ -76,7 +78,7 @@ from .flowtable import (
     write_kiss,
 )
 from .netlist import FantomMachine, build_fantom, timing_report
-from .pipeline import BatchItem, BatchRunner, PassManager, StageCache
+from .pipeline import BatchItem, BatchRunner, PassManager
 from .sim import (
     FantomHarness,
     FlowTableInterpreter,
@@ -107,7 +109,6 @@ __all__ = [
     "PipelineSpec",
     "ReproError",
     "Session",
-    "StageCache",
     "SimulationError",
     "SpecificationError",
     "StateAssignmentError",

@@ -7,7 +7,7 @@ synthesis lives here, under names rather than live objects:
   JSON file, an :class:`~repro.flowtable.stg.Stg` or
   :class:`~repro.flowtable.burst.BurstSpec` — with :func:`load`.
 * **Configure** with a declarative :class:`PipelineSpec`
-  (:class:`SynthesisOptions` + :class:`CacheSpec`); the pipeline is
+  (its :class:`SynthesisOptions`); the pipeline is
   always the paper's seven stages (:data:`DEFAULT_PIPELINE`), every
   ablation is an option (``spec.with_options(reduce_mode="joint")``),
   and specs round-trip through JSON for reproducible, shareable runs.
@@ -16,11 +16,12 @@ synthesis lives here, under names rather than live objects:
   one-shot :func:`synthesize`, or :func:`batch`.
 * **Serialise** results: :class:`SynthesisResult` round-trips through
   ``to_dict``/``from_dict`` byte-identically — the wire format for
-  sharded batch runs and remote stage stores.
+  sharded batch runs and the result store.
 * **Archive and shard** with the content-addressed
   :class:`ResultStore` (``store=`` on :func:`load`/:func:`synthesize`/
   :func:`batch`, ``Session.with_store``): warm keys short-circuit
-  synthesis and simulation entirely, and
+  synthesis and simulation entirely — the one way to reuse a result,
+  in-process too (``api.load("lion", store=MemoryBackend())``) — and
   :class:`ShardedBatch`/:class:`ShardedCampaign` split a batch matrix
   or campaign cell grid across machines by the same content hashes
   (``seance shard run``/``merge``).
@@ -32,11 +33,10 @@ this module.
 from ..core.result import SynthesisResult
 from ..flowtable.table import FlowTable
 from ..pipeline.batch import BatchItem, BatchRunner
-from ..pipeline.cache import StageCache
 from ..pipeline.manager import PassEvent, PassManager, PipelineReport
 from ..pipeline.options import SynthesisOptions
 from ..pipeline.registry import DEFAULT_PIPELINE
-from ..pipeline.spec import CacheSpec, PipelineSpec
+from ..pipeline.spec import PipelineSpec
 from ..store import ResultStore, ShardedBatch, ShardedCampaign
 from ..sim.campaign import (
     DELAY_MODELS,
@@ -50,7 +50,6 @@ from .session import Session, batch, load, synthesize
 __all__ = [
     "BatchItem",
     "BatchRunner",
-    "CacheSpec",
     "CampaignCell",
     "CampaignResult",
     "DEFAULT_PIPELINE",
@@ -64,7 +63,6 @@ __all__ = [
     "Session",
     "ShardedBatch",
     "ShardedCampaign",
-    "StageCache",
     "SynthesisOptions",
     "SynthesisResult",
     "ValidationCampaign",

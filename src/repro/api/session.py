@@ -1,18 +1,18 @@
 """The fluent synthesis session: one table, one evolving configuration.
 
 A :class:`Session` binds a loaded flow table to a
-:class:`~repro.pipeline.spec.PipelineSpec` and a live
-:class:`~repro.pipeline.cache.StageCache`.  Sessions are immutable: the
-``with_*`` builders derive new sessions, and every session in one
-derivation chain *shares the same cache object*, so returning to an
-earlier configuration —
+:class:`~repro.pipeline.spec.PipelineSpec` and, optionally, a
+content-addressed :class:`~repro.store.ResultStore`.  Sessions are
+immutable: the ``with_*`` builders derive new sessions, and every
+session in one derivation chain *shares the same store*, so returning
+to an earlier configuration —
 
-    base = api.load("lion")
+    base = api.load("lion", store=MemoryBackend())
     paper = base.run()
     unprotected = base.with_options(hazard_correction=False).run()
     again = base.run()
 
-— is served from the stage cache (``again`` executes no pass).
+— is served whole from the store (``again`` executes no pass).
 """
 
 from __future__ import annotations
@@ -21,30 +21,25 @@ from ..core.result import SynthesisResult
 from ..errors import ReproError
 from ..flowtable.table import FlowTable
 from ..pipeline.batch import error_message
-from ..pipeline.cache import StageCache
-from ..pipeline.manager import PipelineReport
+from ..pipeline.manager import PassManager, PipelineReport
 from ..pipeline.options import SynthesisOptions
-from ..pipeline.spec import PipelineSpec, reject_cache_path
+from ..pipeline.spec import PipelineSpec
 from .loaders import load_table
 
 
 class Session:
-    """An immutable (table, spec, cache, store) tuple with fluent builders."""
+    """An immutable (table, spec, store) tuple with fluent builders."""
 
     def __init__(
         self,
         table: FlowTable,
         spec: PipelineSpec | None = None,
-        cache: StageCache | None | type(...) = ...,
         store=None,
     ):
         from ..store.store import open_store
 
         self._table = table
         self._spec = spec if spec is not None else PipelineSpec()
-        # ``...`` means "build what the spec configures"; an explicit
-        # cache (or None) overrides the spec's cache config.
-        self._cache = self._spec.cache.build() if cache is ... else cache
         self._store = open_store(store)
 
     # ------------------------------------------------------------------
@@ -57,62 +52,32 @@ class Session:
         return self._spec
 
     @property
-    def cache(self) -> StageCache | None:
-        return self._cache
-
-    @property
     def store(self):
         """The attached :class:`~repro.store.ResultStore`, or None."""
         return self._store
 
     # ------------------------------------------------------------------
-    # Builders (each returns a new Session sharing this one's cache)
+    # Builders (each returns a new Session sharing this one's store)
     # ------------------------------------------------------------------
-    def _derive(self, spec: PipelineSpec) -> "Session":
-        return Session(
-            self._table, spec, cache=self._cache, store=self._store
-        )
-
     def with_table(self, source, name: str | None = None) -> "Session":
         """Same configuration, different machine."""
-        return Session(
-            load_table(source, name),
-            self._spec,
-            cache=self._cache,
-            store=self._store,
-        )
+        return Session(load_table(source, name), self._spec, self._store)
 
     def with_spec(self, spec: PipelineSpec) -> "Session":
-        """Replace the whole spec.
-
-        A changed cache *config* re-materialises the cache; otherwise
-        the current cache object is kept warm.
-        """
-        if spec.cache != self._spec.cache:
-            return Session(self._table, spec, store=self._store)
-        return self._derive(spec)
+        """Replace the whole spec."""
+        return Session(self._table, spec, self._store)
 
     def with_options(
         self, options: SynthesisOptions | None = None, **overrides
     ) -> "Session":
         """Replace the options or update individual fields."""
-        return self._derive(self._spec.with_options(options, **overrides))
-
-    def with_cache(self, cache: StageCache | None) -> "Session":
-        """Attach an existing :class:`StageCache`, or None to disable
-        caching."""
-        reject_cache_path(cache)
-        return Session(
-            self._table, self._spec, cache=cache, store=self._store
-        )
+        return self.with_spec(self._spec.with_options(options, **overrides))
 
     def with_store(self, store) -> "Session":
         """Attach a content-addressed result store: an existing
         :class:`~repro.store.ResultStore`, a directory path, a
         :class:`~repro.store.StoreBackend`, or None to detach."""
-        return Session(
-            self._table, self._spec, cache=self._cache, store=store
-        )
+        return Session(self._table, self._spec, store)
 
     # ------------------------------------------------------------------
     # Execution
@@ -140,9 +105,8 @@ class Session:
                 return stored.result, PipelineReport(
                     table_name=self._table.name, store_hit=True
                 )
-        manager = self._spec.build_manager(cache=self._cache)
         try:
-            result, report = manager.run_with_report(
+            result, report = PassManager().run_with_report(
                 self._table, self._spec.options
             )
         except ReproError as error:
@@ -169,7 +133,7 @@ class Session:
     ):
         """Synthesise, build the FANTOM machine, run a validation campaign.
 
-        The session's spec and warm cache drive the synthesis, then a
+        The session's spec and store drive the synthesis, then a
         :class:`~repro.sim.campaign.ValidationCampaign` sweeps ``sweep``
         seeded random walks under each named delay model (see
         :data:`~repro.sim.campaign.DELAY_MODELS`).  ``engine`` selects
@@ -203,7 +167,6 @@ class Session:
     def __repr__(self) -> str:
         return (
             f"Session({self._table.name!r}, options={self._spec.options}, "
-            f"cache={'on' if self._cache is not None else 'off'}, "
             f"store={'on' if self._store is not None else 'off'})"
         )
 
@@ -223,25 +186,14 @@ def synthesize(
     options: SynthesisOptions | None = None,
     *,
     spec: PipelineSpec | None = None,
-    cache: StageCache | None = None,
     store=None,
 ) -> SynthesisResult:
     """One-shot synthesis of any table source.
 
     ``options`` overrides the spec's options (the common case:
     ``api.synthesize(table, SynthesisOptions(minimize=False))``).
-
-    A one-shot run has nothing to reuse, so no stage cache is built
-    unless the caller passes one (or configures one in ``spec``).
     """
-    if cache is None and spec is not None:
-        cache = spec.cache.build()
-    session = Session(
-        load_table(source),
-        spec if spec is not None else PipelineSpec(),
-        cache=cache,
-        store=store,
-    )
+    session = Session(load_table(source), spec, store)
     if options is not None:
         session = session.with_options(options)
     return session.run()
@@ -252,7 +204,6 @@ def batch(
     *,
     spec: PipelineSpec | None = None,
     options: SynthesisOptions | None = None,
-    cache: StageCache | None = None,
     store=None,
 ):
     """Synthesise many sources with an ordered, deterministic stream.
@@ -271,7 +222,4 @@ def batch(
         spec = spec.with_options(options)
         options = None
     tables = [load_table(source) for source in sources]
-    runner = BatchRunner(
-        options=options, cache=cache, spec=spec, store=store
-    )
-    return runner.run(tables)
+    return BatchRunner(options=options, spec=spec, store=store).run(tables)

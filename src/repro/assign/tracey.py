@@ -151,9 +151,7 @@ def absorb_seeds(seeds: list[Dichotomy]) -> list[Dichotomy]:
     return kept
 
 
-def assign_states(
-    table: FlowTable, uniqueness: bool = True
-) -> AssignmentResult:
+def assign_states(table: FlowTable) -> AssignmentResult:
     """Compute a USTT encoding for ``table``.
 
     The encoding has the fewest state variables when the result's
@@ -194,7 +192,7 @@ def assign_states(
         encoding = StateEncoding(("y1",), {table.states[0]: 0})
         return AssignmentResult(encoding, (), (), True)
 
-    seeds = seed_dichotomies(table, uniqueness=uniqueness)
+    seeds = seed_dichotomies(table)
     bit_of = state_bits(seeds)
     states = sorted(bit_of)
     search = StateSearch(*orientation_blocks(seeds, bit_of))

@@ -393,13 +393,12 @@ def load_all() -> dict[str, FlowTable]:
     return {name: benchmark(name) for name in benchmark_names()}
 
 
-def synthesize_suite(names=None, options=None, cache=None, spec=None):
+def synthesize_suite(names=None, options=None, spec=None):
     """Synthesise benchmarks through the pass pipeline, keyed by name.
 
     The workhorse of ``seance table1``, the ablation benchmarks and the
     regression tests: a :func:`repro.api.batch` run over the named
-    machines (default: the whole suite) with an optional shared
-    :class:`~repro.pipeline.cache.StageCache` and/or a
+    machines (default: the whole suite) with an optional
     :class:`~repro.pipeline.spec.PipelineSpec` selecting the options,
     returning ``{name: SynthesisResult}`` in suite order.  Benchmarks
     are known good, so any synthesis failure is re-raised.
@@ -412,7 +411,6 @@ def synthesize_suite(names=None, options=None, cache=None, spec=None):
         [benchmark(name) for name in chosen],
         spec=spec,
         options=options,
-        cache=cache,
     )
     results = {}
     for item in items:

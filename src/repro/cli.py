@@ -23,10 +23,9 @@ reproducible from a spec file alone.
 ``seance batch NAME|FILE ...``
     Synthesise many machines serially through the pass pipeline, with
     a deterministic, input-ordered report.  With no names, runs the
-    full built-in suite.  One in-memory stage cache spans the batch, so
-    a repeated table reuses every stage; ``--store`` reuses whole
-    results across invocations.  ``--json`` includes the per-pass
-    telemetry (wall clock + cache hits) of every run.
+    full built-in suite; a name given twice is synthesised twice.
+    ``--store`` reuses whole results across invocations.  ``--json``
+    includes the per-pass telemetry (wall clock) of every run.
     ``--spec`` works as in ``synth``.
 
 ``seance shard plan|run|merge``
@@ -305,13 +304,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 "error": item.error,
                 "seconds": item.seconds,
                 "store_hit": item.store_hit,
-                "cached_stages": list(item.cache_hits),
                 "passes": [
-                    {
-                        "name": event.name,
-                        "seconds": event.seconds,
-                        "cached": event.cache_hit,
-                    }
+                    {"name": event.name, "seconds": event.seconds}
                     for event in item.events
                 ],
                 "result": item.result.to_dict() if item.ok else None,
@@ -322,7 +316,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     else:
         print(
             f"{'Benchmark':14s} {'fsv':>4s} {'Y':>4s} {'Total':>6s} "
-            f"{'ms':>8s} {'cached':>7s}"
+            f"{'ms':>8s}"
         )
         for item in items:
             if not item.ok:
@@ -331,8 +325,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             _, fsv_d, y_d, total = item.result.table1_row()
             print(
                 f"{item.name:14s} {fsv_d:4d} {y_d:4d} {total:6d} "
-                f"{item.seconds * 1000:8.1f} "
-                f"{len(item.cache_hits):4d}/{len(item.result.stage_seconds)}"
+                f"{item.seconds * 1000:8.1f}"
             )
         wall = sum(item.seconds for item in items)
         hits = sum(1 for item in items if item.store_hit)
@@ -1051,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--canonical",
         action="store_true",
         help="emit the canonical (run-independent) JSON stream: no "
-        "timing or cache telemetry, byte-comparable across runs and "
+        "timing or store telemetry, byte-comparable across runs and "
         "against `seance shard merge --json`",
     )
     _add_store_arguments(

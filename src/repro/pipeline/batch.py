@@ -4,10 +4,9 @@
 process, and yields one :class:`BatchItem` per table **in input
 order** — the stream is deterministic, so downstream consumers (the
 Table-1 printer, the JSON emitter, regression diffs) see identical
-output for identical input.  A shared
-:class:`~repro.pipeline.cache.StageCache` makes repeated tables nearly
-free.  A failing table never aborts the batch: its item carries the
-error message and ``result=None``.
+output for identical input.  An attached result store makes tables
+synthesised before free.  A failing table never aborts the batch: its
+item carries the error message and ``result=None``.
 
 There is no process pool: on the measured hosts it ran slower than the
 serial loop (ROADMAP, "One local executor").  Scale-out across
@@ -23,10 +22,9 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..flowtable.table import FlowTable
-from .cache import StageCache
 from .manager import PassEvent, PassManager
 from .options import SynthesisOptions
-from .spec import CacheSpec, PipelineSpec
+from .spec import PipelineSpec
 
 
 @dataclass
@@ -34,7 +32,7 @@ class BatchItem:
     """Outcome of one table in a batch run.
 
     ``events`` is the per-pass telemetry of the run (name, wall-clock
-    seconds, cache hit) — the :class:`~repro.pipeline.manager.PipelineReport`
+    seconds) — the :class:`~repro.pipeline.manager.PipelineReport`
     stream, flattened to plain data; ``seance batch --json`` emits it
     verbatim.  ``store_hit`` marks an item served
     whole from a content-addressed :class:`~repro.store.ResultStore`
@@ -46,7 +44,6 @@ class BatchItem:
     result: object | None  # SynthesisResult on success
     error: str | None
     seconds: float
-    cache_hits: tuple[str, ...] = ()
     events: tuple[PassEvent, ...] = ()
     store_hit: bool = False
     #: Domain exception class name of a failure (``"FlowTableError"``),
@@ -88,13 +85,9 @@ class BatchRunner:
         Only ``1`` is accepted: batches run serially in-process.  Any
         other value raises :class:`ValueError` pointing at ``seance
         shard run`` / ``seance work``, the scale-out paths.
-    cache:
-        Stage cache shared across the tables and runs of this runner;
-        overrides ``spec.cache``.
     spec:
         A :class:`~repro.pipeline.spec.PipelineSpec` selecting the
-        options (and — unless ``cache`` is given — the cache config).
-        Defaults to the paper options.
+        options.  Defaults to the paper options.
     store:
         A content-addressed :class:`~repro.store.ResultStore` (or a
         directory path / backend to open one over).  Tables whose
@@ -109,7 +102,6 @@ class BatchRunner:
         self,
         options: SynthesisOptions | None = None,
         jobs: int = 1,
-        cache: StageCache | None = None,
         spec: PipelineSpec | None = None,
         store=None,
     ):
@@ -125,14 +117,9 @@ class BatchRunner:
                 "not both"
             )
         self.spec = spec if spec is not None else PipelineSpec(
-            options=options or SynthesisOptions(),
-            # No implicit cache on the legacy path: a cache only exists
-            # when the caller hands one over (or configures it in a
-            # spec).
-            cache=CacheSpec(enabled=False),
+            options=options or SynthesisOptions()
         )
         self.options = self.spec.options
-        self.cache = cache if cache is not None else self.spec.cache.build()
         from ..store.store import open_store
 
         self.store = open_store(store)
@@ -164,7 +151,7 @@ class BatchRunner:
 
         The shape of an ablation sweep: every table synthesised under
         every option set, ordered option-major (all tables under
-        ``options_list[0]`` first), through one manager and cache.
+        ``options_list[0]`` first), through one manager.
         """
         return self.run_pairs([(t, o) for o in options_list for t in tables])
 
@@ -200,7 +187,7 @@ class BatchRunner:
             else self.store.get_synthesis(table, self._unit_spec(options))
             for table, options in pairs
         ]
-        manager = self.spec.build_manager(cache=self.cache)
+        manager = PassManager()
         for index, ((table, options), hit) in enumerate(zip(pairs, stored)):
             if hit is not None:
                 yield BatchItem.from_stored(index, table.name, hit)
@@ -247,7 +234,6 @@ class BatchRunner:
             result=result,
             error=None,
             seconds=time.perf_counter() - start,
-            cache_hits=report.cache_hits,
             events=tuple(report.events),
         )
 

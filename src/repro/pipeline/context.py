@@ -6,10 +6,10 @@ produces — the reduced table, the assignment, the specified machine, the
 hazard analysis, the equations.  Passes communicate *only* through the
 context: a pass declares which artifact keys it ``requires`` and which
 it ``provides``, and the :class:`~repro.pipeline.manager.PassManager`
-enforces both sides of the contract.  That discipline is what makes the
-stage cache sound — a pass's output is a pure function of the table, the
-options and its upstream artifacts, so a content-hash over (table,
-options, pass prefix) identifies it completely.
+enforces both sides of the contract.  That discipline keeps every
+artifact a pure function of the table, the options and its upstream
+artifacts, so a whole result is identified by (table, options) — the
+result store's key.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ class PipelineContext:
     """Artifacts of one synthesis run, keyed by name.
 
     The context is a write-once store: a pass may not silently overwrite
-    an artifact another pass produced (that would make the cache lie
-    about provenance).  Re-setting a key to the *same* object is
-    permitted so cache restores stay idempotent.
+    an artifact another pass produced.
     """
 
     def __init__(self, table: FlowTable, options: SynthesisOptions):
@@ -52,22 +50,12 @@ class PipelineContext:
         return value
 
     def set(self, key: str, value: Any) -> None:
-        existing = self._artifacts.get(key, _MISSING)
-        if existing is not _MISSING and existing is not value:
+        if key in self._artifacts:
             raise SynthesisError(
                 f"pipeline artifact {key!r} is already set; passes may "
                 "not overwrite each other's artifacts"
             )
         self._artifacts[key] = value
-
-    def snapshot(self, keys: tuple[str, ...]) -> dict[str, Any]:
-        """The named artifacts, for storing in the stage cache."""
-        return {key: self.get(key) for key in keys}
-
-    def restore(self, artifacts: dict[str, Any]) -> None:
-        """Install cached artifacts (a cache hit) into the store."""
-        for key, value in artifacts.items():
-            self.set(key, value)
 
     def keys(self) -> tuple[str, ...]:
         return tuple(self._artifacts)

@@ -6,8 +6,6 @@ runner).  For every pass it
 
 * enforces the artifact contract (``requires`` present before, every
   ``provides`` present after);
-* consults the content-hash :class:`~repro.pipeline.cache.StageCache`
-  and, on a hit, restores the stage's artifacts instead of executing;
 * times the stage (``stage_seconds``, one key per stage, so result
   serialisation is unchanged);
 * wraps unexpected exceptions in :class:`PassError` naming the failing
@@ -15,7 +13,7 @@ runner).  For every pass it
   failures, USTT violations — propagate untouched, preserving the
   pre-pipeline contract).
 
-A :class:`PipelineReport` of per-pass events (duration, cache hit) is
+A :class:`PipelineReport` of per-pass events (name, duration) is
 returned alongside the result by :meth:`PassManager.run_with_report`
 and kept on :attr:`PassManager.last_report` for instrumentation.
 """
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ReproError, SynthesisError
 from ..flowtable.table import FlowTable
-from .cache import StageCache, run_fingerprint, stage_key
 from .context import PipelineContext
 from .options import SynthesisOptions
 from .passes import Pass, default_passes
@@ -50,11 +47,10 @@ class PassError(SynthesisError):
 
 @dataclass(frozen=True)
 class PassEvent:
-    """One pass execution (or cache restore) inside a run."""
+    """One pass execution inside a run."""
 
     name: str
     seconds: float
-    cache_hit: bool
 
 
 @dataclass
@@ -74,20 +70,13 @@ class PipelineReport:
     def total_seconds(self) -> float:
         return sum(event.seconds for event in self.events)
 
-    @property
-    def cache_hits(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.events if e.cache_hit)
-
     def describe(self) -> str:
         lines = [f"pipeline run of {self.table_name!r}:"]
         if self.store_hit:
             lines.append("  (served whole from the result store)")
         for event in self.events:
-            marker = "cached" if event.cache_hit else "ran"
-            lines.append(
-                f"  {event.name:10s} {marker:6s} {event.seconds * 1000:8.2f}ms"
-            )
-        lines.append(f"  {'total':10s} {'':6s} {self.total_seconds * 1000:8.2f}ms")
+            lines.append(f"  {event.name:10s} {event.seconds * 1000:8.2f}ms")
+        lines.append(f"  {'total':10s} {self.total_seconds * 1000:8.2f}ms")
         return "\n".join(lines)
 
 
@@ -100,21 +89,13 @@ class PassManager:
     passes:
         The pipeline, in execution order.  Defaults to the paper's
         seven Figure-3 stages (:func:`~repro.pipeline.passes.default_passes`).
-    cache:
-        A :class:`StageCache` shared across runs, or None to disable
-        caching entirely.
     """
 
-    def __init__(
-        self,
-        passes: tuple[Pass, ...] | list[Pass] | None = None,
-        cache: StageCache | None = None,
-    ):
+    def __init__(self, passes: tuple[Pass, ...] | list[Pass] | None = None):
         self.passes = tuple(passes) if passes is not None else default_passes()
         names = [p.name for p in self.passes]
         if len(set(names)) != len(names):
             raise SynthesisError(f"duplicate pass names in pipeline: {names}")
-        self.cache = cache
         self.last_report: PipelineReport | None = None
 
     # ------------------------------------------------------------------
@@ -133,57 +114,30 @@ class PassManager:
         report = PipelineReport(table_name=table.name)
         stage_seconds: dict[str, float] = {}
 
-        prefix = (
-            run_fingerprint(table, options) if self.cache is not None else ""
-        )
-        # Lineage entries carry the implementing class, not just the pass
-        # name: a custom pass reusing a default name ("reduce") must not
-        # be served the default implementation's cached artifacts.
-        lineage: list[str] = []
-
         for p in self.passes:
-            lineage.append(
-                f"{p.name}@{type(p).__module__}.{type(p).__qualname__}"
-            )
             start = time.perf_counter()
-            cached = None
-            key = ""
-            if self.cache is not None and p.cacheable:
-                key = stage_key(prefix, tuple(lineage))
-                cached = self.cache.get(key)
-
-            if cached is not None:
-                ctx.restore(cached)
-                hit = True
-            else:
-                missing = [req for req in p.requires if not ctx.has(req)]
-                if missing:
-                    raise SynthesisError(
-                        f"pipeline pass {p.name!r} requires artifacts "
-                        f"{missing} that no earlier pass provided "
-                        f"(pipeline: {[q.name for q in self.passes]})"
-                    )
-                try:
-                    p.run(ctx)
-                except ReproError:
-                    raise
-                except Exception as error:
-                    raise PassError(p.name, error) from error
-                unprovided = [
-                    out for out in p.provides if not ctx.has(out)
-                ]
-                if unprovided:
-                    raise SynthesisError(
-                        f"pipeline pass {p.name!r} did not provide "
-                        f"declared artifacts {unprovided}"
-                    )
-                if self.cache is not None and p.cacheable:
-                    self.cache.put(key, ctx.snapshot(p.provides))
-                hit = False
-
+            missing = [req for req in p.requires if not ctx.has(req)]
+            if missing:
+                raise SynthesisError(
+                    f"pipeline pass {p.name!r} requires artifacts "
+                    f"{missing} that no earlier pass provided "
+                    f"(pipeline: {[q.name for q in self.passes]})"
+                )
+            try:
+                p.run(ctx)
+            except ReproError:
+                raise
+            except Exception as error:
+                raise PassError(p.name, error) from error
+            unprovided = [out for out in p.provides if not ctx.has(out)]
+            if unprovided:
+                raise SynthesisError(
+                    f"pipeline pass {p.name!r} did not provide "
+                    f"declared artifacts {unprovided}"
+                )
             seconds = time.perf_counter() - start
             stage_seconds[p.name] = seconds
-            report.events.append(PassEvent(p.name, seconds, hit))
+            report.events.append(PassEvent(p.name, seconds))
 
         result = self._assemble(ctx, stage_seconds)
         self.last_report = report

@@ -1,7 +1,7 @@
 """Synthesis options: the knobs of the pass pipeline (paper defaults).
 
-It lives in the pipeline package because every pass (and the stage
-cache, which fingerprints options) needs it; :mod:`repro.api` re-exports
+It lives in the pipeline package because every pass (and the spec,
+which fingerprints options) needs it; :mod:`repro.api` re-exports
 it as ``api.SynthesisOptions``.
 """
 
@@ -81,7 +81,7 @@ class SynthesisOptions:
                 )
 
     def fingerprint_items(self) -> tuple[tuple[str, object], ...]:
-        """Canonical ``(field, value)`` tuple for cache fingerprinting."""
+        """Canonical ``(field, value)`` tuple for spec fingerprinting."""
         return tuple(
             (f.name, getattr(self, f.name))
             for f in dataclasses.fields(self)

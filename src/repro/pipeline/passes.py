@@ -40,16 +40,13 @@ from .context import PipelineContext
 class Pass(Protocol):
     """One stage of the synthesis pipeline.
 
-    ``name`` keys the stage's timing entry and its cache slot; ``requires``
-    and ``provides`` are the artifact contract the manager enforces.  A
-    pass with ``cacheable = False`` always executes (use for passes with
-    side effects or non-deterministic diagnostics).
+    ``name`` keys the stage's timing entry; ``requires`` and
+    ``provides`` are the artifact contract the manager enforces.
     """
 
     name: str
     requires: tuple[str, ...]
     provides: tuple[str, ...]
-    cacheable: bool
 
     def run(self, ctx: PipelineContext) -> None:
         """Produce ``provides`` from ``ctx``; raise ReproError on failure."""
@@ -62,7 +59,6 @@ class ValidatePass:
     name = "validate"
     requires: tuple[str, ...] = ()
     provides: tuple[str, ...] = ()
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         if ctx.options.validate_input:
@@ -75,7 +71,6 @@ class ReducePass:
     name = "reduce"
     requires: tuple[str, ...] = ()
     provides = ("reduction", "working")
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         if ctx.options.minimize:
@@ -99,7 +94,6 @@ class AssignPass:
     name = "assign"
     requires = ("working",)
     provides = ("assignment", "spec")
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         from ..core.spec import SpecifiedMachine
@@ -123,7 +117,6 @@ class OutputsPass:
     name = "outputs"
     requires = ("spec",)
     provides = ("outputs", "ssd")
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         from ..core.outputs import synthesize_outputs
@@ -140,7 +133,6 @@ class HazardsPass:
     name = "hazards"
     requires = ("spec",)
     provides = ("analysis",)
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         from ..core.hazard_analysis import find_hazards
@@ -154,7 +146,6 @@ class FsvPass:
     name = "fsv"
     requires = ("spec", "analysis")
     provides = ("fsv_fn", "y_fns")
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         from ..core.fsv import fsv_function, next_state_functions
@@ -175,7 +166,6 @@ class FactorPass:
     name = "factor"
     requires = ("spec", "fsv_fn", "y_fns")
     provides = ("fsv", "next_state")
-    cacheable = True
 
     def run(self, ctx: PipelineContext) -> None:
         from ..core.factoring import factor_fsv, factor_next_state

@@ -1,24 +1,17 @@
 """Declarative pipeline configuration: the :class:`PipelineSpec`.
 
 A spec is everything a synthesis run is configured by, as plain data:
-
-* the **options** — a :class:`~repro.pipeline.options.SynthesisOptions`,
-* the **cache config** — a :class:`CacheSpec`.
-
+the **options**, a :class:`~repro.pipeline.options.SynthesisOptions`.
 The stage list is not part of it: every run is the paper's seven stages
 (:data:`~repro.pipeline.registry.DEFAULT_PIPELINE`), and every ablation
-is an option.  Because both parts are names and scalars, a spec
+is an option.  Because the options are names and scalars, a spec
 round-trips through JSON (``to_dict``/``from_dict``, strictly: unknown
 keys are errors, and re-serialising a deserialised spec is
 byte-identical), which is what the sharded-batch and remote-store
 roadmap items need: an ablation run is reproducible from a spec file
 alone (``seance synth --spec SPEC.json``), and :meth:`fingerprint`
 names a configuration content-addressably for cross-machine
-work-splitting.
-
-Cache interaction: the options are hashed into the stage-cache run
-prefix (see :func:`~repro.pipeline.cache.run_fingerprint`), so two
-specs share stage keys exactly when their options are equal.
+work-splitting and for the result store's keys.
 """
 
 from __future__ import annotations
@@ -31,8 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import SynthesisError
-from .cache import MAX_ENTRIES, StageCache
-from .manager import PassManager
 from .options import SynthesisOptions
 from .registry import DEFAULT_PIPELINE
 
@@ -48,62 +39,26 @@ def _require_keys(payload: dict, allowed: set[str], what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CacheSpec:
-    """Stage-cache configuration, as data.
+def _check_legacy_cache(cache) -> None:
+    """Read and ignore the ``"cache"`` object older builds wrote.
 
-    ``enabled=False`` disables caching entirely; the in-memory cache is
-    bounded by :data:`~repro.pipeline.cache.MAX_ENTRIES`.  Sharing work
-    across processes is the result store's job (``--store``), not the
-    stage cache's.
+    Those builds configured an in-process stage cache with
+    ``{"enabled": true|false, "path": null, "max_entries": 4096}``; any
+    other value asked for something no build offers now.
     """
-
-    enabled: bool = True
-
-    def build(self) -> StageCache | None:
-        """Materialise the configured cache (None when disabled)."""
-        if not self.enabled:
-            return None
-        return StageCache()
-
-    def to_dict(self) -> dict:
-        return {"enabled": self.enabled}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheSpec":
-        if not isinstance(payload, dict):
-            raise SynthesisError(
-                f"cache spec must be an object, got {type(payload).__name__}"
-            )
-        _require_keys(payload, {"enabled", "path", "max_entries"}, "cache spec")
-        # Spec files written by older builds carry ``"path": null`` and
-        # ``"max_entries": 4096``, so both keys stay readable; any other
-        # value asked for a cross-process stage cache (the store's job
-        # now) or a bound that is no longer settable.
-        if payload.get("path") is not None:
-            raise SynthesisError(
-                "cache spec 'path' is no longer supported: share results "
-                "across processes with a result store (--store)"
-            )
-        if payload.get("max_entries", MAX_ENTRIES) != MAX_ENTRIES:
-            raise SynthesisError(
-                f"cache spec 'max_entries' is no longer settable: the "
-                f"stage cache always holds up to {MAX_ENTRIES} entries"
-            )
-        spec = cls(enabled=payload.get("enabled", True))
-        if not isinstance(spec.enabled, bool):
-            raise SynthesisError("cache spec 'enabled' must be a boolean")
-        return spec
-
-
-def reject_cache_path(cache) -> None:
-    """Raise for a path handed to ``with_cache``: the stage cache is
-    in-memory only, and cross-process reuse is the result store's job."""
-    if isinstance(cache, (str, os.PathLike)):
-        raise SynthesisError(
-            f"with_cache({os.fspath(cache)!r}): the stage cache has no "
-            "persistent tier; attach a result store with with_store()"
-        )
+    if (
+        isinstance(cache, dict)
+        and set(cache) <= {"enabled", "path", "max_entries"}
+        and isinstance(cache.get("enabled", True), bool)
+        and cache.get("path") is None
+        and cache.get("max_entries", 4096) == 4096
+    ):
+        return
+    raise SynthesisError(
+        f"pipeline spec 'cache' {cache!r} is no longer supported: there "
+        "is no stage cache; reuse whole results with a result store "
+        "(--store)"
+    )
 
 
 def _options_to_dict(options: SynthesisOptions) -> dict:
@@ -131,7 +86,6 @@ class PipelineSpec:
     """
 
     options: SynthesisOptions = field(default_factory=SynthesisOptions)
-    cache: CacheSpec = field(default_factory=CacheSpec)
 
     # ------------------------------------------------------------------
     # Builders
@@ -148,32 +102,14 @@ class PipelineSpec:
                 raise SynthesisError(f"bad options: {error}") from error
         return dataclasses.replace(self, options=base)
 
-    def with_cache(self, cache: CacheSpec | None) -> "PipelineSpec":
-        """Set the cache config (None disables the stage cache)."""
-        reject_cache_path(cache)
-        spec = CacheSpec(enabled=False) if cache is None else cache
-        return dataclasses.replace(self, cache=spec)
-
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def build_manager(self, cache: StageCache | None | object = ...) -> PassManager:
-        """A :class:`PassManager` running the paper pipeline.
-
-        ``cache`` overrides the spec's cache config with an existing
-        :class:`StageCache` instance (or explicit None); by default the
-        configured cache is built fresh.
-        """
-        built = self.cache.build() if cache is ... else cache
-        return PassManager(cache=built)
-
     def fingerprint(self) -> str:
-        """Content hash naming this configuration (cache config excluded).
+        """Content hash naming this configuration.
 
-        Two specs with equal fingerprints synthesise identically; the
-        cache config only decides where artifacts are stored, so it does
-        not participate.  This is the key sharded batch runs partition
-        work by.  The stage list sits in the hash where older specs
+        Two specs with equal fingerprints synthesise identically.  This
+        is the key sharded batch runs partition work by.  The stage list sits in the hash where older specs
         kept their pass list, so store keys written before the list was
         fixed stay valid.
         """
@@ -197,7 +133,6 @@ class PipelineSpec:
         return {
             "format": SPEC_FORMAT_VERSION,
             "options": _options_to_dict(self.options),
-            "cache": self.cache.to_dict(),
         }
 
     @classmethod
@@ -232,10 +167,9 @@ class PipelineSpec:
                 "'hazard_correction: false', and for dynamic checks run "
                 "`seance validate`"
             )
-        return cls(
-            options=_options_from_dict(payload.get("options", {})),
-            cache=CacheSpec.from_dict(payload.get("cache", {})),
-        )
+        if "cache" in payload:
+            _check_legacy_cache(payload["cache"])
+        return cls(options=_options_from_dict(payload.get("options", {})))
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

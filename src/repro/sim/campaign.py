@@ -370,7 +370,7 @@ class ValidationCampaign:
         ``False`` builds the unprotected machines (hazard ablation).
     spec:
         :class:`~repro.pipeline.spec.PipelineSpec` for the synthesis
-        phase (options, stage cache).
+        phase (its options).
     engine:
         ``"ring"`` (the default, via :func:`default_engine`) — the
         event kernel of :mod:`repro.sim.simulator` with hand-shake

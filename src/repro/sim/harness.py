@@ -389,33 +389,21 @@ def synthesize_and_validate(
     steps: int = 30,
     seeds: tuple[int, ...] = (0, 1, 2),
     delays_factory=loop_safe_random,
-    manager=None,
     spec=None,
 ) -> ValidationSummary:
     """Flow table → pass pipeline → FANTOM netlist → dynamic validation.
 
     The one-call version of the paper's full loop: synthesise ``table``
     through :func:`repro.api.synthesize` (pass a
-    :class:`~repro.pipeline.spec.PipelineSpec` to select the options,
-    or a cached ``manager`` to skip already-computed stages — the
-    ablation benchmarks validate the same table with and without fsv,
-    sharing upstream stages), build the gate-level machine, and run
+    :class:`~repro.pipeline.spec.PipelineSpec` to select the options),
+    build the gate-level machine, and run
     :func:`validate_against_reference`.  ``use_fsv=False`` wires the
     unprotected machine (the hazard ablation).
     """
+    from ..api import synthesize
     from ..netlist.fantom import build_fantom
 
-    if manager is not None:
-        if spec is not None:
-            raise SimulationError(
-                "pass either a manager or a spec, not both (a manager "
-                "already carries its cache)"
-            )
-        result = manager.run(table, options)
-    else:
-        from ..api import synthesize
-
-        result = synthesize(table, options, spec=spec)
+    result = synthesize(table, options, spec=spec)
     machine = build_fantom(result, use_fsv=use_fsv)
     return validate_against_reference(
         machine, steps=steps, seeds=seeds, delays_factory=delays_factory

@@ -3,11 +3,11 @@
 "Byte-identical" is the store's acceptance contract: a batch matrix or
 campaign split across N shards and merged must reproduce the
 single-process stream exactly.  Wall-clock telemetry (item seconds,
-per-pass timings, which tier served a cache hit) is honest *per run*
+per-pass timings, whether the store served a result) is honest *per run*
 but different *between* runs, so the comparison surface is a canonical
 projection that keeps every deterministic field — names, order, errors,
 full synthesis artifacts, every validation cycle — and drops only
-timing and cache provenance.
+timing and store provenance.
 
 ``seance batch --json --canonical`` and ``seance shard merge --json``
 both emit these projections, so the CI smoke job can literally ``diff``

@@ -4,11 +4,11 @@ A :class:`StoreKey` names one unit of work by *what it computes*, never
 by where or when it ran:
 
 * ``table`` — sha256 of the canonical flow-table text
-  (:func:`repro.pipeline.cache.table_fingerprint`), so two tables that
-  synthesise identically share a key and two that differ anywhere —
-  including signal names — never collide;
+  (:func:`table_fingerprint`), so two tables that synthesise
+  identically share a key and two that differ anywhere — including
+  signal names — never collide;
 * ``spec`` — :meth:`repro.pipeline.spec.PipelineSpec.fingerprint`
-  (the options; the cache config deliberately excluded);
+  (the options and the fixed stage list);
 * ``workload`` — the unit's own parameters: ``"synth"`` for a synthesis
   run, or the full ``(model, seed, steps, engine, fsv)`` tuple of one
   validation-campaign cell.
@@ -25,7 +25,6 @@ import hashlib
 from dataclasses import dataclass
 
 from ..flowtable.table import FlowTable
-from ..pipeline.cache import table_fingerprint
 from ..pipeline.spec import PipelineSpec
 
 #: Bump when the envelope layout or payload wire format changes
@@ -36,6 +35,31 @@ STORE_FORMAT_VERSION = 1
 KIND_SYNTHESIS = "synthesis"
 KIND_VALIDATION = "validation"
 KIND_FUZZ = "fuzz"
+
+
+def table_fingerprint(table: FlowTable) -> str:
+    """A canonical text form of a flow table, for hashing.
+
+    KISS2 serialisation is *not* used because it drops signal names; the
+    fingerprint must distinguish tables that synthesise to differently
+    named equations.
+    """
+    lines = [
+        f"name={table.name!r}",
+        f"inputs={tuple(table.inputs)!r}",
+        f"outputs={tuple(table.outputs)!r}",
+        f"states={tuple(table.states)!r}",
+        f"reset={table.reset_state!r}",
+    ]
+    # The full entry map, not just specified_entries(): a cell with an
+    # unspecified successor can still carry output bits, and those bits
+    # feed output-compatibility during reduction — two tables differing
+    # only there must not share a key.
+    for (state, column), entry in sorted(table.entry_map().items()):
+        lines.append(
+            f"{(state, column, entry.next_state, entry.outputs)!r}"
+        )
+    return "\n".join(lines)
 
 
 def table_digest(table: FlowTable) -> str:

@@ -7,10 +7,10 @@ import pytest
 from repro import api
 from repro.bench import benchmark, kiss_source
 from repro.core.serialize import table_to_dict
-from repro.errors import ReproError, SynthesisError
+from repro.errors import ReproError
 from repro.flowtable.builder import FlowTableBuilder
 from repro.flowtable.burst import BurstSpec
-from repro.pipeline import DEFAULT_PIPELINE, StageCache
+from repro.store import MemoryBackend, ResultStore
 
 
 class TestLoadTable:
@@ -86,40 +86,30 @@ class TestSession:
         assert base.spec.options.minimize is True
         assert base.spec.options.hazard_correction is True
 
-    def test_derived_sessions_share_the_cache(self):
-        base = api.load("lion")
-        assert base.cache is not None
+    def test_derived_sessions_share_the_store(self):
+        base = api.load("lion", store=MemoryBackend())
+        assert base.store is not None
         unprotected = base.with_options(hazard_correction=False)
-        assert unprotected.cache is base.cache
+        assert unprotected.store is base.store
 
-    def test_returning_to_a_configuration_hits_every_stage(self):
-        base = api.load("lion")
+    def test_returning_to_a_configuration_is_a_store_hit(self):
+        base = api.load("lion", store=MemoryBackend())
         base.run()  # warm
         _, report = base.with_options(
             hazard_correction=False
         ).run_with_report()
-        assert report.cache_hits == ()
+        assert not report.store_hit
+        assert len(report.events) == 7
         _, report = base.run_with_report()
-        assert report.cache_hits == DEFAULT_PIPELINE
+        assert report.store_hit
+        assert report.events == []
 
-    def test_with_cache_none_disables(self):
-        session = api.load("lion").with_cache(None)
-        assert session.cache is None
-        _, report = session.run_with_report()
-        assert report.cache_hits == ()
-
-    def test_with_cache_rejects_a_path(self, tmp_path):
-        with pytest.raises(SynthesisError, match="with_store"):
-            api.load("lion").with_cache(str(tmp_path / "stages"))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_with_spec_keeps_cache_when_config_unchanged(self):
-        base = api.load("lion")
+    def test_with_spec_keeps_the_store(self):
+        base = api.load("lion", store=MemoryBackend())
         assert base.with_spec(
             base.spec.with_options(hazard_correction=False)
-        ).cache is base.cache
-        rebuilt = base.with_spec(base.spec.with_cache(None))
-        assert rebuilt.cache is None
+        ).store is base.store
+        assert base.with_store(None).store is None
 
     def test_with_table_retargets(self):
         session = api.load("lion").with_options(minimize=False)
@@ -152,12 +142,13 @@ class TestOneShots:
         result = api.synthesize("lion", spec=spec)
         assert result.table1_row()[0] == "lion"
 
-    def test_synthesize_shares_an_explicit_cache(self):
-        cache = StageCache()
-        api.synthesize("lion", cache=cache)
-        before = cache.hits
-        api.synthesize("lion", cache=cache)
-        assert cache.hits > before
+    def test_synthesize_shares_an_explicit_store(self):
+        store = ResultStore(MemoryBackend())
+        first = api.synthesize("lion", store=store)
+        assert store.hits == 0
+        again = api.synthesize("lion", store=store)
+        assert store.hits == 1
+        assert again.table1_row() == first.table1_row()
 
     def test_batch_mixed_sources(self, tmp_path):
         path = tmp_path / "machine.kiss2"

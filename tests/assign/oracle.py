@@ -181,7 +181,7 @@ def enumerated_greedy(seeds, candidates):
     return enumerated_cover(seeds, candidates, exact=False)
 
 
-def enumerated_assignment(table, uniqueness=True):
+def enumerated_assignment(table):
     """``assign_states`` by enumerating every maximal merge and covering
     with ``minimum_set_cover``: ``(seeds, chosen, codes, exact)``.
 
@@ -190,7 +190,7 @@ def enumerated_assignment(table, uniqueness=True):
     and its greedy cover above.  Codes follow ``assign_states``: a
     variable is 1 on its dichotomy's right block.
     """
-    seeds = seed_dichotomies(table, uniqueness=uniqueness)
+    seeds = seed_dichotomies(table)
     bit_of = state_bits(seeds)
     states = sorted(bit_of)
     merges, exact = enumerated_cover(

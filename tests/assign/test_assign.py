@@ -170,13 +170,6 @@ class TestAssignStates:
         codes = [result.encoding.code(s) for s in gray4().states]
         assert len(set(codes)) == len(codes)
 
-    def test_no_seeds_without_uniqueness(self):
-        # gray4 has no transition-pair seeds, so without uniqueness seeds
-        # the cover picks no variable: the encoding, not the candidate
-        # step, reports that the states cannot be told apart.
-        with pytest.raises(StateAssignmentError, match="share codes"):
-            assign_states(gray4(), uniqueness=False)
-
     def test_single_state_machine(self):
         b = FlowTableBuilder(inputs=["x1"], outputs=["z"])
         b.stable("only", "0", "0").stable("only", "1", "1")

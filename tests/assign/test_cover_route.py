@@ -19,7 +19,6 @@ from repro.assign.tracey import assign_states, seed_dichotomies
 from repro.bench import benchmark
 from repro.bench.suite import load_all, random_flow_table
 from repro.corpus import families
-from repro.errors import StateAssignmentError
 from repro.logic.bitset import iter_bits
 from repro.util.setcover import (
     EXACT_LIMIT,
@@ -117,37 +116,29 @@ def test_capped_count_on_named_tables(name):
     assert goes_greedy(masks) == (not cover.exact)
 
 
-def check_assignment(table, uniqueness):
-    seeds, chosen, codes, exact = enumerated_assignment(table, uniqueness)
-    if len(set(codes.values())) < len(codes):
-        # Without uniqueness seeds, two states may share a code.
-        with pytest.raises(StateAssignmentError, match="share codes"):
-            assign_states(table, uniqueness=uniqueness)
-        return
-    result = assign_states(table, uniqueness=uniqueness)
+def check_assignment(table):
+    seeds, chosen, codes, exact = enumerated_assignment(table)
+    result = assign_states(table)
     assert result.seeds == seeds
     assert result.chosen == chosen
     assert result.encoding.codes == codes
     assert result.exact == exact
 
 
-@pytest.mark.parametrize("uniqueness", [True, False])
-def test_assignment_matches_the_oracle_on_the_corpus(uniqueness):
+def test_assignment_matches_the_oracle_on_the_corpus():
     for key in families.build_corpus(count=20):
-        check_assignment(families.generate(key), uniqueness)
+        check_assignment(families.generate(key))
 
 
-@pytest.mark.parametrize("uniqueness", [True, False])
 @pytest.mark.parametrize("positions", range(8, 15))
-def test_assignment_matches_the_oracle_on_chains(positions, uniqueness):
+def test_assignment_matches_the_oracle_on_chains(positions):
     for seed in range(1, 6):
-        check_assignment(random_flow_table(positions, seed), uniqueness)
+        check_assignment(random_flow_table(positions, seed))
 
 
-@pytest.mark.parametrize("uniqueness", [True, False])
-def test_assignment_matches_the_oracle_on_named_tables(uniqueness):
+def test_assignment_matches_the_oracle_on_named_tables():
     tables = dict(load_all())
     tables.update(rand13=random_flow_table(13), rand14=random_flow_table(14))
     for name, table in sorted(tables.items()):
         if table.num_states > 1:
-            check_assignment(table, uniqueness)
+            check_assignment(table)

@@ -142,7 +142,7 @@ def synthesis_calls():
                 return grouped(cubes, names, fsv_index)
 
             patch.setattr(factoring, "_grouped_expression", record)
-            manager = PassManager()  # no stage cache: every table factors
+            manager = PassManager()
             for table, options in items:
                 manager.run(table, options)
     return calls

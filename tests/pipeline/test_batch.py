@@ -5,7 +5,7 @@ import pytest
 from repro.bench import benchmark, benchmark_names, synthesize_suite
 from repro.errors import SynthesisError
 from repro.flowtable.table import Entry, FlowTable
-from repro.pipeline import BatchRunner, StageCache, SynthesisOptions
+from repro.pipeline import BatchRunner, SynthesisOptions
 
 NAMES = ("lion", "traffic", "hazard_demo", "test_example")
 
@@ -51,13 +51,6 @@ class TestSerial:
         assert items[1].result is None
         assert items[1].error
 
-    def test_shared_cache_across_batch_runs(self):
-        cache = StageCache()
-        runner = BatchRunner(jobs=1, cache=cache)
-        runner.run_names(NAMES)
-        items = runner.run_names(NAMES)
-        assert all(len(item.cache_hits) == 7 for item in items)
-
 
 class TestParallel:
     """There is no batch pool: scale-out is `shard run` / `work`."""
@@ -95,7 +88,7 @@ class TestConveniences:
         assert len(items) == 1 and items[0].ok
 
     def test_synthesize_suite_defaults_to_every_benchmark(self):
-        results = synthesize_suite(cache=StageCache())
+        results = synthesize_suite()
         assert tuple(results) == benchmark_names()
 
     def test_synthesize_suite_raises_on_failure(self):

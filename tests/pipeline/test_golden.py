@@ -4,7 +4,7 @@
 ``Seance.run`` (one ``to_dict()`` per built-in benchmark, with the
 non-deterministic ``stage_seconds`` dropped) *before* the pass-manager
 refactor.  These tests pin today's pipeline — the ``repro.api``
-one-shot, PassManager, cached, and batch paths — to those bytes, so any
+one-shot, PassManager, warm-store, and batch paths — to those bytes, so any
 behavioural drift in the refactored engine is caught against the
 original implementation, not against itself.
 
@@ -21,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import synthesize
+from repro.api import load, synthesize
 from repro.bench import benchmark, benchmark_names
-from repro.pipeline import BatchRunner, PassManager, StageCache
+from repro.pipeline import BatchRunner, PassManager
+from repro.store import MemoryBackend, ResultStore
 
 GOLDEN_PATH = Path(__file__).with_name("golden_seed.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -69,12 +70,12 @@ def test_table1_rows_pinned_to_seed(name):
 
 
 def test_cached_pipeline_is_byte_identical_to_seed():
-    manager = PassManager(cache=StageCache())
+    store = ResultStore(MemoryBackend())
     for name in benchmark_names():
-        manager.run(benchmark(name))  # prime
+        load(benchmark(name), store=store).run()  # prime
     for name in benchmark_names():
-        result, report = manager.run_with_report(benchmark(name))
-        assert len(report.cache_hits) == 7, "expected a fully warm run"
+        result, report = load(benchmark(name), store=store).run_with_report()
+        assert report.store_hit, "expected a warm store hit"
         assert canonical(result) == golden(name)
 
 

@@ -20,8 +20,6 @@ EXPECTED_ORDER = (
 class RecordingPass:
     """A stub pass that appends its name to a shared log."""
 
-    cacheable = True
-
     def __init__(self, name, log, requires=(), provides=(), fail=None):
         self.name = name
         self.requires = tuple(requires)
@@ -62,7 +60,6 @@ class TestDefaultPipeline:
         manager = PassManager()
         result, report = manager.run_with_report(benchmark("traffic"))
         assert [e.name for e in report.events] == list(EXPECTED_ORDER)
-        assert report.cache_hits == ()  # no cache configured
         assert report.total_seconds == pytest.approx(
             sum(result.stage_seconds.values())
         )
@@ -143,7 +140,8 @@ class TestContext:
     def test_artifacts_are_write_once(self):
         ctx = PipelineContext(benchmark("lion"), SynthesisOptions())
         ctx.set("k", "v1")
-        ctx.set("k", "v1")  # idempotent re-set of the same object is fine
+        with pytest.raises(SynthesisError, match="overwrite"):
+            ctx.set("k", "v1")
         with pytest.raises(SynthesisError, match="overwrite"):
             ctx.set("k", "v2")
 

@@ -8,13 +8,30 @@ import pytest
 from repro.errors import SynthesisError
 from repro.pipeline import (
     DEFAULT_PIPELINE,
-    CacheSpec,
+    PassManager,
     PipelineSpec,
-    StageCache,
     SynthesisOptions,
     default_passes,
 )
 from repro.pipeline.registry import create_pass
+
+#: The default spec as the builds with a stage cache saved it.
+LEGACY_SPEC_JSON = """{
+  "cache": {
+    "enabled": true
+  },
+  "format": 1,
+  "options": {
+    "hazard_correction": true,
+    "minimize": true,
+    "output_policy": "stable_only",
+    "reduce_mode": "split",
+    "ssd_dc_policy": "unspecified",
+    "validate_input": true,
+    "verify_assignment": true
+  }
+}
+"""
 
 #: One ill-typed or out-of-range value per option field.
 BAD_OPTIONS = [
@@ -52,9 +69,10 @@ class TestRegistry:
 
 class TestPipelineSpec:
     def test_default_spec_resolves_to_the_paper_pipeline(self):
-        manager = PipelineSpec().build_manager(cache=None)
+        manager = PassManager()
         assert tuple(p.name for p in manager.passes) == DEFAULT_PIPELINE
         assert "passes" not in PipelineSpec().to_dict()
+        assert "cache" not in PipelineSpec().to_dict()
 
     def test_unknown_pass_name_fails_at_construction(self):
         with pytest.raises(TypeError):
@@ -72,32 +90,6 @@ class TestPipelineSpec:
         assert spec.options.hazard_correction is True
         with pytest.raises(SynthesisError, match="bad options"):
             PipelineSpec().with_options(bogus=1)
-
-    def test_with_cache_forms(self):
-        assert PipelineSpec().with_cache(None).cache == CacheSpec(enabled=False)
-        disabled = CacheSpec(enabled=False)
-        assert PipelineSpec().with_cache(disabled).cache == disabled
-
-    def test_with_cache_rejects_a_path(self, tmp_path):
-        # The stage cache is in-memory only; a location names a store.
-        with pytest.raises(SynthesisError, match="with_store"):
-            PipelineSpec().with_cache("stages")
-        with pytest.raises(SynthesisError, match="with_store"):
-            PipelineSpec().with_cache(tmp_path)
-
-    def test_build_manager_runs(self):
-        from repro.bench import benchmark
-
-        result = PipelineSpec().build_manager(cache=None).run(
-            benchmark("lion")
-        )
-        assert result.table1_row() == ("lion", 3, 5, 9)
-
-    def test_build_manager_cache_override(self, tmp_path):
-        cache = StageCache()
-        manager = PipelineSpec().build_manager(cache=cache)
-        assert manager.cache is cache
-        assert PipelineSpec().with_cache(None).build_manager().cache is None
 
     def test_fingerprint_tracks_passes_and_options_not_cache(
         self, monkeypatch
@@ -118,8 +110,9 @@ class TestPipelineSpec:
             base.with_options(minimize=False).fingerprint()
             != base.fingerprint()
         )
+        legacy = dict(base.to_dict(), cache={"enabled": False})
         assert (
-            base.with_cache(None).fingerprint()
+            PipelineSpec.from_dict(legacy).fingerprint()
             == base.fingerprint()
         )
 
@@ -135,7 +128,6 @@ class TestSpecRoundTrip:
                     reduce_mode="joint", hazard_correction=False,
                     output_policy="as_specified",
                 ),
-                cache=CacheSpec(enabled=False),
             ),
         ]
 
@@ -251,38 +243,67 @@ class TestSpecRoundTrip:
         assert "hazard_correction: false" in str(error.value)
         assert "seance validate" in str(error.value)
 
+    def test_parent_written_spec_with_a_cache_still_loads(self, tmp_path):
+        # Builds with a stage cache wrote `"cache": {"enabled": ...}`
+        # into every spec file; it is read and ignored.
+        assert PipelineSpec.from_json(LEGACY_SPEC_JSON) == PipelineSpec()
+        path = tmp_path / "spec.json"
+        path.write_text(LEGACY_SPEC_JSON)
+        assert PipelineSpec.load(path).fingerprint() == (
+            PipelineSpec().fingerprint()
+        )
+        disabled = LEGACY_SPEC_JSON.replace("true\n  }", "false\n  }", 1)
+        assert '"enabled": false' in disabled
+        assert PipelineSpec.from_json(disabled) == PipelineSpec()
+
+    def test_parent_written_cache_still_loads_in_a_queue_unit(self):
+        from repro.bench import benchmark
+        from repro.store.sharding import ShardedBatch, WorkUnit
+
+        [unit] = ShardedBatch([benchmark("lion")]).units
+        payload = json.loads(json.dumps(unit.to_payload()))
+        assert "cache" not in payload["spec"]
+        payload["spec"]["cache"] = {"enabled": True}
+        assert WorkUnit.from_payload(payload).key == unit.key
+
     def test_unknown_cache_key_is_strictly_rejected(self):
         payload = PipelineSpec().to_dict()
-        payload["cache"]["surprise"] = 1
-        with pytest.raises(SynthesisError, match="unknown cache spec"):
+        payload["cache"] = {"enabled": True, "surprise": 1}
+        with pytest.raises(SynthesisError, match="--store"):
             PipelineSpec.from_dict(payload)
 
     def test_null_cache_path_still_loads(self):
         # Older builds emitted `"path": null` in every spec file.
         payload = PipelineSpec().to_dict()
-        assert "path" not in payload["cache"]
-        payload["cache"]["path"] = None
+        payload["cache"] = {"enabled": True, "path": None}
         assert PipelineSpec.from_dict(payload) == PipelineSpec()
 
     def test_default_max_entries_still_loads(self):
         # Older builds emitted `"max_entries": 4096` in every spec file.
         payload = PipelineSpec().to_dict()
-        assert "max_entries" not in payload["cache"]
-        payload["cache"]["max_entries"] = 4096
+        payload["cache"] = {"enabled": True, "max_entries": 4096}
         assert PipelineSpec.from_dict(payload) == PipelineSpec()
 
     @pytest.mark.parametrize("bound", [7, 0, None, "4096"])
     def test_other_max_entries_are_rejected(self, bound):
         payload = PipelineSpec().to_dict()
-        payload["cache"]["max_entries"] = bound
+        payload["cache"] = {"max_entries": bound}
         with pytest.raises(SynthesisError, match="max_entries"):
             PipelineSpec.from_dict(payload)
 
     def test_cache_path_is_rejected(self):
         payload = PipelineSpec().to_dict()
-        payload["cache"]["path"] = "stages"
+        payload["cache"] = {"enabled": True, "path": "stages"}
         with pytest.raises(SynthesisError, match="--store"):
             PipelineSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("cache", [{"enabled": "yes"}, [], None, True])
+    def test_other_cache_values_are_rejected(self, cache):
+        payload = PipelineSpec().to_dict()
+        payload["cache"] = cache
+        with pytest.raises(SynthesisError, match="--store") as error:
+            PipelineSpec.from_dict(payload)
+        assert "no stage cache" in str(error.value)
 
     def test_future_format_is_rejected(self):
         payload = PipelineSpec().to_dict()

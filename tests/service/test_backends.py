@@ -27,6 +27,7 @@ import zlib
 import pytest
 
 from repro.bench import benchmark
+from repro.pipeline import PassManager
 from repro.pipeline.spec import PipelineSpec
 from repro.errors import StoreError
 from repro.service import FakeObjectStoreServer
@@ -39,7 +40,6 @@ from repro.store.backend import (
     resolve_backend,
 )
 from repro.store.net import ObjectStoreBackend
-from tests.strategies import cached_synthesize
 
 #: Fault modes that never process the request (retries are transparent).
 TRANSPARENT_MODES = ("drop", "delay", "error", "reset")
@@ -239,7 +239,7 @@ class TestResolve:
         """The full verified-envelope round trip through a socket."""
         table = benchmark("lion")
         spec = PipelineSpec()
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         writer = ResultStore(object_server.url)
         writer.put_synthesis(table, spec, result)
         reader = ResultStore(object_server.url)  # separate connection

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.bench import benchmark
+from repro.pipeline import PassManager
 from repro.pipeline.spec import PipelineSpec
 from repro.errors import StoreError
 from repro.service import QueueWorker, WorkQueue
@@ -23,7 +24,6 @@ from repro.service.leases import LeaseTable
 from repro.store import ResultStore, ShardedBatch
 from repro.store.backend import MemoryBackend
 from repro.store.keys import synthesis_key, table_digest
-from tests.strategies import cached_synthesize
 
 TABLES = ("lion", "traffic", "hazard_demo")
 
@@ -71,7 +71,7 @@ class TestPublish:
     def test_already_stored_units_publish_as_done(self, store, queue):
         table = benchmark("lion")
         spec = PipelineSpec()
-        store.put_synthesis(table, spec, cached_synthesize(table))
+        store.put_synthesis(table, spec, PassManager().run(table))
         queue.publish(ShardedBatch([table], spec=spec).units)
         stats = queue.stats()
         # No unit scaffolding is written for warm work — just the done
@@ -87,7 +87,7 @@ class TestPublish:
         unit read as finished (``--watch`` declaring "drained")."""
         lion, traffic = benchmark("lion"), benchmark("traffic")
         spec = PipelineSpec()
-        store.put_synthesis(lion, spec, cached_synthesize(lion))
+        store.put_synthesis(lion, spec, PassManager().run(lion))
         queue.publish(ShardedBatch([lion, traffic], spec=spec).units)
         stats = queue.stats()
         assert (stats.units, stats.done, stats.remaining) == (1, 1, 1)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import benchmark
 from repro.netlist.fantom import build_fantom
+from repro.pipeline import PassManager
 from repro.sim.campaign import ENGINES, delay_model
 from repro.sim.delays import UnitDelay
 from repro.sim.harness import (
@@ -25,8 +26,6 @@ from repro.sim.harness import (
 )
 from repro.sim.simulator import Simulator
 
-from ..strategies import cached_synthesize
-
 TABLES = ("lion9", "train11")
 MODELS = ("loop-safe", "skewed", "hostile", "corner")
 SEEDS = (0, 1)
@@ -36,7 +35,7 @@ COMPILED = ENGINES["compiled"]
 
 
 def _machine(name):
-    return build_fantom(cached_synthesize(benchmark(name)))
+    return build_fantom(PassManager().run(benchmark(name)))
 
 
 def _kernel_state(sim):

@@ -16,14 +16,13 @@ import pytest
 
 from repro.bench import benchmark
 from repro.netlist.fantom import build_fantom
+from repro.pipeline import PassManager
 from repro.sim import harness as harness_mod
 from repro.sim.campaign import ENGINES, delay_model
 from repro.sim.delays import RandomDelay, UnitDelay
 from repro.sim.harness import expected_walk, random_legal_walk, validate_walk
 from repro.sim.monitors import CycleReport
 from repro.sim.simulator import Simulator
-
-from ..strategies import cached_synthesize
 
 TABLES = ("lion9", "train11")
 MODELS = ("loop-safe", "skewed", "hostile", "corner")
@@ -38,7 +37,7 @@ DIRTY = {"lion9/loop-safe/s0", "lion9/skewed/s0", "train11/hostile/s2"}
 
 
 def _machine(name):
-    return build_fantom(cached_synthesize(benchmark(name)))
+    return build_fantom(PassManager().run(benchmark(name)))
 
 
 def _run(machine, walk, delays, kernel, expected=None):

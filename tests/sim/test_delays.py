@@ -153,14 +153,14 @@ class TestDrawExactness:
         from repro.netlist.fantom import build_fantom
         from repro.sim.harness import build_timed_fantom
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         machines = [
-            build_fantom(cached_synthesize(benchmark(name)))
+            build_fantom(PassManager().run(benchmark(name)))
             for name in ("lion9", "train11")
         ]
         machines += [
-            build_timed_fantom(cached_synthesize(generate(key)))
+            build_timed_fantom(PassManager().run(generate(key)))
             for key in build_corpus(count=4)
         ]
         assert len(machines) == 22

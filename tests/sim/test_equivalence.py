@@ -156,10 +156,10 @@ class TestMachineEquivalence:
         from repro.netlist.fantom import build_fantom
         from repro.sim.harness import validate_against_reference
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
         from repro.bench import benchmark
 
-        machine = build_fantom(cached_synthesize(benchmark(name)))
+        machine = build_fantom(PassManager().run(benchmark(name)))
         compiled = validate_against_reference(machine, **kwargs)
         reference = validate_against_reference(
             machine, simulator_factory=ReferenceSimulator, **kwargs
@@ -200,10 +200,10 @@ class TestMachineEquivalence:
         from repro.sim.harness import validate_against_reference
         from repro.bench import benchmark
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         machine = build_fantom(
-            cached_synthesize(benchmark("hazard_demo")), use_fsv=False
+            PassManager().run(benchmark("hazard_demo")), use_fsv=False
         )
         kwargs = dict(steps=20, seeds=(0, 1, 2), delays_factory=skewed_random)
         compiled = validate_against_reference(machine, **kwargs)
@@ -222,10 +222,10 @@ class TestSynthesizedMachineEquivalence:
         from repro.netlist.fantom import build_fantom
         from repro.sim.harness import validate_against_reference
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         try:
-            machine = build_fantom(cached_synthesize(table))
+            machine = build_fantom(PassManager().run(table))
         except ReproError:
             return  # not synthesisable (not strongly connected, ...)
         compiled = validate_against_reference(machine, steps=8, seeds=(0,))

@@ -114,10 +114,10 @@ class TestRingMachineEquivalence:
         from repro.netlist.fantom import build_fantom
         from repro.sim.harness import validate_against_reference
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         for name in ("hazard_demo", "traffic", "lion"):
-            machine = build_fantom(cached_synthesize(benchmark(name)))
+            machine = build_fantom(PassManager().run(benchmark(name)))
             ring = validate_against_reference(
                 machine,
                 steps=25,
@@ -143,7 +143,7 @@ class TestRingMachineEquivalence:
         from repro.sim.delays import hostile_random, loop_safe_random
         from repro.sim.harness import validate_against_reference
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         cases = [
             ("train11", hostile_random),
@@ -152,7 +152,7 @@ class TestRingMachineEquivalence:
         saw_failure = False
         for name, delays_factory in cases:
             machine = build_fantom(
-                cached_synthesize(benchmark(name)), use_fsv=False
+                PassManager().run(benchmark(name)), use_fsv=False
             )
             kwargs = dict(
                 steps=15, seeds=(0, 1, 2), delays_factory=delays_factory
@@ -176,9 +176,9 @@ class TestRingFastPaths:
         from repro.sim.delays import UnitDelay
         from repro.sim.harness import validate_against_reference
 
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
-        machine = build_fantom(cached_synthesize(benchmark(name)))
+        machine = build_fantom(PassManager().run(benchmark(name)))
         return validate_against_reference(
             machine,
             steps=20,
@@ -222,10 +222,10 @@ class TestRingFastPaths:
             random_legal_walk,
             validate_walk,
         )
-        from ..strategies import cached_synthesize
+        from repro.pipeline import PassManager
 
         for name in ("lion9", "train11"):
-            machine = build_fantom(cached_synthesize(benchmark(name)))
+            machine = build_fantom(PassManager().run(benchmark(name)))
             walk = random_legal_walk(machine.result.table, 200, seed=0)
             processed = []
             scored = []

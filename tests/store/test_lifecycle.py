@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.bench import benchmark
+from repro.pipeline import PassManager
 from repro.pipeline.spec import PipelineSpec
 from repro.service import WorkQueue
 from repro.store import (
@@ -21,7 +22,6 @@ from repro.store import (
     verify_store,
 )
 from repro.store.backend import MemoryBackend
-from tests.strategies import cached_synthesize
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def seed_results(store, names=("lion", "traffic")):
     keys = {}
     for name in names:
         table = benchmark(name)
-        store.put_synthesis(table, spec, cached_synthesize(table))
+        store.put_synthesis(table, spec, PassManager().run(table))
         keys[name] = synthesis_key(table, spec)
     return keys
 

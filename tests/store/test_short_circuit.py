@@ -32,7 +32,6 @@ class TestBatchShortCircuit:
         assert all(item.store_hit for item in warm)
         # The telemetry contract: not one PassEvent on the warm run.
         assert all(item.events == () for item in warm)
-        assert all(item.cache_hits == () for item in warm)
 
     def test_stored_failure_short_circuits_too(self):
         from tests.store.test_sharding import broken_table

@@ -14,14 +14,14 @@ import pytest
 
 from repro import api
 from repro.bench import benchmark, benchmark_names
-from repro.pipeline.spec import CacheSpec, PipelineSpec
+from repro.pipeline import PassManager
+from repro.pipeline.spec import PipelineSpec
 from repro.store import (
     STORE_FORMAT_VERSION,
     ResultStore,
     synthesis_key,
     validation_key,
 )
-from tests.strategies import cached_synthesize
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestGoldenRoundTrip:
     @pytest.mark.parametrize("name", benchmark_names())
     def test_roundtrip_byte_identical_to_to_dict(self, name, store):
         table = benchmark(name)
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         spec = PipelineSpec()
         store.put_synthesis(table, spec, result)
         stored = store.get_synthesis(table, spec)
@@ -109,12 +109,12 @@ class TestKeys:
         assert len({base.digest, unprotected.digest, grown.digest}) == 3
 
     def test_cache_config_does_not_change_the_key(self):
+        """A spec file from a build with a stage cache keys like today's."""
         table = benchmark("lion")
+        legacy = dict(PipelineSpec().to_dict(), cache={"enabled": False})
         assert (
             synthesis_key(table, PipelineSpec()).digest
-            == synthesis_key(
-                table, PipelineSpec().with_cache(CacheSpec(enabled=False))
-            ).digest
+            == synthesis_key(table, PipelineSpec.from_dict(legacy)).digest
         )
 
     def test_validation_workload_parameters_discriminate(self):
@@ -147,7 +147,7 @@ class TestFailSafety:
     def seeded(self, store):
         table = benchmark("lion")
         spec = PipelineSpec()
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         store.put_synthesis(table, spec, result)
         return table, spec, result
 
@@ -169,7 +169,7 @@ class TestFailSafety:
         upload, a colliding copy — must be rejected, not returned."""
         table, spec, _ = self.seeded(store)
         other = benchmark("traffic")
-        store.put_synthesis(other, spec, cached_synthesize(other))
+        store.put_synthesis(other, spec, PassManager().run(other))
         lion_key = synthesis_key(table, spec)
         traffic_key = synthesis_key(other, spec)
         # File traffic's (valid, complete) blob under lion's digest.
@@ -224,7 +224,7 @@ class TestConcurrentWriters:
         interleaving must leave a complete, verifiable blob."""
         table = benchmark("lion")
         spec = PipelineSpec()
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         stores = [ResultStore(tmp_path / "race") for _ in range(4)]
         barrier = threading.Barrier(len(stores))
         errors = []
@@ -256,7 +256,7 @@ class TestConcurrentWriters:
     def test_concurrent_readers_and_writers(self, tmp_path):
         table = benchmark("traffic")
         spec = PipelineSpec()
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         writer_store = ResultStore(tmp_path / "rw")
         reader_store = ResultStore(tmp_path / "rw")
         stop = threading.Event()
@@ -286,7 +286,7 @@ class TestEnvelopeEncoding:
     def seeded(self, store):
         table = benchmark("lion")
         spec = PipelineSpec()
-        result = cached_synthesize(table)
+        result = PassManager().run(table)
         store.put_synthesis(table, spec, result)
         path = blob_path(store, synthesis_key(table, spec))
         return table, spec, result, path
@@ -303,7 +303,7 @@ class TestEnvelopeEncoding:
     def test_two_encodes_of_one_envelope_are_identical(self):
         from repro.store.store import _encode
 
-        result = cached_synthesize(benchmark("lion"))
+        result = PassManager().run(benchmark("lion"))
         envelope = {
             "format": STORE_FORMAT_VERSION,
             "key": synthesis_key(benchmark("lion"), PipelineSpec()).to_dict(),

@@ -1,34 +1,8 @@
-"""Shared hypothesis strategies for flow-table-level property tests.
-
-Also home of :func:`cached_synthesize`, the session-scoped stage-cached
-synthesis the property suites route through: hypothesis re-synthesises
-the same (shrunk) tables constantly, and the content-hash
-:class:`~repro.pipeline.cache.StageCache` makes every repeat nearly
-free (``benchmarks/bench_runtime.py`` measures the speedup and records
-it in ``BENCH_pipeline.json``).  Set ``REPRO_TEST_CACHE=off`` to run
-the suites uncached (e.g. when debugging a suspected cache soundness
-issue).
-"""
-
-import os
+"""Shared hypothesis strategies for flow-table-level property tests."""
 
 from hypothesis import strategies as st
 
-from repro.api import PipelineSpec
 from repro.flowtable.table import Entry, FlowTable
-from repro.pipeline import StageCache
-
-#: One cache for the whole test session; keys are content hashes of
-#: (table, options, pass lineage), so sharing across tests is sound.
-_SESSION_CACHE = (
-    None if os.environ.get("REPRO_TEST_CACHE") == "off" else StageCache()
-)
-
-
-def cached_synthesize(table, options=None):
-    """Synthesise through the session-shared stage cache."""
-    manager = PipelineSpec().build_manager(cache=_SESSION_CACHE)
-    return manager.run(table, options)
 
 
 @st.composite

@@ -12,6 +12,7 @@ the benchmark suite covers the big machines and hostile delays.
 
 from hypothesis import HealthCheck, assume, given, settings
 
+from repro.api import synthesize
 from repro.flowtable.validation import (
     check_normal_mode,
     check_stability,
@@ -22,7 +23,6 @@ from repro.sim.delays import loop_safe_random
 from repro.sim.harness import FantomHarness, random_legal_walk
 from repro.sim.reference import FlowTableInterpreter
 
-from .strategies import cached_synthesize as synthesize
 from .strategies import normal_mode_tables
 
 END_TO_END_SETTINGS = settings(

@@ -8,7 +8,6 @@ import repro.api
 API_ALL_SNAPSHOT = [
     "BatchItem",
     "BatchRunner",
-    "CacheSpec",
     "CampaignCell",
     "CampaignResult",
     "DEFAULT_PIPELINE",
@@ -22,7 +21,6 @@ API_ALL_SNAPSHOT = [
     "Session",
     "ShardedBatch",
     "ShardedCampaign",
-    "StageCache",
     "SynthesisOptions",
     "SynthesisResult",
     "ValidationCampaign",
