@@ -111,6 +111,13 @@ class TestSession:
         ).store is base.store
         assert base.with_store(None).store is None
 
+    def test_with_store_none_runs_every_pass(self):
+        base = api.load("lion", store=MemoryBackend())
+        base.run()  # warm
+        _, report = base.with_store(None).run_with_report()
+        assert not report.store_hit
+        assert len(report.events) == 7
+
     def test_with_table_retargets(self):
         session = api.load("lion").with_options(minimize=False)
         other = session.with_table("traffic")

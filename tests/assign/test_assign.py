@@ -122,6 +122,19 @@ class TestSeedDichotomies:
         for seed in seeds:
             assert seed.left.isdisjoint(seed.right)
 
+    def test_no_seeds_without_uniqueness(self):
+        # Every column of gray4 has one destination, so it has no
+        # transition-pair seeds: only the uniqueness seeds tell its
+        # states apart.
+        assert seed_dichotomies(gray4(), uniqueness=False) == []
+        seeds = seed_dichotomies(gray4())
+        for a, b in itertools.combinations(gray4().states, 2):
+            assert any(
+                {a, b} <= d.left | d.right
+                and (a in d.left) != (b in d.left)
+                for d in seeds
+            )
+
     def test_uniqueness_seeds_included(self):
         table = toggle2()
         seeds = seed_dichotomies(table, uniqueness=True)

@@ -65,6 +65,14 @@ class TestDefaultPipeline:
         )
         assert manager.last_report is report
 
+    def test_without_a_store_a_repeated_run_runs_every_pass(self):
+        manager = PassManager()
+        table = benchmark("lion")
+        manager.run(table)
+        _, report = manager.run_with_report(table)
+        assert not report.store_hit
+        assert [e.name for e in report.events] == list(EXPECTED_ORDER)
+
     def test_report_describe_mentions_every_pass(self):
         manager = PassManager()
         _, report = manager.run_with_report(benchmark("lion"))

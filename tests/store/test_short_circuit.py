@@ -33,6 +33,13 @@ class TestBatchShortCircuit:
         # The telemetry contract: not one PassEvent on the warm run.
         assert all(item.events == () for item in warm)
 
+    def test_different_tables_share_nothing(self):
+        store = ResultStore()
+        BatchRunner(store=store).run([benchmark("lion")])
+        [item] = BatchRunner(store=store).run([benchmark("traffic")])
+        assert not item.store_hit
+        assert len(item.events) == 7
+
     def test_stored_failure_short_circuits_too(self):
         from tests.store.test_sharding import broken_table
 
@@ -63,6 +70,19 @@ class TestSessionShortCircuit:
         assert warm_report.store_hit
         assert warm_report.events == []
         assert result.table1_row() == ("lion", 3, 5, 9)
+
+    def test_warm_session_result_keeps_every_stage_key(self):
+        store = ResultStore()
+        session = api.load("lion", store=store)
+        cold = session.run()
+        warm, report = session.run_with_report()
+        assert report.store_hit
+        # The stored wire form carries the cold run's stage timings.
+        assert warm.stage_seconds == cold.stage_seconds
+        assert sorted(warm.stage_seconds) == sorted((
+            "validate", "reduce", "assign", "outputs",
+            "hazards", "fsv", "factor",
+        ))
 
     def test_store_respects_spec_changes(self):
         store = ResultStore()

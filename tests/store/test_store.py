@@ -22,6 +22,7 @@ from repro.store import (
     synthesis_key,
     validation_key,
 )
+from tests.store.test_keys import NON_DEFAULT_OPTIONS
 
 
 @pytest.fixture
@@ -52,6 +53,23 @@ class TestGoldenRoundTrip:
         assert json.dumps(
             stored.result.to_dict(), sort_keys=True
         ) == json.dumps(result.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("option", sorted(NON_DEFAULT_OPTIONS))
+    def test_roundtrip_under_each_non_default_option(self, option, store):
+        """A result synthesised under other options round-trips
+        byte-identical under its own spec, and only under it."""
+        table = benchmark("lion")
+        spec = PipelineSpec().with_options(
+            **{option: NON_DEFAULT_OPTIONS[option]}
+        )
+        result = PassManager().run(table, spec.options)
+        store.put_synthesis(table, spec, result)
+        stored = store.get_synthesis(table, spec)
+        assert stored is not None and stored.ok
+        assert json.dumps(
+            stored.result.to_dict(), sort_keys=True
+        ) == json.dumps(result.to_dict(), sort_keys=True)
+        assert store.get_synthesis(table, PipelineSpec()) is None
 
     def test_synthesis_error_roundtrip(self, store):
         table = benchmark("lion")
